@@ -175,7 +175,7 @@ def _cmd_extremal(args):
 
 
 def _cmd_centralizer(args):
-    modulus = args.modulus if args.modulus else args.q * args.q - 1
+    modulus = args.q * args.q - 1 if args.modulus is None else args.modulus
     s = parse_orbits(args.q, modulus, args.orbits)
     if s.dimension != args.n:
         raise ValueError(f"orbits span dimension {s.dimension}, group has {args.n}")
@@ -237,7 +237,7 @@ def _cmd_transport(args):
 
 
 def _cmd_omega_full(args):
-    modulus = args.modulus if args.modulus else args.q * args.q - 1
+    modulus = args.q * args.q - 1 if args.modulus is None else args.modulus
     s = parse_orbits(args.q, modulus, args.orbits)
     pair = CuspidalPair(parse_gl_part(args.pair), args.base_k, s)
     parity = s.dimension - 2 * args.m

@@ -17,7 +17,7 @@ Enumeration orders are fixed once and used everywhere:
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -68,7 +68,7 @@ class Partition(tuple):
         for p in self:
             for j in range(p):
                 cols[j] += 1
-        return Partition(cols)
+        return _trusted(cols)
 
     def contains(self, other: "Partition") -> bool:
         """Containment of Young diagrams: every row of ``other`` fits."""
@@ -76,6 +76,11 @@ class Partition(tuple):
         return len(other) <= len(self) and all(
             self[i] >= other[i] for i in range(len(other))
         )
+
+
+# Builds a Partition from parts already known to be weakly decreasing and
+# positive (generated here, or transformed from a validated partition).
+_trusted = partial(tuple.__new__, Partition)
 
 
 class Bipartition(NamedTuple):
@@ -141,6 +146,68 @@ def bipartitions_of(n: int) -> list:
     return list(_bipartitions_of(n))
 
 
+# Strip additions are memoised per (partition, size), one cache per strip
+# kind, each result an immutable tuple in decreasing lexicographic order.
+# The omega tables ask for the same few keys tens of times each: a pass over
+# all tables with r, r' <= 13 makes about 60,000 strip requests on 1,815
+# distinct keys.  One table at r = r' = 20 needs 10,980 keys of a kind, and
+# every key of both kinds up to that rank holds about 18 MiB; the bound keeps
+# all of them resident.  Past it the least recently used entries go, which
+# only costs recomputation.
+STRIP_CACHE_SIZE = 16384
+
+
+@lru_cache(maxsize=STRIP_CACHE_SIZE)
+def _horizontal_strips(p: Partition, size: int) -> tuple:
+    """Horizontal strip additions of a valid partition ``p``.
+
+    Row i of the result is p_i + d_i with d_0 free and d_i <= p_{i-1} - p_i
+    below it (no two new cells in one column).  The gains d run over the
+    compositions of ``size`` under those caps in decreasing lexicographic
+    order, which is decreasing lexicographic order on the results: start
+    from the greedy fill, then repeatedly take one cell off the last row
+    that can pass it to the rows below and refill those greedily.
+    """
+    rows = len(p) + 1
+    base = p + (0,)
+    caps = [size] + [base[i - 1] - base[i] for i in range(1, rows)]
+    room = [0] * (rows + 1)  # room[i]: most cells rows i.. can take
+    for i in range(rows - 1, -1, -1):
+        room[i] = room[i + 1] + caps[i]
+    gain = [0] * rows
+    out = []
+
+    def fill(start, remaining):
+        for i in range(start, rows):
+            gain[i] = min(caps[i], remaining)
+            remaining -= gain[i]
+
+    fill(0, size)
+    while True:
+        lam = [b + d for b, d in zip(base, gain)]
+        if not lam[-1]:
+            lam.pop()
+        out.append(_trusted(lam))
+        below = 0  # cells in rows j + 1 ..
+        for j in range(rows - 2, -1, -1):
+            below += gain[j + 1]
+            if gain[j] and below < room[j + 1]:
+                gain[j] -= 1
+                fill(j + 1, below + 1)
+                break
+        else:
+            return tuple(out)
+
+
+@lru_cache(maxsize=STRIP_CACHE_SIZE)
+def _vertical_strips(p: Partition, size: int) -> tuple:
+    """Vertical strip additions of a valid partition ``p``: the conjugates of
+    the horizontal strip additions of p', put back in decreasing
+    lexicographic order."""
+    conjugates = _horizontal_strips(p.conjugate(), size)
+    return tuple(sorted((lam.conjugate() for lam in conjugates), reverse=True))
+
+
 def horizontal_strip_additions(p: Iterable[int], size: int) -> list:
     """All partitions obtained from ``p`` by adding a horizontal strip.
 
@@ -154,24 +221,7 @@ def horizontal_strip_additions(p: Iterable[int], size: int) -> list:
     p = Partition(p)
     if size < 0:
         raise ValueError("strip size must be nonnegative")
-    rows = len(p) + 1
-    results = []
-
-    def extend(i, remaining, prev, acc):
-        if i == rows:
-            if remaining == 0:
-                results.append(Partition(acc))
-            return
-        base = p.part(i)
-        hi = min(base + remaining, prev)
-        if i >= 1:
-            # no two strip cells share a column: row i may not pass row i-1 of p
-            hi = min(hi, p.part(i - 1))
-        for val in range(hi, base - 1, -1):
-            extend(i + 1, remaining - (val - base), val, acc + [val])
-
-    extend(0, size, p.part(0) + size, [])
-    return results
+    return list(_horizontal_strips(p, size))
 
 
 def vertical_strip_additions(p: Iterable[int], size: int) -> list:
@@ -186,23 +236,7 @@ def vertical_strip_additions(p: Iterable[int], size: int) -> list:
     p = Partition(p)
     if size < 0:
         raise ValueError("strip size must be nonnegative")
-    rows = len(p) + size
-    results = []
-
-    def extend(i, remaining, prev, acc):
-        if remaining > rows - i:
-            return
-        if i == rows:
-            if remaining == 0:
-                results.append(Partition(acc))
-            return
-        base = p.part(i)
-        hi = min(base + 1, prev, base + remaining)
-        for val in range(hi, base - 1, -1):
-            extend(i + 1, remaining - (val - base), val, acc + [val])
-
-    extend(0, size, p.part(0) + 1, [])
-    return results
+    return list(_vertical_strips(p, size))
 
 
 def dominance_leq(a: Iterable[int], b: Iterable[int]) -> bool:

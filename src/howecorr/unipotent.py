@@ -26,16 +26,20 @@ character (``coxeter_sign``, the default) and the sign-change character
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Callable, NamedTuple
 
 from .errors import NonUniqueExtremeError
 from .partitions import (
     Bipartition,
     Partition,
+    _bipartitions_of,
+    _horizontal_strips,
+    _vertical_strips,
     bipartition_dominance_leq,
-    bipartitions_of,
     horizontal_strip_additions,
     swap_components,
     swap_conjugate,
@@ -78,7 +82,10 @@ def theta_cuspidal(k: int, target_dim_parity: int) -> int:
     return candidates[0]
 
 
-ThetaRule = Callable[[int, int], int]
+def is_first_kind(k: int, k_prime: int) -> bool:
+    """Whether the coupling of the k-series with the k'-series takes the
+    first-kind formula (k odd, or k = k' = 0) rather than the second."""
+    return k % 2 == 1 or k == k_prime == 0
 
 
 def _is_odd_prime_power(q: int) -> bool:
@@ -262,37 +269,51 @@ def _validate_series(ctx: TowerContext, k: int) -> int:
     return r
 
 
+# One entry per rank and convention, like the enumeration caches in
+# partitions, so it needs no bound.
+@lru_cache(maxsize=None)
+def _twists(n: int, convention: str) -> tuple:
+    """sgn_twist of each bipartition of n, in canonical order."""
+    return tuple(sgn_twist(chi, convention) for chi in _bipartitions_of(n))
+
+
+def _check_convention(convention: str) -> None:
+    if convention not in SGN_CONVENTIONS:
+        raise ValueError(f"unknown sgn convention {convention!r}")
+
+
 @lru_cache(maxsize=None)
 def _omega_cached(m, parity, m_prime, parity_prime, k, convention):
-    return _omega_impl(m, parity, m_prime, parity_prime, k, convention, theta_cuspidal)
-
-
-def _omega_impl(m, parity, m_prime, parity_prime, k, convention, theta_rule):
-    ctx = TowerContext(m, parity)
-    r = _validate_series(ctx, k)
-    k_prime = theta_rule(k, parity_prime)
-    if triangular(k_prime) % 2 != parity_prime:
-        raise ValueError(
-            f"theta rule sent k={k} to k'={k_prime}, which does not live in "
-            f"a tower of dimension parity {parity_prime}"
-        )
+    r = _validate_series(TowerContext(m, parity), k)
+    k_prime = theta_cuspidal(k, parity_prime)
     r_prime = m_prime - witt_index_of_cuspidal(k_prime)
-    row_labels = tuple(bipartitions_of(r))
+    row_labels = _bipartitions_of(r)
     if r_prime < 0:
         return MultiplicityTable(
             m, m_prime, k, k_prime, None, convention, row_labels, (), {}
         )
-    first_kind = k % 2 == 1 or (k == 0 and k_prime == 0)
-    second = "trivial" if first_kind else "sgn"
-    entries = {}
+    first_kind = is_first_kind(k, k_prime)
+    # Rows: Ind(chi x 1) adds a horizontal strip to alpha; Ind(chi x sgn)
+    # adds one to beta, vertical or horizontal by convention.  Columns:
+    # Ind(sgn chi x 1) adds a horizontal strip to the twisted alpha.  The
+    # strip caches are read directly, keyed by the component that grows.
+    row_strips = (
+        _horizontal_strips
+        if first_kind or convention == "sign_changes"
+        else _vertical_strips
+    )
+    col_labels = _bipartitions_of(r_prime)
+    counts = Counter()
     for l in range(min(r, r_prime) + 1):
-        for chi in bipartitions_of(l):
-            rows = pieri_induction(chi, r - l, second, convention)
-            cols = pieri_induction(sgn_twist(chi, convention), r_prime - l, "trivial", convention)
-            for row in rows:
-                for col in cols:
-                    key = (row, col)
-                    entries[key] = entries.get(key, 0) + 1
+        for (alpha, beta), (t_alpha, t_beta) in zip(
+            _bipartitions_of(l), _twists(l, convention)
+        ):
+            if first_kind:
+                rows = [Bipartition(lam, beta) for lam in row_strips(alpha, r - l)]
+            else:
+                rows = [Bipartition(alpha, mu) for mu in row_strips(beta, r - l)]
+            cols = [Bipartition(lam, t_beta) for lam in _horizontal_strips(t_alpha, r_prime - l)]
+            counts.update(product(rows, cols))
     return MultiplicityTable(
         m,
         m_prime,
@@ -301,8 +322,8 @@ def _omega_impl(m, parity, m_prime, parity_prime, k, convention, theta_rule):
         "first-kind" if first_kind else "second-kind",
         convention,
         row_labels,
-        tuple(bipartitions_of(r_prime)),
-        entries,
+        col_labels,
+        dict(counts),
     )
 
 
@@ -312,22 +333,16 @@ def omega_unipotent(
     k: int,
     *,
     convention: str = DEFAULT_SGN_CONVENTION,
-    theta_rule: ThetaRule | None = None,
 ) -> MultiplicityTable:
     """Decomposition of the Weil character coupling between the k-series on
-    ``ctx`` and its partner series on ``ctx_prime``.
-
-    The partner index k' is computed by ``theta_rule`` (default
-    :func:`theta_cuspidal`); an alternative rule may be injected, e.g. to
-    test a different first-occurrence table.  Requires m >= m(k); returns an
-    empty table when m' < m(k').
+    ``ctx`` and its partner series on ``ctx_prime``, with the partner index
+    k' from :func:`theta_cuspidal`.  Requires m >= m(k); returns an empty
+    table when m' < m(k').
     """
-    if convention not in SGN_CONVENTIONS:
-        raise ValueError(f"unknown sgn convention {convention!r}")
-    args = (ctx.witt_index, ctx.dim_parity, ctx_prime.witt_index, ctx_prime.dim_parity, k)
-    if theta_rule is None:
-        return _omega_cached(*args, convention)
-    return _omega_impl(*args, convention, theta_rule)
+    _check_convention(convention)
+    return _omega_cached(
+        ctx.witt_index, ctx.dim_parity, ctx_prime.witt_index, ctx_prime.dim_parity, k, convention
+    )
 
 
 def theta_images(
@@ -336,17 +351,18 @@ def theta_images(
     ctx_prime: TowerContext,
     *,
     convention: str = DEFAULT_SGN_CONVENTION,
-    theta_rule: ThetaRule | None = None,
 ) -> list:
     """Image of one series member under the correspondence: the labelled
     columns of its table row, with multiplicities, in canonical column
     order.  Empty below the partner's first occurrence."""
-    table = omega_unipotent(ctx, ctx_prime, pi.k, convention=convention, theta_rule=theta_rule)
-    r = ctx.witt_index - witt_index_of_cuspidal(pi.k)
+    # every check of omega_unipotent, in the same order, before the table
+    _check_convention(convention)
+    r = _validate_series(ctx, pi.k)
     if pi.char_label.size != r:
         raise ValueError(
             f"label {pi.char_label} has size {pi.char_label.size}, expected r = {r}"
         )
+    table = omega_unipotent(ctx, ctx_prime, pi.k, convention=convention)
     label = Bipartition(Partition(pi.char_label.alpha), Partition(pi.char_label.beta))
     if table.is_zero:
         return []
@@ -365,7 +381,6 @@ def extremal_images(
     *,
     convention: str = DEFAULT_SGN_CONVENTION,
     order: PartialOrder = bipartition_dominance_leq,
-    theta_rule: ThetaRule | None = None,
 ) -> tuple:
     """The least and greatest image labels under the configured partial
     order (default: dominance on the padded concatenation).
@@ -374,7 +389,7 @@ def extremal_images(
     :class:`NonUniqueExtremeError` with the offending antichain if the order
     fails to produce a unique least or greatest element.
     """
-    images = theta_images(pi, ctx, ctx_prime, convention=convention, theta_rule=theta_rule)
+    images = theta_images(pi, ctx, ctx_prime, convention=convention)
     if not images:
         raise ValueError(f"image of {pi} is empty (below first occurrence)")
     labels = [sl.char_label for sl, _ in images]

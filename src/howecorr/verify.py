@@ -48,6 +48,7 @@ from .unipotent import (
     SeriesLabel,
     TowerContext,
     extremal_images,
+    is_first_kind,
     omega_unipotent,
     pieri_induction,
     sgn_twist,
@@ -210,7 +211,7 @@ def check_omega(
     for k in range(k_max + 1):
         for parity_prime in (0, 1):
             k_prime = theta_cuspidal(k, parity_prime)
-            first_kind = k % 2 == 1 or (k == 0 and k_prime == 0)
+            first_kind = is_first_kind(k, k_prime)
             for r in range(max_b_rank + 1):
                 for r_prime in range(max_b_rank + 1):
                     ctx, ctx_p = _series_contexts(k, k_prime, r, r_prime)

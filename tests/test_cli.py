@@ -185,6 +185,15 @@ class TestCentralizer:
         assert code == 1
         assert "dimension" in err
 
+    def test_zero_modulus_exits_1(self, capsys):
+        code, out, err = run(
+            capsys, "centralizer", "--q", "3", "--n", "3", "--orbits", "0,4^2",
+            "--modulus", "0",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: modulus 0 is not q^2d - 1 for q = 3\n"
+
 
 class TestTransport:
     def test_unipotent_anchor(self, capsys):
@@ -241,6 +250,16 @@ class TestOmegaFull:
         )
         assert code == 1
         assert err.startswith("error:")
+
+    def test_zero_modulus_exits_1(self, capsys):
+        code, out, err = run(
+            capsys, "omega-full", "--pair", "1:1", "--base-k", "0",
+            "--q", "3", "--orbits", "0^2", "--m", "1", "--mp", "1",
+            "--modulus", "0",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: modulus 0 is not q^2d - 1 for q = 3\n"
 
 
 class TestVerify:

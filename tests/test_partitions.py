@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from howecorr.partitions import (
     Bipartition,
@@ -14,6 +16,7 @@ from howecorr.partitions import (
     swap_conjugate,
     vertical_strip_additions,
 )
+from howecorr.unipotent import SGN_CONVENTIONS, sgn_twist
 
 
 def P(*parts):
@@ -149,6 +152,77 @@ class TestStrips:
         for lam in horizontal_strip_additions(P(3, 2, 2), 3):
             for i in range(len(lam)):
                 assert lam.part(i + 1) <= P(3, 2, 2).part(i) <= lam.part(i)
+
+
+    def test_deep_strips_do_not_recurse(self):
+        # generation depth used to be len(p) + size for vertical strips and
+        # len(p) for horizontal ones, past the interpreter's recursion limit
+        assert vertical_strip_additions((), 1200) == [P(*[1] * 1200)]
+        long = P(*[1] * 1500)
+        assert horizontal_strip_additions(long, 1) == [P(2, *[1] * 1499), P(*[1] * 1501)]
+        assert vertical_strip_additions(long, 2) == [
+            P(2, 2, *[1] * 1498),
+            P(2, *[1] * 1500),
+            P(*[1] * 1502),
+        ]
+
+    def test_validation_is_kept(self):
+        with pytest.raises(ValueError):
+            horizontal_strip_additions((1, 2), 1)
+        with pytest.raises(ValueError):
+            vertical_strip_additions((2, 1), -1)
+
+
+partitions = st.integers(0, 9).flatmap(lambda n: st.sampled_from(partitions_of(n)))
+strip_sizes = st.integers(0, 5)
+STRIPS = {
+    "horizontal": horizontal_strip_additions,
+    "vertical": vertical_strip_additions,
+}
+
+
+def is_strip(kind, lam, p):
+    """Brute-force skew shape test: lam/p has no two cells in one column
+    (horizontal) or in one row (vertical)."""
+    if kind == "horizontal":
+        return all(lam.part(i + 1) <= p.part(i) <= lam.part(i) for i in range(len(lam)))
+    return all(0 <= lam.part(i) - p.part(i) <= 1 for i in range(len(lam)))
+
+
+class TestStripProperties:
+    @settings(deadline=None)
+    @given(p=partitions, size=strip_sizes, kind=st.sampled_from(sorted(STRIPS)))
+    def test_equals_brute_force_filter(self, p, size, kind):
+        want = [
+            lam
+            for lam in partitions_of(p.size + size)
+            if lam.contains(p) and is_strip(kind, lam, p)
+        ]
+        assert STRIPS[kind](p, size) == want
+
+    @settings(deadline=None)
+    @given(p=partitions, size=strip_sizes, kind=st.sampled_from(sorted(STRIPS)))
+    def test_returned_list_does_not_alias_the_cache(self, p, size, kind):
+        op = STRIPS[kind]
+        first = op(p, size)
+        want = list(first)
+        first.append(P(99))
+        first.reverse()
+        first[0] = P()
+        assert op(tuple(p), size) == want
+        op(p, size).clear()
+        assert op(p, size) == want
+
+
+bipartitions = st.builds(Bipartition, partitions, partitions)
+
+
+@settings(deadline=None)
+@given(bp=bipartitions, convention=st.sampled_from(SGN_CONVENTIONS))
+def test_sgn_twist_is_an_involution(bp, convention):
+    twisted = sgn_twist(bp, convention)
+    assert twisted.size == bp.size
+    assert sgn_twist(twisted, convention) == bp
 
 
 class TestDominance:

@@ -1,15 +1,19 @@
 import json
 
 import pytest
+import reference_pieri
 
 from howecorr.errors import NonUniqueExtremeError
 from howecorr.hyperoctahedral import build_character_table
 from howecorr.partitions import bipartition, bipartitions_of
 from howecorr.unipotent import (
+    SGN_CONVENTIONS,
     MultiplicityTable,
     SeriesLabel,
     TowerContext,
+    _omega_cached,
     extremal_images,
+    is_first_kind,
     omega_unipotent,
     pieri_induction,
     sgn_twist,
@@ -130,6 +134,39 @@ class TestOmegaTables:
             "second-kind"
         )
 
+    def test_first_kind_predicate_picks_the_formula(self):
+        for k in range(6):
+            for parity_prime in (0, 1):
+                k_prime = theta_cuspidal(k, parity_prime)
+                ctx, ctx_p = _series_contexts(k, k_prime, 1, 1)
+                formula = omega_unipotent(ctx, ctx_p, k).formula
+                assert is_first_kind(k, k_prime) == (formula == "first-kind")
+        assert is_first_kind(0, 0) and not is_first_kind(0, 1)
+        assert is_first_kind(3, 2) and not is_first_kind(2, 3)
+
+    def test_tables_match_the_reference_pieri_path(self):
+        """Byte-identical JSON against the unmemoised strip and Pieri code,
+        zero tables below the partner's first occurrence included."""
+        for convention in SGN_CONVENTIONS:
+            for k in range(4):
+                for parity_prime in (0, 1):
+                    k_prime = theta_cuspidal(k, parity_prime)
+                    m = witt_index_of_cuspidal(k)
+                    for r in range(9):
+                        for m_prime in range(witt_index_of_cuspidal(k_prime) + 9):
+                            args = (m + r, triangular(k) % 2, m_prime, parity_prime, k)
+                            got = omega_unipotent(
+                                TowerContext(*args[:2]),
+                                TowerContext(*args[2:4]),
+                                k,
+                                convention=convention,
+                            )
+                            want = reference_pieri.omega_table(*args, convention)
+                            assert got.to_json_dict() == want.to_json_dict(), (
+                                args,
+                                convention,
+                            )
+
     def test_series_validation(self):
         with pytest.raises(ValueError):
             omega_unipotent(TowerContext(0, 0), TowerContext(1, 0), 2)  # m < m(k)
@@ -203,6 +240,17 @@ class TestThetaImages:
             theta_images(
                 SeriesLabel(0, TRIV1), TowerContext(2, 0), TowerContext(1, 0)
             )
+
+    def test_wrong_label_size_fails_before_building_the_table(self):
+        # a table no other test asks for, so building it would show as a miss
+        ctx, ctx_p = TowerContext(12, 0), TowerContext(11, 1)
+        before = _omega_cached.cache_info()
+        for query in (theta_images, extremal_images):
+            with pytest.raises(ValueError, match="expected r = 12"):
+                query(SeriesLabel(0, TRIV1), ctx, ctx_p, convention="sign_changes")
+        after = _omega_cached.cache_info()
+        assert after.currsize == before.currsize
+        assert after.misses == before.misses
 
     def test_empty_below_first_occurrence(self):
         images = theta_images(
