@@ -42,6 +42,7 @@ from .unipotent import (
     SGN_CONVENTIONS,
     SeriesLabel,
     TowerContext,
+    _label_str,
     extremal_images,
     omega_unipotent,
     theta_images,
@@ -105,13 +106,6 @@ def _bp_json(bp: Bipartition) -> dict:
     return {"alpha": list(bp.alpha), "beta": list(bp.beta)}
 
 
-def _label_text(bp: Bipartition) -> str:
-    def side(p):
-        return ",".join(str(x) for x in p) if p else "-"
-
-    return f"{side(bp.alpha)}|{side(bp.beta)}"
-
-
 def _contexts(args) -> tuple:
     parity = args.parity
     if parity is None:
@@ -151,7 +145,7 @@ def _cmd_theta(args):
     if not images:
         return payload, "zero", 0
     lines = [
-        f"k'={lbl.k}  {_label_text(lbl.char_label)}  x{mult}" for lbl, mult in images
+        f"k'={lbl.k}  {_label_str(lbl.char_label)}  x{mult}" for lbl, mult in images
     ]
     return payload, "\n".join(lines), 0
 
@@ -168,8 +162,8 @@ def _cmd_extremal(args):
         "max": {"k": hi.k, **_bp_json(hi.char_label)},
     }
     text = (
-        f"min  k'={lo.k}  {_label_text(lo.char_label)}\n"
-        f"max  k'={hi.k}  {_label_text(hi.char_label)}"
+        f"min  k'={lo.k}  {_label_str(lo.char_label)}\n"
+        f"max  k'={hi.k}  {_label_str(hi.char_label)}"
     )
     return payload, text, 0
 

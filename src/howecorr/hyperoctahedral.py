@@ -15,11 +15,20 @@ with a = |alpha|, b = |beta|.
 
 This module is deliberately brute force and self-certifying; it is the
 oracle against which the strip combinatorics elsewhere in the package is
-checked.  Conjugacy classes are found by enumerating all 2^n n! elements
-and the class sizes must agree with the analytic centralizer-order formula,
-otherwise the computation aborts.  Character tables are certified
-orthonormal before they are returned.  Everything is exact: values are
-integers, inner products are `fractions.Fraction`.
+checked.  Conjugacy classes are found by enumerating all 2^n n! elements,
+one permutation at a time: its cycles are found once, as bitmasks of
+positions, and under each of the 2^n sign masks a cycle is negative when
+it carries an odd number of sign changes.  The enumerated class sizes must
+agree with the analytic centralizer-order formula, otherwise the
+computation aborts.  Character tables are certified orthonormal before
+they are returned; ``verify`` certifies the column relations as well.
+
+Everything is exact.  Character values are integers; the certification
+sums and :func:`decompose` are integer dot products over class-ordered
+value lists (each certified table keeps its rows of |C| chi(C)), and an
+inner product is integral exactly when the dot product is divisible by
+|W_n|.  Only the generic :meth:`ClassFunction.inner` and an induced value
+that is not integral produce a `fractions.Fraction`.
 
 The price is the rank bound: nothing here is meant to run past
 ``ORACLE_BOUND`` (default 6, |W_6| = 46080).
@@ -33,6 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import mul
 from typing import Iterator, NamedTuple
 
 from .errors import InternalCheckError, RankBoundError
@@ -117,14 +127,53 @@ def signed_cycle_type(window: tuple) -> SignedCycleType:
     )
 
 
+def _cycles(perm: tuple) -> list:
+    """Cycles of a permutation of range(n) as (length, bitmask of positions)
+    pairs, longest first."""
+    seen = 0
+    out = []
+    for start in range(len(perm)):
+        if seen >> start & 1:
+            continue
+        length, mask, j = 0, 0, start
+        while not mask >> j & 1:
+            mask |= 1 << j
+            j = perm[j]
+            length += 1
+        seen |= mask
+        out.append((length, mask))
+    out.sort(key=lambda cycle: -cycle[0])
+    return out
+
+
+# Keys are ranks, checked against ORACLE_BOUND on entry, so no bound is needed.
 @lru_cache(maxsize=None)
 def _classes(n: int) -> tuple:
     """Pairs (label, class size) in canonical label order.
 
     Class sizes are computed twice, by exhaustive enumeration and by the
-    analytic centralizer-order formula; any disagreement aborts.
+    analytic centralizer-order formula; any disagreement aborts.  The
+    enumeration visits every element: for each permutation it finds the
+    cycles once, then for each of the 2^n sign masks a cycle is negative
+    exactly when it carries an odd number of the mask's sign changes.
     """
-    counts = Counter(signed_cycle_type(w) for w in signed_permutations(n))
+    _check_rank(n)
+    raw = Counter()
+    sign_masks = range(1 << n)
+    for perm in itertools.permutations(range(n)):
+        cycles = _cycles(perm)
+        for signs in sign_masks:
+            pos, neg = [], []
+            for length, mask in cycles:
+                if (signs & mask).bit_count() & 1:
+                    neg.append(length)
+                else:
+                    pos.append(length)
+            raw[tuple(pos), tuple(neg)] += 1
+    counts = {
+        SignedCycleType(Partition(pos), Partition(neg)): count
+        for (pos, neg), count in raw.items()
+    }
     expected = [
         SignedCycleType(bp.alpha, bp.beta) for bp in bipartitions_of(n)
     ]
@@ -143,6 +192,20 @@ def _classes(n: int) -> tuple:
             )
         out.append((label, analytic))
     return tuple(out)
+
+
+# Keys are ranks <= ORACLE_BOUND (checked by _classes).
+@lru_cache(maxsize=None)
+def _class_set(n: int) -> frozenset:
+    return frozenset(label for label, _ in _classes(n))
+
+
+# Keys are rank pairs, each <= ORACLE_BOUND (checked by _classes).
+@lru_cache(maxsize=None)
+def _pair_set(a: int, b: int) -> frozenset:
+    return frozenset(
+        (l1, l2) for l1, _ in _classes(a) for l2, _ in _classes(b)
+    )
 
 
 def conjugacy_classes(n: int) -> dict:
@@ -167,9 +230,7 @@ class ClassFunction:
     values: dict
 
     def __post_init__(self):
-        have = set(self.values)
-        want = {label for label, _ in _classes(self.rank)}
-        if have != want:
+        if self.values.keys() != _class_set(self.rank):
             raise ValueError(
                 f"class function on W_{self.rank} must assign a value to every class"
             )
@@ -188,12 +249,6 @@ class ClassFunction:
         self._same_rank(other)
         return ClassFunction(
             self.rank, {c: v + other.values[c] for c, v in self.values.items()}
-        )
-
-    def __sub__(self, other: "ClassFunction") -> "ClassFunction":
-        self._same_rank(other)
-        return ClassFunction(
-            self.rank, {c: v - other.values[c] for c, v in self.values.items()}
         )
 
     def __mul__(self, other: "ClassFunction") -> "ClassFunction":
@@ -216,10 +271,11 @@ class ClassFunction:
         return Fraction(total) / group_order(self.rank)
 
     def tensor(self, other: "ClassFunction") -> "ProductClassFunction":
-        vals = {}
-        for c1, v1 in self.values.items():
-            for c2, v2 in other.values.items():
-                vals[(c1, c2)] = v1 * v2
+        vals = {
+            (c1, c2): v1 * v2
+            for c1, v1 in self.values.items()
+            for c2, v2 in other.values.items()
+        }
         return ProductClassFunction((self.rank, other.rank), vals)
 
 
@@ -232,12 +288,7 @@ class ProductClassFunction:
 
     def __post_init__(self):
         a, b = self.ranks
-        want = {
-            (l1, l2)
-            for l1, _ in _classes(a)
-            for l2, _ in _classes(b)
-        }
-        if set(self.values) != want:
+        if self.values.keys() != _pair_set(a, b):
             raise ValueError(
                 f"product class function on W_{a} x W_{b} has wrong support"
             )
@@ -279,16 +330,24 @@ def _fuse(l1: SignedCycleType, l2: SignedCycleType) -> SignedCycleType:
     )
 
 
+# Keys are rank pairs with a + b <= ORACLE_BOUND (induce_class_function checks it).
 @lru_cache(maxsize=None)
-def _fusion_groups(a: int, b: int) -> dict:
-    """For the embedding W_a x W_b <= W_{a+b}: big class label ->
-    list of product class labels fusing into it.  Fusion concatenates the
-    positive cycle types and the negative cycle types."""
+def _fusion_groups(a: int, b: int) -> tuple:
+    """For the embedding W_a x W_b <= W_{a+b}: one entry per class C of
+    W_{a+b} in canonical order, (C, |C|, the product class labels D fusing
+    into C, and |D| for each).  Fusion concatenates the positive cycle
+    types and the negative cycle types."""
     groups = {}
-    for l1, _ in _classes(a):
-        for l2, _ in _classes(b):
-            groups.setdefault(_fuse(l1, l2), []).append((l1, l2))
-    return groups
+    for l1, s1 in _classes(a):
+        for l2, s2 in _classes(b):
+            groups.setdefault(_fuse(l1, l2), []).append(((l1, l2), s1 * s2))
+    out = []
+    for label, csize in _classes(a + b):
+        fused = groups.get(label, ())
+        out.append(
+            (label, csize, tuple(d for d, _ in fused), tuple(s for _, s in fused))
+        )
+    return tuple(out)
 
 
 def induce_class_function(f: ProductClassFunction, n: int | None = None) -> ClassFunction:
@@ -303,18 +362,15 @@ def induce_class_function(f: ProductClassFunction, n: int | None = None) -> Clas
     if a + b != n:
         raise ValueError(f"cannot induce from W_{a} x W_{b} to W_{n}")
     _check_rank(n)
-    sizes_a = dict(_classes(a))
-    sizes_b = dict(_classes(b))
-    groups = _fusion_groups(a, b)
     sub_order = group_order(a) * group_order(b)
     big_order = group_order(n)
+    lookup = f.values.__getitem__
     values = {}
-    for label, csize in _classes(n):
-        acc = 0
-        for l1, l2 in groups.get(label, ()):
-            acc += sizes_a[l1] * sizes_b[l2] * f.values[(l1, l2)]
-        v = Fraction(big_order * acc, sub_order * csize)
-        values[label] = int(v) if v.denominator == 1 else v
+    for label, csize, fused, sizes in _fusion_groups(a, b):
+        acc = sum(map(mul, sizes, map(lookup, fused)))
+        num, den = big_order * acc, sub_order * csize
+        quotient, rest = divmod(num, den)
+        values[label] = quotient if not rest else Fraction(num, den)
     return ClassFunction(n, values)
 
 
@@ -367,11 +423,14 @@ def _sn_pullback_value(label: Partition, cls: SignedCycleType) -> int:
 def _irreducible_seed(alpha: Partition, beta: Partition) -> ProductClassFunction:
     """The character of W_a x W_b whose induction is chi_(alpha, beta)."""
     a, b = alpha.size, beta.size
+    second = [
+        (l2, _sn_pullback_value(beta, l2) * (-1) ** len(l2.negative))
+        for l2, _ in _classes(b)
+    ]
     values = {}
     for l1, _ in _classes(a):
         v1 = _sn_pullback_value(alpha, l1)
-        for l2, _ in _classes(b):
-            v2 = _sn_pullback_value(beta, l2) * (-1) ** len(l2.negative)
+        for l2, v2 in second:
             values[(l1, l2)] = v1 * v2
     return ProductClassFunction((a, b), values)
 
@@ -381,7 +440,10 @@ class CharacterTable:
     """Certified character table of W_n.
 
     ``labels`` fixes the row order (canonical bipartition order); classes
-    come in the canonical class order.  Construction via
+    come in the canonical class order.  ``weighted_rows`` holds, in label
+    order, pairs (label, row) where row lists |C| chi(C) over the classes:
+    the inner product of chi with a class function f is the dot product of
+    row with the values of f, divided by |W_n|.  Construction via
     :func:`build_character_table` is the only supported entry point.
     """
 
@@ -389,6 +451,7 @@ class CharacterTable:
     labels: tuple
     irreducibles: dict
     class_sizes: dict
+    weighted_rows: tuple
 
     def character(self, label: Bipartition) -> ClassFunction:
         return self.irreducibles[label]
@@ -418,6 +481,13 @@ class CharacterTable:
         }
 
 
+def _row(f: ClassFunction, classes) -> list:
+    """Values of ``f`` as a list, in the order of ``classes``."""
+    values = f.values
+    return [values[c] for c in classes]
+
+
+# Keys are ranks <= ORACLE_BOUND (checked on entry), so no bound is needed.
 @lru_cache(maxsize=None)
 def build_character_table(n: int) -> CharacterTable:
     """Build and certify the character table of W_n.
@@ -440,18 +510,16 @@ def build_character_table(n: int) -> CharacterTable:
         irreducibles[bp] = chi
     order = group_order(n)
     sizes = dict(_classes(n))
-    chis = [irreducibles[bp] for bp in labels]
-    for i, x in enumerate(chis):
-        for j in range(i, len(chis)):
-            y = chis[j]
-            total = sum(
-                size * x.values[c] * y.values[c] for c, size in sizes.items()
-            )
+    rows = [_row(irreducibles[bp], sizes) for bp in labels]
+    weighted = [tuple(map(mul, sizes.values(), row)) for row in rows]
+    for i, x in enumerate(weighted):
+        for j in range(i, len(rows)):
+            total = sum(map(mul, x, rows[j]))
             if total != (order if i == j else 0):
                 raise InternalCheckError(
                     f"W_{n}: orthonormality fails at ({labels[i]}, {labels[j]})"
                 )
-    return CharacterTable(n, labels, irreducibles, sizes)
+    return CharacterTable(n, labels, irreducibles, sizes, tuple(zip(labels, weighted)))
 
 
 def decompose(f: ClassFunction) -> dict:
@@ -459,19 +527,22 @@ def decompose(f: ClassFunction) -> dict:
     label order, zeros omitted.  Raises if any inner product is non-integral
     (``f`` is then not a virtual character)."""
     table = build_character_table(f.rank)
+    values = _row(f, table.class_sizes)
+    order = group_order(f.rank)
     out = {}
-    for bp in table.labels:
-        ip = f.inner(table.irreducibles[bp])
-        if ip.denominator != 1:
+    for bp, row in table.weighted_rows:
+        total = sum(map(mul, row, values))
+        if total % order:
             raise ValueError(
-                f"not a virtual character: <f, chi_{bp}> = {ip}"
+                f"not a virtual character: <f, chi_{bp}> = {Fraction(total, order)}"
             )
-        m = int(ip)
+        m = total // order
         if m:
             out[bp] = m
     return out
 
 
+# Keys are a rank <= ORACLE_BOUND and a linear character (tensor_label_map checks both).
 @lru_cache(maxsize=None)
 def _tensor_label_map(n: int, which: str) -> dict:
     table = build_character_table(n)

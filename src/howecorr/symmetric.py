@@ -38,6 +38,8 @@ def border_strip_removals(shape, length):
     return out
 
 
+# Unbounded on purpose: the package calls it only from the W_n oracle, on
+# partitions of size m <= ORACLE_BOUND: at most sum p(m)^2 keys, 210 at 6.
 @lru_cache(maxsize=None)
 def _mn(label: tuple, cycle_type: tuple) -> int:
     if not cycle_type:

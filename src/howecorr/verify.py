@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .errors import NonUniqueExtremeError
 from .hyperoctahedral import (
@@ -125,14 +125,17 @@ def check_character_tables(max_rank: int = 6) -> CheckResult:
         if sum(table.class_sizes.values()) != order:
             return _fail(name, f"W_{n}: class sizes do not sum to {order}")
         classes = table.class_labels()
-        chars = [table.character(bp) for bp in table.labels]
+        columns = [
+            [table.character(bp).at(c) for bp in table.labels] for c in classes
+        ]
         for i, c in enumerate(classes):
-            for c2 in classes[i:]:
-                total = sum(f.at(c) * f.at(c2) for f in chars)
-                want = order // table.class_sizes[c] if c == c2 else 0
+            for j in range(i, len(classes)):
+                total = sum(map(mul, columns[i], columns[j]))
+                want = order // table.class_sizes[c] if i == j else 0
                 if total != want:
                     return _fail(
-                        name, f"W_{n}: column orthogonality fails at {c}, {c2}"
+                        name,
+                        f"W_{n}: column orthogonality fails at {c}, {classes[j]}",
                     )
     return _ok(name, f"tables W_0..W_{max_rank} certified both ways")
 
@@ -146,30 +149,26 @@ def _decompose_product(f) -> dict:
     all label pairs, by exact inner products (two-step contraction)."""
     a, b = f.ranks
     ta, tb = build_character_table(a), build_character_table(b)
-    classes_a, classes_b = ta.class_labels(), tb.class_labels()
-    half = {}
-    for ca in classes_a:
-        for bp in tb.labels:
-            g = tb.character(bp)
-            half[(ca, bp)] = sum(
-                tb.class_sizes[cb] * f.at((ca, cb)) * g.at(cb) for cb in classes_b
-            )
+    classes_b = tb.class_labels()
+    # half[bp_b][i]: sum over classes cb of W_b of |cb| chi_bp_b(cb) f(ca_i, cb)
+    half = {bp: [] for bp in tb.labels}
+    for ca in ta.class_sizes:
+        values = [f.values[(ca, cb)] for cb in classes_b]
+        for bp, row in tb.weighted_rows:
+            half[bp].append(sum(map(mul, row, values)))
     denom = group_order(a) * group_order(b)
     out = {}
-    for bp_a in ta.labels:
-        g = ta.character(bp_a)
+    for bp_a, row in ta.weighted_rows:
         for bp_b in tb.labels:
-            total = sum(
-                ta.class_sizes[ca] * g.at(ca) * half[(ca, bp_b)] for ca in classes_a
-            )
-            mult = Fraction(total, denom)
-            if mult.denominator != 1:
+            total = sum(map(mul, row, half[bp_b]))
+            if total % denom:
                 raise ValueError("product class function is not a character")
-            if mult:
-                out[(bp_a, bp_b)] = int(mult)
+            if total:
+                out[(bp_a, bp_b)] = total // denom
     return out
 
 
+# Keys are (r, r', kind, convention) with r, r' <= ORACLE_BOUND (induction checks it).
 @lru_cache(maxsize=None)
 def _oracle_omega(r: int, r_prime: int, first_kind: bool, convention: str):
     """Oracle-side coupling: sum over l and chi in Irr(W_l) of the tensor

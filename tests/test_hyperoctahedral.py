@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,9 @@ class TestClasses:
     def test_oracle_bound(self):
         with pytest.raises(RankBoundError):
             conjugacy_classes(7)
+        # the support check enumerates classes, so it hits the bound too
+        with pytest.raises(RankBoundError):
+            ClassFunction(7, {})
 
     def test_signed_cycle_type_involutions(self):
         # the diagonal sign change (-1, -2) splits into two negative 1-cycles
@@ -65,6 +69,14 @@ class TestClasses:
         # the signed transposition has one negative 2-cycle
         assert signed_cycle_type((-2, 1)) == cls((), (2,))
         assert signed_cycle_type((2, 1)) == cls((2,), ())
+
+    def test_per_permutation_enumeration_matches_windows(self):
+        # the class enumeration walks cycles once per permutation and reads
+        # each cycle's sign off a bitmask; the window-by-window cycle walk
+        # must give the same class sizes
+        for n in range(6):
+            windows = Counter(signed_cycle_type(w) for w in signed_permutations(n))
+            assert conjugacy_classes(n) == windows
 
     def test_enumeration_count(self):
         assert sum(1 for _ in signed_permutations(3)) == 48
@@ -132,7 +144,7 @@ class TestClassFunctions:
         a = table.character(bipartition((2,), ()))
         b = table.character(bipartition((1,), (1,)))
         assert (a + b).degree() == a.degree() + b.degree()
-        assert (a - a).degree() == 0
+        assert (a + a.scaled(-1)).degree() == 0
         assert (a * b).degree() == a.degree() * b.degree()
         assert a.scaled(3).degree() == 3
 
@@ -184,6 +196,17 @@ class TestInduction:
             rhs = f.inner(restrict_class_function(chi, a, b))
             assert lhs == rhs
 
+    def test_fractional_values_stay_fractions(self):
+        # a third of a character of W_1 x W_1: the class sum quotients are
+        # 2/3, -2/3 and 0 on W_2, so the nonzero values stay Fractions
+        sign = build_character_table(1).character(bipartition((), (1,)))
+        whole = induce_class_function(tensor(sign, sign))
+        third = induce_class_function(tensor(sign.scaled(Fraction(1, 3)), sign))
+        assert third.values == {c: Fraction(v, 3) for c, v in whole.values.items()}
+        for v in third.values.values():
+            assert isinstance(v, Fraction) if v else isinstance(v, int)
+        assert third.degree() == Fraction(2, 3)
+
     def test_restriction_norm(self):
         chi = build_character_table(3).character(bipartition((2,), (1,)))
         res = restrict_class_function(chi, 2, 1)
@@ -224,11 +247,15 @@ class TestDecompose:
         assert rebuilt.values == f.values
 
     def test_rejects_non_virtual(self):
-        f = build_character_table(2).character(bipartition((2,), ())).scaled(
+        half = build_character_table(2).character(bipartition((2,), ())).scaled(
             Fraction(1, 2)
         )
-        with pytest.raises(ValueError):
-            decompose(f)
+        # the regular character of W_3 over 3: <f, chi> = deg(chi) / 3
+        values = {c: 0 for c in conjugacy_classes(3)}
+        values[identity_class(3)] = Fraction(group_order(3), 3)
+        for f, ip in ((half, "1/2"), (ClassFunction(3, values), "1/3")):
+            with pytest.raises(ValueError, match=f"not a virtual character: .* = {ip}$"):
+                decompose(f)
 
 
 class TestLinearCharacters:
