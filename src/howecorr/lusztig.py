@@ -28,7 +28,7 @@ from .unipotent import (
     MultiplicityTable,
     SeriesLabel,
     TowerContext,
-    _is_odd_prime_power,
+    is_odd_prime_power,
     omega_unipotent,
     theta_cuspidal,
     triangular,
@@ -89,7 +89,7 @@ def orbit_closure(q: int, modulus: int, exponent: int, multiplicity: int = 1) ->
     of a unitary group are invertible)."""
     if exponent is None:
         raise ValueError("the zero eigenvalue has no exponent")
-    if not _is_odd_prime_power(q):
+    if not is_odd_prime_power(q):
         raise ValueError(f"q = {q} is not an odd prime power")
     if modulus < 2 or not _valid_modulus(q, modulus):
         raise ValueError(f"modulus {modulus} is not q^2d - 1 for q = {q}")
@@ -201,6 +201,13 @@ class CentralizerDecomposition(NamedTuple):
     l: int
 
 
+def _check_dimension(s: SemisimpleDescriptor, n: int) -> None:
+    if s.dimension != n:
+        raise ValueError(
+            f"descriptor has dimension {s.dimension}, ambient group needs {n}"
+        )
+
+
 def _factor_of(orbit: EigenvalueOrbit) -> CentralizerFactor:
     kind = "unitary" if orbit.size % 2 == 1 else "linear"
     return CentralizerFactor(kind, orbit.multiplicity, orbit.size)
@@ -216,10 +223,7 @@ def centralizer_decomposition(
     and Witt index floor(nu_1 / 2); the drop is l = m - floor(nu_1 / 2).
     """
     n = ctx.dimension
-    if s.dimension != n:
-        raise ValueError(
-            f"descriptor has dimension {s.dimension}, ambient group needs {n}"
-        )
+    _check_dimension(s, n)
     nu1 = s.unit_multiplicity
     factors = tuple(_factor_of(o) for o in s.non_unit_orbits)
     conserved = sum(f.rank_contribution for f in factors) + nu1
@@ -240,10 +244,7 @@ def match_semisimple(
     from eigenvalue 1, with the 1-multiplicity adjusted to fill the partner
     dimension.  Fails if the partner group is too small to hold the
     non-unit part."""
-    if s.dimension != ctx.dimension:
-        raise ValueError(
-            f"descriptor has dimension {s.dimension}, ambient group needs {ctx.dimension}"
-        )
+    _check_dimension(s, ctx.dimension)
     n_prime = ctx_prime.dimension
     carried = s.non_unit_dimension
     if carried > n_prime:
@@ -501,10 +502,7 @@ class _PairGeometry:
 def _pair_geometry(pair: CuspidalPair, ctx: TowerContext) -> _PairGeometry:
     n = ctx.dimension
     s = pair.semisimple
-    if s.dimension != n:
-        raise ValueError(
-            f"descriptor has dimension {s.dimension}, ambient group needs {n}"
-        )
+    _check_dimension(s, n)
     nu1 = s.unit_multiplicity
     expected = 2 * pair.torus_rank + triangular(pair.base_k)
     if nu1 != expected:

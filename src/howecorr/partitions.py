@@ -113,6 +113,11 @@ def _gen_partitions(n: int, max_part: int) -> Iterator[tuple]:
             yield (first,) + rest
 
 
+# One entry per rank.  All ranks below n together hold at most 3.7 times
+# the items of rank n (n <= 24), and any caller at rank n holds rank n's list
+# anyway, so the cache stays a small multiple of the largest rank in use; a
+# bound would only evict lists that the next call at that rank rebuilds.
+# The same holds for _bipartitions_of and _bipartition_index.
 @lru_cache(maxsize=None)
 def _partitions_of(n: int) -> tuple:
     return tuple(Partition(p) for p in _gen_partitions(n, n))
@@ -129,6 +134,7 @@ def partitions_of(n: int) -> list:
     return list(_partitions_of(n))
 
 
+# Unbounded for the reason given at _partitions_of.
 @lru_cache(maxsize=None)
 def _bipartitions_of(n: int) -> tuple:
     out = []
@@ -137,6 +143,13 @@ def _bipartitions_of(n: int) -> tuple:
             for beta in _partitions_of(n - a):
                 out.append(Bipartition(alpha, beta))
     return tuple(out)
+
+
+# Unbounded for the reason given at _partitions_of.
+@lru_cache(maxsize=None)
+def _bipartition_index(n: int) -> dict:
+    """Position of each bipartition of n in the canonical order."""
+    return {bp: i for i, bp in enumerate(_bipartitions_of(n))}
 
 
 def bipartitions_of(n: int) -> list:
@@ -148,12 +161,12 @@ def bipartitions_of(n: int) -> list:
 
 # Strip additions are memoised per (partition, size), one cache per strip
 # kind, each result an immutable tuple in decreasing lexicographic order.
-# The omega tables ask for the same few keys tens of times each: a pass over
-# all tables with r, r' <= 13 makes about 60,000 strip requests on 1,815
-# distinct keys.  One table at r = r' = 20 needs 10,980 keys of a kind, and
-# every key of both kinds up to that rank holds about 18 MiB; the bound keeps
-# all of them resident.  Past it the least recently used entries go, which
-# only costs recomputation.
+# The index lists of the omega sum ask for the same keys about ten times
+# each: building them for 59 tables with r, r' in 4..13 makes about 20,000
+# strip requests on 1,815 distinct keys.  One table at r = r' = 20 needs
+# 10,980 keys of a kind, and every key of both kinds up to that rank holds
+# about 18 MiB; the bound keeps all of them resident.  Past it the least
+# recently used entries go, which only costs recomputation.
 STRIP_CACHE_SIZE = 16384
 
 

@@ -29,13 +29,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from typing import Callable, NamedTuple
 
 from .errors import NonUniqueExtremeError
 from .partitions import (
     Bipartition,
     Partition,
+    _bipartition_index,
     _bipartitions_of,
     _horizontal_strips,
     _vertical_strips,
@@ -88,7 +89,8 @@ def is_first_kind(k: int, k_prime: int) -> bool:
     return k % 2 == 1 or k == k_prime == 0
 
 
-def _is_odd_prime_power(q: int) -> bool:
+def is_odd_prime_power(q: int) -> bool:
+    """Whether q is a power of an odd prime (the admissible field sizes)."""
     if q < 3 or q % 2 == 0:
         return False
     p = 3
@@ -119,7 +121,7 @@ class TowerContext:
             raise ValueError("Witt index must be nonnegative")
         if self.dim_parity not in (0, 1):
             raise ValueError("dimension parity must be 0 or 1")
-        if self.q is not None and not _is_odd_prime_power(self.q):
+        if self.q is not None and not is_odd_prime_power(self.q):
             raise ValueError(f"q = {self.q} is not an odd prime power")
 
     @property
@@ -200,7 +202,8 @@ class MultiplicityTable:
         return self.entries.get((row, col), 0)
 
     def row(self, label: Bipartition) -> list:
-        if label not in self.row_labels:
+        # row_labels is Irr(W_r) in canonical order, r the size of any row
+        if label not in _bipartition_index(self.row_labels[0].size):
             raise ValueError(f"{label} is not a row label of this table")
         return [
             (col, self.entries[(label, col)])
@@ -269,12 +272,41 @@ def _validate_series(ctx: TowerContext, k: int) -> int:
     return r
 
 
+# Strip kinds for _strip_indices: the component that grows, and how.
+_H_ALPHA, _H_BETA, _V_BETA = "horizontal alpha", "horizontal beta", "vertical beta"
+
+# Keys are (n, l, kind), 3(n + 1) of them at rank n, so the bound keeps every
+# key of every rank up to 24 resident (975 keys).  All keys of rank 16 hold
+# about 8 MiB, of rank 18 about 18 MiB; one table reads only 2(l_max + 1).
+STRIP_INDEX_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=STRIP_INDEX_CACHE_SIZE)
+def _strip_indices(n: int, l: int, kind: str) -> tuple:
+    """One tuple per chi in Irr(W_l), in canonical order: the indices in
+    Irr(W_n) of the additions of a strip of size n - l to chi, growing the
+    component and in the way ``kind`` names, in strip order."""
+    index = _bipartition_index(n)
+    if kind == _H_ALPHA:
+        return tuple(
+            tuple(index[lam, beta] for lam in _horizontal_strips(alpha, n - l))
+            for alpha, beta in _bipartitions_of(l)
+        )
+    strips = _vertical_strips if kind == _V_BETA else _horizontal_strips
+    return tuple(
+        tuple(index[alpha, mu] for mu in strips(beta, n - l))
+        for alpha, beta in _bipartitions_of(l)
+    )
+
+
 # One entry per rank and convention, like the enumeration caches in
 # partitions, so it needs no bound.
 @lru_cache(maxsize=None)
-def _twists(n: int, convention: str) -> tuple:
-    """sgn_twist of each bipartition of n, in canonical order."""
-    return tuple(sgn_twist(chi, convention) for chi in _bipartitions_of(n))
+def _twist_permutation(n: int, convention: str) -> tuple:
+    """Index in Irr(W_n) of sgn_twist of each bipartition of n, in canonical
+    order."""
+    index = _bipartition_index(n)
+    return tuple(index[sgn_twist(chi, convention)] for chi in _bipartitions_of(n))
 
 
 def _check_convention(convention: str) -> None:
@@ -282,7 +314,11 @@ def _check_convention(convention: str) -> None:
         raise ValueError(f"unknown sgn convention {convention!r}")
 
 
-@lru_cache(maxsize=None)
+# A certify pass builds 426 distinct tables; the bound keeps all of them.
+OMEGA_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=OMEGA_CACHE_SIZE)
 def _omega_cached(m, parity, m_prime, parity_prime, k, convention):
     r = _validate_series(TowerContext(m, parity), k)
     k_prime = theta_cuspidal(k, parity_prime)
@@ -295,25 +331,23 @@ def _omega_cached(m, parity, m_prime, parity_prime, k, convention):
     first_kind = is_first_kind(k, k_prime)
     # Rows: Ind(chi x 1) adds a horizontal strip to alpha; Ind(chi x sgn)
     # adds one to beta, vertical or horizontal by convention.  Columns:
-    # Ind(sgn chi x 1) adds a horizontal strip to the twisted alpha.  The
-    # strip caches are read directly, keyed by the component that grows.
-    row_strips = (
-        _horizontal_strips
-        if first_kind or convention == "sign_changes"
-        else _vertical_strips
-    )
+    # Ind(sgn chi x 1) adds a horizontal strip to the alpha of the twist of
+    # chi.  The sum runs over indices; labels are attached once per cell.
+    if first_kind:
+        row_kind = _H_ALPHA
+    else:
+        row_kind = _H_BETA if convention == "sign_changes" else _V_BETA
     col_labels = _bipartitions_of(r_prime)
-    counts = Counter()
+    products = []
     for l in range(min(r, r_prime) + 1):
-        for (alpha, beta), (t_alpha, t_beta) in zip(
-            _bipartitions_of(l), _twists(l, convention)
-        ):
-            if first_kind:
-                rows = [Bipartition(lam, beta) for lam in row_strips(alpha, r - l)]
-            else:
-                rows = [Bipartition(alpha, mu) for mu in row_strips(beta, r - l)]
-            cols = [Bipartition(lam, t_beta) for lam in _horizontal_strips(t_alpha, r_prime - l)]
-            counts.update(product(rows, cols))
+        cols_of = _strip_indices(r_prime, l, _H_ALPHA)
+        products.extend(
+            product(rows, cols_of[t])
+            for rows, t in zip(
+                _strip_indices(r, l, row_kind), _twist_permutation(l, convention)
+            )
+        )
+    counts = Counter(chain.from_iterable(products))
     return MultiplicityTable(
         m,
         m_prime,
@@ -323,7 +357,7 @@ def _omega_cached(m, parity, m_prime, parity_prime, k, convention):
         convention,
         row_labels,
         col_labels,
-        dict(counts),
+        {(row_labels[i], col_labels[j]): mult for (i, j), mult in counts.items()},
     )
 
 

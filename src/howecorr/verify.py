@@ -207,6 +207,11 @@ def check_omega(
     and all b-ranks r, r' <= max_b_rank."""
     name = "omega-oracle equivalence"
     tables = 0
+    identity = [identity_class(n) for n in range(max_b_rank + 1)]
+    degrees = [
+        {bp: chi.at(ident) for bp, chi in build_character_table(n).irreducibles.items()}
+        for n, ident in enumerate(identity)
+    ]
     for k in range(k_max + 1):
         for parity_prime in (0, 1):
             k_prime = theta_cuspidal(k, parity_prime)
@@ -222,14 +227,12 @@ def check_omega(
                             f"entry mismatch at k={k}, parity'={parity_prime}, "
                             f"r={r}, r'={r_prime}",
                         )
-                    t_r = build_character_table(r)
-                    t_rp = build_character_table(r_prime)
+                    deg_r, deg_rp = degrees[r], degrees[r_prime]
                     degree = sum(
-                        mult * t_r.degree(a) * t_rp.degree(b)
+                        mult * deg_r[a] * deg_rp[b]
                         for (a, b), mult in got.entries.items()
                     )
-                    ident = (identity_class(r), identity_class(r_prime))
-                    if degree != product.at(ident):
+                    if degree != product.at((identity[r], identity[r_prime])):
                         return _fail(
                             name,
                             f"degree identity fails at k={k}, r={r}, r'={r_prime}",

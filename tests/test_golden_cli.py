@@ -1,0 +1,78 @@
+"""CLI ``--json`` output on a fixed corpus of invocations, byte for byte
+against recorded golden files.
+
+The files under ``tests/golden/`` are gzip-compressed stdout of
+``howecorr <argv> --json``, one per corpus entry.  To record them again
+from the current source (only when an output change is intended):
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+import contextlib
+import gzip
+import io
+import pathlib
+
+import pytest
+
+from howecorr.cli import main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+# omega at r = r' in {2, 6, 10} over both kinds and both conventions, one
+# zero table, and theta/extremal on labels at r = 10 (one empty image).
+CORPUS = {
+    "omega_r2_first_coxeter": ["omega", "--m", "2", "--mp", "2", "--k", "0"],
+    "omega_r2_second_sign_changes": [
+        "omega", "--m", "2", "--mp", "2", "--k", "0", "--parity-p", "1",
+        "--convention", "sign_changes",
+    ],
+    "omega_r6_first_sign_changes": [
+        "omega", "--m", "6", "--mp", "7", "--k", "1", "--convention", "sign_changes",
+    ],
+    "omega_r6_second_coxeter": ["omega", "--m", "7", "--mp", "6", "--k", "2"],
+    "omega_r10_first_sign_changes": [
+        "omega", "--m", "10", "--mp", "10", "--k", "0", "--convention", "sign_changes",
+    ],
+    "omega_r10_second_coxeter": ["omega", "--m", "11", "--mp", "10", "--k", "2"],
+    "omega_zero_below_first_occurrence": [
+        "omega", "--m", "3", "--mp", "2", "--k", "2", "--parity-p", "0",
+    ],
+    "theta_r10_first_coxeter": [
+        "theta", "--m", "10", "--mp", "10", "--k", "0", "--alpha", "4,3,1", "--beta", "2",
+    ],
+    "theta_r10_second_sign_changes": [
+        "theta", "--m", "11", "--mp", "10", "--k", "2", "--alpha", "3",
+        "--beta", "4,2,1", "--convention", "sign_changes",
+    ],
+    "theta_r10_empty_image": [
+        "theta", "--m", "10", "--mp", "4", "--k", "0", "--alpha", "2,2", "--beta", "3,3",
+    ],
+    "extremal_r10_first_coxeter": [
+        "extremal", "--m", "10", "--mp", "11", "--k", "1", "--alpha", "5,2", "--beta", "2,1",
+    ],
+    "extremal_r10_second_sign_changes": [
+        "extremal", "--m", "10", "--mp", "10", "--k", "0", "--parity-p", "1",
+        "--alpha", "2,1", "--beta", "3,3,1", "--convention", "sign_changes",
+    ],
+}
+
+
+def _stdout(argv) -> bytes:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv + ["--json"])
+    assert code == 0, argv
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_json_output_matches_the_golden_file(name):
+    want = gzip.decompress((GOLDEN / f"{name}.json.gz").read_bytes())
+    assert _stdout(CORPUS[name]) == want
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in CORPUS.items():
+        (GOLDEN / f"{name}.json.gz").write_bytes(gzip.compress(_stdout(argv), mtime=0))

@@ -1,8 +1,10 @@
 import json
+from math import comb, factorial, prod
 
 import pytest
 import reference_pieri
 
+from howecorr import partitions, unipotent
 from howecorr.errors import NonUniqueExtremeError
 from howecorr.hyperoctahedral import build_character_table
 from howecorr.partitions import bipartition, bipartitions_of
@@ -214,6 +216,99 @@ class TestOmegaTables:
         a = omega_unipotent(TowerContext(2, 0), TowerContext(2, 0), 0)
         b = omega_unipotent(TowerContext(2, 0), TowerContext(2, 0), 0)
         assert a is b
+
+
+def _clear_index_caches():
+    """Every cache the omega sum in index space reads or fills."""
+    for cached in (
+        unipotent._omega_cached,
+        unipotent._strip_indices,
+        unipotent._twist_permutation,
+        partitions._bipartition_index,
+    ):
+        cached.cache_clear()
+
+
+def _clear_all_caches():
+    _clear_index_caches()
+    for cached in (
+        partitions._horizontal_strips,
+        partitions._vertical_strips,
+        partitions._bipartitions_of,
+        partitions._partitions_of,
+    ):
+        cached.cache_clear()
+
+
+def _hook_length_degree(p) -> int:
+    """Degree of the irreducible character of S_n labelled by p."""
+    conj = [sum(1 for row in p if row > j) for j in range(p[0])] if p else []
+    hooks = prod(
+        p[i] - j + conj[j] - i - 1 for i in range(len(p)) for j in range(p[i])
+    )
+    return factorial(sum(p)) // hooks
+
+
+def _wn_degree(bp) -> int:
+    """Degree of chi_(alpha, beta) of W_n: C(n, |alpha|) f^alpha f^beta."""
+    a, b = sum(bp.alpha), sum(bp.beta)
+    return comb(a + b, a) * _hook_length_degree(bp.alpha) * _hook_length_degree(bp.beta)
+
+
+class TestIndexSpaceAssembly:
+    """The omega sum runs over cached index lists; tables must not depend on
+    what those caches held before."""
+
+    CASES = [
+        (r, r_prime, parity_prime, convention)
+        for convention in SGN_CONVENTIONS
+        for parity_prime in (0, 1)  # k = 0: first kind, then second kind
+        for r in range(9)
+        for r_prime in range(9)
+    ]
+
+    @staticmethod
+    def _snapshot(r, r_prime, parity_prime, convention):
+        table = omega_unipotent(
+            TowerContext(r, 0), TowerContext(r_prime, parity_prime), 0,
+            convention=convention,
+        )
+        return list(table.entries.items()), table.to_json_dict()
+
+    def test_tables_do_not_depend_on_cache_state(self):
+        cold = {}
+        for case in self.CASES:
+            _clear_all_caches()
+            cold[case] = self._snapshot(*case)
+        # warmed by other ranks first: the largest tables, then the rest
+        _clear_all_caches()
+        for case in sorted(self.CASES, reverse=True):
+            assert self._snapshot(*case) == cold[case], case
+        # every index cache emptied between tables
+        for case in self.CASES:
+            _clear_index_caches()
+            assert self._snapshot(*case) == cold[case], case
+
+    @pytest.mark.parametrize("k, parity_prime", [(0, 0), (0, 1), (1, 1)])
+    def test_degree_identity_at_rank_12(self, k, parity_prime):
+        """Sum of mult * deg(row) * deg(col) equals the degree of the
+        coupling, sum over l of [W_r : W_l x W_(r-l)] [W_r' : W_l x W_(r'-l)]
+        |W_l| = C(r, l) C(r', l) 2^l l!, with hook-length degrees."""
+        r = r_prime = 12
+        k_prime = theta_cuspidal(k, parity_prime)
+        ctx, ctx_p = _series_contexts(k, k_prime, r, r_prime)
+        want = sum(
+            comb(r, l) * comb(r_prime, l) * 2**l * factorial(l)
+            for l in range(min(r, r_prime) + 1)
+        )
+        degree = {bp: _wn_degree(bp) for bp in bipartitions_of(r)}
+        for convention in SGN_CONVENTIONS:
+            table = omega_unipotent(ctx, ctx_p, k, convention=convention)
+            got = sum(
+                mult * degree[a] * degree[b]
+                for (a, b), mult in table.entries.items()
+            )
+            assert got == want, (k, parity_prime, convention)
 
 
 class TestThetaImages:
