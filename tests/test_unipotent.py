@@ -7,7 +7,7 @@ import reference_pieri
 from howecorr import partitions, unipotent
 from howecorr.errors import NonUniqueExtremeError
 from howecorr.hyperoctahedral import build_character_table
-from howecorr.partitions import bipartition, bipartitions_of
+from howecorr.partitions import bipartition, bipartition_dominance_leq, bipartitions_of
 from howecorr.unipotent import (
     SGN_CONVENTIONS,
     MultiplicityTable,
@@ -353,6 +353,66 @@ class TestThetaImages:
         )
         assert images == []
 
+    def test_closed_form_rows_match_the_table(self):
+        """Every row of every table with r, r' <= 10, k <= 3, both partner
+        parities and both conventions: the same columns, order and
+        multiplicities as the index-space sum.  A table depends on k only
+        through its kind, so the rows of each kind are read once with
+        ``MultiplicityTable.row``, and every other table of that kind must
+        have the same entries."""
+        for convention in SGN_CONVENTIONS:
+            for r in range(11):
+                for r_prime in range(11):
+                    first_of_kind = {}
+                    for k in range(4):
+                        for parity_prime in (0, 1):
+                            k_prime = theta_cuspidal(k, parity_prime)
+                            ctx, ctx_p = _series_contexts(k, k_prime, r, r_prime)
+                            table = omega_unipotent(
+                                ctx, ctx_p, k, convention=convention
+                            )
+                            if table.formula not in first_of_kind:
+                                first_of_kind[table.formula] = table, [
+                                    table.row(bp) for bp in table.row_labels
+                                ]
+                            first, rows = first_of_kind[table.formula]
+                            assert table.entries == first.entries
+                            for bp, row in zip(table.row_labels, rows):
+                                got = theta_images(
+                                    SeriesLabel(k, bp), ctx, ctx_p,
+                                    convention=convention,
+                                )
+                                want = [
+                                    (SeriesLabel(k_prime, col), mult)
+                                    for col, mult in row
+                                ]
+                                assert got == want, (k, parity_prime, r, r_prime, bp)
+
+    def test_rank_30_queries_build_no_table(self):
+        before = _omega_cached.cache_info()
+        ctx = TowerContext(30, 0)
+        labels = [
+            bipartition((10, 5), (8, 4, 3)),
+            bipartition((30,), ()),
+            bipartition((), (2,) * 15),
+        ]
+        for parity_prime in (0, 1):  # k = 0: first kind, then second kind
+            ctx_p = TowerContext(30, parity_prime)
+            for convention in SGN_CONVENTIONS:
+                for bp in labels:
+                    pi = SeriesLabel(0, bp)
+                    images = theta_images(pi, ctx, ctx_p, convention=convention)
+                    assert images
+                    lo, hi = extremal_images(pi, ctx, ctx_p, convention=convention)
+                    assert all(
+                        bipartition_dominance_leq(lo.char_label, img.char_label)
+                        and bipartition_dominance_leq(img.char_label, hi.char_label)
+                        for img, _ in images
+                    )
+        after = _omega_cached.cache_info()
+        assert after.currsize == before.currsize
+        assert after.misses == before.misses
+
 
 class TestExtremalImages:
     def test_singleton(self):
@@ -410,3 +470,34 @@ class TestExtremalImages:
                 order=incomparable,
             )
         assert len(err.value.antichain) >= 2
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_antichain_matches_the_quadratic_scan(self, sign):
+        # labels ordered by sign * |alpha|, equal sizes incomparable; the
+        # image of 1|1 at r = r' = 2 is 2|-, 1,1|-, 1|1, so one end of the
+        # order holds two labels: the top for sign 1, the bottom for -1
+        def order(x, y):
+            return x == y or sign * x.alpha.size < sign * y.alpha.size
+
+        pi, ctx = SeriesLabel(0, bipartition((1,), (1,))), TowerContext(2, 0)
+        labels = [img.char_label for img, _ in theta_images(pi, ctx, ctx)]
+        if sign == 1:  # the maximal labels
+            want = [x for x in labels if not any(order(x, y) and y != x for y in labels)]
+        else:  # the minimal labels
+            want = [x for x in labels if not any(order(y, x) and y != x for y in labels)]
+        assert len(want) == 2
+        extreme = "maximum" if sign == 1 else "minimum"
+        with pytest.raises(NonUniqueExtremeError, match=f"no unique {extreme}") as err:
+            extremal_images(pi, ctx, ctx, order=order)
+        assert err.value.antichain == tuple(want)
+
+    def test_sweep_falls_back_to_the_scan(self):
+        # not antisymmetric: b <= a, yet a is the only label below all three,
+        # and the sweep stops at b
+        below = {("a", "b"), ("a", "c"), ("b", "a")}
+
+        def leq(x, y):
+            return x == y or (x, y) in below
+
+        assert unipotent._unique_extreme(["a", "b", "c"], leq) == "a"
+        assert unipotent._unique_extreme(["b", "c"], leq) is None
