@@ -37,14 +37,14 @@ from .lusztig import (
     orbit_closure,
     transport_support,
 )
-from .partitions import Partition, Bipartition
+from .partitions import Partition, Bipartition, bipartition_dominance_leq
 from .unipotent import (
     DEFAULT_SGN_CONVENTION,
     SGN_CONVENTIONS,
     SeriesLabel,
     TowerContext,
+    _image_extremes,
     _label_str,
-    extremal_images,
     omega_unipotent,
     theta_cuspidal,
     theta_images,
@@ -155,9 +155,10 @@ def _cmd_theta(args):
 def _cmd_extremal(args):
     ctx, ctx_p = _contexts(args)
     pi = _pi_of(args)
-    if not theta_images(pi, ctx, ctx_p, convention=args.convention):
+    images = theta_images(pi, ctx, ctx_p, convention=args.convention)
+    if not images:
         return {"zero": True}, "zero", 0
-    lo, hi = extremal_images(pi, ctx, ctx_p, convention=args.convention)
+    lo, hi = _image_extremes(pi, images, bipartition_dominance_leq)
     payload = {
         "zero": False,
         "min": {"k": lo.k, **_bp_json(lo.char_label)},

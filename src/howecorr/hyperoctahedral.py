@@ -214,6 +214,8 @@ def conjugacy_classes(n: int) -> dict:
     return dict(_classes(n))
 
 
+# Keys are ranks; ClassFunction.degree asks only for ranks <= ORACLE_BOUND.
+@lru_cache(maxsize=None)
 def identity_class(n: int) -> SignedCycleType:
     return SignedCycleType(Partition([1] * n), Partition())
 
@@ -295,13 +297,6 @@ class ProductClassFunction:
 
     def at(self, pair):
         return self.values[pair]
-
-    def __add__(self, other: "ProductClassFunction") -> "ProductClassFunction":
-        if self.ranks != other.ranks:
-            raise ValueError(f"rank mismatch: {self.ranks} != {other.ranks}")
-        return ProductClassFunction(
-            self.ranks, {c: v + other.values[c] for c, v in self.values.items()}
-        )
 
     def inner(self, other: "ProductClassFunction") -> Fraction:
         if self.ranks != other.ranks:

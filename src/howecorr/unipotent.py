@@ -30,8 +30,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from itertools import chain, product
+from functools import cached_property, lru_cache, partial
+from itertools import accumulate, chain, product
 from typing import Callable, NamedTuple
 
 from .errors import NonUniqueExtremeError
@@ -210,15 +210,29 @@ class MultiplicityTable:
     def entry(self, row: Bipartition, col: Bipartition) -> int:
         return self.entries.get((row, col), 0)
 
+    @cached_property
+    def _row_order(self) -> tuple:
+        """The keys of ``entries`` sorted by row, then column, and the
+        bounds starts[i]:starts[i + 1] of the keys of row i among them.
+        Built once per table; it holds the key tuples of ``entries`` rather
+        than new cells, so a table whose rows are read grows little."""
+        rows = _bipartition_index(self.row_labels[0].size)
+        cols = _bipartition_index(self.col_labels[0].size) if self.col_labels else {}
+        width = len(cols)
+        keys = sorted(self.entries, key=lambda key: rows[key[0]] * width + cols[key[1]])
+        starts = [0] * (len(self.row_labels) + 1)
+        for row, _ in keys:
+            starts[rows[row] + 1] += 1
+        return tuple(keys), tuple(accumulate(starts))
+
     def row(self, label: Bipartition) -> list:
         # row_labels is Irr(W_r) in canonical order, r the size of any row
-        if label not in _bipartition_index(self.row_labels[0].size):
+        i = _bipartition_index(self.row_labels[0].size).get(label)
+        if i is None:
             raise ValueError(f"{label} is not a row label of this table")
-        return [
-            (col, self.entries[(label, col)])
-            for col in self.col_labels
-            if (label, col) in self.entries
-        ]
+        keys, starts = self._row_order
+        entries = self.entries
+        return [(key[1], entries[key]) for key in keys[starts[i] : starts[i + 1]]]
 
     def to_json_dict(self) -> dict:
         idx_r = {bp: i for i, bp in enumerate(self.row_labels)}
@@ -542,6 +556,13 @@ def extremal_images(
     images = theta_images(pi, ctx, ctx_prime, convention=convention)
     if not images:
         raise ValueError(f"image of {pi} is empty (below first occurrence)")
+    return _image_extremes(pi, images, order)
+
+
+def _image_extremes(pi: SeriesLabel, images: list, order: PartialOrder) -> tuple:
+    """The least and greatest labels of ``images``, the nonempty list that
+    ``theta_images`` returned for ``pi``, under ``order``; raises
+    :class:`NonUniqueExtremeError` as ``extremal_images`` does."""
     labels = [sl.char_label for sl, _ in images]
     k_prime = images[0][0].k
     least = _unique_extreme(labels, order)

@@ -4,11 +4,19 @@ character-theory oracle, plus the structural laws of the reduction layer.
 Every function returns a :class:`CheckResult` instead of raising on
 mathematical disagreement, so a driver can report all failures in one run;
 genuine usage errors (bad ranks, malformed descriptors) still raise.
+
+The oracle side works only with :mod:`howecorr.hyperoctahedral` and never
+calls the Pieri code it checks.  Its induced characters, Ind(chi x linear
+character) decomposed on W_{l+s}, are memoised once and read both by the
+induction check and by the oracle coupling, which decomposes each term
+factor by factor, on W_r and on W_r' separately, and takes outer products
+instead of contracting a class function on W_r x W_r'.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
@@ -22,6 +30,7 @@ from .hyperoctahedral import (
     induce_class_function,
     linear_character,
     tensor,
+    tensor_label_map,
 )
 from .lusztig import (
     TRIVIAL_GL,
@@ -41,7 +50,7 @@ from .lusztig import (
     transport_support,
     trivial_descriptor,
 )
-from .partitions import bipartition, bipartitions_of
+from .partitions import Bipartition, bipartition, bipartitions_of
 from .unipotent import (
     DEFAULT_SGN_CONVENTION,
     SGN_CONVENTIONS,
@@ -82,24 +91,32 @@ def _fail(name, detail) -> CheckResult:
 # induction: Pieri rule vs explicit induced class functions
 
 
+# Keys are (chi, s, which) with |chi| + s <= ORACLE_BOUND (induce_class_function checks it).
+@lru_cache(maxsize=None)
+def _induced(chi: Bipartition, s: int, which: str) -> tuple:
+    """Ind from W_l x W_s to W_{l+s} of chi_chi tensor the linear character
+    ``which`` of W_s, induced as a class function: its decomposition (read
+    only, it is shared) and its degree."""
+    f = build_character_table(chi.size).character(chi)
+    induced = induce_class_function(tensor(f, linear_character(s, which)))
+    return decompose(induced), induced.degree()
+
+
 def check_induction(max_rank: int = 5) -> CheckResult:
     """Compare pieri_induction against decompose(induce(seed)) for every
     chi in Irr(W_l), every split l + s = r <= max_rank, and both choices of
     the second factor (trivial, and sgn in both conventions)."""
     name = "induction-oracle equivalence"
     compared = 0
+    cases = [("trivial", DEFAULT_SGN_CONVENTION)]
+    cases += [("sgn", conv) for conv in SGN_CONVENTIONS]
     for r in range(max_rank + 1):
         for l in range(r + 1):
             s = r - l
-            table_l = build_character_table(l)
             for chi in bipartitions_of(l):
-                f = table_l.character(chi)
-                cases = [("trivial", DEFAULT_SGN_CONVENTION)]
-                cases += [("sgn", conv) for conv in SGN_CONVENTIONS]
                 for second, conv in cases:
                     which = "trivial" if second == "trivial" else conv
-                    seed = tensor(f, linear_character(s, which))
-                    got = decompose(induce_class_function(seed))
+                    got = _induced(chi, s, which)[0]
                     want = {bp: 1 for bp in pieri_induction(chi, s, second, conv)}
                     if got != want:
                         return _fail(
@@ -145,51 +162,35 @@ def check_character_tables(max_rank: int = 6) -> CheckResult:
 # omega: combinatorial tables vs oracle inner products
 
 
-def _decompose_product(f) -> dict:
-    """Multiplicity of chi_pi x chi_pi' in a product class function, for
-    all label pairs, by exact inner products (two-step contraction)."""
-    a, b = f.ranks
-    ta, tb = build_character_table(a), build_character_table(b)
-    classes_b = tb.class_labels()
-    # half[bp_b][i]: sum over classes cb of W_b of |cb| chi_bp_b(cb) f(ca_i, cb)
-    half = {bp: [] for bp in tb.labels}
-    for ca in ta.class_sizes:
-        values = [f.values[(ca, cb)] for cb in classes_b]
-        for bp, row in tb.weighted_rows:
-            half[bp].append(sum(map(mul, row, values)))
-    denom = group_order(a) * group_order(b)
-    out = {}
-    for bp_a, row in ta.weighted_rows:
-        for bp_b in tb.labels:
-            total = sum(map(mul, row, half[bp_b]))
-            if total % denom:
-                raise ValueError("product class function is not a character")
-            if total:
-                out[(bp_a, bp_b)] = total // denom
-    return out
-
-
-# Keys are (r, r', kind, convention) with r, r' <= ORACLE_BOUND (induction checks it).
+# Keys are (r, r', kind, convention) with r, r' <= ORACLE_BOUND (_induced checks it).
 @lru_cache(maxsize=None)
 def _oracle_omega(r: int, r_prime: int, first_kind: bool, convention: str):
-    """Oracle-side coupling: sum over l and chi in Irr(W_l) of the tensor
-    product of honestly induced class functions, then decomposed into
-    irreducible pairs.  Depends only on (r, r', formula kind, convention)."""
-    total = None
+    """Oracle-side coupling: the sum over l and chi in Irr(W_l) of
+    Ind(chi x second) tensor Ind(sgn_l chi x 1), second the trivial
+    character (first kind) or sgn (second kind), decomposed into
+    irreducible pairs.  Depends only on (r, r', formula kind, convention).
+
+    No class function on W_r x W_r' is built: since
+    <L tensor R, chi_a x chi_b> = <L, chi_a> <R, chi_b>, each term
+    contributes the outer product of the decompositions of its two honestly
+    induced factors, on W_r and on W_r' separately.  The label of sgn_l chi
+    comes from tensor_label_map, which decomposes the actual pointwise
+    product.  Returns the multiplicities of the pairs (a, b) and the degree
+    of the coupling, its value at the identity pair: the sum over the terms
+    of the products of the two induced degrees."""
+    which = "trivial" if first_kind else convention
+    counts = Counter()
+    degree = 0
     for l in range(min(r, r_prime) + 1):
-        table_l = build_character_table(l)
-        sgn_l = linear_character(l, convention)
-        second = linear_character(
-            r - l, "trivial" if first_kind else convention
-        )
-        one = linear_character(r_prime - l, "trivial")
+        twist = tensor_label_map(l, convention)
         for chi in bipartitions_of(l):
-            f = table_l.character(chi)
-            left = induce_class_function(tensor(f, second))
-            right = induce_class_function(tensor(f * sgn_l, one))
-            term = tensor(left, right)
-            total = term if total is None else total + term
-    return _decompose_product(total), total
+            left, left_degree = _induced(chi, r - l, which)
+            right, right_degree = _induced(twist[chi], r_prime - l, "trivial")
+            for a, mult_a in left.items():
+                for b, mult_b in right.items():
+                    counts[a, b] += mult_a * mult_b
+            degree += left_degree * right_degree
+    return dict(counts), degree
 
 
 def _series_contexts(k: int, k_prime: int, r: int, r_prime: int):
@@ -221,7 +222,9 @@ def check_omega(
                 for r_prime in range(max_b_rank + 1):
                     ctx, ctx_p = _series_contexts(k, k_prime, r, r_prime)
                     got = omega_unipotent(ctx, ctx_p, k, convention=convention)
-                    want, product = _oracle_omega(r, r_prime, first_kind, convention)
+                    want, oracle_degree = _oracle_omega(
+                        r, r_prime, first_kind, convention
+                    )
                     if dict(got.entries) != want:
                         return _fail(
                             name,
@@ -233,7 +236,7 @@ def check_omega(
                         mult * deg_r[a] * deg_rp[b]
                         for (a, b), mult in got.entries.items()
                     )
-                    if degree != product.at((identity[r], identity[r_prime])):
+                    if degree != oracle_degree:
                         return _fail(
                             name,
                             f"degree identity fails at k={k}, r={r}, r'={r_prime}",

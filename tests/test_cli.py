@@ -5,6 +5,7 @@ import json
 import pytest
 
 import howecorr.cli as cli
+from howecorr import unipotent
 from howecorr.cli import main, parse_gl_part, parse_orbits, parse_partition
 from howecorr.errors import InternalCheckError
 from howecorr.unipotent import TowerContext, omega_unipotent
@@ -169,6 +170,25 @@ class TestExtremal:
         )
         assert code == 0
         assert out == "zero\n"
+
+    @pytest.mark.parametrize("mp, want", (("1", "min  k'=2  -|-"), ("0", "zero")))
+    def test_one_image_per_call(self, capsys, monkeypatch, mp, want):
+        calls = []
+        theta_images = unipotent.theta_images
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return theta_images(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "theta_images", counted)
+        monkeypatch.setattr(unipotent, "theta_images", counted)
+        code, out, _ = run(
+            capsys, "extremal", "--m", "1", "--mp", mp, "--k", "1",
+            "--alpha", "1", "--beta", "-",
+        )
+        assert code == 0
+        assert out.startswith(want)
+        assert len(calls) == 1
 
 
 class TestCentralizer:

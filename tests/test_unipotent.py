@@ -181,22 +181,37 @@ class TestOmegaTables:
         assert a.entries != b.entries
 
     def test_degree_identity_spot(self):
-        from howecorr.hyperoctahedral import identity_class
-
         table = omega_unipotent(TowerContext(2, 0), TowerContext(2, 0), 0)
-        _, product = _oracle_omega(2, 2, True, "coxeter_sign")
+        _, oracle_degree = _oracle_omega(2, 2, True, "coxeter_sign")
         t2 = build_character_table(2)
         degree = sum(
             mult * t2.degree(a) * t2.degree(b)
             for (a, b), mult in table.entries.items()
         )
-        assert degree == product.at((identity_class(2), identity_class(2)))
+        assert degree == oracle_degree
 
     def test_row_helpers(self):
         table = omega_unipotent(TowerContext(1, 0), TowerContext(1, 0), 0)
         assert table.row(TRIV1) == [(TRIV1, 1), (SGN1, 1)]
         with pytest.raises(ValueError):
             table.row(bipartition((2,), ()))
+
+    def test_rows_match_a_column_scan(self):
+        for k in (0, 2):  # first kind, second kind
+            k_prime = theta_cuspidal(k, 0)
+            assert is_first_kind(k, k_prime) == (k == 0)
+            for convention in SGN_CONVENTIONS:
+                for r in range(9):
+                    for r_prime in range(9):
+                        ctx, ctx_p = _series_contexts(k, k_prime, r, r_prime)
+                        table = omega_unipotent(ctx, ctx_p, k, convention=convention)
+                        for bp in table.row_labels:
+                            want = [
+                                (col, table.entries[bp, col])
+                                for col in table.col_labels
+                                if (bp, col) in table.entries
+                            ]
+                            assert table.row(bp) == want
 
     def test_json_shape_and_determinism(self):
         table = omega_unipotent(TowerContext(2, 0), TowerContext(1, 0), 0)

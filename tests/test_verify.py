@@ -1,8 +1,18 @@
 """The verification suite must agree with itself at small rank."""
 
 import pytest
+import reference_oracle
 
-from howecorr.verify import CheckResult, check_pinned_table, run_verification
+from howecorr import partitions, unipotent, verify
+from howecorr.hyperoctahedral import identity_class
+from howecorr.unipotent import SGN_CONVENTIONS
+from howecorr.verify import (
+    CheckResult,
+    _oracle_omega,
+    check_omega,
+    check_pinned_table,
+    run_verification,
+)
 
 
 def test_suite_passes_at_small_rank():
@@ -28,3 +38,48 @@ def test_pinned_table_is_a_check():
     result = check_pinned_table()
     assert result.passed
     assert "pinned" in result.name or result.name
+
+
+@pytest.mark.parametrize("convention", SGN_CONVENTIONS)
+@pytest.mark.parametrize("first_kind", (True, False))
+def test_oracle_omega_matches_the_product_reference(first_kind, convention):
+    for r in range(4):
+        for r_prime in range(4):
+            want, product = reference_oracle.oracle_omega(
+                r, r_prime, first_kind, convention
+            )
+            got, degree = _oracle_omega(r, r_prime, first_kind, convention)
+            assert got == want, (r, r_prime)
+            assert degree == product.at((identity_class(r), identity_class(r_prime)))
+
+
+@pytest.mark.parametrize("convention", SGN_CONVENTIONS)
+def test_omega_certified_to_b_rank_six(convention):
+    result = check_omega(6, convention=convention)
+    assert result.passed, result.line()
+    assert result.detail.startswith("392 tables equal the oracle")
+
+
+def test_oracle_never_calls_pieri_code(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle called Pieri code")
+
+    names = (
+        "pieri_induction",
+        "horizontal_strip_additions",
+        "vertical_strip_additions",
+        "_horizontal_strips",
+        "_vertical_strips",
+        "_horizontal_strip_removals",
+        "_strip_indices",
+        "_coupling_row",
+        "omega_unipotent",
+    )
+    for module in (partitions, unipotent, verify):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    verify._induced.cache_clear()
+    for first_kind in (True, False):
+        for convention in SGN_CONVENTIONS:
+            verify._oracle_omega.__wrapped__(3, 3, first_kind, convention)
