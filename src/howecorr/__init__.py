@@ -3,69 +3,98 @@ pairs at the Harish-Chandra level: multiplicity tables for pairs of
 series, transport of cuspidal supports, reduction of arbitrary series to
 the unipotent case, and extremal image labels.  Everything is certified
 against a brute-force character-theory oracle for hyperoctahedral groups.
+
+The public names below load their submodule on first access (PEP 562), so
+``import howecorr`` is cheap and a program pays only for the layers it
+uses: the W_n oracle (``hyperoctahedral``, ``symmetric``), the reduction
+layer (``lusztig``) and ``verify`` load only when asked for.
 """
 
-from .errors import InternalCheckError, NonUniqueExtremeError, RankBoundError
-from .hyperoctahedral import (
-    ClassFunction,
-    build_character_table,
-    conjugacy_classes,
-    decompose,
-    group_order,
-    induce_class_function,
-    linear_character,
-    restrict_class_function,
-    sn_character_value,
-    tensor_label_map,
-)
-from .lusztig import (
-    TRIVIAL_GL,
-    CentralizerFactor,
-    CuspidalPair,
-    CuspidalSupport,
-    EigenvalueOrbit,
-    GLCuspidal,
-    GenericCuspidal,
-    LusztigCoordinates,
-    OmegaFullDecomposition,
-    SemisimpleDescriptor,
-    UnipotentCuspidal,
-    centralizer_decomposition,
-    coordinates_in,
-    coordinates_out,
-    match_semisimple,
-    omega_full,
-    orbit_closure,
-    transport_series,
-    transport_support,
-    trivial_descriptor,
-    weyl_of_cuspidal_pair,
-)
-from .partitions import (
-    Bipartition,
-    Partition,
-    bipartition,
-    bipartition_dominance_leq,
-    bipartitions_of,
-    conjugate,
-    dominance_leq,
-    horizontal_strip_additions,
-    partitions_of,
-    vertical_strip_additions,
-)
-from .unipotent import (
-    DEFAULT_SGN_CONVENTION,
-    MultiplicityTable,
-    SeriesLabel,
-    TowerContext,
-    extremal_images,
-    omega_unipotent,
-    pieri_induction,
-    sgn_twist,
-    theta_cuspidal,
-    theta_images,
-    witt_index_of_cuspidal,
-)
-from .verify import CheckResult, run_verification
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+# submodule -> the public names it provides
+_EXPORTS = {
+    "errors": ("InternalCheckError", "NonUniqueExtremeError", "RankBoundError"),
+    "hyperoctahedral": (
+        "ClassFunction",
+        "build_character_table",
+        "conjugacy_classes",
+        "decompose",
+        "group_order",
+        "induce_class_function",
+        "linear_character",
+        "restrict_class_function",
+        "sn_character_value",
+        "tensor_label_map",
+    ),
+    "lusztig": (
+        "TRIVIAL_GL",
+        "CentralizerFactor",
+        "CuspidalPair",
+        "CuspidalSupport",
+        "EigenvalueOrbit",
+        "GLCuspidal",
+        "GenericCuspidal",
+        "LusztigCoordinates",
+        "OmegaFullDecomposition",
+        "SemisimpleDescriptor",
+        "UnipotentCuspidal",
+        "centralizer_decomposition",
+        "coordinates_in",
+        "coordinates_out",
+        "match_semisimple",
+        "omega_full",
+        "orbit_closure",
+        "transport_series",
+        "transport_support",
+        "trivial_descriptor",
+        "weyl_of_cuspidal_pair",
+    ),
+    "partitions": (
+        "Bipartition",
+        "Partition",
+        "bipartition",
+        "bipartition_dominance_leq",
+        "bipartitions_of",
+        "conjugate",
+        "dominance_leq",
+        "horizontal_strip_additions",
+        "partitions_of",
+        "vertical_strip_additions",
+    ),
+    "unipotent": (
+        "DEFAULT_SGN_CONVENTION",
+        "MultiplicityTable",
+        "SeriesLabel",
+        "TowerContext",
+        "extremal_images",
+        "omega_unipotent",
+        "pieri_induction",
+        "sgn_twist",
+        "theta_cuspidal",
+        "theta_images",
+        "witt_index_of_cuspidal",
+    ),
+    "verify": ("CheckResult", "run_verification"),
+}
+_SUBMODULES = frozenset(_EXPORTS) | {"symmetric"}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return list(__all__)

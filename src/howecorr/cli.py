@@ -6,6 +6,13 @@ greatest image, ``centralizer`` a semisimple centralizer decomposition,
 ``transport`` a cuspidal support across the pair, ``omega-full`` the full
 decomposition, and ``verify`` runs the oracle-equivalence suite.
 
+Start-up: importing this module loads ``errors``, ``partitions`` and
+``unipotent`` only, which is all that ``omega``, ``theta`` and ``extremal``
+use.  ``centralizer``, ``transport`` and ``omega-full`` import the
+reduction layer (``lusztig``) when they run; ``verify`` imports ``verify``
+and with it the W_n oracle (``hyperoctahedral``, ``symmetric``) and
+``lusztig``.
+
 Exit codes: 0 on success, 1 on validation errors (bad flags or
 mathematically inconsistent input, one-line diagnostic on stderr), 2 when
 an internal cross-check fails; internal failures are never swallowed.
@@ -23,20 +30,9 @@ import argparse
 import json
 import sys
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .errors import InternalCheckError, NonUniqueExtremeError
-from .lusztig import (
-    CuspidalPair,
-    CuspidalSupport,
-    GLCuspidal,
-    GenericCuspidal,
-    SemisimpleDescriptor,
-    UnipotentCuspidal,
-    centralizer_decomposition,
-    omega_full,
-    orbit_closure,
-    transport_support,
-)
 from .partitions import Partition, Bipartition, bipartition_dominance_leq
 from .unipotent import (
     DEFAULT_SGN_CONVENTION,
@@ -50,7 +46,9 @@ from .unipotent import (
     theta_images,
     triangular,
 )
-from .verify import run_verification
+
+if TYPE_CHECKING:
+    from .lusztig import CuspidalSupport, SemisimpleDescriptor
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,6 +69,8 @@ def parse_partition(text: str) -> Partition:
 
 
 def parse_orbits(q: int, modulus: int, text: str) -> SemisimpleDescriptor:
+    from .lusztig import SemisimpleDescriptor, orbit_closure
+
     orbits = []
     for token in text.split(","):
         token = token.strip()
@@ -89,6 +89,8 @@ def parse_orbits(q: int, modulus: int, text: str) -> SemisimpleDescriptor:
 
 
 def parse_gl_part(text: str) -> tuple:
+    from .lusztig import GLCuspidal
+
     entries = []
     text = text.strip()
     if text in ("", "-"):
@@ -172,6 +174,8 @@ def _cmd_extremal(args):
 
 
 def _cmd_centralizer(args):
+    from .lusztig import centralizer_decomposition
+
     modulus = args.q * args.q - 1 if args.modulus is None else args.modulus
     s = parse_orbits(args.q, modulus, args.orbits)
     if s.dimension != args.n:
@@ -201,6 +205,8 @@ def _cmd_centralizer(args):
 
 
 def _support_of(args) -> CuspidalSupport:
+    from .lusztig import CuspidalSupport, GenericCuspidal, UnipotentCuspidal
+
     entries = parse_gl_part(args.support)
     if args.phi_k is not None:
         phi = UnipotentCuspidal(args.phi_k)
@@ -214,6 +220,8 @@ def _support_of(args) -> CuspidalSupport:
 
 
 def _cmd_transport(args):
+    from .lusztig import UnipotentCuspidal, transport_support
+
     support = _support_of(args)
     parity = args.parity
     if parity is None:
@@ -234,6 +242,8 @@ def _cmd_transport(args):
 
 
 def _cmd_omega_full(args):
+    from .lusztig import CuspidalPair, omega_full
+
     modulus = args.q * args.q - 1 if args.modulus is None else args.modulus
     s = parse_orbits(args.q, modulus, args.orbits)
     pair = CuspidalPair(parse_gl_part(args.pair), args.base_k, s)
@@ -260,6 +270,14 @@ def _cmd_omega_full(args):
         full.unipotent_table.to_text(),
     ]
     return full.to_json_dict(), "\n".join(lines), 0
+
+
+def run_verification(max_rank: int, seed: int) -> list:
+    """:func:`howecorr.verify.run_verification`, imported on the first
+    call: no other subcommand loads the oracle."""
+    from .verify import run_verification
+
+    return run_verification(max_rank=max_rank, seed=seed)
 
 
 def _cmd_verify(args):

@@ -18,6 +18,7 @@ Enumeration orders are fixed once and used everywhere:
 from __future__ import annotations
 
 from functools import lru_cache, partial
+from itertools import zip_longest
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -306,20 +307,26 @@ def bipartition_dominance_leq(x: Bipartition, y: Bipartition) -> bool:
     zero-padded concatenation (alpha then beta).
 
     This is a genuine partial order; incomparable pairs stay incomparable,
-    there is no lexicographic tie-break.
+    there is no lexicographic tie-break.  Past the longer of two components
+    both prefix sums stay put, so each component is walked only that far,
+    and the beta sums start from the two alpha totals.
     """
-    if x.size != y.size:
+    xa, xb = x
+    ya, yb = y
+    xa_total = sum(xa)
+    ya_total = sum(ya)
+    if xa_total + sum(xb) != ya_total + sum(yb):
         raise ValueError(f"dominance needs equal sizes: {x.size} != {y.size}")
-    n = x.size
     tx = ty = 0
-    for i in range(n):
-        tx += x.alpha[i] if i < len(x.alpha) else 0
-        ty += y.alpha[i] if i < len(y.alpha) else 0
+    for a, b in zip_longest(xa, ya, fillvalue=0):
+        tx += a
+        ty += b
         if tx > ty:
             return False
-    for i in range(n):
-        tx += x.beta[i] if i < len(x.beta) else 0
-        ty += y.beta[i] if i < len(y.beta) else 0
+    tx, ty = xa_total, ya_total
+    for a, b in zip_longest(xb, yb, fillvalue=0):
+        tx += a
+        ty += b
         if tx > ty:
             return False
     return True

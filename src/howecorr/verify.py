@@ -48,7 +48,6 @@ from .lusztig import (
     orbit_closure,
     transport_series,
     transport_support,
-    trivial_descriptor,
 )
 from .partitions import Bipartition, bipartition, bipartitions_of
 from .unipotent import (
@@ -61,7 +60,6 @@ from .unipotent import (
     omega_unipotent,
     pieri_induction,
     row_nonempty,
-    sgn_twist,
     theta_cuspidal,
     theta_images,
     triangular,

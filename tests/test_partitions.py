@@ -241,6 +241,9 @@ def test_strip_removals_equal_brute_force_filter(p, size):
 
 
 bipartitions = st.builds(Bipartition, partitions, partitions)
+equal_size_pairs = st.integers(0, 10).flatmap(
+    lambda n: st.tuples(*[st.sampled_from(bipartitions_of(n))] * 2)
+)
 
 
 @settings(deadline=None)
@@ -270,17 +273,34 @@ class TestDominance:
                     assert a == b
 
     def test_bipartition_order_is_padded_concatenation(self):
-        for x in bipartitions_of(3):
-            for y in bipartitions_of(3):
-                ax = list(x.alpha) + [0] * (3 - len(x.alpha))
-                bx = list(x.beta) + [0] * (3 - len(x.beta))
-                ay = list(y.alpha) + [0] * (3 - len(y.alpha))
-                by = list(y.beta) + [0] * (3 - len(y.beta))
-                cx, cy = ax + bx, ay + by
-                want = all(
-                    sum(cx[: i + 1]) <= sum(cy[: i + 1]) for i in range(6)
-                )
-                assert bipartition_dominance_leq(x, y) == want
+        for n in range(7):
+            bps = bipartitions_of(n)
+            for x in bps:
+                for y in bps:
+                    assert bipartition_dominance_leq(x, y) == _padded_leq(x, y), (x, y)
+
+    @given(pair=equal_size_pairs)
+    @settings(deadline=None, max_examples=300)
+    def test_bipartition_order_property(self, pair):
+        x, y = pair
+        assert bipartition_dominance_leq(x, y) == _padded_leq(x, y)
+
+    def test_bipartition_rejects_unequal_sizes(self):
+        with pytest.raises(ValueError, match="^dominance needs equal sizes: 3 != 2$"):
+            bipartition_dominance_leq(bipartition((2,), (1,)), bipartition((), (2,)))
+
+
+def _padded_leq(x, y):
+    """Dominance read off its definition: every prefix sum of the
+    concatenation alpha + beta, each padded with zeros to length n."""
+    n = x.size
+    assert y.size == n
+
+    def padded(bp):
+        return [*bp.alpha, *[0] * (n - len(bp.alpha)), *bp.beta, *[0] * (n - len(bp.beta))]
+
+    cx, cy = padded(x), padded(y)
+    return all(sum(cx[: i + 1]) <= sum(cy[: i + 1]) for i in range(2 * n))
 
 
 class TestBipartitionHelpers:

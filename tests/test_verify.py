@@ -37,7 +37,7 @@ def test_result_lines():
 def test_pinned_table_is_a_check():
     result = check_pinned_table()
     assert result.passed
-    assert "pinned" in result.name or result.name
+    assert result.name == "pinned (1,1,0) table"
 
 
 @pytest.mark.parametrize("convention", SGN_CONVENTIONS)
