@@ -33,7 +33,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import InternalCheckError, NonUniqueExtremeError
-from .partitions import Partition, Bipartition, bipartition_dominance_leq
+from .partitions import Partition, Bipartition
 from .unipotent import (
     DEFAULT_SGN_CONVENTION,
     SGN_CONVENTIONS,
@@ -160,7 +160,7 @@ def _cmd_extremal(args):
     images = theta_images(pi, ctx, ctx_p, convention=args.convention)
     if not images:
         return {"zero": True}, "zero", 0
-    lo, hi = _image_extremes(pi, images, bipartition_dominance_leq)
+    lo, hi = _image_extremes(pi, images)
     payload = {
         "zero": False,
         "min": {"k": lo.k, **_bp_json(lo.char_label)},

@@ -272,14 +272,6 @@ class ClassFunction:
             total += size * self.values[label] * other.values[label]
         return Fraction(total) / group_order(self.rank)
 
-    def tensor(self, other: "ClassFunction") -> "ProductClassFunction":
-        vals = {
-            (c1, c2): v1 * v2
-            for c1, v1 in self.values.items()
-            for c2, v2 in other.values.items()
-        }
-        return ProductClassFunction((self.rank, other.rank), vals)
-
 
 @dataclass(frozen=True)
 class ProductClassFunction:
@@ -312,7 +304,10 @@ class ProductClassFunction:
 
 def tensor(f: ClassFunction, g: ClassFunction) -> ProductClassFunction:
     """Outer tensor product, a class function on W_a x W_b."""
-    return f.tensor(g)
+    vals = {
+        (c1, c2): v1 * v2 for c1, v1 in f.values.items() for c2, v2 in g.values.items()
+    }
+    return ProductClassFunction((f.rank, g.rank), vals)
 
 
 def _merge(p: Partition, q: Partition) -> Partition:

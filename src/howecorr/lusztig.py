@@ -398,7 +398,7 @@ class CuspidalSupport:
         }
 
 
-def _first_occurrence_of_phi(phi, ctx: TowerContext, ctx_prime: TowerContext) -> int:
+def _first_occurrence_of_phi(phi, ctx_prime: TowerContext) -> int:
     if isinstance(phi, UnipotentCuspidal):
         return witt_index_of_cuspidal(theta_cuspidal(phi.k, ctx_prime.dim_parity))
     return phi.first_occurrence
@@ -432,7 +432,7 @@ def transport_support(
                 f"cuspidal unipotent k={support.phi.k} lives at Witt index "
                 f"{witt_index_of_cuspidal(support.phi.k)}, not {home}"
             )
-    first = _first_occurrence_of_phi(support.phi, ctx, ctx_prime)
+    first = _first_occurrence_of_phi(support.phi, ctx_prime)
     if m_prime < first:
         return None
     t_prime = m_prime - first
@@ -491,18 +491,14 @@ class CuspidalPair:
 
 @dataclass(frozen=True)
 class _PairGeometry:
-    n: int
-    nu1: int
     drop: int           # l = m - floor(nu1 / 2)
-    b_rank: int         # r = m - l - m(k) = torus_rank
     carried: int        # non-unit dimensions, all orbits
     carried_phi: int    # non-unit dimensions belonging to the unitary part
 
 
 def _pair_geometry(pair: CuspidalPair, ctx: TowerContext) -> _PairGeometry:
-    n = ctx.dimension
     s = pair.semisimple
-    _check_dimension(s, n)
+    _check_dimension(s, ctx.dimension)
     nu1 = s.unit_multiplicity
     expected = 2 * pair.torus_rank + triangular(pair.base_k)
     if nu1 != expected:
@@ -522,7 +518,7 @@ def _pair_geometry(pair: CuspidalPair, ctx: TowerContext) -> _PairGeometry:
             f"GL entries require ({carried} < {gl_carried})"
         )
     drop = ctx.witt_index - nu1 // 2
-    return _PairGeometry(n, nu1, drop, pair.torus_rank, carried, carried - gl_carried)
+    return _PairGeometry(drop, carried, carried - gl_carried)
 
 
 def transport_series(

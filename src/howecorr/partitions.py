@@ -331,12 +331,3 @@ def bipartition_dominance_leq(x: Bipartition, y: Bipartition) -> bool:
             return False
     return True
 
-
-def swap_components(bp: Bipartition) -> Bipartition:
-    """(alpha, beta) -> (beta, alpha)."""
-    return Bipartition(Partition(bp.beta), Partition(bp.alpha))
-
-
-def swap_conjugate(bp: Bipartition) -> Bipartition:
-    """(alpha, beta) -> (beta', alpha')."""
-    return Bipartition(Partition(bp.beta).conjugate(), Partition(bp.alpha).conjugate())

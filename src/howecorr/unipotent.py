@@ -31,8 +31,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from itertools import accumulate, chain, product
-from typing import Callable, NamedTuple
+from itertools import accumulate, chain, product, repeat
+from typing import NamedTuple
 
 from .errors import NonUniqueExtremeError
 from .partitions import (
@@ -44,10 +44,6 @@ from .partitions import (
     _horizontal_strips,
     _vertical_strips,
     bipartition_dominance_leq,
-    horizontal_strip_additions,
-    swap_components,
-    swap_conjugate,
-    vertical_strip_additions,
 )
 
 DEFAULT_SGN_CONVENTION = "coxeter_sign"
@@ -112,8 +108,8 @@ def is_odd_prime_power(q: int) -> bool:
 class TowerContext:
     """A member of a Witt tower of unitary groups: Witt index m and the
     parity of the underlying dimension n = 2m + parity.  The field size q is
-    optional; only its parity-of-nothing matters for the combinatorics, but
-    it must be an odd prime power when given."""
+    optional, and nothing computed here depends on it; when given it must be
+    an odd prime power."""
 
     witt_index: int
     dim_parity: int
@@ -146,40 +142,55 @@ _series_label = partial(tuple.__new__, SeriesLabel)
 _bipartition = partial(tuple.__new__, Bipartition)
 
 
+def _check_convention(convention: str) -> None:
+    if convention not in SGN_CONVENTIONS:
+        raise ValueError(f"unknown sgn convention {convention!r}")
+
+
+def _star(p: Partition, convention: str) -> Partition:
+    """x* of the sgn rule: the conjugate under the determinant convention,
+    x itself under the sign-change convention."""
+    return p.conjugate() if convention == "coxeter_sign" else p
+
+
 def sgn_twist(bp: Bipartition, convention: str = DEFAULT_SGN_CONVENTION) -> Bipartition:
-    """Label of (sgn tensor chi_bp).  Tensoring with the sign-change
-    character swaps the components; with the determinant character it swaps
-    and conjugates.  Certified against the oracle's tensor_label_map."""
-    if convention == "sign_changes":
-        return swap_components(bp)
-    if convention == "coxeter_sign":
-        return swap_conjugate(bp)
-    raise ValueError(f"unknown sgn convention {convention!r}")
+    """Label of (sgn tensor chi_bp): (alpha, beta) -> (beta*, alpha*).
+    Certified against the oracle's tensor_label_map."""
+    _check_convention(convention)
+    alpha, beta = Partition(bp.alpha), Partition(bp.beta)
+    return Bipartition(_star(beta, convention), _star(alpha, convention))
+
+
+def _pieri_labels(alpha: Partition, beta: Partition, size: int, which: str):
+    """Labels in Ind from W_l x W_size to W_{l+size} of chi_(alpha, beta)
+    tensor the linear character ``which`` ("trivial" or a sgn convention),
+    each with multiplicity one, as an iterator of (alpha, beta) pairs in
+    strip order.
+
+    The trivial character adds a horizontal strip to alpha (Pieri); sgn adds
+    the strip to beta, vertical under ``coxeter_sign`` and horizontal under
+    ``sign_changes``.
+    """
+    if which == "trivial":
+        return zip(_horizontal_strips(alpha, size), repeat(beta))
+    strips = _vertical_strips if which == "coxeter_sign" else _horizontal_strips
+    return zip(repeat(alpha), strips(beta, size))
 
 
 def pieri_induction(
     bp: Bipartition, s: int, second: str, convention: str = DEFAULT_SGN_CONVENTION
 ) -> list:
     """Labels in Ind from W_l x W_s to W_{l+s} of (chi_bp tensor 1) or
-    (chi_bp tensor sgn), each with multiplicity one.
-
-    Tensoring with the trivial character adds horizontal strips to the first
-    component (Pieri); with sgn the strip goes to the second component,
-    vertical for the determinant convention and horizontal for the
-    sign-change convention.
-    """
+    (chi_bp tensor sgn), each with multiplicity one (see _pieri_labels)."""
     alpha, beta = Partition(bp.alpha), Partition(bp.beta)
-    if second == "trivial":
-        return [Bipartition(lam, beta) for lam in horizontal_strip_additions(alpha, s)]
-    if second != "sgn":
+    if second == "sgn":
+        _check_convention(convention)
+    elif second != "trivial":
         raise ValueError(f"second factor must be 'trivial' or 'sgn', got {second!r}")
-    if convention == "coxeter_sign":
-        additions = vertical_strip_additions(beta, s)
-    elif convention == "sign_changes":
-        additions = horizontal_strip_additions(beta, s)
-    else:
-        raise ValueError(f"unknown sgn convention {convention!r}")
-    return [Bipartition(alpha, mu) for mu in additions]
+    if s < 0:
+        raise ValueError("strip size must be nonnegative")
+    which = "trivial" if second == "trivial" else convention
+    return list(map(_bipartition, _pieri_labels(alpha, beta, s, which)))
 
 
 @dataclass(frozen=True)
@@ -295,29 +306,20 @@ def _validate_series(ctx: TowerContext, k: int) -> int:
     return r
 
 
-# Strip kinds for _strip_indices: the component that grows, and how.
-_H_ALPHA, _H_BETA, _V_BETA = "horizontal alpha", "horizontal beta", "vertical beta"
-
-# Keys are (n, l, kind), 3(n + 1) of them at rank n, so the bound keeps every
-# key of every rank up to 24 resident (975 keys).  All keys of rank 16 hold
-# about 8 MiB, of rank 18 about 18 MiB; one table reads only 2(l_max + 1).
+# Keys are (n, l, which), 3(n + 1) of them at rank n, so the bound keeps
+# every key of every rank up to 24 resident (975 keys).  All keys of rank 16
+# hold about 8 MiB, of rank 18 about 18 MiB; one table reads only 2(l_max + 1).
 STRIP_INDEX_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=STRIP_INDEX_CACHE_SIZE)
-def _strip_indices(n: int, l: int, kind: str) -> tuple:
+def _strip_indices(n: int, l: int, which: str) -> tuple:
     """One tuple per chi in Irr(W_l), in canonical order: the indices in
-    Irr(W_n) of the additions of a strip of size n - l to chi, growing the
-    component and in the way ``kind`` names, in strip order."""
+    Irr(W_n) of the labels of Ind(chi x which), ``which`` a linear character
+    of W_{n-l} as in _pieri_labels, in strip order."""
     index = _bipartition_index(n)
-    if kind == _H_ALPHA:
-        return tuple(
-            tuple(index[lam, beta] for lam in _horizontal_strips(alpha, n - l))
-            for alpha, beta in _bipartitions_of(l)
-        )
-    strips = _vertical_strips if kind == _V_BETA else _horizontal_strips
     return tuple(
-        tuple(index[alpha, mu] for mu in strips(beta, n - l))
+        tuple(map(index.__getitem__, _pieri_labels(alpha, beta, n - l, which)))
         for alpha, beta in _bipartitions_of(l)
     )
 
@@ -330,11 +332,6 @@ def _twist_permutation(n: int, convention: str) -> tuple:
     order."""
     index = _bipartition_index(n)
     return tuple(index[sgn_twist(chi, convention)] for chi in _bipartitions_of(n))
-
-
-def _check_convention(convention: str) -> None:
-    if convention not in SGN_CONVENTIONS:
-        raise ValueError(f"unknown sgn convention {convention!r}")
 
 
 # A certify pass builds 426 distinct tables; the bound keeps all of them.
@@ -352,22 +349,17 @@ def _omega_cached(m, parity, m_prime, parity_prime, k, convention):
             m, m_prime, k, k_prime, None, convention, row_labels, (), {}
         )
     first_kind = is_first_kind(k, k_prime)
-    # Rows: Ind(chi x 1) adds a horizontal strip to alpha; Ind(chi x sgn)
-    # adds one to beta, vertical or horizontal by convention.  Columns:
-    # Ind(sgn chi x 1) adds a horizontal strip to the alpha of the twist of
-    # chi.  The sum runs over indices; labels are attached once per cell.
-    if first_kind:
-        row_kind = _H_ALPHA
-    else:
-        row_kind = _H_BETA if convention == "sign_changes" else _V_BETA
+    # Rows: Ind(chi x 1) or Ind(chi x sgn); columns: Ind(sgn chi x 1).  The
+    # sum runs over indices; labels are attached once per cell.
+    row_which = "trivial" if first_kind else convention
     col_labels = _bipartitions_of(r_prime)
     products = []
     for l in range(min(r, r_prime) + 1):
-        cols_of = _strip_indices(r_prime, l, _H_ALPHA)
+        cols_of = _strip_indices(r_prime, l, "trivial")
         products.extend(
             product(rows, cols_of[t])
             for rows, t in zip(
-                _strip_indices(r, l, row_kind), _twist_permutation(l, convention)
+                _strip_indices(r, l, row_which), _twist_permutation(l, convention)
             )
         )
     pairs = chain.from_iterable(products)
@@ -408,12 +400,6 @@ def omega_unipotent(
     return _omega_cached(
         ctx.witt_index, ctx.dim_parity, ctx_prime.witt_index, ctx_prime.dim_parity, k, convention
     )
-
-
-def _star(p: Partition, convention: str) -> Partition:
-    """x* of the closed-form row: the conjugate under the determinant
-    convention, x itself under the sign-change convention."""
-    return p.conjugate() if convention == "coxeter_sign" else p
 
 
 def row_nonempty(
@@ -515,16 +501,12 @@ def theta_images(
     return [(_series_label((k_prime, col)), mult) for col, mult in row]
 
 
-PartialOrder = Callable[[Bipartition, Bipartition], bool]
+def _unique_extreme(labels: list, leq):
+    """The one x with leq(x, y) for every label y, or None, for a partial
+    order ``leq`` on the distinct ``labels``.
 
-
-def _unique_extreme(labels: list, leq: PartialOrder):
-    """The one x with leq(x, y) for every label y, or None.
-
-    One sweep keeps the only possible candidate under a partial order, and
-    a second pass certifies it: below every label, and no other label below
-    it.  When that fails (no unique extreme, or ``leq`` is not transitive)
-    the quadratic scan decides.
+    One sweep keeps the only possible candidate, and a second pass
+    certifies it: below every label, and no other label below it.
     """
     cand = labels[0]
     for y in labels[1:]:
@@ -534,8 +516,7 @@ def _unique_extreme(labels: list, leq: PartialOrder):
         leq(y, cand) for y in labels if y != cand
     ):
         return cand
-    found = [x for x in labels if all(leq(x, y) for y in labels)]
-    return found[0] if len(found) == 1 else None
+    return None
 
 
 def extremal_images(
@@ -544,27 +525,29 @@ def extremal_images(
     ctx_prime: TowerContext,
     *,
     convention: str = DEFAULT_SGN_CONVENTION,
-    order: PartialOrder = bipartition_dominance_leq,
 ) -> tuple:
-    """The least and greatest image labels under the configured partial
-    order (default: dominance on the padded concatenation).
+    """The least and greatest image labels under dominance on the padded
+    concatenation (:func:`~howecorr.partitions.bipartition_dominance_leq`).
 
     Raises ValueError on an empty image set, and
-    :class:`NonUniqueExtremeError` with the offending antichain if the order
-    fails to produce a unique least or greatest element.
+    :class:`NonUniqueExtremeError` with the offending antichain if there is
+    no unique least or greatest element.
     """
     images = theta_images(pi, ctx, ctx_prime, convention=convention)
     if not images:
         raise ValueError(f"image of {pi} is empty (below first occurrence)")
-    return _image_extremes(pi, images, order)
+    return _image_extremes(pi, images)
 
 
-def _image_extremes(pi: SeriesLabel, images: list, order: PartialOrder) -> tuple:
+def _image_extremes(pi: SeriesLabel, images: list) -> tuple:
     """The least and greatest labels of ``images``, the nonempty list that
-    ``theta_images`` returned for ``pi``, under ``order``; raises
+    ``theta_images`` returned for ``pi``; raises
     :class:`NonUniqueExtremeError` as ``extremal_images`` does."""
     labels = [sl.char_label for sl, _ in images]
     k_prime = images[0][0].k
+    # read per call, not bound as a default, so that patching the module's
+    # bipartition_dominance_leq reaches every comparison
+    order = bipartition_dominance_leq
     least = _unique_extreme(labels, order)
     if least is None:
         minimal = [

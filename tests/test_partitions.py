@@ -13,8 +13,6 @@ from howecorr.partitions import (
     dominance_leq,
     horizontal_strip_additions,
     partitions_of,
-    swap_components,
-    swap_conjugate,
     vertical_strip_additions,
 )
 from howecorr.unipotent import SGN_CONVENTIONS, sgn_twist
@@ -306,8 +304,8 @@ def _padded_leq(x, y):
 class TestBipartitionHelpers:
     def test_swaps(self):
         bp = bipartition((2, 1), (3,))
-        assert swap_components(bp) == bipartition((3,), (2, 1))
-        assert swap_conjugate(bp) == bipartition((1, 1, 1), (2, 1))
+        assert sgn_twist(bp, "sign_changes") == bipartition((3,), (2, 1))
+        assert sgn_twist(bp, "coxeter_sign") == bipartition((1, 1, 1), (2, 1))
 
     def test_size(self):
         assert bipartition((2, 1), (3,)).size == 6

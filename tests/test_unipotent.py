@@ -91,6 +91,20 @@ class TestPieriInduction:
         with pytest.raises(ValueError):
             pieri_induction(EMPTY, 1, "sgn", "nope")
 
+    def test_omega_reads_the_certified_rule(self):
+        # the index lists of the omega sum are pieri_induction's labels, so
+        # check_induction certifies what omega is built from
+        for convention in SGN_CONVENTIONS:
+            for second in ("trivial", "sgn"):
+                which = "trivial" if second == "trivial" else convention
+                for n in range(7):
+                    labels = bipartitions_of(n)
+                    for l in range(n + 1):
+                        indices = unipotent._strip_indices(n, l, which)
+                        for chi, row in zip(bipartitions_of(l), indices):
+                            got = pieri_induction(chi, n - l, second, convention)
+                            assert got == [labels[i] for i in row], (chi, which)
+
     def test_sgn_twist_consistency(self):
         for n in range(5):
             for bp in bipartitions_of(n):
@@ -472,22 +486,20 @@ class TestExtremalImages:
                                     img.char_label, hi.char_label
                                 )
 
-    def test_antichain_error_carries_witness(self):
+    def test_antichain_error_carries_witness(self, monkeypatch):
         # an order under which nothing is comparable forces the diagnostic
         def incomparable(x, y):
             return x == y
 
+        monkeypatch.setattr(unipotent, "bipartition_dominance_leq", incomparable)
         with pytest.raises(NonUniqueExtremeError) as err:
             extremal_images(
-                SeriesLabel(0, TRIV1),
-                TowerContext(1, 0),
-                TowerContext(1, 0),
-                order=incomparable,
+                SeriesLabel(0, TRIV1), TowerContext(1, 0), TowerContext(1, 0)
             )
         assert len(err.value.antichain) >= 2
 
     @pytest.mark.parametrize("sign", [1, -1])
-    def test_antichain_matches_the_quadratic_scan(self, sign):
+    def test_antichain_matches_the_quadratic_scan(self, sign, monkeypatch):
         # labels ordered by sign * |alpha|, equal sizes incomparable; the
         # image of 1|1 at r = r' = 2 is 2|-, 1,1|-, 1|1, so one end of the
         # order holds two labels: the top for sign 1, the bottom for -1
@@ -502,17 +514,7 @@ class TestExtremalImages:
             want = [x for x in labels if not any(order(y, x) and y != x for y in labels)]
         assert len(want) == 2
         extreme = "maximum" if sign == 1 else "minimum"
+        monkeypatch.setattr(unipotent, "bipartition_dominance_leq", order)
         with pytest.raises(NonUniqueExtremeError, match=f"no unique {extreme}") as err:
-            extremal_images(pi, ctx, ctx, order=order)
+            extremal_images(pi, ctx, ctx)
         assert err.value.antichain == tuple(want)
-
-    def test_sweep_falls_back_to_the_scan(self):
-        # not antisymmetric: b <= a, yet a is the only label below all three,
-        # and the sweep stops at b
-        below = {("a", "b"), ("a", "c"), ("b", "a")}
-
-        def leq(x, y):
-            return x == y or (x, y) in below
-
-        assert unipotent._unique_extreme(["a", "b", "c"], leq) == "a"
-        assert unipotent._unique_extreme(["b", "c"], leq) is None

@@ -66,6 +66,7 @@ def test_oracle_never_calls_pieri_code(monkeypatch):
 
     names = (
         "pieri_induction",
+        "_pieri_labels",
         "horizontal_strip_additions",
         "vertical_strip_additions",
         "_horizontal_strips",
