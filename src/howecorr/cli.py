@@ -27,7 +27,6 @@ label ``1`` is reserved for the trivial cuspidal on GL_1.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -415,7 +414,11 @@ def main(argv=None) -> int:
     except (InternalCheckError, NonUniqueExtremeError) as err:
         print(f"internal check failed: {err}", file=sys.stderr)
         return 2
-    print(json.dumps(payload, indent=2, sort_keys=True) if args.json else text)
+    if args.json:
+        import json  # only --json output needs it; text start-up skips it
+
+        text = json.dumps(payload, indent=2, sort_keys=True)
+    print(text)
     return code
 
 

@@ -153,6 +153,32 @@ def _bipartition_index(n: int) -> dict:
     return {bp: i for i, bp in enumerate(_bipartitions_of(n))}
 
 
+# Unbounded for the reason given at _partitions_of.
+@lru_cache(maxsize=None)
+def _partition_position(n: int) -> dict:
+    """Position of each partition of n in the canonical order."""
+    return {p: i for i, p in enumerate(_partitions_of(n))}
+
+
+# Unbounded for the reason given at _partitions_of.
+@lru_cache(maxsize=None)
+def _bipartition_radix(n: int) -> tuple:
+    """(starts, counts) with counts[j] the number of partitions of j <= n and
+    starts[a] the position of the first bipartition of n with |alpha| = a.
+
+    The canonical order makes a position a mixed-radix number: (alpha, beta)
+    with |alpha| = a sits at starts[a] + pos(alpha) * counts[n - a] +
+    pos(beta), pos being :func:`_partition_position` of each size.
+    """
+    counts = tuple(len(_partitions_of(j)) for j in range(n + 1))
+    starts = [0] * (n + 1)
+    total = 0
+    for a in range(n, -1, -1):
+        starts[a] = total
+        total += counts[a] * counts[n - a]
+    return tuple(starts), counts
+
+
 def bipartitions_of(n: int) -> list:
     """All bipartitions of total size n in the canonical order."""
     if n < 0:

@@ -39,7 +39,10 @@ from .partitions import (
     Bipartition,
     Partition,
     _bipartition_index,
+    _bipartition_radix,
     _bipartitions_of,
+    _partition_position,
+    _partitions_of,
     _horizontal_strip_removals,
     _horizontal_strips,
     _vertical_strips,
@@ -161,19 +164,29 @@ def sgn_twist(bp: Bipartition, convention: str = DEFAULT_SGN_CONVENTION) -> Bipa
     return Bipartition(_star(beta, convention), _star(alpha, convention))
 
 
-def _pieri_labels(alpha: Partition, beta: Partition, size: int, which: str):
-    """Labels in Ind from W_l x W_size to W_{l+size} of chi_(alpha, beta)
-    tensor the linear character ``which`` ("trivial" or a sgn convention),
-    each with multiplicity one, as an iterator of (alpha, beta) pairs in
-    strip order.
+def _pieri_rule(which: str) -> tuple:
+    """The Pieri rule of Ind from W_l x W_s to W_{l+s} of a character tensor
+    the linear character ``which`` ("trivial" or a sgn convention): the
+    component that grows (0 for alpha, 1 for beta) and the strip additions
+    that grow it.
 
     The trivial character adds a horizontal strip to alpha (Pieri); sgn adds
     the strip to beta, vertical under ``coxeter_sign`` and horizontal under
     ``sign_changes``.
     """
     if which == "trivial":
-        return zip(_horizontal_strips(alpha, size), repeat(beta))
-    strips = _vertical_strips if which == "coxeter_sign" else _horizontal_strips
+        return 0, _horizontal_strips
+    return 1, _vertical_strips if which == "coxeter_sign" else _horizontal_strips
+
+
+def _pieri_labels(alpha: Partition, beta: Partition, size: int, which: str):
+    """Labels in Ind from W_l x W_size to W_{l+size} of chi_(alpha, beta)
+    tensor the linear character ``which`` (see _pieri_rule), each with
+    multiplicity one, as an iterator of (alpha, beta) pairs in strip order.
+    """
+    side, strips = _pieri_rule(which)
+    if side == 0:
+        return zip(strips(alpha, size), repeat(beta))
     return zip(repeat(alpha), strips(beta, size))
 
 
@@ -308,7 +321,8 @@ def _validate_series(ctx: TowerContext, k: int) -> int:
 
 # Keys are (n, l, which), 3(n + 1) of them at rank n, so the bound keeps
 # every key of every rank up to 24 resident (975 keys).  All keys of rank 16
-# hold about 8 MiB, of rank 18 about 18 MiB; one table reads only 2(l_max + 1).
+# hold about 9 MiB, of rank 18 about 21 MiB (each index an int of its own;
+# measured with tracemalloc); one table reads only 2(l_max + 1).
 STRIP_INDEX_CACHE_SIZE = 1024
 
 
@@ -316,12 +330,44 @@ STRIP_INDEX_CACHE_SIZE = 1024
 def _strip_indices(n: int, l: int, which: str) -> tuple:
     """One tuple per chi in Irr(W_l), in canonical order: the indices in
     Irr(W_n) of the labels of Ind(chi x which), ``which`` a linear character
-    of W_{n-l} as in _pieri_labels, in strip order."""
-    index = _bipartition_index(n)
-    return tuple(
-        tuple(map(index.__getitem__, _pieri_labels(alpha, beta, n - l, which)))
-        for alpha, beta in _bipartitions_of(l)
-    )
+    of W_{n-l} as in _pieri_labels, in strip order.
+
+    Positions are mixed-radix numbers (_bipartition_radix), so each strip
+    list is mapped to positions once, for the component that grows, and
+    every partner component only adds its own position and stride.
+    """
+    side, strips = _pieri_rule(which)
+    s = n - l
+    starts, counts = _bipartition_radix(n)
+    out = []
+    for a in range(l, -1, -1):
+        b = l - a
+        if side == 0:
+            # (lam, beta), |lam| = a + s: start + pos(lam) * p(b) + pos(beta)
+            pos = _partition_position(a + s).__getitem__
+            start, stride = starts[a + s], counts[b]
+            for alpha in _partitions_of(a):
+                heads = [start + stride * i for i in map(pos, strips(alpha, s))]
+                out.extend(tuple([h + j for h in heads]) for j in range(stride))
+        else:
+            # (alpha, mu), |mu| = b + s: start + pos(alpha) * p(b + s) + pos(mu)
+            pos = _partition_position(b + s).__getitem__
+            start, stride = starts[a], counts[b + s]
+            tails = [list(map(pos, strips(beta, s))) for beta in _partitions_of(b)]
+            for i in range(counts[a]):
+                base = start + stride * i
+                out.extend(tuple([base + t for t in tail]) for tail in tails)
+    return tuple(out)
+
+
+# One entry per size and convention, like the enumeration caches in
+# partitions, so it needs no bound.
+@lru_cache(maxsize=None)
+def _star_permutation(n: int, convention: str) -> tuple:
+    """Position of x* (see _star) of each partition x of n, in canonical
+    order."""
+    pos = _partition_position(n)
+    return tuple(pos[_star(p, convention)] for p in _partitions_of(n))
 
 
 # One entry per rank and convention, like the enumeration caches in
@@ -329,9 +375,16 @@ def _strip_indices(n: int, l: int, which: str) -> tuple:
 @lru_cache(maxsize=None)
 def _twist_permutation(n: int, convention: str) -> tuple:
     """Index in Irr(W_n) of sgn_twist of each bipartition of n, in canonical
-    order."""
-    index = _bipartition_index(n)
-    return tuple(index[sgn_twist(chi, convention)] for chi in _bipartitions_of(n))
+    order: (alpha, beta) with |alpha| = a goes to (beta*, alpha*), at
+    starts[n - a] + pos(beta*) * p(a) + pos(alpha*)."""
+    starts, counts = _bipartition_radix(n)
+    out = []
+    for a in range(n, -1, -1):
+        start, stride = starts[n - a], counts[a]
+        heads = [start + stride * j for j in _star_permutation(n - a, convention)]
+        for i in _star_permutation(a, convention):
+            out.extend([h + i for h in heads])
+    return tuple(out)
 
 
 # A certify pass builds 426 distinct tables; the bound keeps all of them.

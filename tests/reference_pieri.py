@@ -6,18 +6,31 @@ generators (validating every partition they build), ``pieri_induction`` per
 bipartition, the sgn twist and the assembly loop of ``omega_unipotent``.
 Only the enumeration of (bi)partitions, the cuspidal bookkeeping and the
 :class:`MultiplicityTable` container come from the library.
+
+The index lists of the omega sum are frozen too, as they were built by
+hashing each label into the canonical order (``strip_indices``,
+``twist_permutation``).  They read the library's Pieri and sgn rules, so
+they pin only the passage from labels to indices.
 """
 
 from functools import lru_cache
 
-from howecorr.partitions import Bipartition, Partition, bipartitions_of
+from howecorr.partitions import (
+    Bipartition,
+    Partition,
+    _bipartition_index,
+    _bipartitions_of,
+    bipartitions_of,
+)
 from howecorr.unipotent import (
     MultiplicityTable,
     TowerContext,
+    _pieri_labels,
     _validate_series,
     theta_cuspidal,
     witt_index_of_cuspidal,
 )
+from howecorr.unipotent import sgn_twist as library_sgn_twist
 
 
 def _conjugate(p):
@@ -130,4 +143,22 @@ def omega_table(m, parity, m_prime, parity_prime, k, convention):
         row_labels,
         tuple(bipartitions_of(r_prime)),
         dict(_entries(r, r_prime, "trivial" if first_kind else "sgn", convention)),
+    )
+
+
+def strip_indices(n, l, which):
+    """The indices in Irr(W_n) of the labels of Ind(chi x which), one tuple
+    per chi in Irr(W_l), each label hashed into the canonical order."""
+    index = _bipartition_index(n)
+    return tuple(
+        tuple(map(index.__getitem__, _pieri_labels(alpha, beta, n - l, which)))
+        for alpha, beta in _bipartitions_of(l)
+    )
+
+
+def twist_permutation(n, convention):
+    """The index in Irr(W_n) of the sgn twist of each bipartition of n."""
+    index = _bipartition_index(n)
+    return tuple(
+        index[library_sgn_twist(chi, convention)] for chi in _bipartitions_of(n)
     )

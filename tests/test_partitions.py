@@ -5,7 +5,10 @@ from hypothesis import strategies as st
 from howecorr.partitions import (
     Bipartition,
     Partition,
+    _bipartition_index,
+    _bipartition_radix,
     _horizontal_strip_removals,
+    _partition_position,
     bipartition,
     bipartition_dominance_leq,
     bipartitions_of,
@@ -250,6 +253,24 @@ def test_sgn_twist_is_an_involution(bp, convention):
     twisted = sgn_twist(bp, convention)
     assert twisted.size == bp.size
     assert sgn_twist(twisted, convention) == bp
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(0, 16).flatmap(
+        lambda n: st.tuples(st.just(n), st.sampled_from(bipartitions_of(n)))
+    )
+)
+def test_radix_position_is_the_canonical_index(case):
+    n, (alpha, beta) = case
+    starts, counts = _bipartition_radix(n)
+    a = alpha.size
+    position = (
+        starts[a]
+        + _partition_position(a)[alpha] * counts[n - a]
+        + _partition_position(n - a)[beta]
+    )
+    assert position == _bipartition_index(n)[Bipartition(alpha, beta)]
 
 
 class TestDominance:

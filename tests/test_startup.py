@@ -95,6 +95,17 @@ class TestImportSurface:
         assert "howecorr.unipotent" in loaded
         assert not loaded & set(HEAVY), sorted(loaded & set(HEAVY))
 
+    def test_text_output_does_not_import_json(self):
+        proc = _python("-c", (
+            "import contextlib, io, sys\n"
+            "import howecorr.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['theta', '--m', '3', '--mp', '3', '--k', '0',\n"
+            "                     '--alpha', '2', '--beta', '1']) == 0\n"
+            "print('json' in sys.modules)\n"
+        ))
+        assert proc.stdout.decode().split() == ["False"]
+
     def test_reduction_subcommands_load_lusztig_only(self):
         loaded = _loaded_after(
             "import contextlib, io\n"

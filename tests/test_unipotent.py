@@ -3,6 +3,8 @@ from math import comb, factorial, prod
 
 import pytest
 import reference_pieri
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from howecorr import partitions, unipotent
 from howecorr.errors import NonUniqueExtremeError
@@ -253,7 +255,10 @@ def _clear_index_caches():
         unipotent._omega_cached,
         unipotent._strip_indices,
         unipotent._twist_permutation,
+        unipotent._star_permutation,
         partitions._bipartition_index,
+        partitions._bipartition_radix,
+        partitions._partition_position,
     ):
         cached.cache_clear()
 
@@ -317,6 +322,51 @@ class TestIndexSpaceAssembly:
         for case in self.CASES:
             _clear_index_caches()
             assert self._snapshot(*case) == cold[case], case
+
+    def test_index_lists_equal_the_label_hashing_reference(self):
+        """The radix arithmetic gives the tuples that hashing each label
+        gave, for every n <= 14, l <= n, linear character and convention."""
+        for n in range(15):
+            for convention in SGN_CONVENTIONS:
+                assert unipotent._twist_permutation(
+                    n, convention
+                ) == reference_pieri.twist_permutation(n, convention), (n, convention)
+            for l in range(n + 1):
+                for which in ("trivial", *SGN_CONVENTIONS):
+                    assert unipotent._strip_indices(
+                        n, l, which
+                    ) == reference_pieri.strip_indices(n, l, which), (n, l, which)
+
+    @settings(deadline=None, max_examples=50)
+    @given(n=st.integers(0, 16), convention=st.sampled_from(SGN_CONVENTIONS))
+    def test_star_permutation_is_an_involution(self, n, convention):
+        perm = unipotent._star_permutation(n, convention)
+        assert sorted(perm) == list(range(len(perm)))
+        assert all(perm[j] == i for i, j in enumerate(perm))
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        k=st.integers(0, 3),
+        parity_prime=st.integers(0, 1),
+        convention=st.sampled_from(SGN_CONVENTIONS),
+        r=st.integers(0, 12),
+        r_prime=st.integers(0, 12),
+    )
+    def test_degree_identity(self, k, parity_prime, convention, r, r_prime):
+        """Sum of mult * deg(row) * deg(col) equals the degree of the
+        coupling, as in test_degree_identity_at_rank_12, at random ranks."""
+        k_prime = theta_cuspidal(k, parity_prime)
+        ctx, ctx_p = _series_contexts(k, k_prime, r, r_prime)
+        table = omega_unipotent(ctx, ctx_p, k, convention=convention)
+        want = sum(
+            comb(r, l) * comb(r_prime, l) * 2**l * factorial(l)
+            for l in range(min(r, r_prime) + 1)
+        )
+        got = sum(
+            mult * _wn_degree(a) * _wn_degree(b)
+            for (a, b), mult in table.entries.items()
+        )
+        assert got == want, (k, parity_prime, convention, r, r_prime)
 
     @pytest.mark.parametrize("k, parity_prime", [(0, 0), (0, 1), (1, 1)])
     def test_degree_identity_at_rank_12(self, k, parity_prime):

@@ -72,7 +72,12 @@ def test_oracle_never_calls_pieri_code(monkeypatch):
         "_horizontal_strips",
         "_vertical_strips",
         "_horizontal_strip_removals",
+        "_pieri_rule",
         "_strip_indices",
+        "_twist_permutation",
+        "_star_permutation",
+        "_partition_position",
+        "_bipartition_radix",
         "_coupling_row",
         "omega_unipotent",
     )
