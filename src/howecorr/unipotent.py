@@ -28,6 +28,7 @@ character (``coxeter_sign``, the default) and the sign-change character
 
 from __future__ import annotations
 
+import gc
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
@@ -41,10 +42,10 @@ from .partitions import (
     _bipartition_index,
     _bipartition_radix,
     _bipartitions_of,
-    _partition_position,
-    _partitions_of,
     _horizontal_strip_removals,
     _horizontal_strips,
+    _partition_position,
+    _partitions_of,
     _vertical_strips,
     bipartition_dominance_leq,
 )
@@ -416,14 +417,22 @@ def _omega_cached(m, parity, m_prime, parity_prime, k, convention):
             )
         )
     pairs = chain.from_iterable(products)
-    if first_kind:
-        # no first-kind cell exceeds 1 (see _coupling_row), so no pair repeats
-        entries = {(row_labels[i], col_labels[j]): 1 for i, j in pairs}
-    else:
-        entries = {
-            (row_labels[i], col_labels[j]): mult
-            for (i, j), mult in Counter(pairs).items()
-        }
+    # Every cell adds a key tuple that the cyclic collector tracks, and none
+    # of them can be part of a cycle, so the collector pauses meanwhile.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        if first_kind:
+            # no first-kind cell exceeds 1 (see _coupling_row), so no pair repeats
+            entries = {(row_labels[i], col_labels[j]): 1 for i, j in pairs}
+        else:
+            entries = {
+                (row_labels[i], col_labels[j]): mult
+                for (i, j), mult in Counter(pairs).items()
+            }
+    finally:
+        if collecting:
+            gc.enable()
     return MultiplicityTable(
         m,
         m_prime,

@@ -1,3 +1,4 @@
+import gc
 import json
 from math import comb, factorial, prod
 
@@ -242,6 +243,17 @@ class TestOmegaTables:
         text = omega_unipotent(TowerContext(1, 0), TowerContext(1, 0), 0).to_text()
         assert "k=0 -> k'=0" in text
         assert "1|-" in text and "-|1" in text
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_table_build_keeps_the_collector_state(self, collecting):
+        was = gc.isenabled()
+        try:
+            (gc.enable if collecting else gc.disable)()
+            for parity_prime in (0, 1):  # first kind, then second kind
+                _omega_cached.__wrapped__(5, 0, 5, parity_prime, 0, "coxeter_sign")
+                assert gc.isenabled() is collecting
+        finally:
+            (gc.enable if was else gc.disable)()
 
     def test_caching_returns_equal_tables(self):
         a = omega_unipotent(TowerContext(2, 0), TowerContext(2, 0), 0)
