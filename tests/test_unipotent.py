@@ -301,6 +301,15 @@ def _wn_degree(bp) -> int:
     return comb(a + b, a) * _hook_length_degree(bp.alpha) * _hook_length_degree(bp.beta)
 
 
+def _coupling_degree(r: int, r_prime: int) -> int:
+    """Degree of the coupling of ranks r, r': the sum over l of
+    [W_r : W_l x W_(r-l)] [W_r' : W_l x W_(r'-l)] |W_l|."""
+    return sum(
+        comb(r, l) * comb(r_prime, l) * 2**l * factorial(l)
+        for l in range(min(r, r_prime) + 1)
+    )
+
+
 class TestIndexSpaceAssembly:
     """The omega sum runs over cached index lists; tables must not depend on
     what those caches held before."""
@@ -370,15 +379,11 @@ class TestIndexSpaceAssembly:
         k_prime = theta_cuspidal(k, parity_prime)
         ctx, ctx_p = _series_contexts(k, k_prime, r, r_prime)
         table = omega_unipotent(ctx, ctx_p, k, convention=convention)
-        want = sum(
-            comb(r, l) * comb(r_prime, l) * 2**l * factorial(l)
-            for l in range(min(r, r_prime) + 1)
-        )
         got = sum(
             mult * _wn_degree(a) * _wn_degree(b)
             for (a, b), mult in table.entries.items()
         )
-        assert got == want, (k, parity_prime, convention, r, r_prime)
+        assert got == _coupling_degree(r, r_prime), (k, parity_prime, convention)
 
     @pytest.mark.parametrize("k, parity_prime", [(0, 0), (0, 1), (1, 1)])
     def test_degree_identity_at_rank_12(self, k, parity_prime):
@@ -388,10 +393,7 @@ class TestIndexSpaceAssembly:
         r = r_prime = 12
         k_prime = theta_cuspidal(k, parity_prime)
         ctx, ctx_p = _series_contexts(k, k_prime, r, r_prime)
-        want = sum(
-            comb(r, l) * comb(r_prime, l) * 2**l * factorial(l)
-            for l in range(min(r, r_prime) + 1)
-        )
+        want = _coupling_degree(r, r_prime)
         degree = {bp: _wn_degree(bp) for bp in bipartitions_of(r)}
         for convention in SGN_CONVENTIONS:
             table = omega_unipotent(ctx, ctx_p, k, convention=convention)
