@@ -20,7 +20,8 @@ from howecorr.cli import main
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 # omega at r = r' in {2, 6, 10} over both kinds and both conventions, one
-# zero table, and theta/extremal on labels at r = 10 (one empty image).
+# zero table, theta/extremal on labels at r = 10 (one empty image), and the
+# verification suite at its largest rank, every check's detail string.
 CORPUS = {
     "omega_r2_first_coxeter": ["omega", "--m", "2", "--mp", "2", "--k", "0"],
     "omega_r2_second_sign_changes": [
@@ -55,6 +56,7 @@ CORPUS = {
         "extremal", "--m", "10", "--mp", "10", "--k", "0", "--parity-p", "1",
         "--alpha", "2,1", "--beta", "3,3,1", "--convention", "sign_changes",
     ],
+    "verify_max_rank_6": ["verify", "--max-rank", "6"],
 }
 
 
