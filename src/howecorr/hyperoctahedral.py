@@ -23,12 +23,26 @@ agree with the analytic centralizer-order formula, otherwise the
 computation aborts.  Character tables are certified orthonormal before
 they are returned; ``verify`` certifies the column relations as well.
 
-Everything is exact.  Character values are integers; the certification
-sums and :func:`decompose` are integer dot products over class-ordered
-value lists (each certified table keeps its rows of |C| chi(C)), and an
-inner product is integral exactly when the dot product is divisible by
-|W_n|.  Only the generic :meth:`ClassFunction.inner` and an induced value
-that is not integral produce a `fractions.Fraction`.
+Everything is exact.  Character values are integers.  The certification
+sums, the column relations in ``verify`` and :func:`decompose` are integer
+dot products, all computed by one kernel, :class:`_IntMatrix`: each column
+of the matrix is packed into one Python int, row b's entry at bit
+width * b, so that a matrix-vector product is one
+``sum(map(mul, packed_columns, values))``, read back slot by slot.  The
+slot width is proven per call: |row_b . v| <= |row_b|_1 max|v_i| <
+2^(bound - 1), where bound is the bit length of the largest row L1 norm
+plus the bit length of max|v_i| plus one, and the width is the least power
+of two >= bound.  After an offset of 2^(width - 1) per slot every slot
+lies in [0, 2^width), so no carry crosses a slot boundary and unpacking is
+exact.  An inner product is integral exactly when the dot product is
+divisible by |W_n|; a class function with `fractions.Fraction` values is
+scaled to integers by the lcm of their denominators first.  Only the
+generic :meth:`ClassFunction.inner` and an induced value that is not
+integral produce a `Fraction`.
+
+Class functions built here keep their values in canonical class order, and
+the oracle reads them by position; a dict in any other order is still
+accepted, and read through one lookup per class.
 
 The price is the rank bound: nothing here is meant to run past
 ``ORACLE_BOUND`` (default 6, |W_6| = 46080).
@@ -38,11 +52,11 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
-from operator import mul
+from math import factorial, lcm
+from operator import add, lshift, mul
 from typing import Iterator, NamedTuple
 
 from .errors import InternalCheckError, RankBoundError
@@ -196,16 +210,37 @@ def _classes(n: int) -> tuple:
 
 # Keys are ranks <= ORACLE_BOUND (checked by _classes).
 @lru_cache(maxsize=None)
+def _class_labels(n: int) -> tuple:
+    return tuple(label for label, _ in _classes(n))
+
+
+# Keys are ranks <= ORACLE_BOUND (checked by _classes).
+@lru_cache(maxsize=None)
 def _class_set(n: int) -> frozenset:
-    return frozenset(label for label, _ in _classes(n))
+    return frozenset(_class_labels(n))
+
+
+# Keys are rank pairs, each <= ORACLE_BOUND (checked by _classes).
+@lru_cache(maxsize=None)
+def _pair_labels(a: int, b: int) -> tuple:
+    """Class labels of W_a x W_b in canonical order: pairs, the W_b label
+    varying fastest."""
+    return tuple((l1, l2) for l1 in _class_labels(a) for l2 in _class_labels(b))
 
 
 # Keys are rank pairs, each <= ORACLE_BOUND (checked by _classes).
 @lru_cache(maxsize=None)
 def _pair_set(a: int, b: int) -> frozenset:
-    return frozenset(
-        (l1, l2) for l1, _ in _classes(a) for l2, _ in _classes(b)
-    )
+    return frozenset(_pair_labels(a, b))
+
+
+def _in_order(values: dict, labels: tuple) -> list:
+    """The values of a class function listed in the canonical order
+    ``labels``: the dict's own order when it is canonical, as for every
+    class function built here, and else one lookup per class."""
+    if tuple(values) == labels:
+        return list(values.values())
+    return [values[c] for c in labels]
 
 
 def conjugacy_classes(n: int) -> dict:
@@ -324,13 +359,14 @@ def _fuse(l1: SignedCycleType, l2: SignedCycleType) -> SignedCycleType:
 @lru_cache(maxsize=None)
 def _fusion_groups(a: int, b: int) -> tuple:
     """For the embedding W_a x W_b <= W_{a+b}: one entry per class C of
-    W_{a+b} in canonical order, (C, |C|, the product class labels D fusing
-    into C, and |D| for each).  Fusion concatenates the positive cycle
-    types and the negative cycle types."""
+    W_{a+b} in canonical order, (C, |C|, the positions in
+    :func:`_pair_labels` order of the product classes D fusing into C, and
+    |D| for each).  Fusion concatenates the positive cycle types and the
+    negative cycle types."""
     groups = {}
-    for l1, s1 in _classes(a):
-        for l2, s2 in _classes(b):
-            groups.setdefault(_fuse(l1, l2), []).append(((l1, l2), s1 * s2))
+    pairs = itertools.product(_classes(a), _classes(b))
+    for position, ((l1, s1), (l2, s2)) in enumerate(pairs):
+        groups.setdefault(_fuse(l1, l2), []).append((position, s1 * s2))
     out = []
     for label, csize in _classes(a + b):
         fused = groups.get(label, ())
@@ -354,7 +390,7 @@ def induce_class_function(f: ProductClassFunction, n: int | None = None) -> Clas
     _check_rank(n)
     sub_order = group_order(a) * group_order(b)
     big_order = group_order(n)
-    lookup = f.values.__getitem__
+    lookup = _in_order(f.values, _pair_labels(a, b)).__getitem__
     values = {}
     for label, csize, fused, sizes in _fusion_groups(a, b):
         acc = sum(map(mul, sizes, map(lookup, fused)))
@@ -425,6 +461,65 @@ def _irreducible_seed(alpha: Partition, beta: Partition) -> ProductClassFunction
     return ProductClassFunction((a, b), values)
 
 
+class _IntMatrix:
+    """An integer matrix whose products with integer vectors are computed
+    exactly by one packed-integer dot product.
+
+    Column c is packed into one int, the entry of row b at bit width * b,
+    so that for a vector v, ``sum(map(mul, columns, v))`` is the sum over b
+    of d_b 2^(width * b), where d_b = row_b . v.  The width is proven per
+    call: |d_b| <= |row_b|_1 max|v_i| < 2^(bound - 1) with bound = (bit
+    length of the largest row L1 norm) + (bit length of max|v_i|) + 1, and
+    the width is the least power of two >= bound.  Adding 2^(width - 1) to
+    every slot therefore puts slot b at d_b + 2^(width - 1), inside
+    [0, 2^width): the sum plus that offset has exactly these base-2^width
+    digits, no carry crosses a slot boundary, and unpacking is exact.  The
+    packed columns are kept per width; rounding the width up to a power of
+    two keeps that to one packing for all the calls whose bounds share it.
+    """
+
+    def __init__(self, rows):
+        self.rows = rows
+        self._norm_bits = max(sum(map(abs, row)) for row in rows).bit_length()
+        self._packed = {}
+
+    def _pack(self, width: int) -> tuple:
+        """The packed columns, by Horner's rule from the last row up, and
+        the offset 2^(width - 1) in every slot."""
+        shifts = itertools.repeat(width)
+        columns = [0] * len(self.rows[0])
+        for row in reversed(self.rows):
+            columns = list(map(add, map(lshift, columns, shifts), row))
+        half = 1 << (width - 1)
+        offset = sum(half << shift for shift in range(0, width * len(self.rows), width))
+        return columns, offset
+
+    def dots(self, values) -> list:
+        """[row . values for row in rows], for a list of integers
+        ``values`` indexed like the columns."""
+        bound = self._norm_bits + max(map(abs, values)).bit_length() + 1
+        width = 1 << (bound - 1).bit_length()
+        packed = self._packed.get(width)
+        if packed is None:
+            packed = self._packed[width] = self._pack(width)
+        columns, offset = packed
+        total = sum(map(mul, columns, values)) + offset
+        mask, half = (1 << width) - 1, 1 << (width - 1)
+        end = width * len(self.rows)
+        return [(total >> shift & mask) - half for shift in range(0, end, width)]
+
+    def orthogonality_defect(self, vectors, diagonal):
+        """The first pair (i, j), i <= j, in lexicographic order at which
+        row_i . vectors[j] is not diagonal[i] (for i == j) or 0 (else), or
+        None when there is none."""
+        gram = [self.dots(vector) for vector in vectors]
+        for i, want in enumerate(diagonal):
+            for j in range(i, len(vectors)):
+                if gram[j][i] != (want if i == j else 0):
+                    return i, j
+        return None
+
+
 @dataclass(frozen=True)
 class CharacterTable:
     """Certified character table of W_n.
@@ -442,6 +537,12 @@ class CharacterTable:
     irreducibles: dict
     class_sizes: dict
     weighted_rows: tuple
+    # The weighted rows as one matrix, with their packed columns per width.
+    _weighted: _IntMatrix = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rows = [row for _, row in self.weighted_rows]
+        object.__setattr__(self, "_weighted", _IntMatrix(rows))
 
     def character(self, label: Bipartition) -> ClassFunction:
         return self.irreducibles[label]
@@ -471,10 +572,9 @@ class CharacterTable:
         }
 
 
-def _row(f: ClassFunction, classes) -> list:
-    """Values of ``f`` as a list, in the order of ``classes``."""
-    values = f.values
-    return [values[c] for c in classes]
+def _class_values(f: ClassFunction) -> list:
+    """Values of ``f`` as a list, in canonical class order."""
+    return _in_order(f.values, _class_labels(f.rank))
 
 
 # Keys are ranks <= ORACLE_BOUND (checked on entry), so no bound is needed.
@@ -498,18 +598,17 @@ def build_character_table(n: int) -> CharacterTable:
                 f"W_{n}: character {bp} has non-integral values {bad[:3]}"
             )
         irreducibles[bp] = chi
-    order = group_order(n)
     sizes = dict(_classes(n))
-    rows = [_row(irreducibles[bp], sizes) for bp in labels]
+    rows = [_class_values(irreducibles[bp]) for bp in labels]
     weighted = [tuple(map(mul, sizes.values(), row)) for row in rows]
-    for i, x in enumerate(weighted):
-        for j in range(i, len(rows)):
-            total = sum(map(mul, x, rows[j]))
-            if total != (order if i == j else 0):
-                raise InternalCheckError(
-                    f"W_{n}: orthonormality fails at ({labels[i]}, {labels[j]})"
-                )
-    return CharacterTable(n, labels, irreducibles, sizes, tuple(zip(labels, weighted)))
+    table = CharacterTable(n, labels, irreducibles, sizes, tuple(zip(labels, weighted)))
+    defect = table._weighted.orthogonality_defect(rows, [group_order(n)] * len(rows))
+    if defect:
+        i, j = defect
+        raise InternalCheckError(
+            f"W_{n}: orthonormality fails at ({labels[i]}, {labels[j]})"
+        )
+    return table
 
 
 def decompose(f: ClassFunction) -> dict:
@@ -517,16 +616,19 @@ def decompose(f: ClassFunction) -> dict:
     label order, zeros omitted.  Raises if any inner product is non-integral
     (``f`` is then not a virtual character)."""
     table = build_character_table(f.rank)
-    values = _row(f, table.class_sizes)
-    order = group_order(f.rank)
+    values = _class_values(f)
+    scale = 1
+    if set(map(type, values)) != {int}:
+        scale = lcm(*[v.denominator for v in values])
+        values = [v.numerator * (scale // v.denominator) for v in values]
+    order = group_order(f.rank) * scale
     out = {}
-    for bp, row in table.weighted_rows:
-        total = sum(map(mul, row, values))
-        if total % order:
+    for bp, total in zip(table.labels, table._weighted.dots(values)):
+        m, rest = divmod(total, order)
+        if rest:
             raise ValueError(
                 f"not a virtual character: <f, chi_{bp}> = {Fraction(total, order)}"
             )
-        m = total // order
         if m:
             out[bp] = m
     return out

@@ -19,10 +19,11 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
 
 from .errors import NonUniqueExtremeError
 from .hyperoctahedral import (
+    _class_values,
+    _IntMatrix,
     build_character_table,
     decompose,
     group_order,
@@ -141,18 +142,16 @@ def check_character_tables(max_rank: int = 6) -> CheckResult:
         if sum(table.class_sizes.values()) != order:
             return _fail(name, f"W_{n}: class sizes do not sum to {order}")
         classes = table.class_labels()
-        columns = [
-            [table.character(bp).at(c) for bp in table.labels] for c in classes
-        ]
-        for i, c in enumerate(classes):
-            for j in range(i, len(classes)):
-                total = sum(map(mul, columns[i], columns[j]))
-                want = order // table.class_sizes[c] if i == j else 0
-                if total != want:
-                    return _fail(
-                        name,
-                        f"W_{n}: column orthogonality fails at {c}, {classes[j]}",
-                    )
+        rows = [_class_values(table.character(bp)) for bp in table.labels]
+        columns = _IntMatrix(list(zip(*rows)))
+        diagonal = [order // size for size in table.class_sizes.values()]
+        defect = columns.orthogonality_defect(columns.rows, diagonal)
+        if defect:
+            i, j = defect
+            return _fail(
+                name,
+                f"W_{n}: column orthogonality fails at {classes[i]}, {classes[j]}",
+            )
     return _ok(name, f"tables W_0..W_{max_rank} certified both ways")
 
 

@@ -1,10 +1,17 @@
+import functools
+import itertools
+import operator
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from howecorr.errors import RankBoundError
+from howecorr import hyperoctahedral
+from howecorr.errors import InternalCheckError, RankBoundError
 from howecorr.hyperoctahedral import (
     ClassFunction,
     SignedCycleType,
@@ -256,6 +263,105 @@ class TestDecompose:
         for f, ip in ((half, "1/2"), (ClassFunction(3, values), "1/3")):
             with pytest.raises(ValueError, match=f"not a virtual character: .* = {ip}$"):
                 decompose(f)
+
+
+coefficient = st.one_of(st.integers(-3, 3), st.integers(-(10**40), 10**40))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_decompose_recovers_integer_combinations(data):
+    # large coefficients widen the packed slots; dividing by d must name the
+    # first row whose multiplicity is not an integer, with its exact value
+    n = data.draw(st.integers(0, 5), label="n")
+    table = build_character_table(n)
+    coeffs = data.draw(
+        st.lists(coefficient, min_size=len(table.labels), max_size=len(table.labels)),
+        label="coefficients",
+    )
+    combination = functools.reduce(
+        operator.add,
+        (table.character(bp).scaled(c) for bp, c in zip(table.labels, coeffs)),
+    )
+    assert decompose(combination) == {
+        bp: c for bp, c in zip(table.labels, coeffs) if c
+    }
+    d = data.draw(st.integers(2, 10**12), label="d")
+    divided = combination.scaled(Fraction(1, d))
+    fractional = [(bp, c) for bp, c in zip(table.labels, coeffs) if c % d]
+    if not fractional:
+        assert decompose(divided) == {
+            bp: c // d for bp, c in zip(table.labels, coeffs) if c
+        }
+        return
+    bp, c = fractional[0]
+    message = f"not a virtual character: <f, chi_{bp}> = {Fraction(c, d)}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        decompose(divided)
+
+
+@pytest.fixture
+def fresh_tables():
+    build_character_table.cache_clear()
+    yield
+    build_character_table.cache_clear()
+
+
+def _first_orthonormality_failure(n, rows):
+    """The plain-loop reference: the first pair (i, j), i <= j, in
+    lexicographic order whose weighted dot product is wrong."""
+    sizes = list(conjugacy_classes(n).values())
+    for i in range(len(rows)):
+        for j in range(i, len(rows)):
+            total = sum(s * x * y for s, x, y in zip(sizes, rows[i], rows[j]))
+            if total != (group_order(n) if i == j else 0):
+                return i, j
+    return None
+
+
+# (rank, {irreducible: (C1, C2)}): irreducible t gains |C2| e_C1 - |C1| e_C2,
+# orthogonal to the trivial character.  Two rows are hit, chosen so that
+# the first failing pair in row order differs from the first in column order.
+@pytest.mark.parametrize(
+    "n, hits",
+    [
+        (2, {2: (0, 3), 4: (4, 0)}),
+        (3, {8: (3, 8), 9: (6, 7)}),
+        (4, {16: (1, 12), 19: (6, 11)}),
+        (5, {13: (17, 6), 27: (24, 35)}),
+    ],
+)
+def test_corrupted_table_fails_orthonormality(fresh_tables, monkeypatch, n, hits):
+    table = build_character_table(n)
+    classes = table.class_labels()
+    deltas = {
+        t: {
+            classes[c1]: table.class_sizes[classes[c2]],
+            classes[c2]: -table.class_sizes[classes[c1]],
+        }
+        for t, (c1, c2) in hits.items()
+    }
+    rows = [[table.character(bp).at(c) for c in classes] for bp in table.labels]
+    for t, delta in deltas.items():
+        rows[t] = [v + delta.get(c, 0) for v, c in zip(rows[t], classes)]
+    i, j = _first_orthonormality_failure(n, rows)
+    build_character_table.cache_clear()
+
+    induce = hyperoctahedral.induce_class_function
+    calls = itertools.count()
+
+    def corrupted(f, m=None):
+        chi = induce(f, m)
+        delta = deltas.get(next(calls), {}) if m == n else {}
+        if delta:
+            values = {c: v + delta.get(c, 0) for c, v in chi.values.items()}
+            chi = ClassFunction(chi.rank, values)
+        return chi
+
+    monkeypatch.setattr(hyperoctahedral, "induce_class_function", corrupted)
+    message = f"W_{n}: orthonormality fails at ({table.labels[i]}, {table.labels[j]})"
+    with pytest.raises(InternalCheckError, match=f"^{re.escape(message)}$"):
+        build_character_table(n)
 
 
 class TestLinearCharacters:

@@ -1,14 +1,22 @@
 """The verification suite must agree with itself at small rank."""
 
+import dataclasses
+
 import pytest
 import reference_oracle
 
 from howecorr import partitions, unipotent, verify
-from howecorr.hyperoctahedral import identity_class
+from howecorr.hyperoctahedral import (
+    ClassFunction,
+    build_character_table,
+    group_order,
+    identity_class,
+)
 from howecorr.unipotent import SGN_CONVENTIONS
 from howecorr.verify import (
     CheckResult,
     _oracle_omega,
+    check_character_tables,
     check_omega,
     check_pinned_table,
     run_verification,
@@ -89,3 +97,47 @@ def test_oracle_never_calls_pieri_code(monkeypatch):
     for first_kind in (True, False):
         for convention in SGN_CONVENTIONS:
             verify._oracle_omega.__wrapped__(3, 3, first_kind, convention)
+
+
+# (rank, [(irreducible, class)]): each value gains 1.  The two hits are
+# chosen so that the first failing pair in row order differs from the first
+# in column order.
+@pytest.mark.parametrize(
+    "n, hits",
+    [
+        (2, [(2, 1), (1, 4)]),
+        (3, [(5, 2), (9, 4)]),
+        (4, [(17, 16), (16, 19)]),
+        (5, [(26, 19), (13, 31)]),
+    ],
+)
+def test_column_relations_fail_on_perturbed_columns(monkeypatch, n, hits):
+    table = build_character_table(n)
+    classes = table.class_labels()
+    irreducibles = dict(table.irreducibles)
+    for t, c in hits:
+        bp = table.labels[t]
+        values = dict(irreducibles[bp].values)
+        values[classes[c]] += 1
+        irreducibles[bp] = ClassFunction(n, values)
+    perturbed = dataclasses.replace(table, irreducibles=irreducibles)
+    # the first failing pair (i, j), i <= j, in row order
+    columns = [
+        [perturbed.character(b).at(cls) for b in table.labels] for cls in classes
+    ]
+    i, j = next(
+        (i, j)
+        for i in range(len(classes))
+        for j in range(i, len(classes))
+        if sum(x * y for x, y in zip(columns[i], columns[j]))
+        != (group_order(n) // table.class_sizes[classes[i]] if i == j else 0)
+    )
+    build = verify.build_character_table
+    monkeypatch.setattr(
+        verify, "build_character_table", lambda m: perturbed if m == n else build(m)
+    )
+    result = check_character_tables(5)
+    assert not result.passed
+    assert result.detail == (
+        f"W_{n}: column orthogonality fails at {classes[i]}, {classes[j]}"
+    )
