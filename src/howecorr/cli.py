@@ -14,8 +14,9 @@ and with it the W_n oracle (``hyperoctahedral``, ``symmetric``) and
 ``lusztig``.
 
 Exit codes: 0 on success, 1 on validation errors (bad flags or
-mathematically inconsistent input, one-line diagnostic on stderr), 2 when
-an internal cross-check fails; internal failures are never swallowed.
+mathematically inconsistent input, one-line diagnostic on stderr) and when
+stdout is closed before the output is written, 2 when an internal
+cross-check fails; internal failures are never swallowed.
 
 Mini-grammars: partitions are comma-separated parts ("3,1"; "-" or ""
 for the empty partition); orbit lists are comma-separated
@@ -418,7 +419,17 @@ def main(argv=None) -> int:
         import json  # only --json output needs it; text start-up skips it
 
         text = json.dumps(payload, indent=2, sort_keys=True)
-    print(text)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        import os
+
+        # The reader closed the pipe (``| head``).  Point stdout at devnull
+        # so that the flush at interpreter shutdown does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout closed before the output was written", file=sys.stderr)
+        return 1
     return code
 
 

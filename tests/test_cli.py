@@ -1,6 +1,11 @@
-"""End-to-end checks of the command line front end (in process)."""
+"""End-to-end checks of the command line front end (in process, except
+for the closed-pipe case, which needs a real pipe)."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -324,3 +329,23 @@ class TestVerify:
         code, out, _ = run(capsys, "verify")
         assert code == 2
         assert "PROPERTY FAILURES" in out
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # the omega text at r = r' = 10 is several MB, far beyond any pipe
+    # buffer, so the writer must meet the closed pipe
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{path}" if path else str(src)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "howecorr", "omega", "--m", "10", "--mp", "10", "--k", "0"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert first.strip()
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert len(err.splitlines()) <= 1
