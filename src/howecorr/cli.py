@@ -111,12 +111,9 @@ def _bp_json(bp: Bipartition) -> dict:
 
 
 def _contexts(args) -> tuple:
-    parity = args.parity
-    if parity is None:
-        parity = triangular(args.k) % 2
-    parity_p = args.parity_p
-    if parity_p is None:
-        parity_p = triangular(args.k) % 2
+    home = triangular(args.k) % 2
+    parity = home if args.parity is None else args.parity
+    parity_p = home if args.parity_p is None else args.parity_p
     return TowerContext(args.m, parity), TowerContext(args.mp, parity_p)
 
 
@@ -178,8 +175,6 @@ def _cmd_centralizer(args):
 
     modulus = args.q * args.q - 1 if args.modulus is None else args.modulus
     s = parse_orbits(args.q, modulus, args.orbits)
-    if s.dimension != args.n:
-        raise ValueError(f"orbits span dimension {s.dimension}, group has {args.n}")
     ctx = TowerContext(args.n // 2, args.n % 2, args.q)
     factors, block, l = centralizer_decomposition(s, ctx)
     payload = {

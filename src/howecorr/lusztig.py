@@ -15,6 +15,10 @@ untouched between the two members of a dual pair ("hash" factors below, the
 part of the centralizer away from eigenvalue 1).  This module never
 instantiates those factors; it tracks kinds, degrees and ranks, and reduces
 every question to the tables of :mod:`howecorr.unipotent`.
+
+Supports and series cross the pair by one GL_1 law (``_transported_gl``):
+nontrivial GL entries move verbatim, trivial GL_1 entries fill the partner
+torus size t', and a partner exists only when the nontrivial entries fit in t'.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .unipotent import (
     MultiplicityTable,
     SeriesLabel,
     TowerContext,
+    _validate_series,
     is_odd_prime_power,
     omega_unipotent,
     theta_cuspidal,
@@ -36,11 +41,15 @@ from .unipotent import (
 )
 
 
-def _valid_modulus(q: int, modulus: int) -> bool:
+def _check_field(q: int, modulus: int) -> None:
+    """q must be an odd prime power and the modulus q^(2d) - 1, d >= 1."""
+    if not is_odd_prime_power(q):
+        raise ValueError(f"q = {q} is not an odd prime power")
     m = q * q - 1
     while m < modulus:
         m = (m + 1) * q * q - 1
-    return m == modulus
+    if m != modulus:
+        raise ValueError(f"modulus {modulus} is not q^2d - 1 for q = {q}")
 
 
 @dataclass(frozen=True)
@@ -55,6 +64,7 @@ class EigenvalueOrbit:
     multiplicity: int = 1
 
     def __post_init__(self):
+        _check_field(self.q, self.modulus)
         if self.multiplicity < 1:
             raise ValueError("orbit multiplicity must be positive")
         if not self.exponents:
@@ -89,10 +99,7 @@ def orbit_closure(q: int, modulus: int, exponent: int, multiplicity: int = 1) ->
     of a unitary group are invertible)."""
     if exponent is None:
         raise ValueError("the zero eigenvalue has no exponent")
-    if not is_odd_prime_power(q):
-        raise ValueError(f"q = {q} is not an odd prime power")
-    if modulus < 2 or not _valid_modulus(q, modulus):
-        raise ValueError(f"modulus {modulus} is not q^2d - 1 for q = {q}")
+    _check_field(q, modulus)
     exps = set()
     e = exponent % modulus
     while e not in exps:
@@ -116,6 +123,7 @@ class SemisimpleDescriptor:
     orbits: tuple
 
     def __post_init__(self):
+        _check_field(self.q, self.modulus)
         seen = set()
         for orbit in self.orbits:
             if orbit.q != self.q or orbit.modulus != self.modulus:
@@ -277,13 +285,9 @@ def coordinates_in(member, dec: CentralizerDecomposition) -> LusztigCoordinates:
     """Split an ambient series label (hash labels, reduced series label)
     into reduction coordinates for the decomposition ``dec``."""
     hash_labels, unipotent = member
-    hash_labels = tuple(hash_labels)
-    if len(hash_labels) != len(dec.factors):
-        raise ValueError(
-            f"{len(hash_labels)} factor labels given, centralizer has "
-            f"{len(dec.factors)} factors away from eigenvalue 1"
-        )
-    return LusztigCoordinates(hash_labels, unipotent, dec.l)
+    coords = LusztigCoordinates(tuple(hash_labels), unipotent, dec.l)
+    coordinates_out(coords, dec)  # checks the factor count
+    return coords
 
 
 def coordinates_out(coords: LusztigCoordinates, dec: CentralizerDecomposition):
@@ -398,58 +402,54 @@ class CuspidalSupport:
         }
 
 
-def _first_occurrence_of_phi(phi, ctx_prime: TowerContext) -> int:
+def _anchor_image(phi, home_witt: int, ctx_prime: TowerContext) -> tuple:
+    """First occurrence of the anchor ``phi`` in the partner tower, and its image."""
     if isinstance(phi, UnipotentCuspidal):
-        return witt_index_of_cuspidal(theta_cuspidal(phi.k, ctx_prime.dim_parity))
-    return phi.first_occurrence
-
-
-def _transported_phi(phi, home_witt: int, ctx_prime: TowerContext):
-    if isinstance(phi, UnipotentCuspidal):
-        return UnipotentCuspidal(theta_cuspidal(phi.k, ctx_prime.dim_parity))
+        k_prime = theta_cuspidal(phi.k, ctx_prime.dim_parity)
+        return witt_index_of_cuspidal(k_prime), UnipotentCuspidal(k_prime)
     label = phi.partner_label or f"theta({phi.label})"
-    return GenericCuspidal(label, home_witt, partner_label=phi.label)
+    return phi.first_occurrence, GenericCuspidal(label, home_witt, phi.label)
+
+
+def _transported_gl(entries, t_prime: int, kind: str) -> tuple:
+    """The GL part of a ``kind`` ("support" or "series") across the pair,
+    by the GL_1 law of the module docstring, for partner torus size t'."""
+    kept = tuple(e for e in entries if not e.is_trivial)
+    fill = t_prime - sum(e.size for e in kept)
+    trivial = len(entries) - len(kept)
+    if fill < 0:
+        raise ValueError(
+            f"no partner {kind} exists: transport must remove {trivial - fill} "
+            f"trivial GL_1 entries but only {trivial} are present"
+        )
+    return kept + (TRIVIAL_GL,) * fill
 
 
 def transport_support(
     support: CuspidalSupport, ctx: TowerContext, ctx_prime: TowerContext
 ) -> CuspidalSupport | None:
-    """Carry a cuspidal support across the dual pair.
-
-    Below the first occurrence of phi the image is zero (None).  Otherwise
-    the GL multiset is preserved and padded with trivial GL_1 entries up to
-    the partner torus size, or, when the partner is smaller, trivial entries
-    are removed; removing more trivial entries than are present is
-    inconsistent input and raises."""
-    m, m_prime = ctx.witt_index, ctx_prime.witt_index
-    t = support.gl_size
-    if t > m:
-        raise ValueError(f"GL part of size {t} does not fit in Witt index {m}")
-    if isinstance(support.phi, UnipotentCuspidal):
-        home = m - t
-        if home != witt_index_of_cuspidal(support.phi.k):
-            raise ValueError(
-                f"cuspidal unipotent k={support.phi.k} lives at Witt index "
-                f"{witt_index_of_cuspidal(support.phi.k)}, not {home}"
-            )
-    first = _first_occurrence_of_phi(support.phi, ctx_prime)
-    if m_prime < first:
-        return None
-    t_prime = m_prime - first
-    phi_prime = _transported_phi(support.phi, m - t, ctx_prime)
-    if t_prime >= t:
-        entries = support.entries + (TRIVIAL_GL,) * (t_prime - t)
-        return CuspidalSupport(entries, phi_prime)
-    needed = t - t_prime
-    if support.trivial_count < needed:
+    """Carry a cuspidal support across the dual pair: zero (None) below the
+    first occurrence of phi, else by the GL_1 law.  A cuspidal unipotent
+    anchor must sit in its home tower, Witt index m(k) and parity T(k) mod 2."""
+    m = ctx.witt_index
+    home = m - support.gl_size
+    if home < 0:
         raise ValueError(
-            f"no partner support exists: transport must remove {needed} trivial "
-            f"GL_1 entries but only {support.trivial_count} are present"
+            f"GL part of size {support.gl_size} does not fit in Witt index {m}"
         )
-    entries = list(support.entries)
-    for _ in range(needed):
-        entries.remove(TRIVIAL_GL)
-    return CuspidalSupport(tuple(entries), phi_prime)
+    if isinstance(support.phi, UnipotentCuspidal):
+        k = support.phi.k
+        if home != witt_index_of_cuspidal(k):
+            raise ValueError(
+                f"cuspidal unipotent k={k} lives at Witt index "
+                f"{witt_index_of_cuspidal(k)}, not {home}"
+            )
+        _validate_series(TowerContext(home, ctx.dim_parity), k)
+    first, phi_prime = _anchor_image(support.phi, home, ctx_prime)
+    if ctx_prime.witt_index < first:
+        return None
+    gl = _transported_gl(support.entries, ctx_prime.witt_index - first, "support")
+    return CuspidalSupport(gl, phi_prime)
 
 
 @dataclass(frozen=True)
@@ -489,14 +489,9 @@ class CuspidalPair:
         }
 
 
-@dataclass(frozen=True)
-class _PairGeometry:
-    drop: int           # l = m - floor(nu1 / 2)
-    carried: int        # non-unit dimensions, all orbits
-    carried_phi: int    # non-unit dimensions belonging to the unitary part
-
-
-def _pair_geometry(pair: CuspidalPair, ctx: TowerContext) -> _PairGeometry:
+def _check_pair(pair: CuspidalPair, ctx: TowerContext) -> int:
+    """Check ``pair`` against the group of ``ctx``; return the non-unit
+    dimensions that belong to the unitary part."""
     s = pair.semisimple
     _check_dimension(s, ctx.dimension)
     nu1 = s.unit_multiplicity
@@ -517,8 +512,7 @@ def _pair_geometry(pair: CuspidalPair, ctx: TowerContext) -> _PairGeometry:
             "descriptor carries fewer non-unit dimensions than the nontrivial "
             f"GL entries require ({carried} < {gl_carried})"
         )
-    drop = ctx.witt_index - nu1 // 2
-    return _PairGeometry(drop, carried, carried - gl_carried)
+    return carried - gl_carried
 
 
 def transport_series(
@@ -530,25 +524,17 @@ def transport_series(
     verbatim; the unitary part goes to its first occurrence and the torus
     rank absorbs the difference.  None below the first occurrence; raises
     when shrinking would need to remove nontrivial entries."""
-    geo = _pair_geometry(pair, ctx)
+    carried_phi = _check_pair(pair, ctx)
     p_prime = ctx_prime.dim_parity
-    reduced_parity = (p_prime + geo.carried) % 2
+    reduced_parity = (p_prime + pair.semisimple.non_unit_dimension) % 2
     k_prime = theta_cuspidal(pair.base_k, reduced_parity)
-    first_num = geo.carried_phi + triangular(k_prime) - p_prime
+    first_num = carried_phi + triangular(k_prime) - p_prime
     if first_num % 2:
         raise InternalCheckError("first occurrence index is not integral")
     first = first_num // 2
     if ctx_prime.witt_index < first:
         return None
-    t = pair.gl_size
-    t_prime = ctx_prime.witt_index - first
-    nontrivial = t - pair.torus_rank
-    if t_prime < nontrivial:
-        raise ValueError(
-            f"no partner series exists: transport must remove "
-            f"{t - t_prime} trivial GL_1 entries but only {pair.torus_rank} are present"
-        )
-    gl_part = pair.nontrivial_part + (TRIVIAL_GL,) * (t_prime - nontrivial)
+    gl_part = _transported_gl(pair.gl_part, ctx_prime.witt_index - first, "series")
     s_prime = match_semisimple(pair.semisimple, ctx, ctx_prime)
     return CuspidalPair(gl_part, k_prime, s_prime)
 
@@ -557,9 +543,9 @@ def weyl_of_cuspidal_pair(pair: CuspidalPair, ctx: TowerContext) -> tuple:
     """Shape of the relative Weyl group of the series: the factors of the
     centralizer away from eigenvalue 1 (symbolic, never instantiated) and
     the type-B rank r = m - l - m(k)."""
-    geo = _pair_geometry(pair, ctx)
+    _check_pair(pair, ctx)
     dec = centralizer_decomposition(pair.semisimple, ctx)
-    r = ctx.witt_index - geo.drop - witt_index_of_cuspidal(pair.base_k)
+    r = ctx.witt_index - dec.l - witt_index_of_cuspidal(pair.base_k)
     if r != pair.torus_rank:
         raise InternalCheckError(
             f"type-B rank {r} disagrees with the torus rank {pair.torus_rank}"

@@ -610,22 +610,20 @@ def _image_extremes(pi: SeriesLabel, images: list) -> tuple:
     # read per call, not bound as a default, so that patching the module's
     # bipartition_dominance_leq reaches every comparison
     order = bipartition_dominance_leq
-    least = _unique_extreme(labels, order)
-    if least is None:
-        minimal = [
-            x for x in labels if not any(order(y, x) and y != x for y in labels)
-        ]
-        raise NonUniqueExtremeError(
-            f"no unique minimum among images of {pi}: minimal antichain {minimal}",
-            antichain=minimal,
-        )
-    greatest = _unique_extreme(labels, lambda x, y: order(y, x))
-    if greatest is None:
-        maximal = [
-            x for x in labels if not any(order(x, y) and y != x for y in labels)
-        ]
-        raise NonUniqueExtremeError(
-            f"no unique maximum among images of {pi}: maximal antichain {maximal}",
-            antichain=maximal,
-        )
-    return SeriesLabel(k_prime, least), SeriesLabel(k_prime, greatest)
+    ends = []
+    for leq, extreme, kind in (
+        (order, "minimum", "minimal"),
+        (lambda x, y: order(y, x), "maximum", "maximal"),
+    ):
+        end = _unique_extreme(labels, leq)
+        if end is None:
+            antichain = [
+                x for x in labels if not any(leq(y, x) and y != x for y in labels)
+            ]
+            raise NonUniqueExtremeError(
+                f"no unique {extreme} among images of {pi}: "
+                f"{kind} antichain {antichain}",
+                antichain=antichain,
+            )
+        ends.append(SeriesLabel(k_prime, end))
+    return tuple(ends)

@@ -239,6 +239,15 @@ class TestCentralizer:
         assert out == ""
         assert err == "error: modulus 0 is not q^2d - 1 for q = 3\n"
 
+    def test_zero_modulus_without_orbits_exits_1(self, capsys):
+        code, out, err = run(
+            capsys, "centralizer", "--q", "3", "--n", "0", "--orbits", "",
+            "--modulus", "0",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: modulus 0 is not q^2d - 1 for q = 3\n"
+
 
 class TestTransport:
     def test_unipotent_anchor(self, capsys):
@@ -273,6 +282,16 @@ class TestTransport:
         )
         assert code == 1
         assert "anchor required" in err
+
+    def test_anchor_outside_its_home_tower_exits_1(self, capsys):
+        # k = 1 lives in the odd tower only, as theta --k 1 --parity 0 says
+        code, out, err = run(
+            capsys, "transport", "--support", "-", "--phi-k", "1",
+            "--m", "0", "--mp", "2", "--parity", "0",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: series k=1 does not live in a tower of dimension parity 0\n"
 
 
 class TestOmegaFull:

@@ -57,6 +57,34 @@ CORPUS = {
         "--alpha", "2,1", "--beta", "3,3,1", "--convention", "sign_changes",
     ],
     "verify_max_rank_6": ["verify", "--max-rank", "6"],
+    # the reduction layer (lusztig): centralizers with a -1 block, a linear
+    # factor and a non-default modulus; transports that pad, carry a generic
+    # anchor and remove trivial entries; omega-full without and with a
+    # factor away from eigenvalue 1
+    "centralizer_n3_minus_one": ["centralizer", "--q", "3", "--n", "3", "--orbits", "0,4^2"],
+    "centralizer_n6_linear": ["centralizer", "--q", "3", "--n", "6", "--orbits", "0^2,1^2"],
+    "centralizer_n6_modulus_80": [
+        "centralizer", "--q", "3", "--n", "6", "--orbits", "0^2,1", "--modulus", "80",
+    ],
+    "transport_pads_trivial_entries": [
+        "transport", "--support", "-", "--phi-k", "0", "--m", "0", "--mp", "2",
+    ],
+    "transport_generic_anchor": [
+        "transport", "--support", "1:a,1:1", "--phi", "c", "--first-occurrence", "1",
+        "--m", "2", "--mp", "3",
+    ],
+    "transport_removes_trivial_entries": [
+        "transport", "--support", "2:rho,1:1,1:1", "--phi-k", "1", "--m", "4",
+        "--mp", "2", "--parity-p", "0",
+    ],
+    "omega_full_unipotent_only": [
+        "omega-full", "--pair", "1:1", "--base-k", "0", "--q", "3", "--orbits", "0^2",
+        "--m", "1", "--mp", "1",
+    ],
+    "omega_full_with_factor": [
+        "omega-full", "--pair", "1:1,1:1", "--base-k", "1", "--q", "3",
+        "--orbits", "0^5,4^2", "--m", "3", "--mp", "4", "--parity-p", "1",
+    ],
 }
 
 

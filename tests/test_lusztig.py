@@ -1,6 +1,8 @@
 """Semisimple bookkeeping: orbits, centralizers, transport, full coupling."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from howecorr.errors import InternalCheckError
 from howecorr.lusztig import (
@@ -72,6 +74,12 @@ class TestOrbits:
         with pytest.raises(ValueError):
             EigenvalueOrbit(3, 8, frozenset())
 
+    def test_direct_construction_checks_the_field(self):
+        with pytest.raises(ValueError, match="not an odd prime power"):
+            EigenvalueOrbit(4, 15, frozenset({0}))
+        with pytest.raises(ValueError, match="is not q\\^2d - 1"):
+            EigenvalueOrbit(3, 9, frozenset({0}))
+
     def test_with_multiplicity(self):
         orbit = orbit_closure(3, 8, 4).with_multiplicity(3)
         assert orbit.multiplicity == 3
@@ -99,6 +107,12 @@ class TestDescriptors:
             descriptor(orbit_closure(3, 80, 1))
         with pytest.raises(ValueError):
             descriptor(orbit_closure(5, 24, 4), q=3, modulus=8)
+
+    def test_empty_descriptor_checks_the_field(self):
+        with pytest.raises(ValueError, match="modulus 0 is not q\\^2d - 1"):
+            SemisimpleDescriptor(3, 0, ())
+        with pytest.raises(ValueError, match="not an odd prime power"):
+            SemisimpleDescriptor(4, 15, ())
 
     def test_trivial_descriptor(self):
         s = trivial_descriptor(3, 5)
@@ -258,6 +272,50 @@ class TestTransportSupport:
         support = CuspidalSupport((GLCuspidal(1, "a"),), GenericCuspidal("c", 0))
         with pytest.raises(ValueError, match="trivial GL_1"):
             transport_support(support, TowerContext(1, 0), TowerContext(0, 0))
+
+    def test_unipotent_anchor_needs_its_home_parity(self):
+        # k = 1 lives at Witt index 0 of the odd tower only
+        support = CuspidalSupport((), UnipotentCuspidal(1))
+        with pytest.raises(ValueError, match="dimension parity 0"):
+            transport_support(support, TowerContext(0, 0), TowerContext(2, 0))
+        assert transport_support(support, TowerContext(0, 1), TowerContext(2, 0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        gl=st.lists(
+            st.tuples(st.integers(1, 3), st.sampled_from(["1", "a", "b"])).filter(
+                lambda e: e[1] != "1" or e[0] == 1
+            ),
+            max_size=4,
+        ),
+        first=st.integers(0, 3),
+        spare=st.integers(0, 2),
+        m_prime=st.integers(0, 8),
+    )
+    def test_gl1_law_against_a_reference(self, gl, first, spare, m_prime):
+        # the partner keeps the nontrivial entries and has t' - (their size)
+        # trivial GL_1 entries; when that is negative no partner exists
+        entries = tuple(GLCuspidal(size, label) for size, label in gl)
+        t = sum(e.size for e in entries)
+        ctx, ctx_prime = TowerContext(t + spare, 0), TowerContext(m_prime, 1)
+        support = CuspidalSupport(entries, GenericCuspidal("c", first))
+        if m_prime < first:
+            assert transport_support(support, ctx, ctx_prime) is None
+            return
+        t_prime = m_prime - first
+        kept = tuple(e for e in entries if not e.is_trivial)
+        fill = t_prime - sum(e.size for e in kept)
+        if fill < 0:
+            trivial = len(entries) - len(kept)
+            with pytest.raises(
+                ValueError,
+                match=f"must remove {t - t_prime} trivial GL_1 entries but only "
+                f"{trivial} are present",
+            ):
+                transport_support(support, ctx, ctx_prime)
+            return
+        want = CuspidalSupport(kept + (TRIVIAL_GL,) * fill, GenericCuspidal("theta(c)", spare))
+        assert transport_support(support, ctx, ctx_prime) == want
 
     def test_generic_round_trip(self):
         support = CuspidalSupport((GLCuspidal(1, "a"),), GenericCuspidal("c", 1))

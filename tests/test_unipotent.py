@@ -582,3 +582,30 @@ class TestExtremalImages:
         with pytest.raises(NonUniqueExtremeError, match=f"no unique {extreme}") as err:
             extremal_images(pi, ctx, ctx)
         assert err.value.antichain == tuple(want)
+
+    @pytest.mark.parametrize(
+        "sign, extreme, kind, calls",
+        [(1, "maximum", "maximal", 18), (-1, "minimum", "minimal", 11)],
+    )
+    def test_antichain_message_is_pinned(self, sign, extreme, kind, calls, monkeypatch):
+        # the order of test_antichain_matches_the_quadratic_scan: at r = r' = 2
+        # the image of 1|1 has the two-label antichain 2|-, 1,1|- at one end
+        seen = []
+
+        def order(x, y):
+            seen.append((x, y))
+            return x == y or sign * x.alpha.size < sign * y.alpha.size
+
+        pi, ctx = SeriesLabel(0, bipartition((1,), (1,))), TowerContext(2, 0)
+        monkeypatch.setattr(unipotent, "bipartition_dominance_leq", order)
+        with pytest.raises(NonUniqueExtremeError) as err:
+            extremal_images(pi, ctx, ctx)
+        antichain = (bipartition((2,), ()), bipartition((1, 1), ()))
+        assert err.value.antichain == antichain
+        assert str(err.value) == (
+            f"no unique {extreme} among images of SeriesLabel(k=0, "
+            "char_label=Bipartition(alpha=(1,), beta=(1,))): "
+            f"{kind} antichain [Bipartition(alpha=(2,), beta=()), "
+            "Bipartition(alpha=(1, 1), beta=())]"
+        )
+        assert len(seen) == calls
