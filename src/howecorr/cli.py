@@ -72,7 +72,7 @@ def parse_orbits(q: int, modulus: int, text: str) -> SemisimpleDescriptor:
     from .lusztig import SemisimpleDescriptor, orbit_closure
 
     orbits = []
-    for token in text.split(","):
+    for token in [] if text.strip() == "-" else text.split(","):
         token = token.strip()
         if not token:
             continue

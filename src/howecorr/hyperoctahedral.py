@@ -18,18 +18,20 @@ oracle against which the strip combinatorics elsewhere in the package is
 checked.  Conjugacy classes are found by enumerating all 2^n n! elements,
 one permutation at a time: its cycles are found once, as bitmasks of
 positions, and under each of the 2^n sign masks a cycle is negative when
-it carries an odd number of sign changes.  The enumerated class sizes must
-agree with the analytic centralizer-order formula, otherwise the
-computation aborts.  Character tables are certified orthonormal before
-they are returned; ``verify`` certifies the column relations as well.
+it carries an odd number of sign changes.  Each cycle sets one bit of the
+2^n mask keys in one pass, the keys are counted, and each distinct key is
+read as a signed cycle type once.  The enumerated class sizes must agree
+with the analytic centralizer-order formula, otherwise the computation
+aborts.  Character tables are certified orthonormal before they are
+returned; ``verify`` certifies the column relations as well.
 
-Everything is exact.  Character values are integers.  The certification
-sums, the column relations in ``verify`` and :func:`decompose` are integer
-dot products, all computed by one kernel, :class:`_IntMatrix`: each column
-of the matrix is packed into one Python int, row b's entry at bit
-width * b, so that a matrix-vector product is one
-``sum(map(mul, packed_columns, values))``, read back slot by slot.  The
-slot width is proven per call: |row_b . v| <= |row_b|_1 max|v_i| <
+Everything is exact.  Character values are integers.  Induction, the
+certification sums, the column relations in ``verify`` and
+:func:`decompose` are integer dot products, all computed by one kernel,
+:class:`_IntMatrix`: each column of the matrix is packed into one Python
+int, row b's entry at bit width * b, so that a matrix-vector product is
+one ``sum(map(mul, packed_columns, values))``, read back slot by slot.
+The slot width is proven per call: |row_b . v| <= |row_b|_1 max|v_i| <
 2^(bound - 1), where bound is the bit length of the largest row L1 norm
 plus the bit length of max|v_i| plus one, and the width is the least power
 of two >= bound.  After an offset of 2^(width - 1) per slot every slot
@@ -40,9 +42,15 @@ scaled to integers by the lcm of their denominators first.  Only the
 generic :meth:`ClassFunction.inner` and an induced value that is not
 integral produce a `Fraction`.
 
-Class functions built here keep their values in canonical class order, and
-the oracle reads them by position; a dict in any other order is still
-accepted, and read through one lookup per class.
+Induction, the outer tensor product, the linear characters and the seeds
+of the irreducibles work in class-position space: on lists of values in
+canonical class order (pairs of classes of W_a x W_b with the W_b class
+varying fastest).  Induction from W_a x W_b is one product with a cached
+matrix per (a, b), whose row C holds |D| at the position of each product
+class D fusing into C.  The public functions are thin wrappers that label
+these lists; class functions built here keep their values in canonical
+class order, and are read back by position.  A dict in any other order is
+still accepted, and read through one lookup per class.
 
 The price is the rank bound: nothing here is meant to run past
 ``ORACLE_BOUND`` (default 6, |W_6| = 46080).
@@ -56,12 +64,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
-from operator import add, lshift, mul
+from operator import add, lshift, mul, or_
 from typing import Iterator, NamedTuple
 
 from .errors import InternalCheckError, RankBoundError
 from .partitions import Bipartition, Partition, bipartitions_of
-from .symmetric import sn_character_value
+# sn_character_value is not called here; the package exports it from here
+from .symmetric import _mn, sn_character_value
 
 #: Largest rank the brute-force machinery will accept.  May be raised by the
 #: caller, at the cost of an exponential blow-up.
@@ -168,22 +177,30 @@ def _classes(n: int) -> tuple:
     Class sizes are computed twice, by exhaustive enumeration and by the
     analytic centralizer-order formula; any disagreement aborts.  The
     enumeration visits every element: for each permutation it finds the
-    cycles once, then for each of the 2^n sign masks a cycle is negative
-    exactly when it carries an odd number of the mask's sign changes.
+    cycles once; under a sign mask a cycle is negative exactly when it
+    carries an odd number of the mask's sign changes.  One pass per cycle
+    over the 2^n sign masks sets bit i of each mask's key to the parity of
+    cycle i, the keys are counted, and each distinct key is split into
+    positive and negative cycle types once.
     """
     _check_rank(n)
     raw = Counter()
     sign_masks = range(1 << n)
+    # parity[mask][signs]: the parity of the sign changes that the sign
+    # mask signs puts on a cycle with positions mask
+    parity = [
+        [(signs & mask).bit_count() & 1 for signs in sign_masks] for mask in sign_masks
+    ]
     for perm in itertools.permutations(range(n)):
         cycles = _cycles(perm)
-        for signs in sign_masks:
+        keys = itertools.repeat(0, len(sign_masks))
+        for bit, (_, mask) in enumerate(cycles):
+            keys = map(or_, keys, map(lshift, parity[mask], itertools.repeat(bit)))
+        for key, count in Counter(keys).items():
             pos, neg = [], []
-            for length, mask in cycles:
-                if (signs & mask).bit_count() & 1:
-                    neg.append(length)
-                else:
-                    pos.append(length)
-            raw[tuple(pos), tuple(neg)] += 1
+            for i, (length, _) in enumerate(cycles):
+                (neg if key >> i & 1 else pos).append(length)
+            raw[tuple(pos), tuple(neg)] += count
     counts = {
         SignedCycleType(Partition(pos), Partition(neg)): count
         for (pos, neg), count in raw.items()
@@ -337,12 +354,18 @@ class ProductClassFunction:
         return Fraction(total) / (group_order(a) * group_order(b))
 
 
+def _outer(xs, ys) -> list:
+    """Values of the outer product of two class functions, given as value
+    lists, in :func:`_pair_labels` order."""
+    return [x * y for x in xs for y in ys]
+
+
 def tensor(f: ClassFunction, g: ClassFunction) -> ProductClassFunction:
     """Outer tensor product, a class function on W_a x W_b."""
-    vals = {
-        (c1, c2): v1 * v2 for c1, v1 in f.values.items() for c2, v2 in g.values.items()
-    }
-    return ProductClassFunction((f.rank, g.rank), vals)
+    values = _outer(_class_values(f), _class_values(g))
+    return ProductClassFunction(
+        (f.rank, g.rank), dict(zip(_pair_labels(f.rank, g.rank), values))
+    )
 
 
 def _merge(p: Partition, q: Partition) -> Partition:
@@ -355,25 +378,44 @@ def _fuse(l1: SignedCycleType, l2: SignedCycleType) -> SignedCycleType:
     )
 
 
-# Keys are rank pairs with a + b <= ORACLE_BOUND (induce_class_function checks it).
+def _integral(values: list) -> tuple:
+    """Integer values and a scale: the values times the lcm of their
+    denominators, and that lcm (1 when all values are ints)."""
+    if set(map(type, values)) == {int}:
+        return values, 1
+    scale = lcm(*[v.denominator for v in values])
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+# Keys are rank pairs with a + b <= ORACLE_BOUND (_induce_values checks it first).
 @lru_cache(maxsize=None)
-def _fusion_groups(a: int, b: int) -> tuple:
-    """For the embedding W_a x W_b <= W_{a+b}: one entry per class C of
-    W_{a+b} in canonical order, (C, |C|, the positions in
-    :func:`_pair_labels` order of the product classes D fusing into C, and
-    |D| for each).  Fusion concatenates the positive cycle types and the
-    negative cycle types."""
-    groups = {}
-    pairs = itertools.product(_classes(a), _classes(b))
+def _induction_matrix(a: int, b: int) -> tuple:
+    """For the embedding W_a x W_b <= W_{a+b}: the matrix whose row C, one
+    per class of W_{a+b} in canonical order, holds |D| at the position in
+    :func:`_pair_labels` order of each product class D fusing into C, and
+    the centralizer order |W_{a+b}| / |C| of each class C.  Fusion
+    concatenates the positive cycle types and the negative cycle types."""
+    n = a + b
+    row_of = {label: i for i, label in enumerate(_class_labels(n))}
+    pairs = list(itertools.product(_classes(a), _classes(b)))
+    rows = [[0] * len(pairs) for _ in row_of]
     for position, ((l1, s1), (l2, s2)) in enumerate(pairs):
-        groups.setdefault(_fuse(l1, l2), []).append((position, s1 * s2))
-    out = []
-    for label, csize in _classes(a + b):
-        fused = groups.get(label, ())
-        out.append(
-            (label, csize, tuple(d for d, _ in fused), tuple(s for _, s in fused))
-        )
-    return tuple(out)
+        rows[row_of[_fuse(l1, l2)]][position] = s1 * s2
+    return _IntMatrix(rows), tuple(group_order(n) // size for _, size in _classes(n))
+
+
+def _induce_values(a: int, b: int, values: list) -> list:
+    """Induction from W_a x W_b to W_{a+b} of the class function with these
+    values in :func:`_pair_labels` order, as values in canonical class
+    order: on a class C, |W_{a+b}| / (|W_a x W_b| |C|) times row C of the
+    induction matrix dotted with the values.  A value is a `Fraction`
+    exactly when it is not an integer."""
+    _check_rank(a + b)
+    matrix, centralizers = _induction_matrix(a, b)
+    values, scale = _integral(values)
+    den = group_order(a) * group_order(b) * scale
+    nums = map(mul, matrix.dots(values), centralizers)
+    return [Fraction(num, den) if num % den else num // den for num in nums]
 
 
 def induce_class_function(f: ProductClassFunction, n: int | None = None) -> ClassFunction:
@@ -387,17 +429,8 @@ def induce_class_function(f: ProductClassFunction, n: int | None = None) -> Clas
         n = a + b
     if a + b != n:
         raise ValueError(f"cannot induce from W_{a} x W_{b} to W_{n}")
-    _check_rank(n)
-    sub_order = group_order(a) * group_order(b)
-    big_order = group_order(n)
-    lookup = _in_order(f.values, _pair_labels(a, b)).__getitem__
-    values = {}
-    for label, csize, fused, sizes in _fusion_groups(a, b):
-        acc = sum(map(mul, sizes, map(lookup, fused)))
-        num, den = big_order * acc, sub_order * csize
-        quotient, rest = divmod(num, den)
-        values[label] = quotient if not rest else Fraction(num, den)
-    return ClassFunction(n, values)
+    values = _induce_values(a, b, _in_order(f.values, _pair_labels(a, b)))
+    return ClassFunction(n, dict(zip(_class_labels(n), values)))
 
 
 def restrict_class_function(f: ClassFunction, a: int, b: int) -> ProductClassFunction:
@@ -412,6 +445,28 @@ def restrict_class_function(f: ClassFunction, a: int, b: int) -> ProductClassFun
     return ProductClassFunction((a, b), values)
 
 
+# Keys are a rank and a linear character, both checked before anything is cached.
+@lru_cache(maxsize=None)
+def _linear_values(n: int, which: str) -> tuple:
+    """Values of a linear character of W_n in canonical class order."""
+    _check_rank(n)
+    if which not in LINEAR_CHARACTERS:
+        raise ValueError(f"unknown linear character {which!r}")
+    values = []
+    for label in _class_labels(n):
+        lp, ln = len(label.positive), len(label.negative)
+        if which == "trivial":
+            v = 1
+        elif which == "sign_changes":
+            v = (-1) ** ln
+        elif which == "permutation_sign":
+            v = (-1) ** (n - lp - ln)
+        else:
+            v = (-1) ** (n - lp)
+        values.append(v)
+    return tuple(values)
+
+
 def linear_character(n: int, which: str) -> ClassFunction:
     """One of the four linear characters of W_n.
 
@@ -422,43 +477,31 @@ def linear_character(n: int, which: str) -> ClassFunction:
     * ``permutation_sign`` -> sign of the underlying permutation
     * ``coxeter_sign``     -> their product, the determinant character
     """
-    _check_rank(n)
-    if which not in LINEAR_CHARACTERS:
-        raise ValueError(f"unknown linear character {which!r}")
-    values = {}
-    for label, _ in _classes(n):
-        lp, ln = len(label.positive), len(label.negative)
-        if which == "trivial":
-            v = 1
-        elif which == "sign_changes":
-            v = (-1) ** ln
-        elif which == "permutation_sign":
-            v = (-1) ** (n - lp - ln)
-        else:
-            v = (-1) ** (n - lp)
-        values[label] = v
-    return ClassFunction(n, values)
+    values = _linear_values(n, which)
+    return ClassFunction(n, dict(zip(_class_labels(n), values)))
 
 
-def _sn_pullback_value(label: Partition, cls: SignedCycleType) -> int:
-    """Value at ``cls`` of chi_label composed with W_m -> S_m; the image
-    has cycle type the merge of positive and negative cycle types."""
-    return sn_character_value(label, _merge(cls.positive, cls.negative))
+# Keys are ranks <= ORACLE_BOUND (checked by _classes).
+@lru_cache(maxsize=None)
+def _cycle_types(n: int) -> tuple:
+    """The cycle type in S_n of each class of W_n, in canonical class
+    order: the merge of its positive and negative cycle types."""
+    return tuple(_merge(label.positive, label.negative) for label in _class_labels(n))
 
 
 def _irreducible_seed(alpha: Partition, beta: Partition) -> ProductClassFunction:
-    """The character of W_a x W_b whose induction is chi_(alpha, beta)."""
+    """The character of W_a x W_b whose induction is chi_(alpha, beta):
+    chi_alpha and chi_beta pulled back to W_a and W_b, the second twisted
+    by the sign-change character.  The S_n values come straight from the
+    Murnaghan-Nakayama recursion on canonical partitions."""
     a, b = alpha.size, beta.size
+    first = [_mn(alpha, cycle_type) for cycle_type in _cycle_types(a)]
     second = [
-        (l2, _sn_pullback_value(beta, l2) * (-1) ** len(l2.negative))
-        for l2, _ in _classes(b)
+        _mn(beta, cycle_type) * sign
+        for cycle_type, sign in zip(_cycle_types(b), _linear_values(b, "sign_changes"))
     ]
-    values = {}
-    for l1, _ in _classes(a):
-        v1 = _sn_pullback_value(alpha, l1)
-        for l2, v2 in second:
-            values[(l1, l2)] = v1 * v2
-    return ProductClassFunction((a, b), values)
+    values = _outer(first, second)
+    return ProductClassFunction((a, b), dict(zip(_pair_labels(a, b), values)))
 
 
 class _IntMatrix:
@@ -611,27 +654,26 @@ def build_character_table(n: int) -> CharacterTable:
     return table
 
 
+def _decompose_values(n: int, values: list) -> dict:
+    """Multiplicities against the irreducibles of W_n of the class function
+    with these values in canonical class order, as :func:`decompose`."""
+    table = build_character_table(n)
+    values, scale = _integral(values)
+    order = group_order(n) * scale
+    totals = table._weighted.dots(values)
+    for bp, total in zip(table.labels, totals):
+        if total % order:
+            raise ValueError(
+                f"not a virtual character: <f, chi_{bp}> = {Fraction(total, order)}"
+            )
+    return {bp: total // order for bp, total in zip(table.labels, totals) if total}
+
+
 def decompose(f: ClassFunction) -> dict:
     """Multiplicities of ``f`` against the irreducibles of W_n, in canonical
     label order, zeros omitted.  Raises if any inner product is non-integral
     (``f`` is then not a virtual character)."""
-    table = build_character_table(f.rank)
-    values = _class_values(f)
-    scale = 1
-    if set(map(type, values)) != {int}:
-        scale = lcm(*[v.denominator for v in values])
-        values = [v.numerator * (scale // v.denominator) for v in values]
-    order = group_order(f.rank) * scale
-    out = {}
-    for bp, total in zip(table.labels, table._weighted.dots(values)):
-        m, rest = divmod(total, order)
-        if rest:
-            raise ValueError(
-                f"not a virtual character: <f, chi_{bp}> = {Fraction(total, order)}"
-            )
-        if m:
-            out[bp] = m
-    return out
+    return _decompose_values(f.rank, _class_values(f))
 
 
 # Keys are a rank <= ORACLE_BOUND and a linear character (tensor_label_map checks both).

@@ -22,15 +22,16 @@ from functools import lru_cache
 
 from .errors import NonUniqueExtremeError
 from .hyperoctahedral import (
+    _class_labels,
     _class_values,
+    _decompose_values,
+    _induce_values,
     _IntMatrix,
+    _linear_values,
+    _outer,
     build_character_table,
-    decompose,
     group_order,
     identity_class,
-    induce_class_function,
-    linear_character,
-    tensor,
     tensor_label_map,
 )
 from .lusztig import (
@@ -90,15 +91,17 @@ def _fail(name, detail) -> CheckResult:
 # induction: Pieri rule vs explicit induced class functions
 
 
-# Keys are (chi, s, which) with |chi| + s <= ORACLE_BOUND (induce_class_function checks it).
+# Keys are (chi, s, which) with |chi| + s <= ORACLE_BOUND (_induce_values checks it).
 @lru_cache(maxsize=None)
 def _induced(chi: Bipartition, s: int, which: str) -> tuple:
     """Ind from W_l x W_s to W_{l+s} of chi_chi tensor the linear character
-    ``which`` of W_s, induced as a class function: its decomposition (read
-    only, it is shared) and its degree."""
-    f = build_character_table(chi.size).character(chi)
-    induced = induce_class_function(tensor(f, linear_character(s, which)))
-    return decompose(induced), induced.degree()
+    ``which`` of W_s, induced as a list of values in canonical class order:
+    its decomposition (read only, it is shared) and its degree."""
+    n = chi.size + s
+    f = _class_values(build_character_table(chi.size).character(chi))
+    induced = _induce_values(chi.size, s, _outer(f, _linear_values(s, which)))
+    degree = induced[_class_labels(n).index(identity_class(n))]
+    return _decompose_values(n, induced), degree
 
 
 def check_induction(max_rank: int = 5) -> CheckResult:

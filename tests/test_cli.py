@@ -239,6 +239,12 @@ class TestCentralizer:
         assert out == ""
         assert err == "error: modulus 0 is not q^2d - 1 for q = 3\n"
 
+    def test_dash_is_the_empty_orbit_list(self, capsys):
+        dash = run(capsys, "centralizer", "--q", "3", "--n", "0", "--orbits", "-")
+        empty = run(capsys, "centralizer", "--q", "3", "--n", "0", "--orbits", "")
+        assert dash[0] == 0
+        assert dash[:2] == empty[:2]
+
     def test_zero_modulus_without_orbits_exits_1(self, capsys):
         code, out, err = run(
             capsys, "centralizer", "--q", "3", "--n", "0", "--orbits", "",

@@ -9,11 +9,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import reference_oracle
 
 from howecorr import hyperoctahedral
 from howecorr.errors import InternalCheckError, RankBoundError
 from howecorr.hyperoctahedral import (
     ClassFunction,
+    ProductClassFunction,
     SignedCycleType,
     build_character_table,
     centralizer_order,
@@ -214,10 +216,45 @@ class TestInduction:
             assert isinstance(v, Fraction) if v else isinstance(v, int)
         assert third.degree() == Fraction(2, 3)
 
+    def test_induction_past_the_bound_builds_no_matrix(self):
+        hyperoctahedral._induction_matrix.cache_clear()
+        pairs = itertools.product(conjugacy_classes(4), conjugacy_classes(3))
+        f = ProductClassFunction((4, 3), {pair: 1 for pair in pairs})
+        with pytest.raises(RankBoundError):
+            induce_class_function(f)
+        assert hyperoctahedral._induction_matrix.cache_info().currsize == 0
+
     def test_restriction_norm(self):
         chi = build_character_table(3).character(bipartition((2,), (1,)))
         res = restrict_class_function(chi, 2, 1)
         assert res.at((cls((1, 1), ()), cls((1,), ()))) == chi.degree()
+
+
+wide = st.integers(-(10**30), 10**30)
+value_kinds = (wide, wide | st.builds(Fraction, wide, st.integers(1, 12)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_induction_matches_the_fusion_loop(data):
+    # wide integers and fractions against the label-keyed class sum formula;
+    # a value must be an int or a Fraction exactly where the reference's is
+    a = data.draw(st.integers(0, 5), label="a")
+    b = data.draw(st.integers(0, 5 - a), label="b")
+    pairs = list(
+        itertools.product(reference_oracle.classes(a), reference_oracle.classes(b))
+    )
+    value = data.draw(st.sampled_from(value_kinds), label="value kind")
+    values = data.draw(
+        st.lists(value, min_size=len(pairs), max_size=len(pairs)), label="values"
+    )
+    f = {(l1, l2): v for ((l1, _), (l2, _)), v in zip(pairs, values)}
+    if data.draw(st.booleans(), label="reversed"):
+        f = dict(reversed(f.items()))
+    got = induce_class_function(ProductClassFunction((a, b), f)).values
+    want = reference_oracle.induce_values(f, a, b)
+    assert list(got.items()) == list(want.items())
+    assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
 
 
 class TestDecompose:

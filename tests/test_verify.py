@@ -9,9 +9,11 @@ from howecorr import partitions, unipotent, verify
 from howecorr.hyperoctahedral import (
     ClassFunction,
     build_character_table,
+    conjugacy_classes,
     group_order,
     identity_class,
 )
+from howecorr.partitions import bipartitions_of
 from howecorr.unipotent import SGN_CONVENTIONS
 from howecorr.verify import (
     CheckResult,
@@ -59,6 +61,29 @@ def test_oracle_omega_matches_the_product_reference(first_kind, convention):
             got, degree = _oracle_omega(r, r_prime, first_kind, convention)
             assert got == want, (r, r_prime)
             assert degree == product.at((identity_class(r), identity_class(r_prime)))
+
+
+def test_oracle_matches_the_label_keyed_reference():
+    # class sizes, table values and the induced characters shared by the
+    # induction check and the oracle coupling, against the frozen loops
+    for n in range(7):
+        assert list(conjugacy_classes(n).items()) == list(reference_oracle.classes(n))
+        table = build_character_table(n)
+        want = reference_oracle.character_table(n)
+        assert list(table.irreducibles) == list(want)
+        for bp, chi in table.irreducibles.items():
+            assert chi.values == want[bp]
+            assert all(type(v) is int for v in chi.values.values())
+    keys = [
+        (chi, r - chi.size, which)
+        for r in range(7)
+        for l in range(r + 1)
+        for chi in bipartitions_of(l)
+        for which in ("trivial",) + SGN_CONVENTIONS
+    ]
+    assert len(keys) == 843
+    for key in keys:
+        assert verify._induced.__wrapped__(*key) == reference_oracle.induced(*key), key
 
 
 @pytest.mark.parametrize("convention", SGN_CONVENTIONS)
