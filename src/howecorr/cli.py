@@ -57,14 +57,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def parse_partition(text: str) -> Partition:
+def _tokens(text: str) -> list:
+    """The comma-separated tokens of ``text``; "-" or "" is the empty list."""
     text = text.strip()
-    if text in ("", "-"):
-        return Partition(())
+    return [] if text in ("", "-") else text.split(",")
+
+
+def parse_partition(text: str) -> Partition:
     try:
-        parts = [int(tok) for tok in text.split(",")]
+        parts = [int(tok) for tok in _tokens(text)]
     except ValueError:
-        raise ValueError(f"bad partition {text!r}: expected comma-separated parts")
+        raise ValueError(
+            f"bad partition {text.strip()!r}: expected comma-separated parts"
+        )
     return Partition(parts)
 
 
@@ -72,10 +77,7 @@ def parse_orbits(q: int, modulus: int, text: str) -> SemisimpleDescriptor:
     from .lusztig import SemisimpleDescriptor, orbit_closure
 
     orbits = []
-    for token in [] if text.strip() == "-" else text.split(","):
-        token = token.strip()
-        if not token:
-            continue
+    for token in filter(None, map(str.strip, _tokens(text))):
         exp, _, mult = token.partition("^")
         try:
             exponent = int(exp)
@@ -92,10 +94,7 @@ def parse_gl_part(text: str) -> tuple:
     from .lusztig import GLCuspidal
 
     entries = []
-    text = text.strip()
-    if text in ("", "-"):
-        return ()
-    for token in text.split(","):
+    for token in _tokens(text):
         size, sep, label = token.strip().partition(":")
         if not sep:
             raise ValueError(f"bad GL token {token!r}: expected size:label")
@@ -120,7 +119,7 @@ def _contexts(args) -> tuple:
 def _cmd_omega(args):
     ctx, ctx_p = _contexts(args)
     table = omega_unipotent(ctx, ctx_p, args.k, convention=args.convention)
-    return table.to_json_dict(), table.to_text(), 0
+    return table.to_json_dict, table.to_text, 0
 
 
 def _pi_of(args) -> SeriesLabel:
@@ -133,22 +132,22 @@ def _cmd_theta(args):
     ctx, ctx_p = _contexts(args)
     pi = _pi_of(args)
     images = theta_images(pi, ctx, ctx_p, convention=args.convention)
-    k_prime = theta_cuspidal(args.k, ctx_p.dim_parity)
-    payload = {
-        "pi": {"k": pi.k, **_bp_json(pi.char_label)},
-        "k_prime": k_prime,
-        "zero": not images,
-        "images": [
-            {"k": lbl.k, **_bp_json(lbl.char_label), "multiplicity": mult}
-            for lbl, mult in images
-        ],
-    }
-    if not images:
-        return payload, "zero", 0
-    lines = [
-        f"k'={lbl.k}  {_label_str(lbl.char_label)}  x{mult}" for lbl, mult in images
-    ]
-    return payload, "\n".join(lines), 0
+    return (
+        lambda: {
+            "pi": {"k": pi.k, **_bp_json(pi.char_label)},
+            "k_prime": theta_cuspidal(args.k, ctx_p.dim_parity),
+            "zero": not images,
+            "images": [
+                {"k": lbl.k, **_bp_json(lbl.char_label), "multiplicity": mult}
+                for lbl, mult in images
+            ],
+        },
+        lambda: "\n".join(
+            f"k'={lbl.k}  {_label_str(lbl.char_label)}  x{mult}" for lbl, mult in images
+        )
+        or "zero",
+        0,
+    )
 
 
 def _cmd_extremal(args):
@@ -156,47 +155,59 @@ def _cmd_extremal(args):
     pi = _pi_of(args)
     images = theta_images(pi, ctx, ctx_p, convention=args.convention)
     if not images:
-        return {"zero": True}, "zero", 0
+        return lambda: {"zero": True}, lambda: "zero", 0
     lo, hi = _image_extremes(pi, images)
-    payload = {
-        "zero": False,
-        "min": {"k": lo.k, **_bp_json(lo.char_label)},
-        "max": {"k": hi.k, **_bp_json(hi.char_label)},
-    }
-    text = (
-        f"min  k'={lo.k}  {_label_str(lo.char_label)}\n"
-        f"max  k'={hi.k}  {_label_str(hi.char_label)}"
+    return (
+        lambda: {
+            "zero": False,
+            "min": {"k": lo.k, **_bp_json(lo.char_label)},
+            "max": {"k": hi.k, **_bp_json(hi.char_label)},
+        },
+        lambda: (
+            f"min  k'={lo.k}  {_label_str(lo.char_label)}\n"
+            f"max  k'={hi.k}  {_label_str(hi.char_label)}"
+        ),
+        0,
     )
-    return payload, text, 0
+
+
+def _semisimple(args) -> SemisimpleDescriptor:
+    """The --orbits descriptor over F_q, modulo --modulus (default q^2 - 1)."""
+    modulus = args.q * args.q - 1 if args.modulus is None else args.modulus
+    return parse_orbits(args.q, modulus, args.orbits)
 
 
 def _cmd_centralizer(args):
     from .lusztig import centralizer_decomposition
 
-    modulus = args.q * args.q - 1 if args.modulus is None else args.modulus
-    s = parse_orbits(args.q, modulus, args.orbits)
+    s = _semisimple(args)
     ctx = TowerContext(args.n // 2, args.n % 2, args.q)
     factors, block, l = centralizer_decomposition(s, ctx)
-    payload = {
-        "semisimple": s.to_json_dict(),
-        "factors": [f.to_json_dict() for f in factors],
-        "unipotent_block": {
-            "dimension": block.dimension,
-            "witt_index": block.witt_index,
-            "dim_parity": block.dim_parity,
+
+    def text():
+        lines = [
+            f"{f.kind} of degree {f.size} over the degree-{f.field_degree} extension"
+            for f in factors
+        ] or ["no factors away from eigenvalue 1"]
+        return "\n".join(lines) + (
+            f"\neigenvalue-1 block: dimension {block.dimension} "
+            f"(witt index {block.witt_index}, parity {block.dim_parity})\nl = {l}"
+        )
+
+    return (
+        lambda: {
+            "semisimple": s.to_json_dict(),
+            "factors": [f.to_json_dict() for f in factors],
+            "unipotent_block": {
+                "dimension": block.dimension,
+                "witt_index": block.witt_index,
+                "dim_parity": block.dim_parity,
+            },
+            "l": l,
         },
-        "l": l,
-    }
-    lines = [
-        f"{f.kind} of degree {f.size} over the degree-{f.field_degree} extension"
-        for f in factors
-    ] or ["no factors away from eigenvalue 1"]
-    lines.append(
-        f"eigenvalue-1 block: dimension {block.dimension} "
-        f"(witt index {block.witt_index}, parity {block.dim_parity})"
+        text,
+        0,
     )
-    lines.append(f"l = {l}")
-    return payload, "\n".join(lines), 0
 
 
 def _support_of(args) -> CuspidalSupport:
@@ -218,53 +229,52 @@ def _cmd_transport(args):
     from .lusztig import UnipotentCuspidal, transport_support
 
     support = _support_of(args)
-    parity = args.parity
-    if parity is None:
-        parity = triangular(args.phi_k) % 2 if args.phi_k is not None else 0
-    parity_p = args.parity_p if args.parity_p is not None else 0
+    home = triangular(args.phi_k or 0) % 2  # a generic anchor: the even tower
+    parity = home if args.parity is None else args.parity
     out = transport_support(
-        support, TowerContext(args.m, parity), TowerContext(args.mp, parity_p)
+        support, TowerContext(args.m, parity), TowerContext(args.mp, args.parity_p)
     )
     if out is None:
-        return {"zero": True}, "zero", 0
-    payload = {"zero": False, "support": out.to_json_dict()}
-    gl = ", ".join(f"{e.size}:{e.label}" for e in out.entries) or "-"
-    if isinstance(out.phi, UnipotentCuspidal):
-        anchor = f"cuspidal unipotent k={out.phi.k}"
-    else:
-        anchor = f"cuspidal {out.phi.label!r} (first occurrence {out.phi.first_occurrence})"
-    return payload, f"GL part: {gl}\nanchor: {anchor}", 0
+        return lambda: {"zero": True}, lambda: "zero", 0
+
+    def text():
+        gl = ", ".join(f"{e.size}:{e.label}" for e in out.entries) or "-"
+        phi = out.phi
+        if isinstance(phi, UnipotentCuspidal):
+            anchor = f"cuspidal unipotent k={phi.k}"
+        else:
+            anchor = f"cuspidal {phi.label!r} (first occurrence {phi.first_occurrence})"
+        return f"GL part: {gl}\nanchor: {anchor}"
+
+    return lambda: {"zero": False, "support": out.to_json_dict()}, text, 0
 
 
 def _cmd_omega_full(args):
     from .lusztig import CuspidalPair, omega_full
 
-    modulus = args.q * args.q - 1 if args.modulus is None else args.modulus
-    s = parse_orbits(args.q, modulus, args.orbits)
+    s = _semisimple(args)
     pair = CuspidalPair(parse_gl_part(args.pair), args.base_k, s)
     parity = s.dimension - 2 * args.m
     if parity not in (0, 1):
         raise ValueError(
             f"descriptor dimension {s.dimension} does not fit witt index {args.m}"
         )
-    parity_p = args.parity_p if args.parity_p is not None else 0
     ctx = TowerContext(args.m, parity, args.q)
-    ctx_p = TowerContext(args.mp, parity_p, args.q)
+    ctx_p = TowerContext(args.mp, args.parity_p, args.q)
     full = omega_full(pair, ctx, ctx_p, convention=args.convention)
-    lines = [
-        f"factors away from eigenvalue 1: "
-        + (
-            ", ".join(
-                f"{f.kind}(degree {f.size}, field degree {f.field_degree})"
-                for f in full.hash_descriptor
-            )
-            or "none"
-        ),
-        f"pairing: {full.pairing}",
-        f"l = {full.l}, l' = {full.l_prime}",
-        full.unipotent_table.to_text(),
-    ]
-    return full.to_json_dict(), "\n".join(lines), 0
+
+    def text():
+        factors = ", ".join(
+            f"{f.kind}(degree {f.size}, field degree {f.field_degree})"
+            for f in full.hash_descriptor
+        )
+        return (
+            f"factors away from eigenvalue 1: {factors or 'none'}\n"
+            f"pairing: {full.pairing}\n"
+            f"l = {full.l}, l' = {full.l_prime}\n" + full.unipotent_table.to_text()
+        )
+
+    return full.to_json_dict, text, 0
 
 
 def run_verification(max_rank: int, seed: int) -> list:
@@ -277,15 +287,15 @@ def run_verification(max_rank: int, seed: int) -> list:
 
 def _cmd_verify(args):
     results = run_verification(max_rank=args.max_rank, seed=args.seed)
-    payload = [
-        {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-    ]
-    lines = [r.line() for r in results]
-    if all(r.passed for r in results):
-        lines.append("all properties passed")
-        return payload, "\n".join(lines), 0
-    lines.append("PROPERTY FAILURES, see lines above")
-    return payload, "\n".join(lines), 2
+    passed = all(r.passed for r in results)
+    footer = "all properties passed" if passed else "PROPERTY FAILURES, see lines above"
+    return (
+        lambda: [
+            {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
+        ],
+        lambda: "\n".join([r.line() for r in results] + [footer]),
+        0 if passed else 2,
+    )
 
 
 def _add_format_flags(p):
@@ -364,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--mp", type=int, required=True)
     p.add_argument("--parity", type=int, choices=(0, 1), default=None)
-    p.add_argument("--parity-p", type=int, choices=(0, 1), default=None,
+    p.add_argument("--parity-p", type=int, choices=(0, 1), default=0,
                    dest="parity_p")
     _add_format_flags(p)
     p.set_defaults(handler=_cmd_transport)
@@ -378,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modulus", type=int, default=None)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--mp", type=int, required=True)
-    p.add_argument("--parity-p", type=int, choices=(0, 1), default=None,
+    p.add_argument("--parity-p", type=int, choices=(0, 1), default=0,
                    dest="parity_p")
     p.add_argument("--convention", choices=SGN_CONVENTIONS,
                    default=DEFAULT_SGN_CONVENTION)
@@ -403,17 +413,20 @@ def _shared_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
-        payload, text, code = args.handler(args)
+        # each handler returns both renderers; only the printed one runs
+        to_json, to_text, code = args.handler(args)
+        if args.json:
+            import json  # only --json output needs it; text start-up skips it
+
+            text = json.dumps(to_json(), indent=2, sort_keys=True)
+        else:
+            text = to_text()
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (InternalCheckError, NonUniqueExtremeError) as err:
         print(f"internal check failed: {err}", file=sys.stderr)
         return 2
-    if args.json:
-        import json  # only --json output needs it; text start-up skips it
-
-        text = json.dumps(payload, indent=2, sort_keys=True)
     try:
         print(text)
         sys.stdout.flush()

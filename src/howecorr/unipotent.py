@@ -259,12 +259,16 @@ class MultiplicityTable:
         entries = self.entries
         return [(key[1], entries[key]) for key in keys[starts[i] : starts[i + 1]]]
 
+    def _rows(self):
+        """Each row's (column position, multiplicity) pairs in turn, in
+        column order, read from _row_order."""
+        keys, starts = self._row_order
+        cols = _bipartition_index(self.col_labels[0].size) if self.col_labels else {}
+        entries = self.entries
+        for start, stop in zip(starts, starts[1:]):
+            yield [(cols[key[1]], entries[key]) for key in keys[start:stop]]
+
     def to_json_dict(self) -> dict:
-        idx_r = {bp: i for i, bp in enumerate(self.row_labels)}
-        idx_c = {bp: j for j, bp in enumerate(self.col_labels)}
-        cells = sorted(
-            (idx_r[r], idx_c[c], m) for (r, c), m in self.entries.items()
-        )
         return {
             "m": self.m,
             "m_prime": self.m_prime,
@@ -274,7 +278,7 @@ class MultiplicityTable:
             "sgn_convention": self.convention,
             "row_labels": [[list(bp.alpha), list(bp.beta)] for bp in self.row_labels],
             "col_labels": [[list(bp.alpha), list(bp.beta)] for bp in self.col_labels],
-            "entries": [[i, j, m] for i, j, m in cells],
+            "entries": [[i, j, m] for i, row in enumerate(self._rows()) for j, m in row],
         }
 
     def to_text(self) -> str:
@@ -291,10 +295,11 @@ class MultiplicityTable:
         rows = [_label_str(r) for r in self.row_labels]
         width = max([len(s) for s in cols + rows] + [3]) + 1
         lines = [head, "".rjust(width) + "".join(c.rjust(width) for c in cols)]
-        for r, rname in zip(self.row_labels, rows):
-            cells = [
-                str(self.entries.get((r, c), ".")).rjust(width) for c in self.col_labels
-            ]
+        blank = [".".rjust(width)] * len(cols)
+        for rname, row in zip(rows, self._rows()):
+            cells = blank.copy()
+            for j, m in row:
+                cells[j] = str(m).rjust(width)
             lines.append(rname.rjust(width) + "".join(cells))
         return "\n".join(lines)
 
@@ -318,6 +323,14 @@ def _validate_series(ctx: TowerContext, k: int) -> int:
             f"{witt_index_of_cuspidal(k)}; the k={k} series is empty there"
         )
     return r
+
+
+def _series_ranks(ctx: TowerContext, m_prime: int, parity_prime: int, k: int) -> tuple:
+    """(r, k', r') for the k-series on ``ctx`` and its partner k'-series at
+    Witt index m' and parity ``parity_prime``; r' < 0 below first occurrence."""
+    r = _validate_series(ctx, k)
+    k_prime = theta_cuspidal(k, parity_prime)
+    return r, k_prime, m_prime - witt_index_of_cuspidal(k_prime)
 
 
 # Keys are (n, l, which), 3(n + 1) of them at rank n, so the bound keeps
@@ -394,9 +407,7 @@ OMEGA_CACHE_SIZE = 1024
 
 @lru_cache(maxsize=OMEGA_CACHE_SIZE)
 def _omega_cached(m, parity, m_prime, parity_prime, k, convention):
-    r = _validate_series(TowerContext(m, parity), k)
-    k_prime = theta_cuspidal(k, parity_prime)
-    r_prime = m_prime - witt_index_of_cuspidal(k_prime)
+    r, k_prime, r_prime = _series_ranks(TowerContext(m, parity), m_prime, parity_prime, k)
     row_labels = _bipartitions_of(r)
     if r_prime < 0:
         return MultiplicityTable(
@@ -547,13 +558,12 @@ def theta_images(
     in closed form; no table is built."""
     # every check of omega_unipotent, in the same order, then the label size
     _check_convention(convention)
-    r = _validate_series(ctx, pi.k)
+    m_prime, parity_prime = ctx_prime.witt_index, ctx_prime.dim_parity
+    r, k_prime, r_prime = _series_ranks(ctx, m_prime, parity_prime, pi.k)
     if pi.char_label.size != r:
         raise ValueError(
             f"label {pi.char_label} has size {pi.char_label.size}, expected r = {r}"
         )
-    k_prime = theta_cuspidal(pi.k, ctx_prime.dim_parity)
-    r_prime = ctx_prime.witt_index - witt_index_of_cuspidal(k_prime)
     alpha, beta = Partition(pi.char_label.alpha), Partition(pi.char_label.beta)
     if r_prime < 0:
         return []

@@ -19,6 +19,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from .errors import NonUniqueExtremeError
 from .hyperoctahedral import (
@@ -201,6 +202,14 @@ def _series_contexts(k: int, k_prime: int, r: int, r_prime: int):
     return ctx, ctx_p
 
 
+def _table_sweep(max_b_rank: int, k_max: int):
+    """(k, parity', k', r, r') for every k <= k_max, both partner parities
+    and all b-ranks r, r' <= max_b_rank, in the order the checks report."""
+    ranks = range(max_b_rank + 1)
+    for k, parity_prime, r, r_prime in product(range(k_max + 1), (0, 1), ranks, ranks):
+        yield k, parity_prime, theta_cuspidal(k, parity_prime), r, r_prime
+
+
 def check_omega(
     max_b_rank: int = 4, k_max: int = 3, convention: str = DEFAULT_SGN_CONVENTION
 ) -> CheckResult:
@@ -214,34 +223,23 @@ def check_omega(
         {bp: chi.at(ident) for bp, chi in build_character_table(n).irreducibles.items()}
         for n, ident in enumerate(identity)
     ]
-    for k in range(k_max + 1):
-        for parity_prime in (0, 1):
-            k_prime = theta_cuspidal(k, parity_prime)
-            first_kind = is_first_kind(k, k_prime)
-            for r in range(max_b_rank + 1):
-                for r_prime in range(max_b_rank + 1):
-                    ctx, ctx_p = _series_contexts(k, k_prime, r, r_prime)
-                    got = omega_unipotent(ctx, ctx_p, k, convention=convention)
-                    want, oracle_degree = _oracle_omega(
-                        r, r_prime, first_kind, convention
-                    )
-                    if dict(got.entries) != want:
-                        return _fail(
-                            name,
-                            f"entry mismatch at k={k}, parity'={parity_prime}, "
-                            f"r={r}, r'={r_prime}",
-                        )
-                    deg_r, deg_rp = degrees[r], degrees[r_prime]
-                    degree = sum(
-                        mult * deg_r[a] * deg_rp[b]
-                        for (a, b), mult in got.entries.items()
-                    )
-                    if degree != oracle_degree:
-                        return _fail(
-                            name,
-                            f"degree identity fails at k={k}, r={r}, r'={r_prime}",
-                        )
-                    tables += 1
+    for k, parity_prime, k_prime, r, r_prime in _table_sweep(max_b_rank, k_max):
+        ctx, ctx_p = _series_contexts(k, k_prime, r, r_prime)
+        got = omega_unipotent(ctx, ctx_p, k, convention=convention)
+        first_kind = is_first_kind(k, k_prime)
+        want, oracle_degree = _oracle_omega(r, r_prime, first_kind, convention)
+        if dict(got.entries) != want:
+            return _fail(
+                name,
+                f"entry mismatch at k={k}, parity'={parity_prime}, r={r}, r'={r_prime}",
+            )
+        deg_r, deg_rp = degrees[r], degrees[r_prime]
+        degree = sum(
+            mult * deg_r[a] * deg_rp[b] for (a, b), mult in got.entries.items()
+        )
+        if degree != oracle_degree:
+            return _fail(name, f"degree identity fails at k={k}, r={r}, r'={r_prime}")
+        tables += 1
     return _ok(
         name,
         f"{tables} tables equal the oracle entrywise "
@@ -258,25 +256,24 @@ def check_zero_law(k_max: int = 4) -> CheckResult:
     empty there as well."""
     name = "first-occurrence zero law"
     checked = 0
-    for k in range(k_max + 1):
-        for parity_prime in (0, 1):
-            k_prime = theta_cuspidal(k, parity_prime)
-            first = witt_index_of_cuspidal(k_prime)
-            ctx = TowerContext(witt_index_of_cuspidal(k) + 2, triangular(k) % 2)
-            for m_prime in range(first + 3):
-                ctx_p = TowerContext(m_prime, parity_prime)
-                table = omega_unipotent(ctx, ctx_p, k)
-                if table.is_zero != (m_prime < first):
-                    return _fail(
-                        name, f"k={k}, m'={m_prime}: zero iff m' < {first} violated"
-                    )
-                pi = SeriesLabel(k, bipartition((2,), ()))
-                images = theta_images(pi, ctx, ctx_p)
-                if (m_prime < first) and images:
-                    return _fail(
-                        name, f"k={k}, m'={m_prime}: images below first occurrence"
-                    )
-                checked += 1
+    for k, parity_prime in product(range(k_max + 1), (0, 1)):
+        k_prime = theta_cuspidal(k, parity_prime)
+        first = witt_index_of_cuspidal(k_prime)
+        ctx = TowerContext(witt_index_of_cuspidal(k) + 2, triangular(k) % 2)
+        for m_prime in range(first + 3):
+            ctx_p = TowerContext(m_prime, parity_prime)
+            table = omega_unipotent(ctx, ctx_p, k)
+            if table.is_zero != (m_prime < first):
+                return _fail(
+                    name, f"k={k}, m'={m_prime}: zero iff m' < {first} violated"
+                )
+            pi = SeriesLabel(k, bipartition((2,), ()))
+            images = theta_images(pi, ctx, ctx_p)
+            if (m_prime < first) and images:
+                return _fail(
+                    name, f"k={k}, m'={m_prime}: images below first occurrence"
+                )
+            checked += 1
     return _ok(name, f"{checked} (k, m') pairs obey the zero law (k <= {k_max})")
 
 
@@ -289,24 +286,20 @@ def check_row_persistence(
     pinned by acceptance criterion 5b, the label -|1 of U_2 against U_0.)"""
     name = "row-nonemptiness characterization"
     rows = 0
-    for k in range(k_max + 1):
-        for parity_prime in (0, 1):
-            k_prime = theta_cuspidal(k, parity_prime)
-            for r in range(max_b_rank + 1):
-                for r_prime in range(max_b_rank + 1):
-                    ctx, ctx_p = _series_contexts(k, k_prime, r, r_prime)
-                    table = omega_unipotent(ctx, ctx_p, k, convention=convention)
-                    first_kind = is_first_kind(k, k_prime)
-                    for bp in table.row_labels:
-                        nonempty = bool(table.row(bp))
-                        predicted = row_nonempty(bp, r, r_prime, first_kind, convention)
-                        if nonempty != predicted:
-                            return _fail(
-                                name,
-                                f"k={k}, r={r}, r'={r_prime}, row {bp}: "
-                                f"nonempty={nonempty}, predicted={predicted}",
-                            )
-                        rows += 1
+    for k, _, k_prime, r, r_prime in _table_sweep(max_b_rank, k_max):
+        ctx, ctx_p = _series_contexts(k, k_prime, r, r_prime)
+        table = omega_unipotent(ctx, ctx_p, k, convention=convention)
+        first_kind = is_first_kind(k, k_prime)
+        for bp in table.row_labels:
+            nonempty = bool(table.row(bp))
+            predicted = row_nonempty(bp, r, r_prime, first_kind, convention)
+            if nonempty != predicted:
+                return _fail(
+                    name,
+                    f"k={k}, r={r}, r'={r_prime}, row {bp}: "
+                    f"nonempty={nonempty}, predicted={predicted}",
+                )
+            rows += 1
     return _ok(name, f"{rows} rows match the strip-removal bound")
 
 
@@ -320,28 +313,22 @@ def check_extremal(max_b_rank: int = 4, k_max: int = 3) -> CheckResult:
     name = "extremal uniqueness"
     checked = 0
     for convention in SGN_CONVENTIONS:
-        for k in range(k_max + 1):
-            for parity_prime in (0, 1):
-                k_prime = theta_cuspidal(k, parity_prime)
-                for r in range(max_b_rank + 1):
-                    for r_prime in range(max_b_rank + 1):
-                        ctx, ctx_p = _series_contexts(k, k_prime, r, r_prime)
-                        table = omega_unipotent(ctx, ctx_p, k, convention=convention)
-                        for bp in table.row_labels:
-                            if not table.row(bp):
-                                continue
-                            pi = SeriesLabel(k, bp)
-                            try:
-                                lo, hi = extremal_images(
-                                    pi, ctx, ctx_p, convention=convention
-                                )
-                            except NonUniqueExtremeError as err:
-                                return _fail(
-                                    name,
-                                    f"antichain at k={k}, r={r}, r'={r_prime}, "
-                                    f"row {bp}: {err.antichain}",
-                                )
-                            checked += 1
+        for k, _, k_prime, r, r_prime in _table_sweep(max_b_rank, k_max):
+            ctx, ctx_p = _series_contexts(k, k_prime, r, r_prime)
+            table = omega_unipotent(ctx, ctx_p, k, convention=convention)
+            for bp in table.row_labels:
+                if not table.row(bp):
+                    continue
+                pi = SeriesLabel(k, bp)
+                try:
+                    extremal_images(pi, ctx, ctx_p, convention=convention)
+                except NonUniqueExtremeError as err:
+                    return _fail(
+                        name,
+                        f"antichain at k={k}, r={r}, r'={r_prime}, "
+                        f"row {bp}: {err.antichain}",
+                    )
+                checked += 1
     return _ok(name, f"{checked} image sets have unique extremes (both conventions)")
 
 
@@ -426,25 +413,18 @@ def check_reduction_consistency(max_b_rank: int = 3, k_max: int = 2) -> CheckRes
 
     name = "reduction consistency"
     compared = 0
-    for k in range(k_max + 1):
-        for parity_prime in (0, 1):
-            k_prime = theta_cuspidal(k, parity_prime)
-            for r in range(max_b_rank + 1):
-                for r_prime in range(max_b_rank + 1):
-                    pair, ctx = _unipotent_pair(k, r)
-                    m_prime = witt_index_of_cuspidal(k_prime) + r_prime
-                    ctx_p = TowerContext(m_prime, parity_prime, 3)
-                    full = omega_full(pair, ctx, ctx_p)
-                    direct = omega_unipotent(ctx, ctx_p, k)
-                    if full.hash_descriptor or full.l or full.l_prime:
-                        return _fail(name, f"k={k}, r={r}: nonempty hash part")
-                    a = json.dumps(full.unipotent_table.to_json_dict(), sort_keys=True)
-                    b = json.dumps(direct.to_json_dict(), sort_keys=True)
-                    if a != b:
-                        return _fail(
-                            name, f"k={k}, r={r}, r'={r_prime}: tables differ"
-                        )
-                    compared += 1
+    for k, parity_prime, k_prime, r, r_prime in _table_sweep(max_b_rank, k_max):
+        pair, ctx = _unipotent_pair(k, r)
+        ctx_p = TowerContext(witt_index_of_cuspidal(k_prime) + r_prime, parity_prime, 3)
+        full = omega_full(pair, ctx, ctx_p)
+        direct = omega_unipotent(ctx, ctx_p, k)
+        if full.hash_descriptor or full.l or full.l_prime:
+            return _fail(name, f"k={k}, r={r}: nonempty hash part")
+        a = json.dumps(full.unipotent_table.to_json_dict(), sort_keys=True)
+        b = json.dumps(direct.to_json_dict(), sort_keys=True)
+        if a != b:
+            return _fail(name, f"k={k}, r={r}, r'={r_prime}: tables differ")
+        compared += 1
     return _ok(name, f"{compared} tables byte-identical to omega_unipotent")
 
 
@@ -454,32 +434,28 @@ def check_membership(max_b_rank: int = 3) -> CheckResult:
     name = "membership bijection"
     checked = 0
     hash_labels = {0: [()], 1: [("2",), ("1,1",)]}
-    for extra in (0, 2):
+    ranks = range(max_b_rank + 1)
+    for extra, k, r, r_prime in product((0, 2), (0, 1), ranks, ranks):
         l = extra // 2
-        for k in (0, 1):
-            for r in range(max_b_rank + 1):
-                for r_prime in range(max_b_rank + 1):
-                    pair, ctx = _unipotent_pair(k, r, extra_minus_one=extra)
-                    k_prime = theta_cuspidal(k, (ctx.dim_parity + extra) % 2)
-                    nu1_p = 2 * r_prime + triangular(k_prime)
-                    n_prime = nu1_p + extra
-                    ctx_p = TowerContext(n_prime // 2, n_prime % 2, 3)
-                    full = omega_full(pair, ctx, ctx_p)
-                    table = full.unipotent_table
-                    for h in hash_labels[l]:
-                        for h_p in hash_labels[l]:
-                            for u in table.row_labels:
-                                linked = {c for c, _ in table.row(u)}
-                                for u_p in table.col_labels:
-                                    member = full.contains((h, u), (h_p, u_p))
-                                    expected = h == h_p and u_p in linked
-                                    if member != expected:
-                                        return _fail(
-                                            name,
-                                            f"l={l}, k={k}, r={r}, r'={r_prime}: "
-                                            f"({h},{u}) vs ({h_p},{u_p})",
-                                        )
-                                    checked += 1
+        pair, ctx = _unipotent_pair(k, r, extra_minus_one=extra)
+        k_prime = theta_cuspidal(k, (ctx.dim_parity + extra) % 2)
+        n_prime = 2 * r_prime + triangular(k_prime) + extra
+        ctx_p = TowerContext(n_prime // 2, n_prime % 2, 3)
+        full = omega_full(pair, ctx, ctx_p)
+        table = full.unipotent_table
+        for h, h_p in product(hash_labels[l], repeat=2):
+            for u in table.row_labels:
+                linked = {c for c, _ in table.row(u)}
+                for u_p in table.col_labels:
+                    member = full.contains((h, u), (h_p, u_p))
+                    expected = h == h_p and u_p in linked
+                    if member != expected:
+                        return _fail(
+                            name,
+                            f"l={l}, k={k}, r={r}, r'={r_prime}: "
+                            f"({h},{u}) vs ({h_p},{u_p})",
+                        )
+                    checked += 1
     return _ok(name, f"{checked} label pairs agree with table linkage (l <= 1)")
 
 

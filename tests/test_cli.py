@@ -1,6 +1,7 @@
 """End-to-end checks of the command line front end (in process, except
 for the closed-pipe case, which needs a real pipe)."""
 
+import gzip
 import json
 import os
 import pathlib
@@ -10,10 +11,12 @@ import sys
 import pytest
 
 import howecorr.cli as cli
+import reference_pieri
 from howecorr import unipotent
 from howecorr.cli import main, parse_gl_part, parse_orbits, parse_partition
 from howecorr.errors import InternalCheckError
-from howecorr.unipotent import TowerContext, omega_unipotent
+from howecorr.unipotent import MultiplicityTable, TowerContext, omega_unipotent
+from test_golden_cli import CORPUS, GOLDEN
 
 
 def run(capsys, *argv):
@@ -354,6 +357,41 @@ class TestVerify:
         code, out, _ = run(capsys, "verify")
         assert code == 2
         assert "PROPERTY FAILURES" in out
+
+
+class TestOneRendererPerFormat:
+    TABLE_COMMANDS = sorted(name for name in CORPUS if name.startswith("omega"))
+
+    @pytest.mark.parametrize("name", TABLE_COMMANDS)
+    @pytest.mark.parametrize(
+        "flags, suffix, unused",
+        ((["--json"], "json", "to_text"), ([], "txt", "to_json_dict")),
+    )
+    def test_golden_output_without_the_other_renderer(
+        self, capsys, monkeypatch, name, flags, suffix, unused
+    ):
+        def forbidden(table):
+            raise AssertionError(f"{unused} called")
+
+        monkeypatch.setattr(MultiplicityTable, unused, forbidden)
+        code, out, _ = run(capsys, *CORPUS[name], *flags)
+        assert code == 0
+        assert out.encode() == gzip.decompress(
+            (GOLDEN / f"{name}.{suffix}.gz").read_bytes()
+        )
+
+    @pytest.mark.parametrize("convention", unipotent.SGN_CONVENTIONS)
+    def test_text_of_a_table_in_sum_order(self, convention):
+        # the reference builds entries in the order of its sum, not row by
+        # row: second-kind tables, k = 0 against k' = 1 and k = 2 against 1
+        for args in ((3, 0, 2, 1, 0), (4, 0, 4, 1, 0), (6, 1, 5, 0, 2)):
+            want = omega_unipotent(
+                TowerContext(*args[:2]), TowerContext(*args[2:4]), args[4],
+                convention=convention,
+            )
+            got = reference_pieri.omega_table(*args, convention)
+            assert want.formula == "second-kind"
+            assert got.to_text() == want.to_text(), args
 
 
 def test_closed_stdout_exits_1_without_a_traceback():

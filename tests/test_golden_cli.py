@@ -1,9 +1,10 @@
-"""CLI ``--json`` output on a fixed corpus of invocations, byte for byte
-against recorded golden files.
+"""CLI output on a fixed corpus of invocations, in both formats, byte for
+byte against recorded golden files.
 
 The files under ``tests/golden/`` are gzip-compressed stdout of
-``howecorr <argv> --json``, one per corpus entry.  To record them again
-from the current source (only when an output change is intended):
+``howecorr <argv> --json`` (``<name>.json.gz``) and of ``howecorr <argv>``
+(``<name>.txt.gz``), one pair per corpus entry.  To record them again from
+the current source (only when an output change is intended):
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
@@ -88,10 +89,10 @@ CORPUS = {
 }
 
 
-def _stdout(argv) -> bytes:
+def _stdout(argv, flags=("--json",)) -> bytes:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = main(argv + ["--json"])
+        code = main(argv + list(flags))
     assert code == 0, argv
     return buf.getvalue().encode()
 
@@ -102,7 +103,16 @@ def test_json_output_matches_the_golden_file(name):
     assert _stdout(CORPUS[name]) == want
 
 
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_text_output_matches_the_golden_file(name):
+    want = gzip.decompress((GOLDEN / f"{name}.txt.gz").read_bytes())
+    assert _stdout(CORPUS[name], flags=()) == want
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in CORPUS.items():
-        (GOLDEN / f"{name}.json.gz").write_bytes(gzip.compress(_stdout(argv), mtime=0))
+        for suffix, flags in ((".json", ("--json",)), (".txt", ())):
+            (GOLDEN / f"{name}{suffix}.gz").write_bytes(
+                gzip.compress(_stdout(argv, flags), mtime=0)
+            )
