@@ -242,6 +242,26 @@ class TestCentralizer:
         assert out == ""
         assert err == "error: modulus 0 is not q^2d - 1 for q = 3\n"
 
+    def test_prime_power_field(self, capsys):
+        code, out, err = run(
+            capsys, "centralizer", "--q", "9", "--n", "3", "--orbits", "0^3"
+        )
+        assert code == 0
+        assert err == ""
+        assert out == (
+            "no factors away from eigenvalue 1\n"
+            "eigenvalue-1 block: dimension 3 (witt index 1, parity 1)\n"
+            "l = 0\n"
+        )
+
+    def test_non_prime_power_field_exits_1(self, capsys):
+        code, out, err = run(
+            capsys, "centralizer", "--q", "15", "--n", "3", "--orbits", "0^3"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: q = 15 is not an odd prime power\n"
+
     def test_dash_is_the_empty_orbit_list(self, capsys):
         dash = run(capsys, "centralizer", "--q", "3", "--n", "0", "--orbits", "-")
         empty = run(capsys, "centralizer", "--q", "3", "--n", "0", "--orbits", "")

@@ -72,6 +72,10 @@ class TestClasses:
         with pytest.raises(RankBoundError):
             ClassFunction(7, {})
 
+    def test_negative_rank(self):
+        with pytest.raises(ValueError, match="^rank must be nonnegative$"):
+            conjugacy_classes(-1)
+
     def test_signed_cycle_type_involutions(self):
         # the diagonal sign change (-1, -2) splits into two negative 1-cycles
         assert signed_cycle_type((-1, -2)) == cls((), (1, 1))
@@ -472,3 +476,13 @@ class TestTensorLabelMap:
                 assert tensor_label_map(n, "coxeter_sign")[bp] == sgn_twist(
                     bp, "coxeter_sign"
                 )
+
+    def test_bounds(self):
+        # the rank is checked before the character name
+        for which in ("trivial", "bogus"):
+            with pytest.raises(RankBoundError, match="^rank 7 exceeds the oracle bound 6;"):
+                tensor_label_map(7, which)
+        with pytest.raises(ValueError, match="^rank must be nonnegative$"):
+            tensor_label_map(-1, "trivial")
+        with pytest.raises(ValueError, match="^unknown linear character 'bogus'$"):
+            tensor_label_map(2, "bogus")

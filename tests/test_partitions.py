@@ -291,6 +291,22 @@ class TestDominance:
                 if dominance_leq(a, b) and dominance_leq(b, a):
                     assert a == b
 
+    def test_partition_order_is_padded_prefix_sums(self):
+        for n in range(8):
+            parts = partitions_of(n)
+            for a in parts:
+                for b in parts:
+                    want = _padded_leq(bipartition(a, ()), bipartition(b, ()))
+                    assert dominance_leq(a, b) == want, (a, b)
+
+    def test_partition_order_messages(self):
+        with pytest.raises(ValueError, match="^dominance needs equal sizes: 2 != 1$"):
+            dominance_leq((2,), (1,))
+        with pytest.raises(ValueError, match=r"^parts must be weakly decreasing: \(1, 2\)$"):
+            dominance_leq((1, 2), (3,))
+        with pytest.raises(ValueError, match=r"^parts must be positive: \(-1, 2\)$"):
+            dominance_leq((1,), (-1, 2))
+
     def test_bipartition_order_is_padded_concatenation(self):
         for n in range(7):
             bps = bipartitions_of(n)

@@ -19,6 +19,7 @@ from howecorr.unipotent import (
     _omega_cached,
     extremal_images,
     is_first_kind,
+    is_odd_prime_power,
     omega_unipotent,
     pieri_induction,
     sgn_twist,
@@ -57,6 +58,22 @@ class TestCuspidalBookkeeping:
             for parity in (0, 1):
                 k_prime = theta_cuspidal(k, parity)
                 assert theta_cuspidal(k_prime, triangular(k) % 2) == k
+
+    def test_odd_prime_powers_against_factorisation(self):
+        def prime_factors(q):
+            factors, p = set(), 2
+            while q > 1:
+                while q % p == 0:
+                    factors.add(p)
+                    q //= p
+                p += 1
+            return factors
+
+        got = [q for q in range(5000) if is_odd_prime_power(q)]
+        factors = [prime_factors(q) for q in range(5000)]
+        want = [q for q, ps in enumerate(factors) if len(ps) == 1 and 2 not in ps]
+        assert got == want
+        assert {9, 27, 25, 2187, 4913} <= set(got)
 
     def test_tower_context_validation(self):
         with pytest.raises(ValueError):

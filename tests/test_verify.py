@@ -1,20 +1,23 @@
 """The verification suite must agree with itself at small rank."""
 
 import dataclasses
+import types
 
 import pytest
 import reference_oracle
 
 from howecorr import partitions, unipotent, verify
+from howecorr.errors import NonUniqueExtremeError
 from howecorr.hyperoctahedral import (
     ClassFunction,
+    SignedCycleType,
     build_character_table,
     conjugacy_classes,
     group_order,
     identity_class,
 )
-from howecorr.partitions import bipartitions_of
-from howecorr.unipotent import SGN_CONVENTIONS
+from howecorr.partitions import Partition, bipartitions_of
+from howecorr.unipotent import SGN_CONVENTIONS, TowerContext
 from howecorr.verify import (
     CheckResult,
     _oracle_omega,
@@ -166,3 +169,136 @@ def test_column_relations_fail_on_perturbed_columns(monkeypatch, n, hits):
     assert result.detail == (
         f"W_{n}: column orthogonality fails at {classes[i]}, {classes[j]}"
     )
+
+
+def _grown(ctx_p):
+    """The partner context one Witt index higher, same parity and field."""
+    return TowerContext(ctx_p.witt_index + 1, ctx_p.dim_parity, ctx_p.q)
+
+
+def _extremal_antichain(pi, ctx, ctx_p, convention):
+    raise NonUniqueExtremeError("planted", [pi.char_label])
+
+
+def _hash_blind(real):
+    # membership that ignores the hash labels
+    def omega_full(*args):
+        full = real(*args)
+        table = full.unipotent_table
+        return types.SimpleNamespace(
+            unipotent_table=table,
+            contains=lambda m, m_p: table.entry(m[1], m_p[1]) > 0,
+        )
+
+    return omega_full
+
+
+EMPTY = "Bipartition(alpha=(), beta=())"
+
+# (verify global, replacement given the real function, check, detail): each
+# check passes as it stands and fails, with this detail, once the global is
+# replaced.  check_character_tables is covered by the column test above.
+PLANTED_FAULTS = [
+    (
+        "pieri_induction",
+        lambda real: lambda chi, s, second, conv: real(chi, s, "trivial", conv),
+        lambda: verify.check_induction(2),
+        f"Ind(chi_{EMPTY} x coxeter_sign) to W_1: rule gives "
+        "{Bipartition(alpha=(1,), beta=()): 1}, "
+        "oracle gives {Bipartition(alpha=(), beta=(1,)): 1}",
+    ),
+    (
+        "is_first_kind",
+        lambda real: lambda k, k_prime: not real(k, k_prime),
+        lambda: check_omega(1),
+        "entry mismatch at k=0, parity'=0, r=1, r'=0",
+    ),
+    (
+        # the unpatched run caches the oracle, so only the table side sees it
+        "identity_class",
+        lambda real: lambda n: SignedCycleType(Partition(), Partition([1] * n)),
+        lambda: check_omega(1),
+        "degree identity fails at k=0, r=1, r'=1",
+    ),
+    (
+        "omega_unipotent",
+        lambda real: lambda ctx, ctx_p, k, **kw: real(ctx, _grown(ctx_p), k, **kw),
+        verify.check_zero_law,
+        "k=1, m'=0: zero iff m' < 1 violated",
+    ),
+    (
+        "theta_images",
+        lambda real: lambda *args: [None],
+        verify.check_zero_law,
+        "k=1, m'=0: images below first occurrence",
+    ),
+    (
+        "row_nonempty",
+        lambda real: lambda *args: not real(*args),
+        lambda: verify.check_row_persistence(1),
+        f"k=0, r=0, r'=0, row {EMPTY}: nonempty=True, predicted=False",
+    ),
+    (
+        "extremal_images",
+        lambda real: _extremal_antichain,
+        lambda: verify.check_extremal(1),
+        f"antichain at k=0, r=0, r'=0, row {EMPTY}: ({EMPTY},)",
+    ),
+    (
+        # the rank-sum branch is unreachable: centralizer_decomposition
+        # raises InternalCheckError on the same condition first
+        "centralizer_decomposition",
+        lambda real: lambda s, ctx: real(s, ctx)._replace(l=real(s, ctx).l + 1),
+        lambda: verify.check_centralizers(5),
+        "trial 0: drop l miscomputed",
+    ),
+    (
+        "match_semisimple",
+        lambda real: lambda s, ctx, ctx_p: s,
+        lambda: verify.check_centralizers(5),
+        "trial 0: matched dimension wrong",
+    ),
+    (
+        "omega_full",
+        lambda real: lambda pair, ctx, ctx_p: real(pair, ctx, _grown(ctx_p)),
+        lambda: verify.check_reduction_consistency(1),
+        "k=0, r=0, r'=0: tables differ",
+    ),
+    (
+        "omega_full",
+        lambda real: lambda *args: dataclasses.replace(real(*args), l=1),
+        lambda: verify.check_reduction_consistency(1),
+        "k=0, r=0: nonempty hash part",
+    ),
+    (
+        "omega_full",
+        _hash_blind,
+        lambda: verify.check_membership(1),
+        f"l=1, k=0, r=0, r'=0: (('2',),{EMPTY}) vs (('1,1',),{EMPTY})",
+    ),
+    (
+        "transport_support",
+        lambda real: lambda *args: None,
+        verify.check_transport,
+        "growth transport lost the anchor",
+    ),
+    (
+        "omega_unipotent",
+        lambda real: lambda ctx, ctx_p, k: real(ctx, TowerContext(0, 0), k),
+        check_pinned_table,
+        "got {(Bipartition(alpha=(1,), beta=()), " + EMPTY + "): 1}",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name, plant, check, detail",
+    PLANTED_FAULTS,
+    ids=[f"{i}-{fault[0]}" for i, fault in enumerate(PLANTED_FAULTS)],
+)
+def test_checks_fail_on_planted_faults(monkeypatch, name, plant, check, detail):
+    assert check().passed
+    monkeypatch.setattr(verify, name, plant(getattr(verify, name)))
+    result = check()
+    assert result.passed is False
+    assert result.detail == detail
