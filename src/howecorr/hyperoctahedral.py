@@ -27,30 +27,18 @@ returned; ``verify`` certifies the column relations as well.
 
 Everything is exact.  Character values are integers.  Induction, the
 certification sums, the column relations in ``verify`` and
-:func:`decompose` are integer dot products, all computed by one kernel,
-:class:`_IntMatrix`: each column of the matrix is packed into one Python
-int, row b's entry at bit width * b, so that a matrix-vector product is
-one ``sum(map(mul, packed_columns, values))``, read back slot by slot.
-The slot width is proven per call: |row_b . v| <= |row_b|_1 max|v_i| <
-2^(bound - 1), where bound is the bit length of the largest row L1 norm
-plus the bit length of max|v_i| plus one, and the width is the least power
-of two >= bound.  After an offset of 2^(width - 1) per slot every slot
-lies in [0, 2^width), so no carry crosses a slot boundary and unpacking is
-exact.  An inner product is integral exactly when the dot product is
+:func:`decompose` are integer dot products, all computed by one
+packed-integer kernel, :class:`_IntMatrix`, whose docstring proves its slot
+width.  An inner product is integral exactly when the dot product is
 divisible by |W_n|; a class function with `fractions.Fraction` values is
 scaled to integers by the lcm of their denominators first.  Only the
 generic :meth:`ClassFunction.inner` and an induced value that is not
 integral produce a `Fraction`.
 
-Induction, the outer tensor product, the linear characters and the seeds
-of the irreducibles work in class-position space: on lists of values in
-canonical class order (pairs of classes of W_a x W_b with the W_b class
-varying fastest).  Induction from W_a x W_b is one product with a cached
-matrix per (a, b), whose row C holds |D| at the position of each product
-class D fusing into C.  The public functions are thin wrappers that label
-these lists; class functions built here keep their values in canonical
-class order, and are read back by position.  A dict in any other order is
-still accepted, and read through one lookup per class.
+Induction (see :func:`_induction_matrix`), the outer tensor product, the
+linear characters and the seeds of the irreducibles work on lists of values
+in canonical class order, which the public functions only label; a dict in
+any other order is still accepted, and read through one lookup per class.
 
 The price is the rank bound: nothing here is meant to run past
 ``ORACLE_BOUND`` (default 6, |W_6| = 46080).
@@ -60,9 +48,9 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial, lcm
 from operator import add, lshift, mul, or_
 from typing import Iterator, NamedTuple
@@ -262,7 +250,6 @@ def _in_order(values: dict, labels: tuple) -> list:
 
 def conjugacy_classes(n: int) -> dict:
     """Conjugacy classes of W_n as an ordered mapping label -> class size."""
-    _check_rank(n)
     return dict(_classes(n))
 
 
@@ -580,12 +567,11 @@ class CharacterTable:
     irreducibles: dict
     class_sizes: dict
     weighted_rows: tuple
-    # The weighted rows as one matrix, with their packed columns per width.
-    _weighted: _IntMatrix = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        rows = [row for _, row in self.weighted_rows]
-        object.__setattr__(self, "_weighted", _IntMatrix(rows))
+    @cached_property
+    def _weighted(self) -> _IntMatrix:
+        """The weighted rows as one matrix, with their packed columns per width."""
+        return _IntMatrix([row for _, row in self.weighted_rows])
 
     def character(self, label: Bipartition) -> ClassFunction:
         return self.irreducibles[label]
@@ -676,7 +662,7 @@ def decompose(f: ClassFunction) -> dict:
     return _decompose_values(f.rank, _class_values(f))
 
 
-# Keys are a rank <= ORACLE_BOUND and a linear character (tensor_label_map checks both).
+# Keys are a rank <= ORACLE_BOUND and a linear character, both checked on entry.
 @lru_cache(maxsize=None)
 def _tensor_label_map(n: int, which: str) -> dict:
     table = build_character_table(n)
@@ -696,7 +682,4 @@ def _tensor_label_map(n: int, which: str) -> dict:
 def tensor_label_map(n: int, which: str) -> dict:
     """Label permutation induced on Irr(W_n) by tensoring with a linear
     character, computed by decomposing the actual pointwise products."""
-    _check_rank(n)
-    if which not in LINEAR_CHARACTERS:
-        raise ValueError(f"unknown linear character {which!r}")
     return dict(_tensor_label_map(n, which))

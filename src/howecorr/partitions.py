@@ -315,17 +315,12 @@ def vertical_strip_additions(p: Iterable[int], size: int) -> list:
 
 def dominance_leq(a: Iterable[int], b: Iterable[int]) -> bool:
     """Dominance order on partitions of equal size: every prefix sum of
-    ``a`` is at most the corresponding prefix sum of ``b``."""
-    a, b = Partition(a), Partition(b)
-    if a.size != b.size:
-        raise ValueError(f"dominance needs equal sizes: {a.size} != {b.size}")
-    ta = tb = 0
-    for i in range(max(len(a), len(b))):
-        ta += a.part(i)
-        tb += b.part(i)
-        if ta > tb:
-            return False
-    return True
+    ``a`` is at most the corresponding prefix sum of ``b``; the order of
+    :func:`bipartition_dominance_leq` on (a, empty) against (b, empty)."""
+    empty = Partition()
+    return bipartition_dominance_leq(
+        Bipartition(Partition(a), empty), Bipartition(Partition(b), empty)
+    )
 
 
 def bipartition_dominance_leq(x: Bipartition, y: Bipartition) -> bool:

@@ -408,9 +408,7 @@ def _unipotent_pair(k: int, r: int, extra_minus_one: int = 0, q: int = 3):
 
 def check_reduction_consistency(max_b_rank: int = 3, k_max: int = 2) -> CheckResult:
     """omega_full over a trivial semisimple class must reproduce
-    omega_unipotent byte for byte."""
-    import json
-
+    omega_unipotent: an equal table, field for field."""
     name = "reduction consistency"
     compared = 0
     for k, parity_prime, k_prime, r, r_prime in _table_sweep(max_b_rank, k_max):
@@ -420,9 +418,7 @@ def check_reduction_consistency(max_b_rank: int = 3, k_max: int = 2) -> CheckRes
         direct = omega_unipotent(ctx, ctx_p, k)
         if full.hash_descriptor or full.l or full.l_prime:
             return _fail(name, f"k={k}, r={r}: nonempty hash part")
-        a = json.dumps(full.unipotent_table.to_json_dict(), sort_keys=True)
-        b = json.dumps(direct.to_json_dict(), sort_keys=True)
-        if a != b:
+        if full.unipotent_table != direct:
             return _fail(name, f"k={k}, r={r}, r'={r_prime}: tables differ")
         compared += 1
     return _ok(name, f"{compared} tables byte-identical to omega_unipotent")

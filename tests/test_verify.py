@@ -199,103 +199,113 @@ EMPTY = "Bipartition(alpha=(), beta=())"
 # check passes as it stands and fails, with this detail, once the global is
 # replaced.  check_character_tables is covered by the column test above.
 PLANTED_FAULTS = [
-    (
+    pytest.param(
         "pieri_induction",
         lambda real: lambda chi, s, second, conv: real(chi, s, "trivial", conv),
         lambda: verify.check_induction(2),
         f"Ind(chi_{EMPTY} x coxeter_sign) to W_1: rule gives "
         "{Bipartition(alpha=(1,), beta=()): 1}, "
         "oracle gives {Bipartition(alpha=(), beta=(1,)): 1}",
+        id="induction",
     ),
-    (
+    pytest.param(
         "is_first_kind",
         lambda real: lambda k, k_prime: not real(k, k_prime),
         lambda: check_omega(1),
         "entry mismatch at k=0, parity'=0, r=1, r'=0",
+        id="omega-entries",
     ),
-    (
+    pytest.param(
         # the unpatched run caches the oracle, so only the table side sees it
         "identity_class",
         lambda real: lambda n: SignedCycleType(Partition(), Partition([1] * n)),
         lambda: check_omega(1),
         "degree identity fails at k=0, r=1, r'=1",
+        id="omega-degrees",
     ),
-    (
+    pytest.param(
         "omega_unipotent",
         lambda real: lambda ctx, ctx_p, k, **kw: real(ctx, _grown(ctx_p), k, **kw),
         verify.check_zero_law,
         "k=1, m'=0: zero iff m' < 1 violated",
+        id="zero-law-tables",
     ),
-    (
+    pytest.param(
         "theta_images",
         lambda real: lambda *args: [None],
         verify.check_zero_law,
         "k=1, m'=0: images below first occurrence",
+        id="zero-law-images",
     ),
-    (
+    pytest.param(
         "row_nonempty",
         lambda real: lambda *args: not real(*args),
         lambda: verify.check_row_persistence(1),
         f"k=0, r=0, r'=0, row {EMPTY}: nonempty=True, predicted=False",
+        id="row-persistence",
     ),
-    (
+    pytest.param(
         "extremal_images",
         lambda real: _extremal_antichain,
         lambda: verify.check_extremal(1),
         f"antichain at k=0, r=0, r'=0, row {EMPTY}: ({EMPTY},)",
+        id="extremal",
     ),
-    (
+    pytest.param(
         # the rank-sum branch is unreachable: centralizer_decomposition
         # raises InternalCheckError on the same condition first
         "centralizer_decomposition",
         lambda real: lambda s, ctx: real(s, ctx)._replace(l=real(s, ctx).l + 1),
         lambda: verify.check_centralizers(5),
         "trial 0: drop l miscomputed",
+        id="centralizers-drop",
     ),
-    (
+    pytest.param(
         "match_semisimple",
         lambda real: lambda s, ctx, ctx_p: s,
         lambda: verify.check_centralizers(5),
         "trial 0: matched dimension wrong",
+        id="centralizers-match",
     ),
-    (
+    pytest.param(
         "omega_full",
         lambda real: lambda pair, ctx, ctx_p: real(pair, ctx, _grown(ctx_p)),
         lambda: verify.check_reduction_consistency(1),
         "k=0, r=0, r'=0: tables differ",
+        id="reduction-tables",
     ),
-    (
+    pytest.param(
         "omega_full",
         lambda real: lambda *args: dataclasses.replace(real(*args), l=1),
         lambda: verify.check_reduction_consistency(1),
         "k=0, r=0: nonempty hash part",
+        id="reduction-hash-part",
     ),
-    (
+    pytest.param(
         "omega_full",
         _hash_blind,
         lambda: verify.check_membership(1),
         f"l=1, k=0, r=0, r'=0: (('2',),{EMPTY}) vs (('1,1',),{EMPTY})",
+        id="membership",
     ),
-    (
+    pytest.param(
         "transport_support",
         lambda real: lambda *args: None,
         verify.check_transport,
         "growth transport lost the anchor",
+        id="transport",
     ),
-    (
+    pytest.param(
         "omega_unipotent",
         lambda real: lambda ctx, ctx_p, k: real(ctx, TowerContext(0, 0), k),
         check_pinned_table,
         "got {(Bipartition(alpha=(1,), beta=()), " + EMPTY + "): 1}",
+        id="pinned-table",
     ),
 ]
 
 
-@pytest.mark.parametrize(
-    "name, plant, check, detail",
-    PLANTED_FAULTS,
-    ids=[f"{i}-{fault[0]}" for i, fault in enumerate(PLANTED_FAULTS)],
-)
+@pytest.mark.parametrize("name, plant, check, detail", PLANTED_FAULTS)
 def test_checks_fail_on_planted_faults(monkeypatch, name, plant, check, detail):
     assert check().passed
     monkeypatch.setattr(verify, name, plant(getattr(verify, name)))
