@@ -156,7 +156,7 @@ def _cmd_extremal(args):
     images = theta_images(pi, ctx, ctx_p, convention=args.convention)
     if not images:
         return lambda: {"zero": True}, lambda: "zero", 0
-    lo, hi = _image_extremes(pi, images)
+    lo, hi = _image_extremes(pi, images[0][0].k, [img.char_label for img, _ in images])
     return (
         lambda: {
             "zero": False,

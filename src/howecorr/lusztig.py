@@ -444,7 +444,7 @@ def transport_support(
                 f"cuspidal unipotent k={k} lives at Witt index "
                 f"{witt_index_of_cuspidal(k)}, not {home}"
             )
-        _validate_series(TowerContext(home, ctx.dim_parity), k)
+        _validate_series(home, ctx.dim_parity, k)
     first, phi_prime = _anchor_image(support.phi, home, ctx_prime)
     if ctx_prime.witt_index < first:
         return None

@@ -18,7 +18,8 @@ Enumeration orders are fixed once and used everywhere:
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from itertools import zip_longest
+from itertools import accumulate, chain, repeat
+from operator import le
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -323,32 +324,36 @@ def dominance_leq(a: Iterable[int], b: Iterable[int]) -> bool:
     )
 
 
+def _dominance_vector(bp: Bipartition, width: int) -> tuple:
+    """Prefix sums of the zero-padded concatenation of ``bp``: alpha padded
+    to ``width`` parts, then beta padded to ``width`` parts, for a
+    ``width`` at least the length of both components.
+
+    The vector determines ``bp``: its successive differences are the
+    padded parts.  Dominance is defined on these vectors: at one common
+    width, x is below y exactly when every entry of x's vector is at most
+    the same entry of y's.  Past the end of a component a prefix sum stays
+    put, so any width at least the longest component gives the same order.
+    """
+    alpha, beta = bp
+    return tuple(
+        accumulate(
+            chain(alpha, repeat(0, width - len(alpha)), beta, repeat(0, width - len(beta)))
+        )
+    )
+
+
 def bipartition_dominance_leq(x: Bipartition, y: Bipartition) -> bool:
     """Dominance on bipartitions of equal total size, computed on the
-    zero-padded concatenation (alpha then beta).
+    zero-padded concatenation (alpha then beta): the entrywise order of
+    their :func:`_dominance_vector` at a common width.
 
     This is a genuine partial order; incomparable pairs stay incomparable,
-    there is no lexicographic tie-break.  Past the longer of two components
-    both prefix sums stay put, so each component is walked only that far,
-    and the beta sums start from the two alpha totals.
+    there is no lexicographic tie-break.
     """
-    xa, xb = x
-    ya, yb = y
-    xa_total = sum(xa)
-    ya_total = sum(ya)
-    if xa_total + sum(xb) != ya_total + sum(yb):
+    width = max(map(len, (*x, *y)))
+    vx, vy = _dominance_vector(x, width), _dominance_vector(y, width)
+    # the last prefix sum is the total size (no entries: both are empty)
+    if vx[-1:] != vy[-1:]:
         raise ValueError(f"dominance needs equal sizes: {x.size} != {y.size}")
-    tx = ty = 0
-    for a, b in zip_longest(xa, ya, fillvalue=0):
-        tx += a
-        ty += b
-        if tx > ty:
-            return False
-    tx, ty = xa_total, ya_total
-    for a, b in zip_longest(xb, yb, fillvalue=0):
-        tx += a
-        ty += b
-        if tx > ty:
-            return False
-    return True
-
+    return all(map(le, vx, vy))

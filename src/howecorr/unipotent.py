@@ -33,6 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from itertools import accumulate, chain, product, repeat
+from operator import ge, le
 from typing import NamedTuple
 
 from .errors import NonUniqueExtremeError
@@ -47,7 +48,7 @@ from .partitions import (
     _partition_position,
     _partitions_of,
     _vertical_strips,
-    bipartition_dominance_leq,
+    _dominance_vector,
 )
 
 DEFAULT_SGN_CONVENTION = "coxeter_sign"
@@ -92,20 +93,83 @@ def is_first_kind(k: int, k_prime: int) -> bool:
     return k % 2 == 1 or k == k_prime == 0
 
 
+# Trial division runs over the odd p up to just past this power of two, so
+# it alone decides every q below its square; past it the prime-power test
+# takes integer roots and Miller-Rabin.
+TRIAL_DIVISION_LIMIT = 1 << 8
+
+# Miller-Rabin with the first 13 primes as bases is exact below
+# PRIME_TEST_BOUND (Sorenson and Webster, Math. Comp. 86 (2017), 985-1003).
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 3317044064679887385961981
+
+
 def is_odd_prime_power(q: int) -> bool:
-    """Whether q is a power of an odd prime (the admissible field sizes)."""
+    """Whether q is a power of an odd prime (the admissible field sizes).
+
+    Exact: trial division by the odd p up to just past
+    TRIAL_DIVISION_LIMIT, then, when q has no factor there, the one base whose power q can be (its
+    root of highest degree) goes through deterministic Miller-Rabin.
+    Raises ValueError when that base is at least PRIME_TEST_BOUND, where
+    the test would no longer be exact.
+    """
     if q < 3 or q % 2 == 0:
         return False
     p = 3
     while p * p <= q:
         if q % p == 0:
+            while q % p == 0:
+                q //= p
+            return q == 1
+        if p > TRIAL_DIVISION_LIMIT:
             break
         p += 2
     else:
         return True  # q itself is prime
-    while q % p == 0:
-        q //= p
-    return q == 1
+    # Every prime factor of q exceeds TRIAL_DIVISION_LIMIT = 2^8, so
+    # q = b^e has e < q.bit_length() / 8.  If b is prime it is no perfect
+    # power, so the exact root of highest degree is b itself.
+    base = q
+    for e in range(q.bit_length() // 8, 1, -1):
+        root = _integer_root(q, e)
+        if root**e == q:
+            base = root
+            break
+    if base >= PRIME_TEST_BOUND:
+        raise ValueError(
+            f"q = {q} is too large to test exactly for an odd prime power "
+            f"(its base must be below {PRIME_TEST_BOUND})"
+        )
+    return _is_prime(base)
+
+
+def _integer_root(q: int, e: int) -> int:
+    """The largest x with x**e <= q, for q >= 1 and e >= 2: Newton's
+    iteration from above, which decreases to the root."""
+    x = 1 << -(-q.bit_length() // e)
+    while True:
+        y = ((e - 1) * x + q // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for an odd n > 41 below PRIME_TEST_BOUND."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -310,25 +374,27 @@ def _label_str(bp: Bipartition) -> str:
     return f"{a}|{b}"
 
 
-def _validate_series(ctx: TowerContext, k: int) -> int:
-    """The k-series lives in the tower of parity T(k) mod 2; return r."""
-    if triangular(k) % 2 != ctx.dim_parity:
+def _validate_series(m: int, parity: int, k: int) -> int:
+    """The k-series lives in the tower of parity T(k) mod 2; return
+    r = m - m(k) for the member of Witt index m and parity ``parity``."""
+    if triangular(k) % 2 != parity:
         raise ValueError(
-            f"series k={k} does not live in a tower of dimension parity {ctx.dim_parity}"
+            f"series k={k} does not live in a tower of dimension parity {parity}"
         )
-    r = ctx.witt_index - witt_index_of_cuspidal(k)
+    r = m - witt_index_of_cuspidal(k)
     if r < 0:
         raise ValueError(
-            f"Witt index {ctx.witt_index} is below the cuspidal support m({k}) = "
+            f"Witt index {m} is below the cuspidal support m({k}) = "
             f"{witt_index_of_cuspidal(k)}; the k={k} series is empty there"
         )
     return r
 
 
-def _series_ranks(ctx: TowerContext, m_prime: int, parity_prime: int, k: int) -> tuple:
-    """(r, k', r') for the k-series on ``ctx`` and its partner k'-series at
-    Witt index m' and parity ``parity_prime``; r' < 0 below first occurrence."""
-    r = _validate_series(ctx, k)
+def _series_ranks(m: int, parity: int, m_prime: int, parity_prime: int, k: int) -> tuple:
+    """(r, k', r') for the k-series at Witt index m and parity ``parity``
+    and its partner k'-series at Witt index m' and parity ``parity_prime``;
+    r' < 0 below first occurrence."""
+    r = _validate_series(m, parity, k)
     k_prime = theta_cuspidal(k, parity_prime)
     return r, k_prime, m_prime - witt_index_of_cuspidal(k_prime)
 
@@ -407,7 +473,7 @@ OMEGA_CACHE_SIZE = 1024
 
 @lru_cache(maxsize=OMEGA_CACHE_SIZE)
 def _omega_cached(m, parity, m_prime, parity_prime, k, convention):
-    r, k_prime, r_prime = _series_ranks(TowerContext(m, parity), m_prime, parity_prime, k)
+    r, k_prime, r_prime = _series_ranks(m, parity, m_prime, parity_prime, k)
     row_labels = _bipartitions_of(r)
     if r_prime < 0:
         return MultiplicityTable(
@@ -558,8 +624,9 @@ def theta_images(
     in closed form; no table is built."""
     # every check of omega_unipotent, in the same order, then the label size
     _check_convention(convention)
-    m_prime, parity_prime = ctx_prime.witt_index, ctx_prime.dim_parity
-    r, k_prime, r_prime = _series_ranks(ctx, m_prime, parity_prime, pi.k)
+    r, k_prime, r_prime = _series_ranks(
+        ctx.witt_index, ctx.dim_parity, ctx_prime.witt_index, ctx_prime.dim_parity, pi.k
+    )
     if pi.char_label.size != r:
         raise ValueError(
             f"label {pi.char_label} has size {pi.char_label.size}, expected r = {r}"
@@ -573,24 +640,6 @@ def theta_images(
     return [(_series_label((k_prime, col)), mult) for col, mult in row]
 
 
-def _unique_extreme(labels: list, leq):
-    """The one x with leq(x, y) for every label y, or None, for a partial
-    order ``leq`` on the distinct ``labels``.
-
-    One sweep keeps the only possible candidate, and a second pass
-    certifies it: below every label, and no other label below it.
-    """
-    cand = labels[0]
-    for y in labels[1:]:
-        if leq(y, cand):
-            cand = y
-    if all(leq(cand, y) for y in labels) and not any(
-        leq(y, cand) for y in labels if y != cand
-    ):
-        return cand
-    return None
-
-
 def extremal_images(
     pi: SeriesLabel,
     ctx: TowerContext,
@@ -599,7 +648,8 @@ def extremal_images(
     convention: str = DEFAULT_SGN_CONVENTION,
 ) -> tuple:
     """The least and greatest image labels under dominance on the padded
-    concatenation (:func:`~howecorr.partitions.bipartition_dominance_leq`).
+    concatenation (:func:`~howecorr.partitions.bipartition_dominance_leq`),
+    certified in one pass over the images (see _image_extremes).
 
     Raises ValueError on an empty image set, and
     :class:`NonUniqueExtremeError` with the offending antichain if there is
@@ -608,32 +658,49 @@ def extremal_images(
     images = theta_images(pi, ctx, ctx_prime, convention=convention)
     if not images:
         raise ValueError(f"image of {pi} is empty (below first occurrence)")
-    return _image_extremes(pi, images)
+    return _image_extremes(pi, images[0][0].k, [sl.char_label for sl, _ in images])
 
 
-def _image_extremes(pi: SeriesLabel, images: list) -> tuple:
-    """The least and greatest labels of ``images``, the nonempty list that
-    ``theta_images`` returned for ``pi``; raises
-    :class:`NonUniqueExtremeError` as ``extremal_images`` does."""
-    labels = [sl.char_label for sl, _ in images]
-    k_prime = images[0][0].k
-    # read per call, not bound as a default, so that patching the module's
-    # bipartition_dominance_leq reaches every comparison
-    order = bipartition_dominance_leq
+def _image_extremes(pi: SeriesLabel, k_prime: int, labels: list) -> tuple:
+    """The least and greatest of ``labels``, as k'-series labels: the
+    distinct column labels, in column order, of the nonempty row of ``pi``.
+    Raises :class:`NonUniqueExtremeError` as ``extremal_images`` does.
+
+    A single label is both.  Otherwise one pass certifies each extreme.
+    Each label maps to the prefix sums of its concatenation, both
+    components padded to the longest component among the labels
+    (``partitions._dominance_vector``).  The vector
+    determines the label, and x is below y in dominance exactly when x's
+    vector is at most y's entry by entry.  So a label is below every image
+    exactly when its vector equals the entrywise minimum over all images,
+    and at most one label can; this reads every image, so a label found is
+    the unique least image, and if none is found there is none.  The
+    greatest image takes the entrywise maximum the same way.  Without a
+    unique extreme, the minimal (maximal) labels are found pairwise from the
+    same vectors and raised as the antichain, in row order.
+    """
+    if len(labels) == 1:
+        end = _series_label((k_prime, labels[0]))
+        return end, end
+    width = max(map(len, chain.from_iterable(labels)))
+    vectors = [_dominance_vector(x, width) for x in labels]
     ends = []
-    for leq, extreme, kind in (
-        (order, "minimum", "minimal"),
-        (lambda x, y: order(y, x), "maximum", "maximal"),
+    for bound, beyond, extreme, kind in (
+        (min, ge, "minimum", "minimal"),
+        (max, le, "maximum", "maximal"),
     ):
-        end = _unique_extreme(labels, leq)
-        if end is None:
+        target = tuple(map(bound, *vectors))
+        if target not in vectors:
+            # x is minimal (maximal) when no other vector is below (above) its own
             antichain = [
-                x for x in labels if not any(leq(y, x) and y != x for y in labels)
+                x
+                for x, v in zip(labels, vectors)
+                if not any(w != v and all(map(beyond, v, w)) for w in vectors)
             ]
             raise NonUniqueExtremeError(
                 f"no unique {extreme} among images of {pi}: "
                 f"{kind} antichain {antichain}",
                 antichain=antichain,
             )
-        ends.append(SeriesLabel(k_prime, end))
+        ends.append(_series_label((k_prime, labels[vectors.index(target)])))
     return tuple(ends)

@@ -11,6 +11,10 @@ character) decomposed on W_{l+s}, are memoised once and read both by the
 induction check and by the oracle coupling, which decomposes each term
 factor by factor, on W_r and on W_r' separately, and takes outer products
 instead of contracting a class function on W_r x W_r'.
+
+The extremal check reads each image set as a row of the table it has just
+built and certifies its least and greatest member in one pass over that
+row (``unipotent._image_extremes``), without recomputing the row.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from .unipotent import (
     SGN_CONVENTIONS,
     SeriesLabel,
     TowerContext,
-    extremal_images,
+    _image_extremes,
     is_first_kind,
     omega_unipotent,
     pieri_induction,
@@ -308,8 +312,9 @@ def check_row_persistence(
 
 
 def check_extremal(max_b_rank: int = 4, k_max: int = 3) -> CheckResult:
-    """Unique minimum and maximum in every nonempty image set, under the
-    configured order, for both sgn conventions."""
+    """Unique minimum and maximum under dominance in every nonempty image
+    set, for both sgn conventions.  Each row is read once from its table
+    and certified in one pass over it (``unipotent._image_extremes``)."""
     name = "extremal uniqueness"
     checked = 0
     for convention in SGN_CONVENTIONS:
@@ -317,11 +322,12 @@ def check_extremal(max_b_rank: int = 4, k_max: int = 3) -> CheckResult:
             ctx, ctx_p = _series_contexts(k, k_prime, r, r_prime)
             table = omega_unipotent(ctx, ctx_p, k, convention=convention)
             for bp in table.row_labels:
-                if not table.row(bp):
+                row = table.row(bp)
+                if not row:
                     continue
                 pi = SeriesLabel(k, bp)
                 try:
-                    extremal_images(pi, ctx, ctx_p, convention=convention)
+                    _image_extremes(pi, k_prime, [col for col, _ in row])
                 except NonUniqueExtremeError as err:
                     return _fail(
                         name,

@@ -24,7 +24,6 @@ from howecorr.partitions import (
 )
 from howecorr.unipotent import (
     MultiplicityTable,
-    TowerContext,
     _pieri_labels,
     _validate_series,
     theta_cuspidal,
@@ -126,7 +125,7 @@ def _entries(r, r_prime, second, convention):
 
 def omega_table(m, parity, m_prime, parity_prime, k, convention):
     """The table ``omega_unipotent`` returned for these contexts."""
-    r = _validate_series(TowerContext(m, parity), k)
+    r = _validate_series(m, parity, k)
     k_prime = theta_cuspidal(k, parity_prime)
     r_prime = m_prime - witt_index_of_cuspidal(k_prime)
     row_labels = tuple(bipartitions_of(r))

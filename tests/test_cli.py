@@ -262,6 +262,24 @@ class TestCentralizer:
         assert out == ""
         assert err == "error: q = 15 is not an odd prime power\n"
 
+    def test_large_prime_field_answers(self, capsys):
+        code, out, err = run(
+            capsys, "centralizer", "--q", str(2**61 - 1), "--n", "3", "--orbits", "0^3"
+        )
+        assert (code, err) == (0, "")
+        assert out.startswith("no factors away from eigenvalue 1\n")
+
+    def test_field_past_the_exact_test_exits_1(self, capsys):
+        q = 3317044064679887385962123  # the next prime past PRIME_TEST_BOUND
+        code, out, err = run(
+            capsys, "centralizer", "--q", str(q), "--n", "3", "--orbits", "0^3"
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: q = {q} is too large to test exactly for an odd prime power "
+            "(its base must be below 3317044064679887385961981)\n"
+        )
+
     def test_dash_is_the_empty_orbit_list(self, capsys):
         dash = run(capsys, "centralizer", "--q", "3", "--n", "0", "--orbits", "-")
         empty = run(capsys, "centralizer", "--q", "3", "--n", "0", "--orbits", "")

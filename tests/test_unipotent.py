@@ -1,6 +1,7 @@
 import gc
 import json
 from math import comb, factorial, prod
+from operator import le
 
 import pytest
 import reference_pieri
@@ -10,12 +11,18 @@ from hypothesis import strategies as st
 from howecorr import partitions, unipotent
 from howecorr.errors import NonUniqueExtremeError
 from howecorr.hyperoctahedral import build_character_table
-from howecorr.partitions import bipartition, bipartition_dominance_leq, bipartitions_of
+from howecorr.partitions import (
+    Partition,
+    bipartition,
+    bipartition_dominance_leq,
+    bipartitions_of,
+)
 from howecorr.unipotent import (
     SGN_CONVENTIONS,
     MultiplicityTable,
     SeriesLabel,
     TowerContext,
+    _image_extremes,
     _omega_cached,
     extremal_images,
     is_first_kind,
@@ -74,6 +81,33 @@ class TestCuspidalBookkeeping:
         want = [q for q, ps in enumerate(factors) if len(ps) == 1 and 2 not in ps]
         assert got == want
         assert {9, 27, 25, 2187, 4913} <= set(got)
+
+    @pytest.mark.parametrize(
+        "q, want",
+        [
+            (2**61 - 1, True),  # a prime past trial division
+            ((2**31 - 1) ** 2, True),  # the square of one
+            (257**5, True),  # the smallest base past trial division
+            (561, False),  # a Carmichael number
+            (3215031751, False),  # a strong pseudoprime to bases 2, 3, 5, 7
+            # strong pseudoprimes with no factor below 2^8: only base 41
+            # exposes the second
+            (3825123056546413051, False),
+            (318665857834031151167461, False),
+            (1000003 * (2**61 - 1), False),  # two primes past trial division
+        ],
+    )
+    def test_odd_prime_powers_past_trial_division(self, q, want):
+        assert is_odd_prime_power(q) is want
+
+    def test_prime_power_test_is_bounded(self):
+        # the next prime past the bound has no exact answer, only a refusal
+        q = unipotent.PRIME_TEST_BOUND + 142
+        with pytest.raises(ValueError, match=f"^q = {q} is too large to test exactly"):
+            is_odd_prime_power(q)
+        # a large q with a small factor, or a small base, is still exact
+        assert is_odd_prime_power(3**60)
+        assert not is_odd_prime_power(3 * unipotent.PRIME_TEST_BOUND)
 
     def test_tower_context_validation(self):
         with pytest.raises(ValueError):
@@ -568,11 +602,11 @@ class TestExtremalImages:
                                 )
 
     def test_antichain_error_carries_witness(self, monkeypatch):
-        # an order under which nothing is comparable forces the diagnostic
-        def incomparable(x, y):
-            return x == y
+        # vectors no two of which compare force the diagnostic
+        def incomparable(x, width):
+            return (x.alpha.size, -x.alpha.size)
 
-        monkeypatch.setattr(unipotent, "bipartition_dominance_leq", incomparable)
+        monkeypatch.setattr(unipotent, "_dominance_vector", incomparable)
         with pytest.raises(NonUniqueExtremeError) as err:
             extremal_images(
                 SeriesLabel(0, TRIV1), TowerContext(1, 0), TowerContext(1, 0)
@@ -587,34 +621,39 @@ class TestExtremalImages:
         def order(x, y):
             return x == y or sign * x.alpha.size < sign * y.alpha.size
 
+        vector = _planted_vector(sign)
         pi, ctx = SeriesLabel(0, bipartition((1,), (1,))), TowerContext(2, 0)
         labels = [img.char_label for img, _ in theta_images(pi, ctx, ctx)]
+        for x in labels:
+            for y in labels:
+                assert all(map(le, vector(x, 0), vector(y, 0))) == order(x, y)
         if sign == 1:  # the maximal labels
             want = [x for x in labels if not any(order(x, y) and y != x for y in labels)]
         else:  # the minimal labels
             want = [x for x in labels if not any(order(y, x) and y != x for y in labels)]
         assert len(want) == 2
         extreme = "maximum" if sign == 1 else "minimum"
-        monkeypatch.setattr(unipotent, "bipartition_dominance_leq", order)
+        monkeypatch.setattr(unipotent, "_dominance_vector", vector)
         with pytest.raises(NonUniqueExtremeError, match=f"no unique {extreme}") as err:
             extremal_images(pi, ctx, ctx)
         assert err.value.antichain == tuple(want)
 
     @pytest.mark.parametrize(
-        "sign, extreme, kind, calls",
-        [(1, "maximum", "maximal", 18), (-1, "minimum", "minimal", 11)],
+        "sign, extreme, kind",
+        [(1, "maximum", "maximal"), (-1, "minimum", "minimal")],
     )
-    def test_antichain_message_is_pinned(self, sign, extreme, kind, calls, monkeypatch):
+    def test_antichain_message_is_pinned(self, sign, extreme, kind, monkeypatch):
         # the order of test_antichain_matches_the_quadratic_scan: at r = r' = 2
         # the image of 1|1 has the two-label antichain 2|-, 1,1|- at one end
         seen = []
+        planted = _planted_vector(sign)
 
-        def order(x, y):
-            seen.append((x, y))
-            return x == y or sign * x.alpha.size < sign * y.alpha.size
+        def vector(x, width):
+            seen.append((x, width))
+            return planted(x, width)
 
         pi, ctx = SeriesLabel(0, bipartition((1,), (1,))), TowerContext(2, 0)
-        monkeypatch.setattr(unipotent, "bipartition_dominance_leq", order)
+        monkeypatch.setattr(unipotent, "_dominance_vector", vector)
         with pytest.raises(NonUniqueExtremeError) as err:
             extremal_images(pi, ctx, ctx)
         antichain = (bipartition((2,), ()), bipartition((1, 1), ()))
@@ -625,4 +664,88 @@ class TestExtremalImages:
             f"{kind} antichain [Bipartition(alpha=(2,), beta=()), "
             "Bipartition(alpha=(1, 1), beta=())]"
         )
-        assert len(seen) == calls
+        # one vector per image, in row order, at the common width: the
+        # longest component, 1,1
+        assert seen == [(x, 2) for x in (*antichain, bipartition((1,), (1,)))]
+
+    def test_pass_matches_the_definitions_on_every_row(self):
+        """Every nonempty row with r, r' <= 8, both kinds and both
+        conventions: the pass certifies the extremes that the definitions
+        give.  A row depends on k only through its kind (k = 0 is of the
+        first kind against the even tower and of the second against the
+        odd one)."""
+        for convention in SGN_CONVENTIONS:
+            for first_kind in (True, False):
+                for r in range(9):
+                    for r_prime in range(9):
+                        for bp in bipartitions_of(r):
+                            row = unipotent._coupling_row(
+                                Partition(bp.alpha), Partition(bp.beta),
+                                r, r_prime, first_kind, convention,
+                            )
+                            if not row:
+                                continue
+                            pi = SeriesLabel(0, bp)
+                            labels = [col for col, _ in row]
+                            want = _extremes_by_definition(pi, 1, labels)
+                            assert _image_extremes(pi, 1, labels) == want
+
+    @given(
+        labels=st.integers(0, 8).flatmap(
+            lambda n: st.lists(
+                st.sampled_from(bipartitions_of(n)), min_size=1, unique=True
+            )
+        )
+    )
+    @settings(deadline=None, max_examples=300)
+    def test_pass_matches_the_definitions_on_any_label_set(self, labels):
+        # random subsets of Irr(W_n) in random order reach the antichain path
+        pi = SeriesLabel(0, labels[0])
+        try:
+            want = _extremes_by_definition(pi, 1, labels)
+        except NonUniqueExtremeError as err:
+            with pytest.raises(NonUniqueExtremeError) as got:
+                _image_extremes(pi, 1, labels)
+            assert str(got.value) == str(err)
+            assert got.value.antichain == err.antichain
+        else:
+            assert _image_extremes(pi, 1, labels) == want
+
+
+def _planted_vector(sign):
+    """Vectors whose entrywise order, on the images 2|-, 1,1|-, 1|1 of 1|1
+    at r = r' = 2, ranks labels by sign * |alpha| and leaves equal sizes
+    incomparable: a step of 2 in the level outweighs the tilt of 1 that
+    keeps 2|- and 1,1|- apart."""
+
+    def vector(x, width):
+        level, tilt = 2 * sign * x.alpha.size, len(x.alpha)
+        return (level + tilt, level - tilt)
+
+    return vector
+
+
+def _extremes_by_definition(pi, k_prime, labels):
+    """Reference for ``_image_extremes``, read off the definitions with
+    bipartition_dominance_leq: the least label is below every label and the
+    greatest above every label.  Without one, the minimal (maximal) labels,
+    in row order, make the antichain of the same error."""
+    leq = bipartition_dominance_leq
+    ends = []
+    for below, extreme, kind in (
+        (leq, "minimum", "minimal"),
+        (lambda x, y: leq(y, x), "maximum", "maximal"),
+    ):
+        found = [x for x in labels if all(below(x, y) for y in labels)]
+        if not found:
+            antichain = [
+                x for x in labels if not any(below(y, x) and y != x for y in labels)
+            ]
+            raise NonUniqueExtremeError(
+                f"no unique {extreme} among images of {pi}: "
+                f"{kind} antichain {antichain}",
+                antichain=antichain,
+            )
+        assert len(found) == 1
+        ends.append(SeriesLabel(k_prime, found[0]))
+    return tuple(ends)

@@ -176,7 +176,7 @@ def _grown(ctx_p):
     return TowerContext(ctx_p.witt_index + 1, ctx_p.dim_parity, ctx_p.q)
 
 
-def _extremal_antichain(pi, ctx, ctx_p, convention):
+def _extremal_antichain(pi, k_prime, labels):
     raise NonUniqueExtremeError("planted", [pi.char_label])
 
 
@@ -245,7 +245,7 @@ PLANTED_FAULTS = [
         id="row-persistence",
     ),
     pytest.param(
-        "extremal_images",
+        "_image_extremes",
         lambda real: _extremal_antichain,
         lambda: verify.check_extremal(1),
         f"antichain at k=0, r=0, r'=0, row {EMPTY}: ({EMPTY},)",
