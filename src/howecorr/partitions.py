@@ -18,7 +18,7 @@ Enumeration orders are fixed once and used everywhere:
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, product, repeat
 from operator import le
 from typing import Iterable, Iterator, NamedTuple
 
@@ -40,6 +40,8 @@ class Partition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int] = ()):
+        if type(parts) is cls:
+            return parts  # immutable and validated when it was built
         parts = tuple(int(p) for p in parts)
         while parts and parts[-1] == 0:
             parts = parts[:-1]
@@ -187,15 +189,65 @@ def bipartitions_of(n: int) -> list:
     return list(_bipartitions_of(n))
 
 
-# Strip additions are memoised per (partition, size), one cache per strip
-# kind, each result an immutable tuple in decreasing lexicographic order.
-# The index lists of the omega sum ask for the same keys about ten times
-# each: building them for 59 tables with r, r' in 4..13 makes about 20,000
-# strip requests on 1,815 distinct keys.  One table at r = r' = 20 needs
-# 10,980 keys of a kind, and every key of both kinds up to that rank holds
-# about 18 MiB; the bound keeps all of them resident.  Past it the least
-# recently used entries go, which only costs recomputation.  Horizontal
-# strip removals, read by single coupling rows, share the bound.
+# Unbounded for the reason given at _partitions_of.
+@lru_cache(maxsize=None)
+def _strip_relation(n: int) -> tuple:
+    """Horizontal strips of size n in index space: entry m holds, for each
+    mu of m in canonical order, the ascending positions among the
+    partitions of n of the lam with lam/mu a horizontal strip.
+
+    One pass over the lam of n runs through every mu with
+    lam_{i+1} <= mu_i <= lam_i (Macdonald I §5); only the last part of mu
+    can be 0.  Ascending position is the order of :func:`_horizontal_strips`.
+    """
+    positions = [_partition_position(m) for m in range(n + 1)]
+    out = [[[] for _ in _partitions_of(m)] for m in range(n + 1)]
+    for j, lam in enumerate(_partitions_of(n)):
+        for mu in product(*map(range, lam[1:] + (0,), [p + 1 for p in lam])):
+            if mu and not mu[-1]:
+                mu = mu[:-1]
+            m = sum(mu)
+            out[m][positions[m][mu]].append(j)
+    return tuple(tuple(map(tuple, rows)) for rows in out)
+
+
+# One entry per size, like _partitions_of.
+@lru_cache(maxsize=None)
+def _conjugate_positions(n: int) -> tuple:
+    """Position of x' of each partition x of n, in canonical order."""
+    position = _partition_position(n)
+    return tuple(position[p.conjugate()] for p in _partitions_of(n))
+
+
+# Keys are (m, s, vertical), and each value is no larger than the relation
+# of size m + s that it reads, so the bound of _partitions_of holds here.
+@lru_cache(maxsize=None)
+def _strip_positions(m: int, s: int, vertical: bool) -> tuple:
+    """For each mu of m in canonical order, the ascending positions among
+    the partitions of m + s of its horizontal (``vertical`` false) or
+    vertical strip additions of s cells, read from :func:`_strip_relation`.
+
+    The vertical additions of mu are the conjugates of the horizontal
+    additions of mu', so they come through the permutation x -> x' and a
+    sort; no strip is built or hashed.
+    """
+    additions = _strip_relation(m + s)[m]
+    if not vertical:
+        return additions
+    conjugate = _conjugate_positions(m + s).__getitem__
+    return tuple(
+        tuple(sorted(map(conjugate, additions[i]))) for i in _conjugate_positions(m)
+    )
+
+
+# Strip additions and removals of one partition are memoised per
+# (partition, size), one cache per kind, each result an immutable tuple in
+# decreasing lexicographic order.  They serve single coupling rows,
+# pieri_induction and the public strip functions; the omega sum reads
+# _strip_positions instead.  Every row of r = r' = 18 touches 6,179
+# addition and 11,284 removal keys, about 11 MiB together (tracemalloc);
+# the bound keeps all of them resident.  Past it the least recently used
+# entries go, which only costs recomputation.
 STRIP_CACHE_SIZE = 16384
 
 

@@ -47,6 +47,7 @@ from .partitions import (
     _horizontal_strips,
     _partition_position,
     _partitions_of,
+    _strip_positions,
     _vertical_strips,
     _dominance_vector,
 )
@@ -232,16 +233,16 @@ def sgn_twist(bp: Bipartition, convention: str = DEFAULT_SGN_CONVENTION) -> Bipa
 def _pieri_rule(which: str) -> tuple:
     """The Pieri rule of Ind from W_l x W_s to W_{l+s} of a character tensor
     the linear character ``which`` ("trivial" or a sgn convention): the
-    component that grows (0 for alpha, 1 for beta) and the strip additions
-    that grow it.
+    component that grows (0 for alpha, 1 for beta) and whether it grows by
+    vertical (rather than horizontal) strips.
 
     The trivial character adds a horizontal strip to alpha (Pieri); sgn adds
     the strip to beta, vertical under ``coxeter_sign`` and horizontal under
     ``sign_changes``.
     """
     if which == "trivial":
-        return 0, _horizontal_strips
-    return 1, _vertical_strips if which == "coxeter_sign" else _horizontal_strips
+        return 0, False
+    return 1, which == "coxeter_sign"
 
 
 def _pieri_labels(alpha: Partition, beta: Partition, size: int, which: str):
@@ -249,7 +250,8 @@ def _pieri_labels(alpha: Partition, beta: Partition, size: int, which: str):
     tensor the linear character ``which`` (see _pieri_rule), each with
     multiplicity one, as an iterator of (alpha, beta) pairs in strip order.
     """
-    side, strips = _pieri_rule(which)
+    side, vertical = _pieri_rule(which)
+    strips = _vertical_strips if vertical else _horizontal_strips
     if side == 0:
         return zip(strips(alpha, size), repeat(beta))
     return zip(repeat(alpha), strips(beta, size))
@@ -401,8 +403,9 @@ def _series_ranks(m: int, parity: int, m_prime: int, parity_prime: int, k: int) 
 
 # Keys are (n, l, which), 3(n + 1) of them at rank n, so the bound keeps
 # every key of every rank up to 24 resident (975 keys).  All keys of rank 16
-# hold about 9 MiB, of rank 18 about 21 MiB (each index an int of its own;
-# measured with tracemalloc); one table reads only 2(l_max + 1).
+# hold about 8.7 MiB, of rank 18 about 21 MiB (each index an int of its own;
+# measured with tracemalloc), on top of the 0.5 and 1.1 MiB of strip
+# positions they read; one table reads only 2(l_max + 1).
 STRIP_INDEX_CACHE_SIZE = 1024
 
 
@@ -412,11 +415,12 @@ def _strip_indices(n: int, l: int, which: str) -> tuple:
     Irr(W_n) of the labels of Ind(chi x which), ``which`` a linear character
     of W_{n-l} as in _pieri_labels, in strip order.
 
-    Positions are mixed-radix numbers (_bipartition_radix), so each strip
-    list is mapped to positions once, for the component that grows, and
-    every partner component only adds its own position and stride.
+    Positions are mixed-radix numbers (_bipartition_radix), so the strip
+    additions of the component that grows are read as positions
+    (partitions._strip_positions), and every partner component only adds
+    its own position and stride.
     """
-    side, strips = _pieri_rule(which)
+    side, vertical = _pieri_rule(which)
     s = n - l
     starts, counts = _bipartition_radix(n)
     out = []
@@ -424,19 +428,16 @@ def _strip_indices(n: int, l: int, which: str) -> tuple:
         b = l - a
         if side == 0:
             # (lam, beta), |lam| = a + s: start + pos(lam) * p(b) + pos(beta)
-            pos = _partition_position(a + s).__getitem__
             start, stride = starts[a + s], counts[b]
-            for alpha in _partitions_of(a):
-                heads = [start + stride * i for i in map(pos, strips(alpha, s))]
-                out.extend(tuple([h + j for h in heads]) for j in range(stride))
+            for lams in _strip_positions(a, s, vertical):
+                heads = [start + stride * i for i in lams]
+                out.extend(zip(*[range(h, h + stride) for h in heads]))
         else:
             # (alpha, mu), |mu| = b + s: start + pos(alpha) * p(b + s) + pos(mu)
-            pos = _partition_position(b + s).__getitem__
             start, stride = starts[a], counts[b + s]
-            tails = [list(map(pos, strips(beta, s))) for beta in _partitions_of(b)]
-            for i in range(counts[a]):
-                base = start + stride * i
-                out.extend(tuple([base + t for t in tail]) for tail in tails)
+            mus = _strip_positions(b, s, vertical)
+            for base in range(start, start + stride * counts[a], stride):
+                out.extend(tuple(map(base.__add__, tail)) for tail in mus)
     return tuple(out)
 
 

@@ -9,6 +9,7 @@ from howecorr.partitions import (
     _bipartition_radix,
     _horizontal_strip_removals,
     _partition_position,
+    _strip_positions,
     bipartition,
     bipartition_dominance_leq,
     bipartitions_of,
@@ -36,6 +37,17 @@ class TestPartition:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             Partition((2, -1))
+
+    def test_a_partition_is_returned_as_it_is(self):
+        p = P(3, 1)
+        assert Partition(p) is p
+        # other sequences are copied and validated as before
+        assert type(Partition([3, 1])) is Partition
+        assert Partition((3, 1, 0)) == p and Partition((3, 1, 0)) is not p
+        with pytest.raises(ValueError, match=r"weakly decreasing: \(1, 2\)"):
+            Partition((1, 2))
+        with pytest.raises(ValueError, match=r"positive: \(2, -1\)"):
+            Partition([2, -1])
 
     def test_part_past_end_is_zero(self):
         assert P(3, 1).part(5) == 0
@@ -228,6 +240,23 @@ class TestStripProperties:
         assert op(tuple(p), size) == want
         op(p, size).clear()
         assert op(p, size) == want
+
+
+@pytest.mark.parametrize("kind", sorted(STRIPS))
+def test_strip_positions_equal_the_interlacing_definition(kind):
+    """Every pair mu, lam with |mu| <= |lam| <= 12, tested one by one."""
+    for n in range(13):
+        lams = partitions_of(n)
+        for m in range(n + 1):
+            want = tuple(
+                tuple(
+                    j
+                    for j, lam in enumerate(lams)
+                    if lam.contains(mu) and is_strip(kind, lam, mu)
+                )
+                for mu in partitions_of(m)
+            )
+            assert _strip_positions(m, n - m, kind == "vertical") == want, (m, n)
 
 
 @settings(deadline=None)

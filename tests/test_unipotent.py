@@ -322,6 +322,9 @@ def _clear_index_caches():
         partitions._bipartition_index,
         partitions._bipartition_radix,
         partitions._partition_position,
+        partitions._strip_relation,
+        partitions._strip_positions,
+        partitions._conjugate_positions,
     ):
         cached.cache_clear()
 
@@ -394,6 +397,20 @@ class TestIndexSpaceAssembly:
         for case in self.CASES:
             _clear_index_caches()
             assert self._snapshot(*case) == cold[case], case
+
+    def test_tables_never_call_the_label_strip_generators(self, monkeypatch):
+        """The omega sum reads strips in index space only; the label-level
+        generators serve single rows, pieri_induction and the public API."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the omega sum called a label-level strip generator")
+
+        _clear_all_caches()
+        for module in (partitions, unipotent):
+            for name in ("_horizontal_strips", "_vertical_strips"):
+                monkeypatch.setattr(module, name, forbidden)
+        for case in self.CASES:
+            self._snapshot(*case)
 
     def test_index_lists_equal_the_label_hashing_reference(self):
         """The radix arithmetic gives the tuples that hashing each label

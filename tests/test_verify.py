@@ -110,6 +110,9 @@ def test_oracle_never_calls_pieri_code(monkeypatch):
         "_horizontal_strip_removals",
         "_pieri_rule",
         "_strip_indices",
+        "_strip_relation",
+        "_strip_positions",
+        "_conjugate_positions",
         "_twist_permutation",
         "_star_permutation",
         "_partition_position",
