@@ -29,11 +29,14 @@ character (``coxeter_sign``, the default) and the sign-change character
 from __future__ import annotations
 
 import gc
+from bisect import bisect_left
 from collections import Counter
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from itertools import accumulate, chain, product, repeat
-from operator import ge, le
+from itertools import accumulate, chain, product, repeat, starmap
+from operator import ge, itemgetter, le, mul, sub
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import NonUniqueExtremeError
@@ -43,9 +46,9 @@ from .partitions import (
     _bipartition_index,
     _bipartition_radix,
     _bipartitions_of,
+    _conjugate_positions,
     _horizontal_strip_removals,
     _horizontal_strips,
-    _partition_position,
     _partitions_of,
     _strip_positions,
     _vertical_strips,
@@ -273,13 +276,167 @@ def pieri_induction(
     return list(map(_bipartition, _pieri_labels(alpha, beta, s, which)))
 
 
+def _uncollected(build, cells):
+    """build(cells) with the cyclic garbage collector paused, and left as
+    it was found: each cell is a new tuple or list, which the collector
+    tracks, and none can be part of a reference cycle."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return build(cells)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _block_cells(blocks: tuple):
+    """The cells of the sum's ``blocks`` (see _Entries) in order: the
+    pairs of each row tuple with its column tuple."""
+    return chain.from_iterable(starmap(product, zip(*blocks)))
+
+
+def _label_index(labels: tuple) -> dict:
+    """Position of each label of ``labels``: Irr(W_n) in canonical order
+    for some n, or nothing."""
+    return _bipartition_index(labels[0].size) if labels else {}
+
+
+_MISSING = object()
+
+
+class _Entries(Mapping):
+    """The nonzero cells of a coupling table, stored as indices into its
+    row and column labels: a read-only mapping from (row label, column
+    label) to multiplicity, iterated in the order the cells were stored.
+
+    A first-kind table stores the sum's blocks (see _blocks): the row and
+    the column tuple of each chi, cached tuples of indices.  Each chi gives
+    each pair of its two tuples once, and no first-kind cell exceeds 1, so
+    the cells are the disjoint union of these products.  ``labels()``
+    reads the same blocks as tuples of labels, from caches too.  Other
+    tables store a dict from index pairs to multiplicities.  The renderers,
+    and lookups in a first-kind table, read a copy of the indices sorted by
+    row, made on first use (_csr).
+    """
+
+    def __init__(self, rows: tuple, cols: tuple, blocks=None, labels=None, cells=None):
+        self._rows, self._cols, self._cells = rows, cols, cells
+        self._blocks, self._labels = blocks, labels
+
+    def __iter__(self):
+        if self._cells is None:
+            return _block_cells(self._label_blocks)
+        keys = self._cells.keys()
+        return zip(
+            map(self._rows.__getitem__, map(itemgetter(0), keys)),
+            map(self._cols.__getitem__, map(itemgetter(1), keys)),
+        )
+
+    def __len__(self) -> int:
+        if self._cells is not None:
+            return len(self._cells)
+        return sum(map(mul, *(map(len, tuples) for tuples in self._blocks)))
+
+    def get(self, key, default=None):
+        row_index, col_index = self._label_indices
+        try:
+            row, col = key
+            i, j = row_index.get(row), col_index.get(col)
+        except (TypeError, ValueError):  # not a pair of hashables
+            return default
+        if i is None or j is None:
+            return default
+        if self._cells is not None:
+            return self._cells.get((i, j), default)
+        starts, columns, _ = self._csr
+        at = bisect_left(columns, j, starts[i], starts[i + 1])
+        return 1 if at < starts[i + 1] and columns[at] == j else default
+
+    def __getitem__(self, key):
+        mult = self.get(key, _MISSING)
+        if mult is _MISSING:
+            raise KeyError(key)
+        return mult
+
+    def __contains__(self, key) -> bool:
+        return self.get(key, _MISSING) is not _MISSING
+
+    def items(self):
+        return _EntryItems(self)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+    @cached_property
+    def _label_blocks(self) -> tuple:
+        return self._labels()
+
+    @cached_property
+    def _label_indices(self) -> tuple:
+        return _label_index(self._rows), _label_index(self._cols)
+
+    @cached_property
+    def _index_entries(self) -> dict:
+        if self._cells is None:
+            return dict.fromkeys(_block_cells(self._blocks), 1)
+        return self._cells
+
+    @cached_property
+    def _csr(self) -> tuple:
+        """(starts, columns, multiplicities): the cells of row i, in column
+        order, sit at starts[i]:starts[i + 1].  One bucket per row takes the
+        columns the row meets, and is then sorted."""
+        buckets = [[] for _ in self._rows]
+        if self._cells is None:
+            for row_tuple, col_tuple in zip(*self._blocks):
+                for i in row_tuple:
+                    buckets[i].extend(col_tuple)
+        else:
+            for i, j in self._cells:
+                buckets[i].append(j)
+        for bucket in buckets:
+            bucket.sort()
+        starts = tuple(accumulate(map(len, buckets), initial=0))
+        columns = tuple(chain.from_iterable(buckets))
+        if self._cells is None:
+            return starts, columns, b"\x01" * len(columns)
+        cells = zip(_cell_rows(starts), columns)
+        return starts, columns, tuple(map(self._cells.__getitem__, cells))
+
+    def _row(self, i: int):
+        """(column index, multiplicity) of each cell of row i, in column
+        order."""
+        starts, columns, mults = self._csr
+        start, end = starts[i], starts[i + 1]
+        return zip(columns[start:end], mults[start:end])
+
+
+def _cell_rows(starts: tuple):
+    """The row index of each cell of a table whose row i holds the cells
+    starts[i]:starts[i + 1]."""
+    return chain.from_iterable(map(repeat, range(len(starts) - 1), map(sub, starts[1:], starts)))
+
+
+class _EntryItems(ItemsView):
+    """The items of an _Entries, in the order the cells were stored."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        entries = self._mapping
+        if entries._cells is None:
+            return zip(iter(entries), repeat(1))
+        return zip(iter(entries), entries._cells.values())
+
+
 @dataclass(frozen=True)
 class MultiplicityTable:
     """The coupling table of one pair of unipotent series.
 
     Rows are labelled by Irr(W_r) for the k-series on the first group,
     columns by Irr(W_r') for the k'-series on the second; ``entries`` holds
-    the nonzero multiplicities.  A table below the first occurrence of the
+    the nonzero multiplicities, a read-only mapping from (row label, column
+    label) pairs (see _Entries).  A table below the first occurrence of the
     partner cuspidal (m' < m(k')) is empty: no columns, no entries,
     ``formula`` is None.
     """
@@ -292,7 +449,19 @@ class MultiplicityTable:
     convention: str
     row_labels: tuple
     col_labels: tuple
-    entries: dict
+    entries: Mapping
+
+    def __post_init__(self):
+        if isinstance(self.entries, _Entries):
+            return
+        # a mapping passed in is stored in index space once, in its order
+        rows, cols = _label_index(self.row_labels), _label_index(self.col_labels)
+        try:
+            cells = {(rows[r], cols[c]): mult for (r, c), mult in self.entries.items()}
+        except KeyError as err:
+            raise ValueError(f"{err.args[0]} is not a label of this table") from None
+        entries = _Entries(self.row_labels, self.col_labels, cells=cells)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def is_zero(self) -> bool:
@@ -301,40 +470,21 @@ class MultiplicityTable:
     def entry(self, row: Bipartition, col: Bipartition) -> int:
         return self.entries.get((row, col), 0)
 
-    @cached_property
-    def _row_order(self) -> tuple:
-        """The keys of ``entries`` sorted by row, then column, and the
-        bounds starts[i]:starts[i + 1] of the keys of row i among them.
-        Built once per table; it holds the key tuples of ``entries`` rather
-        than new cells, so a table whose rows are read grows little."""
-        rows = _bipartition_index(self.row_labels[0].size)
-        cols = _bipartition_index(self.col_labels[0].size) if self.col_labels else {}
-        width = len(cols)
-        keys = sorted(self.entries, key=lambda key: rows[key[0]] * width + cols[key[1]])
-        starts = [0] * (len(self.row_labels) + 1)
-        for row, _ in keys:
-            starts[rows[row] + 1] += 1
-        return tuple(keys), tuple(accumulate(starts))
-
     def row(self, label: Bipartition) -> list:
-        # row_labels is Irr(W_r) in canonical order, r the size of any row
-        i = _bipartition_index(self.row_labels[0].size).get(label)
+        i = self.entries._label_indices[0].get(label)
         if i is None:
             raise ValueError(f"{label} is not a row label of this table")
-        keys, starts = self._row_order
-        entries = self.entries
-        return [(key[1], entries[key]) for key in keys[starts[i] : starts[i + 1]]]
+        cols = self.col_labels
+        return [(cols[j], mult) for j, mult in self.entries._row(i)]
 
-    def _rows(self):
-        """Each row's (column position, multiplicity) pairs in turn, in
-        column order, read from _row_order."""
-        keys, starts = self._row_order
-        cols = _bipartition_index(self.col_labels[0].size) if self.col_labels else {}
-        entries = self.entries
-        for start, stop in zip(starts, starts[1:]):
-            yield [(cols[key[1]], entries[key]) for key in keys[start:stop]]
+    def index_entries(self) -> Mapping:
+        """``entries`` keyed by (row, column) positions in ``row_labels``
+        and ``col_labels``, in the same order: a read-only mapping, made
+        once per table."""
+        return MappingProxyType(self.entries._index_entries)
 
     def to_json_dict(self) -> dict:
+        starts, columns, mults = self.entries._csr
         return {
             "m": self.m,
             "m_prime": self.m_prime,
@@ -344,7 +494,7 @@ class MultiplicityTable:
             "sgn_convention": self.convention,
             "row_labels": [[list(bp.alpha), list(bp.beta)] for bp in self.row_labels],
             "col_labels": [[list(bp.alpha), list(bp.beta)] for bp in self.col_labels],
-            "entries": [[i, j, m] for i, row in enumerate(self._rows()) for j, m in row],
+            "entries": _uncollected(list, map(list, zip(_cell_rows(starts), columns, mults))),
         }
 
     def to_text(self) -> str:
@@ -362,9 +512,9 @@ class MultiplicityTable:
         width = max([len(s) for s in cols + rows] + [3]) + 1
         lines = [head, "".rjust(width) + "".join(c.rjust(width) for c in cols)]
         blank = [".".rjust(width)] * len(cols)
-        for rname, row in zip(rows, self._rows()):
+        for i, rname in enumerate(rows):
             cells = blank.copy()
-            for j, m in row:
+            for j, m in self.entries._row(i):
                 cells[j] = str(m).rjust(width)
             lines.append(rname.rjust(width) + "".join(cells))
         return "\n".join(lines)
@@ -405,7 +555,9 @@ def _series_ranks(m: int, parity: int, m_prime: int, parity_prime: int, k: int) 
 # every key of every rank up to 24 resident (975 keys).  All keys of rank 16
 # hold about 8.7 MiB, of rank 18 about 21 MiB (each index an int of its own;
 # measured with tracemalloc), on top of the 0.5 and 1.1 MiB of strip
-# positions they read; one table reads only 2(l_max + 1).
+# positions they read; one table reads only 2(l_max + 1).  A live table
+# keeps references to the tuples it read (see _Entries), so an evicted key
+# frees its tuples only once no table holds them.
 STRIP_INDEX_CACHE_SIZE = 1024
 
 
@@ -441,14 +593,24 @@ def _strip_indices(n: int, l: int, which: str) -> tuple:
     return tuple(out)
 
 
+# The keys and bound of _strip_indices; the tuples hold the labels of
+# _bipartitions_of(n), no new objects.
+@lru_cache(maxsize=STRIP_INDEX_CACHE_SIZE)
+def _strip_labels(n: int, l: int, which: str) -> tuple:
+    """_strip_indices(n, l, which) with each index replaced by its label."""
+    label = _bipartitions_of(n).__getitem__
+    return tuple(tuple(map(label, indices)) for indices in _strip_indices(n, l, which))
+
+
 # One entry per size and convention, like the enumeration caches in
 # partitions, so it needs no bound.
 @lru_cache(maxsize=None)
 def _star_permutation(n: int, convention: str) -> tuple:
     """Position of x* (see _star) of each partition x of n, in canonical
-    order."""
-    pos = _partition_position(n)
-    return tuple(pos[_star(p, convention)] for p in _partitions_of(n))
+    order: the conjugation permutation of partitions, or the identity."""
+    if convention == "coxeter_sign":
+        return _conjugate_positions(n)
+    return tuple(range(len(_partitions_of(n))))
 
 
 # One entry per rank and convention, like the enumeration caches in
@@ -469,7 +631,41 @@ def _twist_permutation(n: int, convention: str) -> tuple:
 
 
 # A certify pass builds 426 distinct tables; the bound keeps all of them.
+# A first-kind table holds references to cached index tuples and no cell
+# of its own until it is rendered or looked up (_Entries._csr); a
+# second-kind table holds a Counter over its cells.  Tables that differ
+# only in k share both (_sum_entries).
 OMEGA_CACHE_SIZE = 1024
+
+
+def _blocks(r: int, r_prime: int, row_which: str, convention: str, strips) -> tuple:
+    """The row tuples and the column tuples of the chi of the omega sum of
+    ranks r, r', in order, read from ``strips`` (_strip_indices or
+    _strip_labels): rows Ind(chi x row_which), columns Ind(sgn chi x 1)."""
+    rows, cols = [], []
+    for l in range(min(r, r_prime) + 1):
+        cols_of = strips(r_prime, l, "trivial")
+        rows.extend(strips(r, l, row_which))
+        cols.extend(map(cols_of.__getitem__, _twist_permutation(l, convention)))
+    return tuple(rows), tuple(cols)
+
+
+# A table depends on k only through its kind, so the tables of one kind,
+# ranks and convention share their cells; the bound of the table cache
+# keeps them.
+@lru_cache(maxsize=OMEGA_CACHE_SIZE)
+def _sum_entries(r: int, r_prime: int, first_kind: bool, convention: str) -> _Entries:
+    """The cells of the omega sum of ranks r, r' >= 0 (see _Entries)."""
+    # Rows: Ind(chi x 1) or Ind(chi x sgn); columns: Ind(sgn chi x 1).  The
+    # sum runs over indices, one (row tuple, column tuple) block per chi.
+    row_which = "trivial" if first_kind else convention
+    sum_of = partial(_blocks, r, r_prime, row_which, convention)
+    rows, cols = _bipartitions_of(r), _bipartitions_of(r_prime)
+    blocks = sum_of(_strip_indices)
+    if first_kind:
+        # no first-kind cell exceeds 1 (see _coupling_row), so no pair repeats
+        return _Entries(rows, cols, blocks=blocks, labels=partial(sum_of, _strip_labels))
+    return _Entries(rows, cols, cells=_uncollected(Counter, _block_cells(blocks)))
 
 
 @lru_cache(maxsize=OMEGA_CACHE_SIZE)
@@ -477,40 +673,11 @@ def _omega_cached(m, parity, m_prime, parity_prime, k, convention):
     r, k_prime, r_prime = _series_ranks(m, parity, m_prime, parity_prime, k)
     row_labels = _bipartitions_of(r)
     if r_prime < 0:
+        entries = _Entries(row_labels, (), cells={})
         return MultiplicityTable(
-            m, m_prime, k, k_prime, None, convention, row_labels, (), {}
+            m, m_prime, k, k_prime, None, convention, row_labels, (), entries
         )
     first_kind = is_first_kind(k, k_prime)
-    # Rows: Ind(chi x 1) or Ind(chi x sgn); columns: Ind(sgn chi x 1).  The
-    # sum runs over indices; labels are attached once per cell.
-    row_which = "trivial" if first_kind else convention
-    col_labels = _bipartitions_of(r_prime)
-    products = []
-    for l in range(min(r, r_prime) + 1):
-        cols_of = _strip_indices(r_prime, l, "trivial")
-        products.extend(
-            product(rows, cols_of[t])
-            for rows, t in zip(
-                _strip_indices(r, l, row_which), _twist_permutation(l, convention)
-            )
-        )
-    pairs = chain.from_iterable(products)
-    # Every cell adds a key tuple that the cyclic collector tracks, and none
-    # of them can be part of a cycle, so the collector pauses meanwhile.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        if first_kind:
-            # no first-kind cell exceeds 1 (see _coupling_row), so no pair repeats
-            entries = {(row_labels[i], col_labels[j]): 1 for i, j in pairs}
-        else:
-            entries = {
-                (row_labels[i], col_labels[j]): mult
-                for (i, j), mult in Counter(pairs).items()
-            }
-    finally:
-        if collecting:
-            gc.enable()
     return MultiplicityTable(
         m,
         m_prime,
@@ -519,8 +686,8 @@ def _omega_cached(m, parity, m_prime, parity_prime, k, convention):
         "first-kind" if first_kind else "second-kind",
         convention,
         row_labels,
-        col_labels,
-        entries,
+        _bipartitions_of(r_prime),
+        _sum_entries(r, r_prime, first_kind, convention),
     )
 
 

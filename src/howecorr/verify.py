@@ -198,6 +198,17 @@ def _oracle_omega(r: int, r_prime: int, first_kind: bool, convention: str):
     return dict(counts), degree
 
 
+@lru_cache(maxsize=None)
+def _oracle_index_entries(r: int, r_prime: int, first_kind: bool, convention: str) -> dict:
+    """The multiplicities of _oracle_omega keyed by the positions of their
+    pairs in Irr(W_r) x Irr(W_r'), canonical order (as
+    MultiplicityTable.index_entries)."""
+    rows = {bp: i for i, bp in enumerate(bipartitions_of(r))}
+    cols = {bp: j for j, bp in enumerate(bipartitions_of(r_prime))}
+    want, _ = _oracle_omega(r, r_prime, first_kind, convention)
+    return {(rows[a], cols[b]): mult for (a, b), mult in want.items()}
+
+
 def _series_contexts(k: int, k_prime: int, r: int, r_prime: int):
     ctx = TowerContext(witt_index_of_cuspidal(k) + r, triangular(k) % 2)
     ctx_p = TowerContext(
@@ -222,25 +233,25 @@ def check_omega(
     and all b-ranks r, r' <= max_b_rank."""
     name = "omega-oracle equivalence"
     tables = 0
-    identity = [identity_class(n) for n in range(max_b_rank + 1)]
-    degrees = [
-        {bp: chi.at(ident) for bp, chi in build_character_table(n).irreducibles.items()}
-        for n, ident in enumerate(identity)
-    ]
+    labels = [tuple(bipartitions_of(n)) for n in range(max_b_rank + 1)]
+    degrees = []
+    for n, bps in enumerate(labels):
+        irreducibles, identity = build_character_table(n).irreducibles, identity_class(n)
+        degrees.append([irreducibles[bp].at(identity) for bp in bps])
     for k, parity_prime, k_prime, r, r_prime in _table_sweep(max_b_rank, k_max):
         ctx, ctx_p = _series_contexts(k, k_prime, r, r_prime)
         got = omega_unipotent(ctx, ctx_p, k, convention=convention)
         first_kind = is_first_kind(k, k_prime)
-        want, oracle_degree = _oracle_omega(r, r_prime, first_kind, convention)
-        if dict(got.entries) != want:
+        cells = got.index_entries()
+        want = _oracle_index_entries(r, r_prime, first_kind, convention)
+        if (got.row_labels, got.col_labels, cells) != (labels[r], labels[r_prime], want):
             return _fail(
                 name,
                 f"entry mismatch at k={k}, parity'={parity_prime}, r={r}, r'={r_prime}",
             )
         deg_r, deg_rp = degrees[r], degrees[r_prime]
-        degree = sum(
-            mult * deg_r[a] * deg_rp[b] for (a, b), mult in got.entries.items()
-        )
+        degree = sum(mult * deg_r[i] * deg_rp[j] for (i, j), mult in cells.items())
+        oracle_degree = _oracle_omega(r, r_prime, first_kind, convention)[1]
         if degree != oracle_degree:
             return _fail(name, f"degree identity fails at k={k}, r={r}, r'={r_prime}")
         tables += 1

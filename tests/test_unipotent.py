@@ -1,5 +1,7 @@
+import dataclasses
 import gc
 import json
+import tracemalloc
 from math import comb, factorial, prod
 from operator import le
 
@@ -316,7 +318,9 @@ def _clear_index_caches():
     """Every cache the omega sum in index space reads or fills."""
     for cached in (
         unipotent._omega_cached,
+        unipotent._sum_entries,
         unipotent._strip_indices,
+        unipotent._strip_labels,
         unipotent._twist_permutation,
         unipotent._star_permutation,
         partitions._bipartition_index,
@@ -470,6 +474,162 @@ class TestIndexSpaceAssembly:
                 for (a, b), mult in table.entries.items()
             )
             assert got == want, (k, parity_prime, convention)
+
+
+class TestEntriesView:
+    """``entries`` is a read-only mapping over cells stored in index space;
+    it must read exactly as the label-keyed dict of the same cells."""
+
+    # (m, parity, m', parity', k): first kind, second kind, zero table
+    TABLES = {
+        "first-kind": (3, 0, 2, 0, 0),
+        "second-kind": (3, 0, 2, 1, 0),
+        "zero": (2, 1, 2, 0, 2),
+    }
+
+    @staticmethod
+    def _table(args, convention="coxeter_sign"):
+        return omega_unipotent(
+            TowerContext(*args[:2]), TowerContext(*args[2:4]), args[4],
+            convention=convention,
+        )
+
+    @pytest.mark.parametrize("kind", TABLES)
+    def test_mapping_semantics(self, kind):
+        table = self._table(self.TABLES[kind])
+        entries = table.entries
+        plain = dict(entries.items())
+        assert table.formula == (None if kind == "zero" else kind)
+        assert len(entries) == len(plain) == len(list(entries))
+        assert list(entries) == list(plain)
+        assert list(entries.keys()) == list(plain.keys())
+        assert list(entries.values()) == list(plain.values())
+        for key, mult in plain.items():
+            assert key in entries and entries[key] == mult
+            assert entries.get(key) == mult
+        unstored = [
+            (row, col)
+            for row in table.row_labels
+            for col in table.col_labels
+            if (row, col) not in plain
+        ]
+        foreign = [
+            *unstored[:3],
+            (bipartition((9,), ()), bipartition((9,), ())),  # sizes of no label
+            (TRIV1,),
+            "ab",
+            None,
+        ]
+        assert kind == "zero" or unstored
+        for key in foreign:
+            assert key not in entries
+            assert entries.get(key) is None and entries.get(key, 0) == 0
+            with pytest.raises(KeyError):
+                entries[key]
+        assert entries == plain and plain == entries
+        assert not entries != plain
+        changed = dict(plain, **{"x": 1})
+        assert entries != changed and changed != entries
+        assert repr(entries) == repr(plain)
+        for row in table.row_labels:
+            assert table.row(row) == [
+                (col, plain[row, col]) for col in table.col_labels if (row, col) in plain
+            ]
+        with pytest.raises(TypeError):
+            hash(table)
+
+    @pytest.mark.parametrize("kind", TABLES)
+    def test_entries_are_read_only(self, kind):
+        entries = self._table(self.TABLES[kind]).entries
+        with pytest.raises(TypeError):
+            entries[EMPTY, EMPTY] = 1
+        assert not hasattr(entries, "pop") and not hasattr(entries, "update")
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        r=st.integers(0, 7),
+        r_prime=st.integers(0, 7),
+        parity_prime=st.integers(0, 1),
+        convention=st.sampled_from(SGN_CONVENTIONS),
+    )
+    def test_row_and_entry_agree_with_the_items(self, r, r_prime, parity_prime, convention):
+        """k = 0: first kind against the even tower, second kind against
+        the odd one."""
+        table = omega_unipotent(
+            TowerContext(r, 0), TowerContext(r_prime, parity_prime), 0,
+            convention=convention,
+        )
+        items = dict(table.entries.items())
+        for row in table.row_labels:
+            want = [(col, items[row, col]) for col in table.col_labels if (row, col) in items]
+            assert table.row(row) == want
+            for col in table.col_labels:
+                assert table.entry(row, col) == items.get((row, col), 0)
+
+    @pytest.mark.parametrize("kind", TABLES)
+    @pytest.mark.parametrize("convention", SGN_CONVENTIONS)
+    def test_a_plain_dict_in_sum_order_renders_alike(self, kind, convention):
+        table = self._table(self.TABLES[kind], convention)
+        fields = {f.name: getattr(table, f.name) for f in dataclasses.fields(table)}
+        plain = MultiplicityTable(**{**fields, "entries": dict(table.entries.items())})
+        assert plain.entries is not table.entries
+        assert list(plain.entries.items()) == list(table.entries.items())
+        assert plain.to_json_dict() == table.to_json_dict()
+        assert plain.to_text() == table.to_text()
+        assert [plain.row(bp) for bp in plain.row_labels] == [
+            table.row(bp) for bp in table.row_labels
+        ]
+
+    def test_a_foreign_label_is_refused(self):
+        table = self._table(self.TABLES["first-kind"])
+        with pytest.raises(ValueError, match="is not a label of this table"):
+            dataclasses.replace(table, entries={(TRIV1, TRIV1): 1})
+
+    @pytest.mark.parametrize("kind", TABLES)
+    def test_labels_are_attached_only_at_output(self, kind, monkeypatch):
+        """Building a table and rendering it hash no label into a
+        position."""
+
+        def forbidden(n):
+            raise AssertionError("a label was hashed into a position")
+
+        args = self.TABLES[kind]
+        want = {}
+        for convention in SGN_CONVENTIONS:
+            table = self._table(args, convention)
+            want[convention] = table.to_json_dict(), table.to_text()
+        unipotent._sum_entries.cache_clear()
+        for module in (partitions, unipotent):
+            monkeypatch.setattr(module, "_bipartition_index", forbidden)
+        for convention in SGN_CONVENTIONS:
+            table = _omega_cached.__wrapped__(*args, convention)
+            assert (table.to_json_dict(), table.to_text()) == want[convention]
+
+    def test_a_first_kind_table_holds_no_cell(self):
+        """With the index caches warm, a first-kind table keeps references
+        to the cached index tuples, not one key per cell: the 21,105 cells
+        at r = r' = 12 held 1.8 MiB as a label-keyed dict."""
+        args = (12, 0, 12, 0, 0, "coxeter_sign")
+        _omega_cached.__wrapped__(*args)
+        unipotent._sum_entries.cache_clear()
+        tracemalloc.start()
+        try:
+            table = _omega_cached.__wrapped__(*args)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table.entries) == 21105
+        assert retained < 0.2 * 2**20
+
+    def test_star_permutation_equals_the_label_hashing_reference(self):
+        for n in range(15):
+            position = {p: i for i, p in enumerate(partitions.partitions_of(n))}
+            for convention in SGN_CONVENTIONS:
+                want = tuple(
+                    position[unipotent._star(p, convention)]
+                    for p in partitions.partitions_of(n)
+                )
+                assert unipotent._star_permutation(n, convention) == want, (n, convention)
 
 
 class TestThetaImages:
