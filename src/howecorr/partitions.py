@@ -199,6 +199,9 @@ def _strip_relation(n: int) -> tuple:
     One pass over the lam of n runs through every mu with
     lam_{i+1} <= mu_i <= lam_i (Macdonald I §5); only the last part of mu
     can be 0.  Ascending position is the order of :func:`_horizontal_strips`.
+    The omega sum (``unipotent._strip_indices``) reads entry m directly for
+    its trivial lists and twists those for sgn, so index space has no
+    vertical strips.
     """
     positions = [_partition_position(m) for m in range(n + 1)]
     out = [[[] for _ in _partitions_of(m)] for m in range(n + 1)]
@@ -219,32 +222,11 @@ def _conjugate_positions(n: int) -> tuple:
     return tuple(position[p.conjugate()] for p in _partitions_of(n))
 
 
-# Keys are (m, s, vertical), and each value is no larger than the relation
-# of size m + s that it reads, so the bound of _partitions_of holds here.
-@lru_cache(maxsize=None)
-def _strip_positions(m: int, s: int, vertical: bool) -> tuple:
-    """For each mu of m in canonical order, the ascending positions among
-    the partitions of m + s of its horizontal (``vertical`` false) or
-    vertical strip additions of s cells, read from :func:`_strip_relation`.
-
-    The vertical additions of mu are the conjugates of the horizontal
-    additions of mu', so they come through the permutation x -> x' and a
-    sort; no strip is built or hashed.
-    """
-    additions = _strip_relation(m + s)[m]
-    if not vertical:
-        return additions
-    conjugate = _conjugate_positions(m + s).__getitem__
-    return tuple(
-        tuple(sorted(map(conjugate, additions[i]))) for i in _conjugate_positions(m)
-    )
-
-
 # Strip additions and removals of one partition are memoised per
 # (partition, size), one cache per kind, each result an immutable tuple in
 # decreasing lexicographic order.  They serve single coupling rows,
 # pieri_induction and the public strip functions; the omega sum reads
-# _strip_positions instead.  Every row of r = r' = 18 touches 6,179
+# _strip_relation instead.  Every row of r = r' = 18 touches 6,179
 # addition and 11,284 removal keys, about 11 MiB together (tracemalloc);
 # the bound keeps all of them resident.  Past it the least recently used
 # entries go, which only costs recomputation.

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from itertools import accumulate, chain, product, repeat, starmap
 from operator import ge, itemgetter, le, mul, sub
-from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import NonUniqueExtremeError
@@ -50,7 +49,7 @@ from .partitions import (
     _horizontal_strip_removals,
     _horizontal_strips,
     _partitions_of,
-    _strip_positions,
+    _strip_relation,
     _vertical_strips,
     _dominance_vector,
 )
@@ -376,12 +375,6 @@ class _Entries(Mapping):
         return _label_index(self._rows), _label_index(self._cols)
 
     @cached_property
-    def _index_entries(self) -> dict:
-        if self._cells is None:
-            return dict.fromkeys(_block_cells(self._blocks), 1)
-        return self._cells
-
-    @cached_property
     def _csr(self) -> tuple:
         """(starts, columns, multiplicities): the cells of row i, in column
         order, sit at starts[i]:starts[i + 1].  One bucket per row takes the
@@ -477,12 +470,6 @@ class MultiplicityTable:
         cols = self.col_labels
         return [(cols[j], mult) for j, mult in self.entries._row(i)]
 
-    def index_entries(self) -> Mapping:
-        """``entries`` keyed by (row, column) positions in ``row_labels``
-        and ``col_labels``, in the same order: a read-only mapping, made
-        once per table."""
-        return MappingProxyType(self.entries._index_entries)
-
     def to_json_dict(self) -> dict:
         starts, columns, mults = self.entries._csr
         return {
@@ -553,9 +540,9 @@ def _series_ranks(m: int, parity: int, m_prime: int, parity_prime: int, k: int) 
 
 # Keys are (n, l, which), 3(n + 1) of them at rank n, so the bound keeps
 # every key of every rank up to 24 resident (975 keys).  All keys of rank 16
-# hold about 8.7 MiB, of rank 18 about 21 MiB (each index an int of its own;
-# measured with tracemalloc), on top of the 0.5 and 1.1 MiB of strip
-# positions they read; one table reads only 2(l_max + 1).  A live table
+# hold about 5.2 MiB, of rank 18 about 12.5 MiB (tracemalloc): trivial keys
+# hold an int per index, sgn keys reuse the ints of the twist permutations
+# they read (0.8 and 1.8 MiB); one table reads only 2(l_max + 1).  A live table
 # keeps references to the tuples it read (see _Entries), so an evicted key
 # frees its tuples only once no table holds them.
 STRIP_INDEX_CACHE_SIZE = 1024
@@ -565,31 +552,30 @@ STRIP_INDEX_CACHE_SIZE = 1024
 def _strip_indices(n: int, l: int, which: str) -> tuple:
     """One tuple per chi in Irr(W_l), in canonical order: the indices in
     Irr(W_n) of the labels of Ind(chi x which), ``which`` a linear character
-    of W_{n-l} as in _pieri_labels, in strip order.
+    of W_{n-l} as in _pieri_labels, ascending, which is strip order.
 
-    Positions are mixed-radix numbers (_bipartition_radix), so the strip
-    additions of the component that grows are read as positions
-    (partitions._strip_positions), and every partner component only adds
-    its own position and stride.
+    Positions are mixed-radix numbers (_bipartition_radix), so the trivial
+    character's horizontal strip additions to alpha are read as positions
+    (partitions._strip_relation), and beta only adds its own position and
+    stride.  sgn of W_n restricts to W_l x W_{n-l} as sgn x sgn, so
+    Ind(chi x sgn) = sgn Ind(sgn chi x 1): the sgn lists are the trivial
+    lists read through the twist permutations of ranks l and n.
     """
-    side, vertical = _pieri_rule(which)
+    if which != "trivial":
+        trivial = _strip_indices(n, l, "trivial")
+        twist_n = _twist_permutation(n, which).__getitem__
+        return tuple(
+            tuple(sorted(map(twist_n, trivial[j]))) for j in _twist_permutation(l, which)
+        )
     s = n - l
     starts, counts = _bipartition_radix(n)
     out = []
     for a in range(l, -1, -1):
-        b = l - a
-        if side == 0:
-            # (lam, beta), |lam| = a + s: start + pos(lam) * p(b) + pos(beta)
-            start, stride = starts[a + s], counts[b]
-            for lams in _strip_positions(a, s, vertical):
-                heads = [start + stride * i for i in lams]
-                out.extend(zip(*[range(h, h + stride) for h in heads]))
-        else:
-            # (alpha, mu), |mu| = b + s: start + pos(alpha) * p(b + s) + pos(mu)
-            start, stride = starts[a], counts[b + s]
-            mus = _strip_positions(b, s, vertical)
-            for base in range(start, start + stride * counts[a], stride):
-                out.extend(tuple(map(base.__add__, tail)) for tail in mus)
+        # (lam, beta), |lam| = a + s: start + pos(lam) * p(l - a) + pos(beta)
+        start, stride = starts[a + s], counts[l - a]
+        for lams in _strip_relation(a + s)[a]:
+            heads = [start + stride * i for i in lams]
+            out.extend(zip(*[range(h, h + stride) for h in heads]))
     return tuple(out)
 
 

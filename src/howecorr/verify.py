@@ -56,12 +56,13 @@ from .lusztig import (
     transport_series,
     transport_support,
 )
-from .partitions import Bipartition, bipartition, bipartitions_of
+from .partitions import Bipartition, _bipartition_index, bipartition, bipartitions_of
 from .unipotent import (
     DEFAULT_SGN_CONVENTION,
     SGN_CONVENTIONS,
     SeriesLabel,
     TowerContext,
+    _cell_rows,
     _image_extremes,
     is_first_kind,
     omega_unipotent,
@@ -199,14 +200,13 @@ def _oracle_omega(r: int, r_prime: int, first_kind: bool, convention: str):
 
 
 @lru_cache(maxsize=None)
-def _oracle_index_entries(r: int, r_prime: int, first_kind: bool, convention: str) -> dict:
-    """The multiplicities of _oracle_omega keyed by the positions of their
-    pairs in Irr(W_r) x Irr(W_r'), canonical order (as
-    MultiplicityTable.index_entries)."""
-    rows = {bp: i for i, bp in enumerate(bipartitions_of(r))}
-    cols = {bp: j for j, bp in enumerate(bipartitions_of(r_prime))}
+def _oracle_index_entries(r: int, r_prime: int, first_kind: bool, convention: str) -> tuple:
+    """The cells of _oracle_omega as sorted (row, column, multiplicity)
+    triples of positions in Irr(W_r) x Irr(W_r'), canonical order: the
+    order of a table's row-sorted copy (unipotent._Entries._csr)."""
+    rows, cols = _bipartition_index(r), _bipartition_index(r_prime)
     want, _ = _oracle_omega(r, r_prime, first_kind, convention)
-    return {(rows[a], cols[b]): mult for (a, b), mult in want.items()}
+    return tuple(sorted((rows[a], cols[b], mult) for (a, b), mult in want.items()))
 
 
 def _series_contexts(k: int, k_prime: int, r: int, r_prime: int):
@@ -242,7 +242,9 @@ def check_omega(
         ctx, ctx_p = _series_contexts(k, k_prime, r, r_prime)
         got = omega_unipotent(ctx, ctx_p, k, convention=convention)
         first_kind = is_first_kind(k, k_prime)
-        cells = got.index_entries()
+        # the row-sorted copy that rows, lookups and both renderers read
+        starts, columns, mults = got.entries._csr
+        cells = tuple(zip(_cell_rows(starts), columns, mults))
         want = _oracle_index_entries(r, r_prime, first_kind, convention)
         if (got.row_labels, got.col_labels, cells) != (labels[r], labels[r_prime], want):
             return _fail(
@@ -250,7 +252,7 @@ def check_omega(
                 f"entry mismatch at k={k}, parity'={parity_prime}, r={r}, r'={r_prime}",
             )
         deg_r, deg_rp = degrees[r], degrees[r_prime]
-        degree = sum(mult * deg_r[i] * deg_rp[j] for (i, j), mult in cells.items())
+        degree = sum(mult * deg_r[i] * deg_rp[j] for i, j, mult in cells)
         oracle_degree = _oracle_omega(r, r_prime, first_kind, convention)[1]
         if degree != oracle_degree:
             return _fail(name, f"degree identity fails at k={k}, r={r}, r'={r_prime}")

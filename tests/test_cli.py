@@ -1,7 +1,9 @@
 """End-to-end checks of the command line front end (in process, except
 for the closed-pipe case, which needs a real pipe)."""
 
+import contextlib
 import gzip
+import io
 import json
 import os
 import pathlib
@@ -9,13 +11,20 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import howecorr.cli as cli
 import reference_pieri
 from howecorr import unipotent
 from howecorr.cli import main, parse_gl_part, parse_orbits, parse_partition
 from howecorr.errors import InternalCheckError
-from howecorr.unipotent import MultiplicityTable, TowerContext, omega_unipotent
+from howecorr.unipotent import (
+    SGN_CONVENTIONS,
+    MultiplicityTable,
+    TowerContext,
+    omega_unipotent,
+)
 from test_golden_cli import CORPUS, GOLDEN
 
 
@@ -450,3 +459,67 @@ def test_closed_stdout_exits_1_without_a_traceback():
     assert first.strip()
     assert "Traceback" not in err and "Exception ignored" not in err
     assert len(err.splitlines()) <= 1
+
+
+# Argv for the fuzz: every flag of a subcommand with a rank from -2 to 7 or
+# a well-formed token, except that one flag may be left out and one may
+# carry a malformed token; None leaves an optional flag out.
+_MALFORMED = st.sampled_from(["3,,1", "x", "^2", "1:", ""])
+_INT = st.integers(-2, 7).map(str)
+_OPTIONAL = st.none() | _INT
+_LABEL = st.sampled_from(["-", "1", "2,1", "1,1"])
+_GL = st.sampled_from(["-", "1:1", "2:rho", "1:1,2:rho"])
+_ORBITS = st.sampled_from(["0^3,4^2", "4", "0", "-"])
+_CONVENTION = st.none() | st.sampled_from(SGN_CONVENTIONS)
+_SERIES = {
+    "--m": _INT, "--mp": _INT, "--k": _INT, "--parity": _OPTIONAL,
+    "--parity-p": _OPTIONAL, "--convention": _CONVENTION,
+}
+_FUZZ_FLAGS = {
+    "omega": _SERIES,
+    "theta": {**_SERIES, "--alpha": _LABEL, "--beta": _LABEL},
+    "extremal": {**_SERIES, "--alpha": _LABEL, "--beta": _LABEL},
+    "centralizer": {"--q": _INT, "--n": _INT, "--orbits": _ORBITS, "--modulus": _OPTIONAL},
+    "transport": {
+        "--support": _GL, "--phi-k": _OPTIONAL, "--phi": st.none() | _LABEL,
+        "--first-occurrence": _OPTIONAL, "--partner-label": st.none() | _LABEL,
+        "--m": _INT, "--mp": _INT, "--parity": _OPTIONAL, "--parity-p": _OPTIONAL,
+    },
+    "omega-full": {
+        "--pair": _GL, "--base-k": _INT, "--q": _INT, "--orbits": _ORBITS,
+        "--modulus": _OPTIONAL, "--m": _INT, "--mp": _INT, "--parity-p": _OPTIONAL,
+        "--convention": _CONVENTION,
+    },
+    "verify": {"--max-rank": _OPTIONAL, "--seed": _OPTIONAL},
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    flags = _FUZZ_FLAGS[command]
+    left_out, malformed = (
+        draw(st.sets(st.sampled_from(sorted(flags)), max_size=1)) for _ in range(2)
+    )
+    argv = [command]
+    for flag, values in flags.items():
+        value = draw(_MALFORMED if flag in malformed else values)
+        if flag not in left_out and value is not None:
+            argv += [flag, value]
+    return argv + draw(st.sampled_from([[], ["--json"], ["--text"], ["--json", "--text"]]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_argv())
+def test_every_argv_exits_cleanly(argv):
+    """Exit code 0, 1 or 2 and at most one line on stderr, never a
+    traceback; argparse errors arrive as SystemExit(1)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as stop:
+            code = stop.code
+    assert code in (0, 1, 2), argv
+    assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

@@ -9,7 +9,7 @@ from howecorr.partitions import (
     _bipartition_radix,
     _horizontal_strip_removals,
     _partition_position,
-    _strip_positions,
+    _strip_relation,
     bipartition,
     bipartition_dominance_leq,
     bipartitions_of,
@@ -242,8 +242,7 @@ class TestStripProperties:
         assert op(p, size) == want
 
 
-@pytest.mark.parametrize("kind", sorted(STRIPS))
-def test_strip_positions_equal_the_interlacing_definition(kind):
+def test_strip_relation_equals_the_interlacing_definition():
     """Every pair mu, lam with |mu| <= |lam| <= 12, tested one by one."""
     for n in range(13):
         lams = partitions_of(n)
@@ -252,11 +251,11 @@ def test_strip_positions_equal_the_interlacing_definition(kind):
                 tuple(
                     j
                     for j, lam in enumerate(lams)
-                    if lam.contains(mu) and is_strip(kind, lam, mu)
+                    if lam.contains(mu) and is_strip("horizontal", lam, mu)
                 )
                 for mu in partitions_of(m)
             )
-            assert _strip_positions(m, n - m, kind == "vertical") == want, (m, n)
+            assert _strip_relation(n)[m] == want, (m, n)
 
 
 @settings(deadline=None)

@@ -15,6 +15,7 @@ from howecorr.hyperoctahedral import (
     conjugacy_classes,
     group_order,
     identity_class,
+    tensor_label_map,
 )
 from howecorr.partitions import Partition, bipartitions_of
 from howecorr.unipotent import SGN_CONVENTIONS, TowerContext
@@ -111,7 +112,6 @@ def test_oracle_never_calls_pieri_code(monkeypatch):
         "_pieri_rule",
         "_strip_indices",
         "_strip_relation",
-        "_strip_positions",
         "_conjugate_positions",
         "_twist_permutation",
         "_star_permutation",
@@ -128,6 +128,24 @@ def test_oracle_never_calls_pieri_code(monkeypatch):
     for first_kind in (True, False):
         for convention in SGN_CONVENTIONS:
             verify._oracle_omega.__wrapped__(3, 3, first_kind, convention)
+
+
+def test_sgn_induction_is_the_twist_of_trivial_induction():
+    """Ind(chi x sgn) = sgn Ind(sgn chi x 1), since sgn of W_n restricts to
+    W_l x W_s as sgn x sgn: the identity that builds the omega sum's sgn
+    lists from its trivial ones, checked on the oracle side alone."""
+    cases = 0
+    for n in range(7):
+        for convention in SGN_CONVENTIONS:
+            twist_n = tensor_label_map(n, convention)
+            for l in range(n + 1):
+                twist_l = tensor_label_map(l, convention)
+                for chi in bipartitions_of(l):
+                    trivial = verify._induced(twist_l[chi], n - l, "trivial")[0]
+                    want = {twist_n[bp]: mult for bp, mult in trivial.items()}
+                    assert verify._induced(chi, n - l, convention)[0] == want
+                    cases += 1
+    assert cases == 562
 
 
 # (rank, [(irreducible, class)]): each value gains 1.  The two hits are
@@ -315,3 +333,18 @@ def test_checks_fail_on_planted_faults(monkeypatch, name, plant, check, detail):
     result = check()
     assert result.passed is False
     assert result.detail == detail
+
+
+def test_omega_check_reads_the_printed_cells(monkeypatch):
+    """check_omega compares the row-sorted copy that rows, lookups and the
+    renderers read, so a fault planted there alone is caught."""
+    assert check_omega(1).passed
+    k_prime = unipotent.theta_cuspidal(0, 1)
+    table = unipotent.omega_unipotent(*verify._series_contexts(0, k_prime, 1, 1), 0)
+    starts, columns, mults = table.entries._csr
+    # _sum_entries shares the store across tests, so monkeypatch restores it
+    corrupted = starts, columns, (mults[0] + 1,) + tuple(mults[1:])
+    monkeypatch.setitem(table.entries.__dict__, "_csr", corrupted)
+    result = check_omega(1)
+    assert result.passed is False
+    assert result.detail == "entry mismatch at k=0, parity'=1, r=1, r'=1"
