@@ -95,7 +95,7 @@ class Bipartition(NamedTuple):
 
     @property
     def size(self) -> int:
-        return self.alpha.size + self.beta.size
+        return sum(self.alpha) + sum(self.beta)
 
 
 def bipartition(alpha: Iterable[int], beta: Iterable[int]) -> Bipartition:

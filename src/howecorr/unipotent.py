@@ -34,8 +34,8 @@ from collections import Counter
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from itertools import accumulate, chain, product, repeat, starmap
-from operator import ge, itemgetter, le, mul, sub
+from itertools import accumulate, chain, repeat
+from operator import ge, le, sub
 from typing import NamedTuple
 
 from .errors import NonUniqueExtremeError
@@ -288,12 +288,6 @@ def _uncollected(build, cells):
             gc.enable()
 
 
-def _block_cells(blocks: tuple):
-    """The cells of the sum's ``blocks`` (see _Entries) in order: the
-    pairs of each row tuple with its column tuple."""
-    return chain.from_iterable(starmap(product, zip(*blocks)))
-
-
 def _label_index(labels: tuple) -> dict:
     """Position of each label of ``labels``: Irr(W_n) in canonical order
     for some n, or nothing."""
@@ -306,35 +300,32 @@ _MISSING = object()
 class _Entries(Mapping):
     """The nonzero cells of a coupling table, stored as indices into its
     row and column labels: a read-only mapping from (row label, column
-    label) to multiplicity, iterated in the order the cells were stored.
+    label) to multiplicity, iterated by row and then by column.
 
-    A first-kind table stores the sum's blocks (see _blocks): the row and
-    the column tuple of each chi, cached tuples of indices.  Each chi gives
-    each pair of its two tuples once, and no first-kind cell exceeds 1, so
-    the cells are the disjoint union of these products.  ``labels()``
-    reads the same blocks as tuples of labels, from caches too.  Other
-    tables store a dict from index pairs to multiplicities.  The renderers,
-    and lookups in a first-kind table, read a copy of the indices sorted by
-    row, made on first use (_csr).
+    A table of the omega sum stores the sum's blocks (see _blocks): the row
+    and the column tuple of each chi, cached tuples of indices.  Each chi
+    gives each pair of its two tuples once, so a cell's multiplicity is the
+    number of blocks that give it; no first-kind cell exceeds 1 (see
+    _coupling_row).  Every read goes through one copy of the cells sorted
+    by row, made from the blocks on first use (_csr); a mapping passed in
+    is stored as that copy.
     """
 
-    def __init__(self, rows: tuple, cols: tuple, blocks=None, labels=None, cells=None):
-        self._rows, self._cols, self._cells = rows, cols, cells
-        self._blocks, self._labels = blocks, labels
+    def __init__(self, rows: tuple, cols: tuple, blocks=((), ()), first_kind=True, csr=None):
+        self._rows, self._cols = rows, cols
+        self._blocks, self._first_kind = blocks, first_kind
+        if csr is not None:
+            self._csr = csr
 
     def __iter__(self):
-        if self._cells is None:
-            return _block_cells(self._label_blocks)
-        keys = self._cells.keys()
+        starts, columns, _ = self._csr
         return zip(
-            map(self._rows.__getitem__, map(itemgetter(0), keys)),
-            map(self._cols.__getitem__, map(itemgetter(1), keys)),
+            map(self._rows.__getitem__, _cell_rows(starts)),
+            map(self._cols.__getitem__, columns),
         )
 
     def __len__(self) -> int:
-        if self._cells is not None:
-            return len(self._cells)
-        return sum(map(mul, *(map(len, tuples) for tuples in self._blocks)))
+        return len(self._csr[1])
 
     def get(self, key, default=None):
         row_index, col_index = self._label_indices
@@ -345,11 +336,9 @@ class _Entries(Mapping):
             return default
         if i is None or j is None:
             return default
-        if self._cells is not None:
-            return self._cells.get((i, j), default)
-        starts, columns, _ = self._csr
+        starts, columns, mults = self._csr
         at = bisect_left(columns, j, starts[i], starts[i + 1])
-        return 1 if at < starts[i + 1] and columns[at] == j else default
+        return mults[at] if at < starts[i + 1] and columns[at] == j else default
 
     def __getitem__(self, key):
         mult = self.get(key, _MISSING)
@@ -367,10 +356,6 @@ class _Entries(Mapping):
         return repr(dict(self.items()))
 
     @cached_property
-    def _label_blocks(self) -> tuple:
-        return self._labels()
-
-    @cached_property
     def _label_indices(self) -> tuple:
         return _label_index(self._rows), _label_index(self._cols)
 
@@ -378,23 +363,19 @@ class _Entries(Mapping):
     def _csr(self) -> tuple:
         """(starts, columns, multiplicities): the cells of row i, in column
         order, sit at starts[i]:starts[i + 1].  One bucket per row takes the
-        columns the row meets, and is then sorted."""
+        columns its blocks give, and is then sorted, or counted when a
+        column can repeat."""
         buckets = [[] for _ in self._rows]
-        if self._cells is None:
-            for row_tuple, col_tuple in zip(*self._blocks):
-                for i in row_tuple:
-                    buckets[i].extend(col_tuple)
-        else:
-            for i, j in self._cells:
-                buckets[i].append(j)
+        for row_tuple, col_tuple in zip(*self._blocks):
+            for i in row_tuple:
+                buckets[i].extend(col_tuple)
+        if not self._first_kind:
+            return _row_sorted(list(map(Counter, buckets)))
         for bucket in buckets:
             bucket.sort()
         starts = tuple(accumulate(map(len, buckets), initial=0))
         columns = tuple(chain.from_iterable(buckets))
-        if self._cells is None:
-            return starts, columns, b"\x01" * len(columns)
-        cells = zip(_cell_rows(starts), columns)
-        return starts, columns, tuple(map(self._cells.__getitem__, cells))
+        return starts, columns, b"\x01" * len(columns)
 
     def _row(self, i: int):
         """(column index, multiplicity) of each cell of row i, in column
@@ -404,6 +385,17 @@ class _Entries(Mapping):
         return zip(columns[start:end], mults[start:end])
 
 
+def _row_sorted(counts: list) -> tuple:
+    """The row-sorted copy (see _Entries._csr) of the cells whose row i
+    maps each column index to its multiplicity in counts[i]."""
+    columns, mults = [], []
+    for row in counts:
+        cols = sorted(row)
+        columns.extend(cols)
+        mults.extend(map(row.__getitem__, cols))
+    return tuple(accumulate(map(len, counts), initial=0)), tuple(columns), tuple(mults)
+
+
 def _cell_rows(starts: tuple):
     """The row index of each cell of a table whose row i holds the cells
     starts[i]:starts[i + 1]."""
@@ -411,15 +403,12 @@ def _cell_rows(starts: tuple):
 
 
 class _EntryItems(ItemsView):
-    """The items of an _Entries, in the order the cells were stored."""
+    """The items of an _Entries, by row and then by column."""
 
     __slots__ = ()
 
     def __iter__(self):
-        entries = self._mapping
-        if entries._cells is None:
-            return zip(iter(entries), repeat(1))
-        return zip(iter(entries), entries._cells.values())
+        return zip(self._mapping, self._mapping._csr[2])
 
 
 @dataclass(frozen=True)
@@ -447,13 +436,15 @@ class MultiplicityTable:
     def __post_init__(self):
         if isinstance(self.entries, _Entries):
             return
-        # a mapping passed in is stored in index space once, in its order
+        # a mapping passed in is stored in index space once, sorted by row
         rows, cols = _label_index(self.row_labels), _label_index(self.col_labels)
+        counts = [{} for _ in self.row_labels]
         try:
-            cells = {(rows[r], cols[c]): mult for (r, c), mult in self.entries.items()}
+            for (r, c), mult in self.entries.items():
+                counts[rows[r]][cols[c]] = mult
         except KeyError as err:
             raise ValueError(f"{err.args[0]} is not a label of this table") from None
-        entries = _Entries(self.row_labels, self.col_labels, cells=cells)
+        entries = _Entries(self.row_labels, self.col_labels, csr=_row_sorted(counts))
         object.__setattr__(self, "entries", entries)
 
     @property
@@ -543,8 +534,8 @@ def _series_ranks(m: int, parity: int, m_prime: int, parity_prime: int, k: int) 
 # hold about 5.2 MiB, of rank 18 about 12.5 MiB (tracemalloc): trivial keys
 # hold an int per index, sgn keys reuse the ints of the twist permutations
 # they read (0.8 and 1.8 MiB); one table reads only 2(l_max + 1).  A live table
-# keeps references to the tuples it read (see _Entries), so an evicted key
-# frees its tuples only once no table holds them.
+# of either kind keeps references to the tuples it read (see _Entries), so an
+# evicted key frees its tuples only once no table holds them.
 STRIP_INDEX_CACHE_SIZE = 1024
 
 
@@ -579,15 +570,6 @@ def _strip_indices(n: int, l: int, which: str) -> tuple:
     return tuple(out)
 
 
-# The keys and bound of _strip_indices; the tuples hold the labels of
-# _bipartitions_of(n), no new objects.
-@lru_cache(maxsize=STRIP_INDEX_CACHE_SIZE)
-def _strip_labels(n: int, l: int, which: str) -> tuple:
-    """_strip_indices(n, l, which) with each index replaced by its label."""
-    label = _bipartitions_of(n).__getitem__
-    return tuple(tuple(map(label, indices)) for indices in _strip_indices(n, l, which))
-
-
 # One entry per size and convention, like the enumeration caches in
 # partitions, so it needs no bound.
 @lru_cache(maxsize=None)
@@ -617,21 +599,20 @@ def _twist_permutation(n: int, convention: str) -> tuple:
 
 
 # A certify pass builds 426 distinct tables; the bound keeps all of them.
-# A first-kind table holds references to cached index tuples and no cell
-# of its own until it is rendered or looked up (_Entries._csr); a
-# second-kind table holds a Counter over its cells.  Tables that differ
-# only in k share both (_sum_entries).
+# A table of either kind holds references to cached index tuples and no
+# cell of its own until it is first read (_Entries._csr).  Tables that
+# differ only in k share these (_sum_entries).
 OMEGA_CACHE_SIZE = 1024
 
 
-def _blocks(r: int, r_prime: int, row_which: str, convention: str, strips) -> tuple:
+def _blocks(r: int, r_prime: int, row_which: str, convention: str) -> tuple:
     """The row tuples and the column tuples of the chi of the omega sum of
-    ranks r, r', in order, read from ``strips`` (_strip_indices or
-    _strip_labels): rows Ind(chi x row_which), columns Ind(sgn chi x 1)."""
+    ranks r, r', in order, read from _strip_indices: rows
+    Ind(chi x row_which), columns Ind(sgn chi x 1)."""
     rows, cols = [], []
     for l in range(min(r, r_prime) + 1):
-        cols_of = strips(r_prime, l, "trivial")
-        rows.extend(strips(r, l, row_which))
+        cols_of = _strip_indices(r_prime, l, "trivial")
+        rows.extend(_strip_indices(r, l, row_which))
         cols.extend(map(cols_of.__getitem__, _twist_permutation(l, convention)))
     return tuple(rows), tuple(cols)
 
@@ -644,14 +625,8 @@ def _sum_entries(r: int, r_prime: int, first_kind: bool, convention: str) -> _En
     """The cells of the omega sum of ranks r, r' >= 0 (see _Entries)."""
     # Rows: Ind(chi x 1) or Ind(chi x sgn); columns: Ind(sgn chi x 1).  The
     # sum runs over indices, one (row tuple, column tuple) block per chi.
-    row_which = "trivial" if first_kind else convention
-    sum_of = partial(_blocks, r, r_prime, row_which, convention)
-    rows, cols = _bipartitions_of(r), _bipartitions_of(r_prime)
-    blocks = sum_of(_strip_indices)
-    if first_kind:
-        # no first-kind cell exceeds 1 (see _coupling_row), so no pair repeats
-        return _Entries(rows, cols, blocks=blocks, labels=partial(sum_of, _strip_labels))
-    return _Entries(rows, cols, cells=_uncollected(Counter, _block_cells(blocks)))
+    blocks = _blocks(r, r_prime, "trivial" if first_kind else convention, convention)
+    return _Entries(_bipartitions_of(r), _bipartitions_of(r_prime), blocks, first_kind)
 
 
 @lru_cache(maxsize=OMEGA_CACHE_SIZE)
@@ -659,7 +634,7 @@ def _omega_cached(m, parity, m_prime, parity_prime, k, convention):
     r, k_prime, r_prime = _series_ranks(m, parity, m_prime, parity_prime, k)
     row_labels = _bipartitions_of(r)
     if r_prime < 0:
-        entries = _Entries(row_labels, (), cells={})
+        entries = _Entries(row_labels, ())
         return MultiplicityTable(
             m, m_prime, k, k_prime, None, convention, row_labels, (), entries
         )

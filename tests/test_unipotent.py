@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import json
 import tracemalloc
+from itertools import chain, product, starmap
 from math import comb, factorial, prod
 from operator import le
 
@@ -14,6 +15,7 @@ from howecorr import partitions, unipotent
 from howecorr.errors import NonUniqueExtremeError
 from howecorr.hyperoctahedral import build_character_table
 from howecorr.partitions import (
+    Bipartition,
     Partition,
     bipartition,
     bipartition_dominance_leq,
@@ -303,7 +305,9 @@ class TestOmegaTables:
         try:
             (gc.enable if collecting else gc.disable)()
             for parity_prime in (0, 1):  # first kind, then second kind
-                _omega_cached.__wrapped__(5, 0, 5, parity_prime, 0, "coxeter_sign")
+                table = _omega_cached.__wrapped__(5, 0, 5, parity_prime, 0, "coxeter_sign")
+                # the JSON entries list is built with the collector paused
+                table.to_json_dict()
                 assert gc.isenabled() is collecting
         finally:
             (gc.enable if was else gc.disable)()
@@ -320,7 +324,6 @@ def _clear_index_caches():
         unipotent._omega_cached,
         unipotent._sum_entries,
         unipotent._strip_indices,
-        unipotent._strip_labels,
         unipotent._twist_permutation,
         unipotent._star_permutation,
         partitions._bipartition_index,
@@ -495,12 +498,37 @@ class TestEntriesView:
             convention=convention,
         )
 
+    @staticmethod
+    def _replug(table, cells: dict):
+        """``table`` with ``cells`` passed in as a plain dict."""
+        fields = {f.name: getattr(table, f.name) for f in dataclasses.fields(table)}
+        return MultiplicityTable(**{**fields, "entries": cells})
+
+    @staticmethod
+    def _json_items(table) -> list:
+        """The JSON ``entries`` triples, read through the labels."""
+        rows, cols = table.row_labels, table.col_labels
+        return [((rows[i], cols[j]), mult) for i, j, mult in table.to_json_dict()["entries"]]
+
+    @staticmethod
+    def _sum_order(table) -> dict:
+        """The cells of a table of the omega sum, in the order the sum
+        first gives them."""
+        rows, cols = table.row_labels, table.col_labels
+        pairs = chain.from_iterable(starmap(product, zip(*table.entries._blocks)))
+        return {(rows[i], cols[j]): table.entries[rows[i], cols[j]] for i, j in pairs}
+
+    @pytest.mark.parametrize("passed", ["built", "plain dict, reversed"])
     @pytest.mark.parametrize("kind", TABLES)
-    def test_mapping_semantics(self, kind):
+    def test_mapping_semantics(self, kind, passed):
         table = self._table(self.TABLES[kind])
+        if passed != "built":
+            table = self._replug(table, dict(reversed(list(table.entries.items()))))
         entries = table.entries
         plain = dict(entries.items())
         assert table.formula == (None if kind == "zero" else kind)
+        # one order: by row, then by column, as in the JSON entries list
+        assert list(entries.items()) == self._json_items(table)
         assert len(entries) == len(plain) == len(list(entries))
         assert list(entries) == list(plain)
         assert list(entries.keys()) == list(plain.keys())
@@ -567,14 +595,17 @@ class TestEntriesView:
             for col in table.col_labels:
                 assert table.entry(row, col) == items.get((row, col), 0)
 
+    @pytest.mark.parametrize("order", ["sum", "reversed sum"])
     @pytest.mark.parametrize("kind", TABLES)
     @pytest.mark.parametrize("convention", SGN_CONVENTIONS)
-    def test_a_plain_dict_in_sum_order_renders_alike(self, kind, convention):
+    def test_a_plain_dict_in_sum_order_renders_alike(self, kind, convention, order):
         table = self._table(self.TABLES[kind], convention)
-        fields = {f.name: getattr(table, f.name) for f in dataclasses.fields(table)}
-        plain = MultiplicityTable(**{**fields, "entries": dict(table.entries.items())})
+        cells = list(self._sum_order(table).items())
+        assert sorted(cells) == sorted(table.entries.items())
+        plain = self._replug(table, dict(cells if order == "sum" else reversed(cells)))
         assert plain.entries is not table.entries
         assert list(plain.entries.items()) == list(table.entries.items())
+        assert list(table.entries.items()) == self._json_items(table)
         assert plain.to_json_dict() == table.to_json_dict()
         assert plain.to_text() == table.to_text()
         assert [plain.row(bp) for bp in plain.row_labels] == [
@@ -606,11 +637,16 @@ class TestEntriesView:
             table = _omega_cached.__wrapped__(*args, convention)
             assert (table.to_json_dict(), table.to_text()) == want[convention]
 
-    def test_a_first_kind_table_holds_no_cell(self):
-        """With the index caches warm, a first-kind table keeps references
-        to the cached index tuples, not one key per cell: the 21,105 cells
-        at r = r' = 12 held 1.8 MiB as a label-keyed dict."""
-        args = (12, 0, 12, 0, 0, "coxeter_sign")
+    @pytest.mark.parametrize(
+        "parity_prime, cells", [(0, 21105), (1, 7651)], ids=["first-kind", "second-kind"]
+    )
+    def test_a_first_kind_table_holds_no_cell(self, parity_prime, cells):
+        """With the index caches warm, a table of either kind keeps
+        references to the cached index tuples, not one key per cell: the
+        21,105 first-kind cells at r = r' = 12 held 1.8 MiB as a
+        label-keyed dict, the 7,651 second-kind cells 0.58 MiB as a
+        Counter over index pairs."""
+        args = (12, 0, 12, parity_prime, 0, "coxeter_sign")
         _omega_cached.__wrapped__(*args)
         unipotent._sum_entries.cache_clear()
         tracemalloc.start()
@@ -619,7 +655,7 @@ class TestEntriesView:
             retained, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(table.entries) == 21105
+        assert len(table.entries) == cells
         assert retained < 0.2 * 2**20
 
     def test_star_permutation_equals_the_label_hashing_reference(self):
@@ -668,6 +704,23 @@ class TestThetaImages:
         after = _omega_cached.cache_info()
         assert after.currsize == before.currsize
         assert after.misses == before.misses
+
+    @pytest.mark.parametrize(
+        "alpha, beta", [((2,), ()), ([2], []), ((), [1, 1])], ids=["tuples", "lists", "mixed"]
+    )
+    def test_labels_with_plain_sequence_parts(self, alpha, beta):
+        ctx, ctx_p = TowerContext(2, 0), TowerContext(3, 0)
+        plain = SeriesLabel(0, Bipartition(alpha, beta))
+        want = SeriesLabel(0, bipartition(alpha, beta))
+        for query in (theta_images, extremal_images):
+            assert query(plain, ctx, ctx_p) == query(want, ctx, ctx_p)
+
+    def test_a_malformed_plain_label_is_refused(self):
+        # the right size, so the parts themselves must be checked
+        pi = SeriesLabel(0, Bipartition((1, 2), ()))
+        for query in (theta_images, extremal_images):
+            with pytest.raises(ValueError, match="weakly decreasing"):
+                query(pi, TowerContext(3, 0), TowerContext(3, 0))
 
     def test_empty_below_first_occurrence(self):
         images = theta_images(
