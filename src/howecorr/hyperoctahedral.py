@@ -15,15 +15,13 @@ with a = |alpha|, b = |beta|.
 
 This module is deliberately brute force and self-certifying; it is the
 oracle against which the strip combinatorics elsewhere in the package is
-checked.  Conjugacy classes are found by enumerating all 2^n n! elements,
-one permutation at a time: its cycles are found once, as bitmasks of
-positions, and under each of the 2^n sign masks a cycle is negative when
-it carries an odd number of sign changes.  Each cycle sets one bit of the
-2^n mask keys in one pass, the keys are counted, and each distinct key is
-read as a signed cycle type once.  The enumerated class sizes must agree
-with the analytic centralizer-order formula, otherwise the computation
-aborts.  Character tables are certified orthonormal before they are
-returned; ``verify`` certifies the column relations as well.
+checked.  The conjugacy classes are read off the bipartitions of n as
+signed cycle types, each of size |W_n| / (centralizer order); the tests
+cross-check them against an enumeration of all 2^n n! elements
+(:func:`signed_permutations`, :func:`signed_cycle_type`).  Character
+tables are certified orthonormal before they are returned; ``verify``
+certifies the column relations, whose diagonal is |W_n| / |C|, and the
+class-size sum as well.
 
 Everything is exact.  Character values are integers.  Induction, the
 certification sums, the column relations in ``verify`` and
@@ -31,9 +29,8 @@ certification sums, the column relations in ``verify`` and
 packed-integer kernel, :class:`_IntMatrix`, whose docstring proves its slot
 width.  An inner product is integral exactly when the dot product is
 divisible by |W_n|; a class function with `fractions.Fraction` values is
-scaled to integers by the lcm of their denominators first.  Only the
-generic :meth:`ClassFunction.inner` and an induced value that is not
-integral produce a `Fraction`.
+scaled to integers by the lcm of their denominators first.  Only an
+induced value that is not integral is a `Fraction`.
 
 Induction (see :func:`_induction_matrix`), the outer tensor product, the
 linear characters and the seeds of the irreducibles work on lists of values
@@ -52,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, lcm
-from operator import add, lshift, mul, or_
+from operator import add, lshift, mul
 from typing import Iterator, NamedTuple
 
 from .errors import InternalCheckError, RankBoundError
@@ -138,79 +135,22 @@ def signed_cycle_type(window: tuple) -> SignedCycleType:
     )
 
 
-def _cycles(perm: tuple) -> list:
-    """Cycles of a permutation of range(n) as (length, bitmask of positions)
-    pairs, longest first."""
-    seen = 0
-    out = []
-    for start in range(len(perm)):
-        if seen >> start & 1:
-            continue
-        length, mask, j = 0, 0, start
-        while not mask >> j & 1:
-            mask |= 1 << j
-            j = perm[j]
-            length += 1
-        seen |= mask
-        out.append((length, mask))
-    out.sort(key=lambda cycle: -cycle[0])
-    return out
-
-
 # Keys are ranks, checked against ORACLE_BOUND on entry, so no bound is needed.
 @lru_cache(maxsize=None)
 def _classes(n: int) -> tuple:
     """Pairs (label, class size) in canonical label order.
 
-    Class sizes are computed twice, by exhaustive enumeration and by the
-    analytic centralizer-order formula; any disagreement aborts.  The
-    enumeration visits every element: for each permutation it finds the
-    cycles once; under a sign mask a cycle is negative exactly when it
-    carries an odd number of the mask's sign changes.  One pass per cycle
-    over the 2^n sign masks sets bit i of each mask's key to the parity of
-    cycle i, the keys are counted, and each distinct key is split into
-    positive and negative cycle types once.
+    The classes are read off the bipartitions (alpha, beta) of n as signed
+    cycle types (positive type alpha, negative type beta), each of size
+    |W_n| / :func:`centralizer_order` (Macdonald I, Appendix B).  The tests
+    cross-check these sizes against an enumeration of all 2^n n! elements,
+    and ``verify.check_character_tables`` certifies them through the column
+    relations and their sum.
     """
     _check_rank(n)
-    raw = Counter()
-    sign_masks = range(1 << n)
-    # parity[mask][signs]: the parity of the sign changes that the sign
-    # mask signs puts on a cycle with positions mask
-    parity = [
-        [(signs & mask).bit_count() & 1 for signs in sign_masks] for mask in sign_masks
-    ]
-    for perm in itertools.permutations(range(n)):
-        cycles = _cycles(perm)
-        keys = itertools.repeat(0, len(sign_masks))
-        for bit, (_, mask) in enumerate(cycles):
-            keys = map(or_, keys, map(lshift, parity[mask], itertools.repeat(bit)))
-        for key, count in Counter(keys).items():
-            pos, neg = [], []
-            for i, (length, _) in enumerate(cycles):
-                (neg if key >> i & 1 else pos).append(length)
-            raw[tuple(pos), tuple(neg)] += count
-    counts = {
-        SignedCycleType(Partition(pos), Partition(neg)): count
-        for (pos, neg), count in raw.items()
-    }
-    expected = [
-        SignedCycleType(bp.alpha, bp.beta) for bp in bipartitions_of(n)
-    ]
-    if set(counts) != set(expected):
-        raise InternalCheckError(
-            f"W_{n}: enumerated class labels do not match the bipartitions of {n}"
-        )
     order = group_order(n)
-    out = []
-    for label in expected:
-        analytic = order // centralizer_order(label)
-        if counts[label] != analytic:
-            raise InternalCheckError(
-                f"W_{n}: class size of {label} disagrees between enumeration "
-                f"({counts[label]}) and the centralizer formula ({analytic})"
-            )
-        out.append((label, analytic))
-    return tuple(out)
+    labels = (SignedCycleType(bp.alpha, bp.beta) for bp in bipartitions_of(n))
+    return tuple((label, order // centralizer_order(label)) for label in labels)
 
 
 # Keys are ranks <= ORACLE_BOUND (checked by _classes).
@@ -263,8 +203,7 @@ def identity_class(n: int) -> SignedCycleType:
 class ClassFunction:
     """An exact class function on W_n, one value per conjugacy class.
 
-    Values are integers or `Fraction`s.  Instances are treated as immutable;
-    arithmetic returns new objects.
+    Values are integers or `Fraction`s.  Instances are treated as immutable.
     """
 
     rank: int
@@ -281,35 +220,6 @@ class ClassFunction:
 
     def degree(self):
         return self.values[identity_class(self.rank)]
-
-    def _same_rank(self, other):
-        if self.rank != other.rank:
-            raise ValueError(f"rank mismatch: {self.rank} != {other.rank}")
-
-    def __add__(self, other: "ClassFunction") -> "ClassFunction":
-        self._same_rank(other)
-        return ClassFunction(
-            self.rank, {c: v + other.values[c] for c, v in self.values.items()}
-        )
-
-    def __mul__(self, other: "ClassFunction") -> "ClassFunction":
-        """Pointwise product (tensor product of representations)."""
-        self._same_rank(other)
-        return ClassFunction(
-            self.rank, {c: v * other.values[c] for c, v in self.values.items()}
-        )
-
-    def scaled(self, c) -> "ClassFunction":
-        return ClassFunction(self.rank, {k: c * v for k, v in self.values.items()})
-
-    def inner(self, other: "ClassFunction") -> Fraction:
-        """Exact inner product (1/|W_n|) sum |class| f g.  All characters
-        of W_n are integer valued, so no conjugation is involved."""
-        self._same_rank(other)
-        total = 0
-        for label, size in _classes(self.rank):
-            total += size * self.values[label] * other.values[label]
-        return Fraction(total) / group_order(self.rank)
 
 
 @dataclass(frozen=True)
@@ -329,30 +239,11 @@ class ProductClassFunction:
     def at(self, pair):
         return self.values[pair]
 
-    def inner(self, other: "ProductClassFunction") -> Fraction:
-        if self.ranks != other.ranks:
-            raise ValueError(f"rank mismatch: {self.ranks} != {other.ranks}")
-        a, b = self.ranks
-        total = 0
-        for (l1, s1) in _classes(a):
-            for (l2, s2) in _classes(b):
-                pair = (l1, l2)
-                total += s1 * s2 * self.values[pair] * other.values[pair]
-        return Fraction(total) / (group_order(a) * group_order(b))
-
 
 def _outer(xs, ys) -> list:
     """Values of the outer product of two class functions, given as value
     lists, in :func:`_pair_labels` order."""
     return [x * y for x in xs for y in ys]
-
-
-def tensor(f: ClassFunction, g: ClassFunction) -> ProductClassFunction:
-    """Outer tensor product, a class function on W_a x W_b."""
-    values = _outer(_class_values(f), _class_values(g))
-    return ProductClassFunction(
-        (f.rank, g.rank), dict(zip(_pair_labels(f.rank, g.rank), values))
-    )
 
 
 def _merge(p: Partition, q: Partition) -> Partition:
@@ -666,11 +557,11 @@ def decompose(f: ClassFunction) -> dict:
 @lru_cache(maxsize=None)
 def _tensor_label_map(n: int, which: str) -> dict:
     table = build_character_table(n)
-    lin = linear_character(n, which)
+    linear = _linear_values(n, which)
     mapping = {}
     for bp in table.labels:
-        product = table.irreducibles[bp] * lin
-        mults = decompose(product)
+        product = list(map(mul, _class_values(table.irreducibles[bp]), linear))
+        mults = _decompose_values(n, product)
         if list(mults.values()) != [1]:
             raise InternalCheckError(
                 f"W_{n}: tensoring {bp} with {which} is not irreducible: {mults}"

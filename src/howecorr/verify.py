@@ -141,9 +141,9 @@ def check_induction(max_rank: int = 5) -> CheckResult:
 
 
 def check_character_tables(max_rank: int = 6) -> CheckResult:
-    """Row and column orthogonality, integrality, and the two class-size
-    routes.  Row orthogonality and the size cross-check already run inside
-    build_character_table; the column relations are re-verified here."""
+    """Column orthogonality, whose diagonal |W_n| / |C| certifies each
+    class size read off the bipartitions, and the class-size sum.  Row
+    orthogonality and integrality already run inside build_character_table."""
     name = "character-table certification"
     for n in range(max_rank + 1):
         table = build_character_table(n)

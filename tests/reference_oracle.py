@@ -6,7 +6,7 @@ Everything that decides an entry is frozen here: the product class function
 on W_r x W_r' summed over l and chi in Irr(W_l), with the sgn twist taken as
 an actual pointwise product, and its two-step contraction against the
 irreducible pairs.  Only the certified character tables, the linear
-characters, induction and the outer tensor product come from the library.
+characters and induction come from the library.
 
 The second, at the end, is the label-keyed class enumeration, tensor
 product, induction and table construction that the library's value-list
@@ -20,6 +20,7 @@ from functools import lru_cache
 from operator import mul
 
 from howecorr.hyperoctahedral import (
+    ClassFunction,
     ProductClassFunction,
     SignedCycleType,
     build_character_table,
@@ -27,10 +28,19 @@ from howecorr.hyperoctahedral import (
     identity_class,
     induce_class_function,
     linear_character,
-    tensor,
 )
 from howecorr.partitions import Partition, bipartitions_of
 from howecorr.symmetric import sn_character_value
+
+
+def tensor(f, g):
+    """Outer tensor product of two class functions, on W_a x W_b."""
+    return ProductClassFunction((f.rank, g.rank), tensor_values(f.values, g.values))
+
+
+def _pointwise(f, g):
+    """Pointwise product of two class functions on W_n."""
+    return ClassFunction(f.rank, {c: v * g.values[c] for c, v in f.values.items()})
 
 
 def _add(f, g):
@@ -76,7 +86,7 @@ def oracle_omega(r, r_prime, first_kind, convention):
         for chi in bipartitions_of(l):
             f = table_l.character(chi)
             left = induce_class_function(tensor(f, second))
-            right = induce_class_function(tensor(f * sgn_l, one))
+            right = induce_class_function(tensor(_pointwise(f, sgn_l), one))
             term = tensor(left, right)
             total = term if total is None else _add(total, term)
     return decompose_product(total), total

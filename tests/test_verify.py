@@ -17,6 +17,7 @@ from howecorr.hyperoctahedral import (
     identity_class,
     tensor_label_map,
 )
+from howecorr.lusztig import CentralizerFactor, trivial_descriptor
 from howecorr.partitions import Partition, bipartitions_of
 from howecorr.unipotent import SGN_CONVENTIONS, TowerContext
 from howecorr.verify import (
@@ -192,6 +193,17 @@ def test_column_relations_fail_on_perturbed_columns(monkeypatch, n, hits):
     )
 
 
+def test_class_sizes_that_miss_the_group_order_fail(monkeypatch):
+    table = build_character_table(3)
+    sizes = dict(table.class_sizes)
+    sizes[table.class_labels()[0]] += 1
+    monkeypatch.setitem(table.__dict__, "class_sizes", sizes)
+    result = check_character_tables(5)
+    assert result.line() == (
+        "FAIL character-table certification: W_3: class sizes do not sum to 48"
+    )
+
+
 def _grown(ctx_p):
     """The partner context one Witt index higher, same parity and field."""
     return TowerContext(ctx_p.witt_index + 1, ctx_p.dim_parity, ctx_p.q)
@@ -199,6 +211,15 @@ def _grown(ctx_p):
 
 def _extremal_antichain(pi, k_prime, labels):
     raise NonUniqueExtremeError("planted", [pi.char_label])
+
+
+def _with_factors(real, change):
+    # centralizer_decomposition with its factor list passed through change
+    def decomposition(s, ctx):
+        found = real(s, ctx)
+        return found._replace(factors=change(found.factors))
+
+    return decomposition
 
 
 def _hash_blind(real):
@@ -218,7 +239,8 @@ EMPTY = "Bipartition(alpha=(), beta=())"
 
 # (verify global, replacement given the real function, check, detail): each
 # check passes as it stands and fails, with this detail, once the global is
-# replaced.  check_character_tables is covered by the column test above.
+# replaced.  check_character_tables is covered by the column and class-size
+# tests above.
 PLANTED_FAULTS = [
     pytest.param(
         "pieri_induction",
@@ -273,8 +295,29 @@ PLANTED_FAULTS = [
         id="extremal",
     ),
     pytest.param(
-        # the rank-sum branch is unreachable: centralizer_decomposition
-        # raises InternalCheckError on the same condition first
+        # the real centralizer_decomposition raises InternalCheckError on
+        # this condition first, so only a replaced one reaches the branch
+        "centralizer_decomposition",
+        lambda real: _with_factors(
+            real, lambda factors: factors + (CentralizerFactor("linear", 1, 1),)
+        ),
+        lambda: verify.check_centralizers(5),
+        "trial 0: rank sum 4 != 3",
+        id="centralizers-rank-sum",
+    ),
+    pytest.param(
+        "centralizer_decomposition",
+        lambda real: _with_factors(
+            real,
+            lambda factors: tuple(
+                dataclasses.replace(f, kind="linear") for f in factors
+            ),
+        ),
+        lambda: verify.check_centralizers(5),
+        "trial 2: -1 orbit not unitary",
+        id="centralizers-minus-one",
+    ),
+    pytest.param(
         "centralizer_decomposition",
         lambda real: lambda s, ctx: real(s, ctx)._replace(l=real(s, ctx).l + 1),
         lambda: verify.check_centralizers(5),
@@ -287,6 +330,16 @@ PLANTED_FAULTS = [
         lambda: verify.check_centralizers(5),
         "trial 0: matched dimension wrong",
         id="centralizers-match",
+    ),
+    pytest.param(
+        # the partner class keeps its dimension but loses its non-unit part
+        "match_semisimple",
+        lambda real: lambda s, ctx, ctx_p: trivial_descriptor(
+            s.q, ctx_p.dimension, s.modulus
+        ),
+        lambda: verify.check_centralizers(5),
+        "trial 1: factor lists differ after match",
+        id="centralizers-factors",
     ),
     pytest.param(
         "omega_full",
