@@ -26,7 +26,6 @@ _EXPORTS = {
         "induce_class_function",
         "linear_character",
         "restrict_class_function",
-        "sn_character_value",
         "tensor_label_map",
     ),
     "lusztig": (
@@ -77,9 +76,10 @@ _EXPORTS = {
         "theta_images",
         "witt_index_of_cuspidal",
     ),
+    "symmetric": ("sn_character_value",),
     "verify": ("CheckResult", "run_verification"),
 }
-_SUBMODULES = frozenset(_EXPORTS) | {"symmetric"}
+_SUBMODULES = frozenset(_EXPORTS)
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = sorted(_HOME)

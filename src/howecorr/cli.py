@@ -277,15 +277,9 @@ def _cmd_omega_full(args):
     return full.to_json_dict, text, 0
 
 
-def run_verification(max_rank: int, seed: int) -> list:
-    """:func:`howecorr.verify.run_verification`, imported on the first
-    call: no other subcommand loads the oracle."""
+def _cmd_verify(args):
     from .verify import run_verification
 
-    return run_verification(max_rank=max_rank, seed=seed)
-
-
-def _cmd_verify(args):
     results = run_verification(max_rank=args.max_rank, seed=args.seed)
     passed = all(r.passed for r in results)
     footer = "all properties passed" if passed else "PROPERTY FAILURES, see lines above"

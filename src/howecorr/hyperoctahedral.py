@@ -34,8 +34,10 @@ induced value that is not integral is a `Fraction`.
 
 Induction (see :func:`_induction_matrix`), the outer tensor product, the
 linear characters and the seeds of the irreducibles work on lists of values
-in canonical class order, which the public functions only label; a dict in
-any other order is still accepted, and read through one lookup per class.
+in canonical class order, which the public functions only label:
+:func:`build_character_table` induces each seed as a list and labels the
+induced row once.  A dict in any other order is still accepted, and read
+through one lookup per class.
 
 The price is the rank bound: nothing here is meant to run past
 ``ORACLE_BOUND`` (default 6, |W_6| = 46080).
@@ -54,8 +56,7 @@ from typing import Iterator, NamedTuple
 
 from .errors import InternalCheckError, RankBoundError
 from .partitions import Bipartition, Partition, bipartitions_of
-# sn_character_value is not called here; the package exports it from here
-from .symmetric import _mn, sn_character_value
+from .symmetric import _mn
 
 #: Largest rank the brute-force machinery will accept.  May be raised by the
 #: caller, at the cost of an exponential blow-up.
@@ -159,24 +160,12 @@ def _class_labels(n: int) -> tuple:
     return tuple(label for label, _ in _classes(n))
 
 
-# Keys are ranks <= ORACLE_BOUND (checked by _classes).
-@lru_cache(maxsize=None)
-def _class_set(n: int) -> frozenset:
-    return frozenset(_class_labels(n))
-
-
 # Keys are rank pairs, each <= ORACLE_BOUND (checked by _classes).
 @lru_cache(maxsize=None)
 def _pair_labels(a: int, b: int) -> tuple:
     """Class labels of W_a x W_b in canonical order: pairs, the W_b label
     varying fastest."""
     return tuple((l1, l2) for l1 in _class_labels(a) for l2 in _class_labels(b))
-
-
-# Keys are rank pairs, each <= ORACLE_BOUND (checked by _classes).
-@lru_cache(maxsize=None)
-def _pair_set(a: int, b: int) -> frozenset:
-    return frozenset(_pair_labels(a, b))
 
 
 def _in_order(values: dict, labels: tuple) -> list:
@@ -210,7 +199,7 @@ class ClassFunction:
     values: dict
 
     def __post_init__(self):
-        if self.values.keys() != _class_set(self.rank):
+        if self.values.keys() ^ _class_labels(self.rank):
             raise ValueError(
                 f"class function on W_{self.rank} must assign a value to every class"
             )
@@ -231,7 +220,7 @@ class ProductClassFunction:
 
     def __post_init__(self):
         a, b = self.ranks
-        if self.values.keys() != _pair_set(a, b):
+        if self.values.keys() ^ _pair_labels(a, b):
             raise ValueError(
                 f"product class function on W_{a} x W_{b} has wrong support"
             )
@@ -367,19 +356,19 @@ def _cycle_types(n: int) -> tuple:
     return tuple(_merge(label.positive, label.negative) for label in _class_labels(n))
 
 
-def _irreducible_seed(alpha: Partition, beta: Partition) -> ProductClassFunction:
-    """The character of W_a x W_b whose induction is chi_(alpha, beta):
-    chi_alpha and chi_beta pulled back to W_a and W_b, the second twisted
-    by the sign-change character.  The S_n values come straight from the
-    Murnaghan-Nakayama recursion on canonical partitions."""
+def _irreducible_seed(alpha: Partition, beta: Partition) -> list:
+    """Values, in :func:`_pair_labels` order, of the character of W_a x W_b
+    whose induction is chi_(alpha, beta): chi_alpha and chi_beta pulled
+    back to W_a and W_b, the second twisted by the sign-change character.
+    The S_n values come straight from the Murnaghan-Nakayama recursion on
+    canonical partitions."""
     a, b = alpha.size, beta.size
     first = [_mn(alpha, cycle_type) for cycle_type in _cycle_types(a)]
     second = [
         _mn(beta, cycle_type) * sign
         for cycle_type, sign in zip(_cycle_types(b), _linear_values(b, "sign_changes"))
     ]
-    values = _outer(first, second)
-    return ProductClassFunction((a, b), dict(zip(_pair_labels(a, b), values)))
+    return _outer(first, second)
 
 
 class _IntMatrix:
@@ -509,17 +498,18 @@ def build_character_table(n: int) -> CharacterTable:
     """
     _check_rank(n)
     labels = tuple(bipartitions_of(n))
-    irreducibles = {}
+    classes = _class_labels(n)
+    rows, irreducibles = [], {}
     for bp in labels:
-        chi = induce_class_function(_irreducible_seed(bp.alpha, bp.beta), n)
-        bad = [v for v in chi.values.values() if not isinstance(v, int)]
+        row = _induce_values(bp.alpha.size, bp.beta.size, _irreducible_seed(bp.alpha, bp.beta))
+        bad = [v for v in row if not isinstance(v, int)]
         if bad:
             raise InternalCheckError(
                 f"W_{n}: character {bp} has non-integral values {bad[:3]}"
             )
-        irreducibles[bp] = chi
+        rows.append(row)
+        irreducibles[bp] = ClassFunction(n, dict(zip(classes, row)))
     sizes = dict(_classes(n))
-    rows = [_class_values(irreducibles[bp]) for bp in labels]
     weighted = [tuple(map(mul, sizes.values(), row)) for row in rows]
     table = CharacterTable(n, labels, irreducibles, sizes, tuple(zip(labels, weighted)))
     defect = table._weighted.orthogonality_defect(rows, [group_order(n)] * len(rows))

@@ -52,6 +52,7 @@ from .partitions import (
     _strip_relation,
     _vertical_strips,
     _dominance_vector,
+    bipartition,
 )
 
 DEFAULT_SGN_CONVENTION = "coxeter_sign"
@@ -232,30 +233,19 @@ def sgn_twist(bp: Bipartition, convention: str = DEFAULT_SGN_CONVENTION) -> Bipa
     return Bipartition(_star(beta, convention), _star(alpha, convention))
 
 
-def _pieri_rule(which: str) -> tuple:
-    """The Pieri rule of Ind from W_l x W_s to W_{l+s} of a character tensor
-    the linear character ``which`` ("trivial" or a sgn convention): the
-    component that grows (0 for alpha, 1 for beta) and whether it grows by
-    vertical (rather than horizontal) strips.
-
-    The trivial character adds a horizontal strip to alpha (Pieri); sgn adds
-    the strip to beta, vertical under ``coxeter_sign`` and horizontal under
-    ``sign_changes``.
-    """
-    if which == "trivial":
-        return 0, False
-    return 1, which == "coxeter_sign"
-
-
 def _pieri_labels(alpha: Partition, beta: Partition, size: int, which: str):
     """Labels in Ind from W_l x W_size to W_{l+size} of chi_(alpha, beta)
-    tensor the linear character ``which`` (see _pieri_rule), each with
-    multiplicity one, as an iterator of (alpha, beta) pairs in strip order.
+    tensor the linear character ``which`` ("trivial" or a sgn convention),
+    each with multiplicity one, as an iterator of (alpha, beta) pairs in
+    strip order.
+
+    This is the Pieri rule: the trivial character adds a horizontal strip
+    to alpha; sgn adds the strip to beta, vertical under ``coxeter_sign``
+    and horizontal under ``sign_changes``.
     """
-    side, vertical = _pieri_rule(which)
-    strips = _vertical_strips if vertical else _horizontal_strips
-    if side == 0:
-        return zip(strips(alpha, size), repeat(beta))
+    if which == "trivial":
+        return zip(_horizontal_strips(alpha, size), repeat(beta))
+    strips = _vertical_strips if which == "coxeter_sign" else _horizontal_strips
     return zip(repeat(alpha), strips(beta, size))
 
 
@@ -331,8 +321,11 @@ class _Entries(Mapping):
         row_index, col_index = self._label_indices
         try:
             row, col = key
-            i, j = row_index.get(row), col_index.get(col)
-        except (TypeError, ValueError):  # not a pair of hashables
+            try:
+                i, j = row_index.get(row), col_index.get(col)
+            except TypeError:  # a label with list parts: read the label it names
+                i, j = row_index.get(bipartition(*row)), col_index.get(bipartition(*col))
+        except (TypeError, ValueError):  # not a pair of labels
             return default
         if i is None or j is None:
             return default
@@ -455,7 +448,11 @@ class MultiplicityTable:
         return self.entries.get((row, col), 0)
 
     def row(self, label: Bipartition) -> list:
-        i = self.entries._label_indices[0].get(label)
+        index = self.entries._label_indices[0]
+        try:
+            i = index.get(label)
+        except TypeError:  # a label with list parts: read the label it names
+            i = index.get(bipartition(*label))
         if i is None:
             raise ValueError(f"{label} is not a row label of this table")
         cols = self.col_labels

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
+from . import hyperoctahedral
 from .errors import NonUniqueExtremeError
 from .hyperoctahedral import (
     _class_labels,
@@ -536,9 +537,11 @@ def check_pinned_table() -> CheckResult:
 
 def run_verification(max_rank: int = 3, seed: int = 20260825) -> list:
     """The full suite at a size budget set by max_rank (tables and
-    induction use it directly; the quadratic sweeps are capped lower)."""
-    if not 1 <= max_rank <= 6:
-        raise ValueError("max_rank must be between 1 and 6")
+    induction use it directly; the quadratic sweeps are capped lower).
+    max_rank runs up to hyperoctahedral.ORACLE_BOUND, read at each call."""
+    bound = hyperoctahedral.ORACLE_BOUND
+    if not 1 <= max_rank <= bound:
+        raise ValueError(f"max_rank must be between 1 and {bound}")
     b_rank = min(max_rank, 4)
     return [
         check_induction(max_rank),

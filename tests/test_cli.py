@@ -395,12 +395,13 @@ class TestVerify:
         assert err.startswith("error:")
 
     def test_failure_exits_2(self, capsys, monkeypatch):
+        from howecorr import verify
         from howecorr.verify import CheckResult
 
         def fake(max_rank, seed):
             return [CheckResult("stub", False, "forced failure")]
 
-        monkeypatch.setattr(cli, "run_verification", fake)
+        monkeypatch.setattr(verify, "run_verification", fake)
         code, out, _ = run(capsys, "verify")
         assert code == 2
         assert "PROPERTY FAILURES" in out

@@ -414,18 +414,15 @@ def test_corrupted_table_fails_orthonormality(fresh_tables, monkeypatch, n, hits
     i, j = _first_orthonormality_failure(n, rows)
     build_character_table.cache_clear()
 
-    induce = hyperoctahedral.induce_class_function
+    induce = hyperoctahedral._induce_values
     calls = itertools.count()
 
-    def corrupted(f, m=None):
-        chi = induce(f, m)
-        delta = deltas.get(next(calls), {}) if m == n else {}
-        if delta:
-            values = {c: v + delta.get(c, 0) for c, v in chi.values.items()}
-            chi = ClassFunction(chi.rank, values)
-        return chi
+    def corrupted(a, b, values):
+        row = induce(a, b, values)
+        delta = deltas.get(next(calls), {}) if a + b == n else {}
+        return [v + delta.get(c, 0) for v, c in zip(row, classes)]
 
-    monkeypatch.setattr(hyperoctahedral, "induce_class_function", corrupted)
+    monkeypatch.setattr(hyperoctahedral, "_induce_values", corrupted)
     message = f"W_{n}: orthonormality fails at ({table.labels[i]}, {table.labels[j]})"
     with pytest.raises(InternalCheckError, match=f"^{re.escape(message)}$"):
         build_character_table(n)

@@ -27,7 +27,7 @@ from howecorr.lusztig import (
     trivial_descriptor,
     weyl_of_cuspidal_pair,
 )
-from howecorr.partitions import bipartition
+from howecorr.partitions import Bipartition, bipartition
 from howecorr.unipotent import SeriesLabel, TowerContext, omega_unipotent
 
 
@@ -428,6 +428,16 @@ class TestOmegaFull:
         ]
         if unlinked:
             assert not dec.contains((("2",), row), (("2",), unlinked[0]))
+
+    @pytest.mark.parametrize(
+        "alpha, beta", [([1], []), ((), [1]), ([1], ())], ids=["lists", "mixed", "list_alpha"]
+    )
+    def test_membership_with_plain_sequence_parts(self, alpha, beta):
+        # at m = m' = 1, k = 0 every label of W_1 is linked to the trivial one
+        dec = omega_full(unipotent_pair(1, 0), TowerContext(1, 0, 3), TowerContext(1, 0, 3))
+        plain, triv = Bipartition(alpha, beta), bipartition((1,), ())
+        assert dec.contains(((), plain), ((), triv))
+        assert dec.contains(((), triv), ((), plain))
 
     def test_json_shape(self):
         dec = omega_full(unipotent_pair(1, 0), TowerContext(1, 0, 3), TowerContext(1, 1, 3))

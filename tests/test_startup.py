@@ -24,7 +24,7 @@ PUBLIC = {
     "hyperoctahedral": [
         "ClassFunction", "build_character_table", "conjugacy_classes", "decompose",
         "group_order", "induce_class_function", "linear_character",
-        "restrict_class_function", "sn_character_value", "tensor_label_map",
+        "restrict_class_function", "tensor_label_map",
     ],
     "lusztig": [
         "TRIVIAL_GL", "CentralizerFactor", "CuspidalPair", "CuspidalSupport",
@@ -44,6 +44,7 @@ PUBLIC = {
         "extremal_images", "omega_unipotent", "pieri_induction", "sgn_twist",
         "theta_cuspidal", "theta_images", "witt_index_of_cuspidal",
     ],
+    "symmetric": ["sn_character_value"],
     "verify": ["CheckResult", "run_verification"],
 }
 

@@ -415,8 +415,6 @@ class TestIndexSpaceAssembly:
         for module in (partitions, unipotent):
             for name in ("_horizontal_strips", "_vertical_strips"):
                 monkeypatch.setattr(module, name, forbidden)
-        # the sgn lists are the twist of the trivial ones, so no rule is read
-        monkeypatch.setattr(unipotent, "_pieri_rule", forbidden)
         for case in self.CASES:
             self._snapshot(*case)
 
@@ -657,6 +655,21 @@ class TestEntriesView:
             tracemalloc.stop()
         assert len(table.entries) == cells
         assert retained < 0.2 * 2**20
+
+    @pytest.mark.parametrize(
+        "alpha, beta", [([1], []), ((), [1]), ([1], ())], ids=["lists", "mixed", "list_alpha"]
+    )
+    def test_lookups_with_plain_sequence_parts(self, alpha, beta):
+        """A label with list parts reads as the label of Partitions it
+        names, as theta_images reads it."""
+        table = omega_unipotent(TowerContext(1, 0), TowerContext(1, 0), 0)
+        plain, want = Bipartition(alpha, beta), bipartition(alpha, beta)
+        assert table.row(plain) == table.row(want) != []
+        for col in table.col_labels:
+            assert table.entry(plain, col) == table.entry(want, col)
+            assert table.entry(col, plain) == table.entry(col, want)
+        assert table.entry(plain, plain) == table.entry(want, want)
+        assert table.entry(plain, TRIV1) == 1
 
     def test_star_permutation_equals_the_label_hashing_reference(self):
         for n in range(15):

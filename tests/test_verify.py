@@ -1,6 +1,10 @@
 """The verification suite must agree with itself at small rank."""
 
 import dataclasses
+import os
+import pathlib
+import subprocess
+import sys
 import types
 
 import pytest
@@ -17,7 +21,7 @@ from howecorr.hyperoctahedral import (
     identity_class,
     tensor_label_map,
 )
-from howecorr.lusztig import CentralizerFactor, trivial_descriptor
+from howecorr.lusztig import TRIVIAL_GL, CentralizerFactor, GLCuspidal, trivial_descriptor
 from howecorr.partitions import Partition, bipartitions_of
 from howecorr.unipotent import SGN_CONVENTIONS, TowerContext
 from howecorr.verify import (
@@ -28,6 +32,8 @@ from howecorr.verify import (
     check_pinned_table,
     run_verification,
 )
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def test_suite_passes_at_small_rank():
@@ -42,6 +48,23 @@ def test_rank_validation():
         run_verification(max_rank=0)
     with pytest.raises(ValueError):
         run_verification(max_rank=7)
+
+
+def test_rank_bound_is_the_oracle_bound():
+    """run_verification accepts the ranks the oracle accepts.  Run in a
+    fresh interpreter: rank-keyed caches filled at rank 7 would let later
+    tests at that rank skip their RankBoundError."""
+    script = (
+        "from howecorr import hyperoctahedral, verify\n"
+        "hyperoctahedral.ORACLE_BOUND = 7\n"
+        "results = verify.run_verification(7)\n"
+        "assert len(results) == 11, results\n"
+        "assert all(r.passed for r in results), [r.line() for r in results]\n"
+    )
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": f"{SRC}{os.pathsep}{path}" if path else str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_result_lines():
@@ -235,6 +258,29 @@ def _hash_blind(real):
     return omega_full
 
 
+def _with_entries(change):
+    # transport_support with the entries of each nonzero image passed through change
+    def plant(real):
+        def transport(sup, ctx, ctx_p):
+            out = real(sup, ctx, ctx_p)
+            return out and dataclasses.replace(out, entries=change(out.entries))
+
+        return transport
+
+    return plant
+
+
+def _swallowing_value_errors(real):
+    # transport_support that answers zero where the real one raises
+    def transport(*args):
+        try:
+            return real(*args)
+        except ValueError:
+            return None
+
+    return transport
+
+
 EMPTY = "Bipartition(alpha=(), beta=())"
 
 # (verify global, replacement given the real function, check, detail): each
@@ -368,6 +414,69 @@ PLANTED_FAULTS = [
         verify.check_transport,
         "growth transport lost the anchor",
         id="transport",
+    ),
+    pytest.param(
+        "transport_support",
+        _with_entries(
+            lambda entries: tuple(
+                e if e.is_trivial else GLCuspidal(e.size, e.label + "'") for e in entries
+            )
+        ),
+        verify.check_transport,
+        "nontrivial block not verbatim",
+        id="transport-verbatim",
+    ),
+    pytest.param(
+        "transport_support",
+        _with_entries(
+            lambda entries: tuple(e for e in entries if not e.is_trivial) + (TRIVIAL_GL,)
+        ),
+        verify.check_transport,
+        "expected 2 trivial entries, got 1",
+        id="transport-trivial-count",
+    ),
+    pytest.param(
+        # a shrink that moves nothing
+        "transport_support",
+        lambda real: lambda sup, ctx, ctx_p: (
+            real(sup, ctx, ctx_p) if ctx.witt_index < ctx_p.witt_index else sup
+        ),
+        verify.check_transport,
+        "grow-then-shrink round trip broken",
+        id="transport-round-trip",
+    ),
+    pytest.param(
+        # the support itself where the image is zero
+        "transport_support",
+        lambda real: lambda sup, ctx, ctx_p: real(sup, ctx, ctx_p) or sup,
+        verify.check_transport,
+        "image below first occurrence not zero",
+        id="transport-zero",
+    ),
+    pytest.param(
+        "transport_support",
+        _swallowing_value_errors,
+        verify.check_transport,
+        "underflow did not raise",
+        id="transport-underflow",
+    ),
+    pytest.param(
+        # a shrink that moves nothing
+        "transport_series",
+        lambda real: lambda pair, ctx, ctx_p: (
+            real(pair, ctx, ctx_p) if ctx.witt_index < ctx_p.witt_index else pair
+        ),
+        verify.check_transport,
+        "series round trip broken",
+        id="transport-series",
+    ),
+    pytest.param(
+        # the factor labels of another class
+        "coordinates_out",
+        lambda real: lambda coords, dec: (("2",), real(coords, dec)[1]),
+        verify.check_transport,
+        "coordinate relabelling not the identity",
+        id="transport-coordinates",
     ),
     pytest.param(
         "omega_unipotent",
