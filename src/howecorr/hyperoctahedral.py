@@ -23,7 +23,10 @@ tables are certified orthonormal before they are returned; ``verify``
 certifies the column relations, whose diagonal is |W_n| / |C|, and the
 class-size sum as well.
 
-Everything is exact.  Character values are integers.  Induction, the
+Everything is exact.  Character values are integers.  Induction runs over
+the class-fusion map (:func:`_induction_matrix`): each class of W_a x W_b
+fuses into exactly one class of W_{a+b}, so each value is added, weighted,
+to one integer sum, and one exact division per class follows.  The
 certification sums, the column relations in ``verify`` and
 :func:`decompose` are integer dot products, all computed by one
 packed-integer kernel, :class:`_IntMatrix`, whose docstring proves its slot
@@ -40,16 +43,18 @@ induced row once.  A dict in any other order is still accepted, and read
 through one lookup per class.
 
 The price is the rank bound: nothing here is meant to run past
-``ORACLE_BOUND`` (default 6, |W_6| = 46080).
+``ORACLE_BOUND`` (default 6, |W_6| = 46080).  Every rank-keyed cache checks
+its rank against the bound on each call, before it is read.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from math import factorial, lcm
 from operator import add, lshift, mul
 from typing import Iterator, NamedTuple
@@ -74,6 +79,29 @@ def _check_rank(n: int) -> None:
             f"rank {n} exceeds the oracle bound {ORACLE_BOUND}; "
             "raise howecorr.hyperoctahedral.ORACLE_BOUND to force it"
         )
+
+
+def _rank_checked(rank=None):
+    """Put a rank check in front of an `lru_cache`: ``rank`` maps the
+    arguments to the rank they ask for (by default the first argument), and
+    that rank is checked against ORACLE_BOUND on every call, before the
+    cache is read.  An entry cached under a raised bound then raises again
+    once the bound is lowered, and the cache, keyed by ranks within the
+    bound, needs no size bound.  The wrapper keeps the cache's
+    ``cache_clear`` and ``cache_info`` and the uncached ``__wrapped__``."""
+
+    def decorate(cached):
+        @wraps(cached.__wrapped__)
+        def checked(*args):
+            n = rank(*args) if rank else args[0]
+            if not 0 <= n <= ORACLE_BOUND:
+                _check_rank(n)
+            return cached(*args)
+
+        checked.cache_clear, checked.cache_info = cached.cache_clear, cached.cache_info
+        return checked
+
+    return decorate
 
 
 class SignedCycleType(NamedTuple):
@@ -136,7 +164,7 @@ def signed_cycle_type(window: tuple) -> SignedCycleType:
     )
 
 
-# Keys are ranks, checked against ORACLE_BOUND on entry, so no bound is needed.
+@_rank_checked()
 @lru_cache(maxsize=None)
 def _classes(n: int) -> tuple:
     """Pairs (label, class size) in canonical label order.
@@ -148,19 +176,18 @@ def _classes(n: int) -> tuple:
     and ``verify.check_character_tables`` certifies them through the column
     relations and their sum.
     """
-    _check_rank(n)
     order = group_order(n)
     labels = (SignedCycleType(bp.alpha, bp.beta) for bp in bipartitions_of(n))
     return tuple((label, order // centralizer_order(label)) for label in labels)
 
 
-# Keys are ranks <= ORACLE_BOUND (checked by _classes).
+@_rank_checked()
 @lru_cache(maxsize=None)
 def _class_labels(n: int) -> tuple:
     return tuple(label for label, _ in _classes(n))
 
 
-# Keys are rank pairs, each <= ORACLE_BOUND (checked by _classes).
+@_rank_checked(max)
 @lru_cache(maxsize=None)
 def _pair_labels(a: int, b: int) -> tuple:
     """Class labels of W_a x W_b in canonical order: pairs, the W_b label
@@ -182,7 +209,7 @@ def conjugacy_classes(n: int) -> dict:
     return dict(_classes(n))
 
 
-# Keys are ranks; ClassFunction.degree asks only for ranks <= ORACLE_BOUND.
+@_rank_checked()
 @lru_cache(maxsize=None)
 def identity_class(n: int) -> SignedCycleType:
     return SignedCycleType(Partition([1] * n), Partition())
@@ -254,34 +281,39 @@ def _integral(values: list) -> tuple:
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
-# Keys are rank pairs with a + b <= ORACLE_BOUND (_induce_values checks it first).
+@_rank_checked(add)
 @lru_cache(maxsize=None)
 def _induction_matrix(a: int, b: int) -> tuple:
-    """For the embedding W_a x W_b <= W_{a+b}: the matrix whose row C, one
-    per class of W_{a+b} in canonical order, holds |D| at the position in
-    :func:`_pair_labels` order of each product class D fusing into C, and
-    the centralizer order |W_{a+b}| / |C| of each class C.  Fusion
-    concatenates the positive cycle types and the negative cycle types."""
+    """Class fusion for the embedding W_a x W_b <= W_{a+b}: per product
+    class D, in :func:`_pair_labels` order, the position in canonical class
+    order of the class C of W_{a+b} that D fuses into, and the weight
+    |D| |W_{a+b}| / |C|; and the number of classes of W_{a+b}.  Fusion
+    concatenates the positive cycle types and the negative cycle types, so
+    each D fuses into exactly one C, and this sparse map is the whole
+    induction matrix."""
     n = a + b
-    row_of = {label: i for i, label in enumerate(_class_labels(n))}
-    pairs = list(itertools.product(_classes(a), _classes(b)))
-    rows = [[0] * len(pairs) for _ in row_of]
-    for position, ((l1, s1), (l2, s2)) in enumerate(pairs):
-        rows[row_of[_fuse(l1, l2)]][position] = s1 * s2
-    return _IntMatrix(rows), tuple(group_order(n) // size for _, size in _classes(n))
+    classes = _classes(n)
+    position = {label: i for i, (label, _) in enumerate(classes)}
+    order = group_order(n)
+    fusion = []
+    for (l1, s1), (l2, s2) in itertools.product(_classes(a), _classes(b)):
+        c = position[_fuse(l1, l2)]
+        fusion.append((c, s1 * s2 * (order // classes[c][1])))
+    return tuple(fusion), len(classes)
 
 
 def _induce_values(a: int, b: int, values: list) -> list:
     """Induction from W_a x W_b to W_{a+b} of the class function with these
     values in :func:`_pair_labels` order, as values in canonical class
-    order: on a class C, |W_{a+b}| / (|W_a x W_b| |C|) times row C of the
-    induction matrix dotted with the values.  A value is a `Fraction`
-    exactly when it is not an integer."""
-    _check_rank(a + b)
-    matrix, centralizers = _induction_matrix(a, b)
+    order: on a class C, the sum over the product classes D fusing into C
+    of |D| |W_{a+b}| / |C| times the value on D, divided by |W_a x W_b|.  A
+    value is a `Fraction` exactly when it is not an integer."""
+    fusion, size = _induction_matrix(a, b)
     values, scale = _integral(values)
     den = group_order(a) * group_order(b) * scale
-    nums = map(mul, matrix.dots(values), centralizers)
+    nums = [0] * size
+    for (c, weight), v in zip(fusion, values):
+        nums[c] += weight * v
     return [Fraction(num, den) if num % den else num // den for num in nums]
 
 
@@ -312,11 +344,11 @@ def restrict_class_function(f: ClassFunction, a: int, b: int) -> ProductClassFun
     return ProductClassFunction((a, b), values)
 
 
-# Keys are a rank and a linear character, both checked before anything is cached.
+# An unknown linear character raises before anything is cached.
+@_rank_checked()
 @lru_cache(maxsize=None)
 def _linear_values(n: int, which: str) -> tuple:
     """Values of a linear character of W_n in canonical class order."""
-    _check_rank(n)
     if which not in LINEAR_CHARACTERS:
         raise ValueError(f"unknown linear character {which!r}")
     values = []
@@ -348,7 +380,7 @@ def linear_character(n: int, which: str) -> ClassFunction:
     return ClassFunction(n, dict(zip(_class_labels(n), values)))
 
 
-# Keys are ranks <= ORACLE_BOUND (checked by _classes).
+@_rank_checked()
 @lru_cache(maxsize=None)
 def _cycle_types(n: int) -> tuple:
     """The cycle type in S_n of each class of W_n, in canonical class
@@ -371,6 +403,24 @@ def _irreducible_seed(alpha: Partition, beta: Partition) -> list:
     return _outer(first, second)
 
 
+#: memoryview formats of the unsigned machine integers of 8, 16, 32 and 64 bits.
+_SLOT_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
+def _read_slots(total: int, width: int, count: int) -> list:
+    """The ``count`` lowest base-2^width digits of ``total`` >= 0, lowest
+    first, each minus 2^(width - 1); ``width`` is a power of two >= 8.  At
+    widths of 8 to 64 bits a digit is an unsigned machine integer, so all
+    of them are read at once, as the bytes of ``total`` in native order
+    cast to that integer type; a wider digit is read by a shift and a mask."""
+    half = 1 << (width - 1)
+    if width <= 64:
+        data = total.to_bytes(width // 8 * count, sys.byteorder)
+        return list(map(half.__rsub__, memoryview(data).cast(_SLOT_FORMATS[width])))
+    mask = (1 << width) - 1
+    return [(total >> shift & mask) - half for shift in range(0, width * count, width)]
+
+
 class _IntMatrix:
     """An integer matrix whose products with integer vectors are computed
     exactly by one packed-integer dot product.
@@ -380,12 +430,15 @@ class _IntMatrix:
     of d_b 2^(width * b), where d_b = row_b . v.  The width is proven per
     call: |d_b| <= |row_b|_1 max|v_i| < 2^(bound - 1) with bound = (bit
     length of the largest row L1 norm) + (bit length of max|v_i|) + 1, and
-    the width is the least power of two >= bound.  Adding 2^(width - 1) to
-    every slot therefore puts slot b at d_b + 2^(width - 1), inside
-    [0, 2^width): the sum plus that offset has exactly these base-2^width
-    digits, no carry crosses a slot boundary, and unpacking is exact.  The
-    packed columns are kept per width; rounding the width up to a power of
-    two keeps that to one packing for all the calls whose bounds share it.
+    the width is the least power of two >= max(bound, 8).  Adding
+    2^(width - 1) to every slot therefore puts slot b at d_b + 2^(width - 1),
+    inside [0, 2^width): the sum plus that offset has exactly these
+    base-2^width digits, no carry crosses a slot boundary, and unpacking
+    (:func:`_read_slots`) is exact.  The floor of 8 bits makes every slot
+    of up to 64 bits an unsigned machine integer, so that all of them are
+    read by one cast of the sum's bytes.  The packed columns are kept per
+    width; rounding the width up to a power of two keeps that to one
+    packing for all the calls whose bounds share it.
     """
 
     def __init__(self, rows):
@@ -408,15 +461,13 @@ class _IntMatrix:
         """[row . values for row in rows], for a list of integers
         ``values`` indexed like the columns."""
         bound = self._norm_bits + max(map(abs, values)).bit_length() + 1
-        width = 1 << (bound - 1).bit_length()
+        width = max(8, 1 << (bound - 1).bit_length())
         packed = self._packed.get(width)
         if packed is None:
             packed = self._packed[width] = self._pack(width)
         columns, offset = packed
         total = sum(map(mul, columns, values)) + offset
-        mask, half = (1 << width) - 1, 1 << (width - 1)
-        end = width * len(self.rows)
-        return [(total >> shift & mask) - half for shift in range(0, end, width)]
+        return _read_slots(total, width, len(self.rows))
 
     def orthogonality_defect(self, vectors, diagonal):
         """The first pair (i, j), i <= j, in lexicographic order at which
@@ -486,7 +537,7 @@ def _class_values(f: ClassFunction) -> list:
     return _in_order(f.values, _class_labels(f.rank))
 
 
-# Keys are ranks <= ORACLE_BOUND (checked on entry), so no bound is needed.
+@_rank_checked()
 @lru_cache(maxsize=None)
 def build_character_table(n: int) -> CharacterTable:
     """Build and certify the character table of W_n.
@@ -496,7 +547,6 @@ def build_character_table(n: int) -> CharacterTable:
     respect to the exact inner product.  A failed certification raises
     :class:`InternalCheckError` rather than returning a bad table.
     """
-    _check_rank(n)
     labels = tuple(bipartitions_of(n))
     classes = _class_labels(n)
     rows, irreducibles = [], {}
@@ -543,7 +593,7 @@ def decompose(f: ClassFunction) -> dict:
     return _decompose_values(f.rank, _class_values(f))
 
 
-# Keys are a rank <= ORACLE_BOUND and a linear character, both checked on entry.
+@_rank_checked()
 @lru_cache(maxsize=None)
 def _tensor_label_map(n: int, which: str) -> dict:
     table = build_character_table(n)

@@ -28,6 +28,7 @@ from itertools import product
 from . import hyperoctahedral
 from .errors import NonUniqueExtremeError
 from .hyperoctahedral import (
+    _check_rank,
     _class_labels,
     _class_values,
     _decompose_values,
@@ -98,7 +99,8 @@ def _fail(name, detail) -> CheckResult:
 # induction: Pieri rule vs explicit induced class functions
 
 
-# Keys are (chi, s, which) with |chi| + s <= ORACLE_BOUND (_induce_values checks it).
+# Keys are (chi, s, which) with |chi| + s <= ORACLE_BOUND: check_induction
+# and check_omega check their rank before they read this cache.
 @lru_cache(maxsize=None)
 def _induced(chi: Bipartition, s: int, which: str) -> tuple:
     """Ind from W_l x W_s to W_{l+s} of chi_chi tensor the linear character
@@ -116,6 +118,7 @@ def check_induction(max_rank: int = 5) -> CheckResult:
     chi in Irr(W_l), every split l + s = r <= max_rank, and both choices of
     the second factor (trivial, and sgn in both conventions)."""
     name = "induction-oracle equivalence"
+    _check_rank(max_rank)
     compared = 0
     cases = [("trivial", DEFAULT_SGN_CONVENTION)]
     cases += [("sgn", conv) for conv in SGN_CONVENTIONS]
@@ -169,7 +172,7 @@ def check_character_tables(max_rank: int = 6) -> CheckResult:
 # omega: combinatorial tables vs oracle inner products
 
 
-# Keys are (r, r', kind, convention) with r, r' <= ORACLE_BOUND (_induced checks it).
+# Keys are (r, r', kind, convention) with r, r' <= ORACLE_BOUND (checked by check_omega).
 @lru_cache(maxsize=None)
 def _oracle_omega(r: int, r_prime: int, first_kind: bool, convention: str):
     """Oracle-side coupling: the sum over l and chi in Irr(W_l) of
@@ -233,6 +236,7 @@ def check_omega(
     plus the degree identity, over all k <= k_max, both partner parities,
     and all b-ranks r, r' <= max_b_rank."""
     name = "omega-oracle equivalence"
+    _check_rank(max_b_rank)
     tables = 0
     labels = [tuple(bipartitions_of(n)) for n in range(max_b_rank + 1)]
     degrees = []

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import reference_oracle
 
-from howecorr import hyperoctahedral
+from howecorr import hyperoctahedral, verify
 from howecorr.errors import InternalCheckError, RankBoundError
 from howecorr.hyperoctahedral import (
     ClassFunction,
@@ -77,8 +77,9 @@ def _product_inner(f, g):
 
 @pytest.fixture
 def oracle_bound_8(monkeypatch):
-    """ORACLE_BOUND raised to 8, with the class cache cleared afterwards so
-    that ranks 7 and 8 hit the default bound again."""
+    """ORACLE_BOUND raised to 8, with the class cache cleared afterwards to
+    drop the classes of ranks 7 and 8 (the restored bound holds for them
+    either way)."""
     monkeypatch.setattr(hyperoctahedral, "ORACLE_BOUND", 8)
     yield
     hyperoctahedral._classes.cache_clear()
@@ -122,6 +123,30 @@ class TestClasses:
     def test_negative_rank(self):
         with pytest.raises(ValueError, match="^rank must be nonnegative$"):
             conjugacy_classes(-1)
+
+    def test_lowered_bound_holds_for_cached_ranks(self, monkeypatch):
+        # entries cached at rank 7 under a raised bound must not outlive it
+        monkeypatch.setattr(hyperoctahedral, "ORACLE_BOUND", 7)
+        tensor_label_map(7, "trivial")
+        linear_character(7, "sign_changes")
+        chi = bipartition((3,), (2, 1))
+        verify._induced(chi, 1, "trivial")
+        verify._oracle_omega(7, 0, True, "coxeter_sign")
+        monkeypatch.setattr(hyperoctahedral, "ORACLE_BOUND", 6)
+        hyperoctahedral._classes.cache_clear()
+        calls = [
+            lambda: tensor_label_map(7, "trivial"),
+            lambda: build_character_table(7),
+            lambda: linear_character(7, "sign_changes"),
+            lambda: ClassFunction(7, {}),
+            lambda: identity_class(7),
+            lambda: hyperoctahedral._induction_matrix(6, 1),
+            lambda: verify.check_induction(7),
+            lambda: verify.check_omega(7),
+        ]
+        for call in calls:
+            with pytest.raises(RankBoundError, match="^rank 7 exceeds the oracle bound 6;"):
+                call()
 
     def test_signed_cycle_type_involutions(self):
         # the diagonal sign change (-1, -2) splits into two negative 1-cycles
@@ -333,6 +358,46 @@ class TestDecompose:
         for f, ip in ((half, "1/2"), (ClassFunction(3, values), "1/3")):
             with pytest.raises(ValueError, match=f"not a virtual character: .* = {ip}$"):
                 decompose(f)
+
+
+# (width, bit length of the largest row L1 norm, bit length of max|v_i|):
+# each proof bound norm + value + 1 is the largest one rounded up to the
+# width, so the results reach the largest magnitude the proof admits
+WIDTH_CLASSES = [(8, 3, 4), (16, 7, 8), (32, 15, 16), (64, 31, 32), (128, 63, 64)]
+
+
+class TestPackedDots:
+    @pytest.mark.parametrize("width, norm_bits, value_bits", WIDTH_CLASSES)
+    def test_every_width_class_matches_the_plain_dot(self, width, norm_bits, value_bits):
+        rng = random.Random(width)
+        norm, top = 2**norm_bits - 1, 2**value_bits - 1
+        # the largest positive and negative results, zero twice, then rows
+        # of random entries with L1 norm at most ``norm``
+        rows = [[norm, 0, 0, 0], [0, 0, -norm, 0], [0, 0, 0, 0], [1, -1, 0, 0]]
+        for _ in range(6):
+            cut = sorted(rng.randint(0, norm) for _ in range(3))
+            parts = [cut[0], cut[1] - cut[0], cut[2] - cut[1], norm - cut[2]]
+            rows.append([rng.choice((1, -1)) * p for p in parts])
+        matrix = hyperoctahedral._IntMatrix(rows)
+        vectors = [[top, top, top, -top], [-top, -top, -top, top]]
+        vectors += [[rng.randint(-top, top) for _ in range(4)] for _ in range(4)]
+        for v in vectors:
+            want = [sum(x * y for x, y in zip(row, v)) for row in rows]
+            assert matrix.dots(v) == want
+        assert set(matrix._packed) == {width}
+        assert matrix.dots(vectors[0])[:4] == [norm * top, -norm * top, 0, 0]
+
+    def test_small_bounds_use_eight_bit_slots(self):
+        matrix = hyperoctahedral._IntMatrix([[1, 0], [0, -1]])
+        assert matrix.dots([1, 1]) == [1, -1]
+        assert set(matrix._packed) == {8}
+
+    @pytest.mark.parametrize("width", [8, 16, 32, 64, 128])
+    def test_slots_read_back_at_their_extremes(self, width):
+        half = 2 ** (width - 1)
+        slots = [half - 1, -(half - 1), 0, -half, -1, 1, half - 1]
+        total = sum((d + half) << (width * b) for b, d in enumerate(slots))
+        assert hyperoctahedral._read_slots(total, width, len(slots)) == slots
 
 
 coefficient = st.one_of(st.integers(-3, 3), st.integers(-(10**40), 10**40))

@@ -1,5 +1,6 @@
 """The verification suite must agree with itself at small rank."""
 
+import ast
 import dataclasses
 import os
 import pathlib
@@ -50,21 +51,52 @@ def test_rank_validation():
         run_verification(max_rank=7)
 
 
+def _run_fresh(script: str) -> str:
+    """Run ``script`` in a fresh interpreter that imports this checkout's
+    ``howecorr``, and return its stdout; the interpreter must exit 0."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": f"{SRC}{os.pathsep}{path}" if path else str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_rank_bound_is_the_oracle_bound():
     """run_verification accepts the ranks the oracle accepts.  Run in a
-    fresh interpreter: rank-keyed caches filled at rank 7 would let later
-    tests at that rank skip their RankBoundError."""
-    script = (
+    fresh interpreter, so that the rank-7 tables do not stay in this
+    process's caches."""
+    _run_fresh(
         "from howecorr import hyperoctahedral, verify\n"
         "hyperoctahedral.ORACLE_BOUND = 7\n"
         "results = verify.run_verification(7)\n"
         "assert len(results) == 11, results\n"
         "assert all(r.passed for r in results), [r.line() for r in results]\n"
     )
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": f"{SRC}{os.pathsep}{path}" if path else str(SRC)}
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.skipif(
+    os.environ.get("HOWECORR_ORACLE_RANK8") != "1",
+    reason="the b-rank 8 oracle checks run only with HOWECORR_ORACLE_RANK8=1",
+)
+def test_oracle_certifies_b_rank_eight():
+    """Tables, induction and omega in both conventions at b-rank 8, with the
+    bound raised in a fresh interpreter (about 1 s on a 2-core host)."""
+    lines = _run_fresh(
+        "from howecorr import hyperoctahedral, verify\n"
+        "hyperoctahedral.ORACLE_BOUND = 8\n"
+        "results = [verify.check_character_tables(8), verify.check_induction(8)]\n"
+        "results += [verify.check_omega(8, convention=c) for c in verify.SGN_CONVENTIONS]\n"
+        "print('\\n'.join(r.line() for r in results))\n"
+    ).splitlines()
+    assert lines == [
+        "PASS character-table certification: tables W_0..W_8 certified both ways",
+        "PASS induction-oracle equivalence: 2892 induced characters matched (rank <= 8)",
+        *(
+            "PASS omega-oracle equivalence: 648 tables equal the oracle entrywise "
+            f"(k <= 3, b-rank <= 8, {convention})"
+            for convention in SGN_CONVENTIONS
+        ),
+    ]
 
 
 def test_result_lines():
@@ -283,11 +315,28 @@ def _swallowing_value_errors(real):
 
 EMPTY = "Bipartition(alpha=(), beta=())"
 
+EMPTY_CLASS = SignedCycleType(Partition(), Partition())
+
 # (verify global, replacement given the real function, check, detail): each
 # check passes as it stands and fails, with this detail, once the global is
-# replaced.  check_character_tables is covered by the column and class-size
-# tests above.
+# replaced.  Together they reach every _fail call of verify; the column and
+# class-size tests above pin check_character_tables' two in more detail.
 PLANTED_FAULTS = [
+    pytest.param(
+        "group_order",
+        lambda real: lambda n: real(n) + 1,
+        lambda: check_character_tables(1),
+        "W_0: class sizes do not sum to 2",
+        id="table-class-sizes",
+    ),
+    pytest.param(
+        # every value of every character one higher
+        "_class_values",
+        lambda real: lambda f: [v + 1 for v in real(f)],
+        lambda: check_character_tables(1),
+        f"W_0: column orthogonality fails at {EMPTY_CLASS}, {EMPTY_CLASS}",
+        id="table-columns",
+    ),
     pytest.param(
         "pieri_induction",
         lambda real: lambda chi, s, second, conv: real(chi, s, "trivial", conv),
@@ -495,6 +544,45 @@ def test_checks_fail_on_planted_faults(monkeypatch, name, plant, check, detail):
     result = check()
     assert result.passed is False
     assert result.detail == detail
+
+
+def _fail_lines() -> set:
+    """The line of every ``_fail(`` call in verify's source."""
+    tree = ast.parse(pathlib.Path(verify.__file__).read_text(encoding="utf-8"))
+    return {
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_fail"
+    }
+
+
+def test_planted_faults_reach_every_fail_line(monkeypatch):
+    """Every _fail call of verify runs under some planted fault, so no
+    failure branch of the suite is dead code."""
+    lines = _fail_lines()
+    assert len(lines) == 26
+    ran = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            ran.add(frame.f_lineno)
+        return local
+
+    def trace(frame, event, arg):
+        return local if frame.f_code.co_filename == verify.__file__ else None
+
+    for fault in PLANTED_FAULTS:
+        name, plant, check, _ = fault.values
+        assert check().passed
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, name, plant(getattr(verify, name)))
+            previous = sys.gettrace()
+            sys.settrace(trace)
+            try:
+                check()
+            finally:
+                sys.settrace(previous)
+    assert sorted(lines - ran) == []
 
 
 def test_omega_check_reads_the_printed_cells(monkeypatch):
