@@ -60,7 +60,7 @@ from operator import add, lshift, mul
 from typing import Iterator, NamedTuple
 
 from .errors import InternalCheckError, RankBoundError
-from .partitions import Bipartition, Partition, bipartitions_of
+from .partitions import Bipartition, Partition, _trusted, bipartitions_of
 from .symmetric import _mn
 
 #: Largest rank the brute-force machinery will accept.  May be raised by the
@@ -263,7 +263,8 @@ def _outer(xs, ys) -> list:
 
 
 def _merge(p: Partition, q: Partition) -> Partition:
-    return Partition(sorted(tuple(p) + tuple(q), reverse=True))
+    """The parts of two partitions, sorted: a partition, built unchecked."""
+    return _trusted(sorted(p + q, reverse=True))
 
 
 def _fuse(l1: SignedCycleType, l2: SignedCycleType) -> SignedCycleType:

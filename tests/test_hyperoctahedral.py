@@ -130,7 +130,7 @@ class TestClasses:
         tensor_label_map(7, "trivial")
         linear_character(7, "sign_changes")
         chi = bipartition((3,), (2, 1))
-        verify._induced(chi, 1, "trivial")
+        verify._induced(chi, 1, hyperoctahedral._linear_values(1, "trivial"))
         verify._oracle_omega(7, 0, True, "coxeter_sign")
         monkeypatch.setattr(hyperoctahedral, "ORACLE_BOUND", 6)
         hyperoctahedral._classes.cache_clear()

@@ -14,16 +14,18 @@ import reference_oracle
 from howecorr import partitions, unipotent, verify
 from howecorr.errors import NonUniqueExtremeError
 from howecorr.hyperoctahedral import (
+    LINEAR_CHARACTERS,
     ClassFunction,
     SignedCycleType,
     build_character_table,
     conjugacy_classes,
     group_order,
+    _linear_values,
     identity_class,
     tensor_label_map,
 )
 from howecorr.lusztig import TRIVIAL_GL, CentralizerFactor, GLCuspidal, trivial_descriptor
-from howecorr.partitions import Partition, bipartitions_of
+from howecorr.partitions import Partition, bipartition, bipartitions_of
 from howecorr.unipotent import SGN_CONVENTIONS, TowerContext
 from howecorr.verify import (
     CheckResult,
@@ -85,10 +87,13 @@ def test_oracle_certifies_b_rank_eight():
         "from howecorr import hyperoctahedral, verify\n"
         "hyperoctahedral.ORACLE_BOUND = 8\n"
         "results = [verify.check_character_tables(8), verify.check_induction(8)]\n"
+        "print(verify._induced.cache_info().currsize)\n"
         "results += [verify.check_omega(8, convention=c) for c in verify.SGN_CONVENTIONS]\n"
         "print('\\n'.join(r.line() for r in results))\n"
     ).splitlines()
+    # 2892 comparisons, 1775 distinct inductions (see test_induced_is_keyed_by_values)
     assert lines == [
+        "1775",
         "PASS character-table certification: tables W_0..W_8 certified both ways",
         "PASS induction-oracle equivalence: 2892 induced characters matched (rank <= 8)",
         *(
@@ -142,8 +147,23 @@ def test_oracle_matches_the_label_keyed_reference():
         for which in ("trivial",) + SGN_CONVENTIONS
     ]
     assert len(keys) == 843
-    for key in keys:
-        assert verify._induced.__wrapped__(*key) == reference_oracle.induced(*key), key
+    for chi, s, which in keys:
+        got = verify._induced.__wrapped__(chi, s, _linear_values(s, which))
+        assert got == reference_oracle.induced(chi, s, which), (chi, s, which)
+
+
+def test_induced_is_keyed_by_values():
+    """Linear characters with equal values on W_s share one induction: all
+    names on W_0, sign_changes and coxeter_sign on W_1, none from W_2 on."""
+    assert {_linear_values(0, which) for which in LINEAR_CHARACTERS} == {(1,)}
+    assert _linear_values(1, "sign_changes") == _linear_values(1, "coxeter_sign") == (1, -1)
+    assert _linear_values(1, "trivial") == (1, 1)
+    for s in range(2, 7):
+        assert len({_linear_values(s, which) for which in LINEAR_CHARACTERS}) == 4, s
+    verify._induced.cache_clear()
+    result = verify.check_induction(6)
+    assert result.detail == "843 induced characters matched (rank <= 6)"
+    assert verify._induced.cache_info().currsize == 491
 
 
 @pytest.mark.parametrize("convention", SGN_CONVENTIONS)
@@ -197,9 +217,10 @@ def test_sgn_induction_is_the_twist_of_trivial_induction():
             for l in range(n + 1):
                 twist_l = tensor_label_map(l, convention)
                 for chi in bipartitions_of(l):
-                    trivial = verify._induced(twist_l[chi], n - l, "trivial")[0]
+                    s = n - l
+                    trivial = verify._induced(twist_l[chi], s, _linear_values(s, "trivial"))[0]
                     want = {twist_n[bp]: mult for bp, mult in trivial.items()}
-                    assert verify._induced(chi, n - l, convention)[0] == want
+                    assert verify._induced(chi, s, _linear_values(s, convention))[0] == want
                     cases += 1
     assert cases == 562
 
@@ -583,6 +604,79 @@ def test_planted_faults_reach_every_fail_line(monkeypatch):
             finally:
                 sys.settrace(previous)
     assert sorted(lines - ran) == []
+
+
+def test_extremal_check_certifies_a_store_it_has_not_seen(monkeypatch):
+    """check_extremal certifies the rows of each cell store once.  A table
+    whose cells are a store of its own, with an antichain row, is certified
+    all the same, although a table of its kind, ranks and convention was
+    certified at a smaller k."""
+    assert verify.check_extremal(3).passed
+    # (1,1,1)|- and (2)|(1): each has the larger prefix sum somewhere
+    antichain = [bipartition((1, 1, 1), ()), bipartition((2,), (1,))]
+    with pytest.raises(NonUniqueExtremeError):
+        unipotent._image_extremes(None, 0, antichain)
+    row = bipartition((1,), ())
+    k, r, r_prime, convention = 2, 1, 3, SGN_CONVENTIONS[0]
+    k_prime = unipotent.theta_cuspidal(k, 1)
+    target = (*verify._series_contexts(k, k_prime, r, r_prime), k, convention)
+    real = verify.omega_unipotent
+    # the premise: a table at a smaller k holds the same store
+    store = real(*target[:3], convention=convention).entries
+    assert any(
+        real(
+            *verify._series_contexts(j, unipotent.theta_cuspidal(j, p), r, r_prime),
+            j,
+            convention=convention,
+        ).entries
+        is store
+        for j in range(k)
+        for p in (0, 1)
+    )
+    planted = []
+
+    def omega_unipotent(*args, convention):
+        table = real(*args, convention=convention)
+        if (*args, convention) != target:
+            return table
+        cells = {key: mult for key, mult in table.entries.items() if key[0] != row}
+        cells.update({(row, col): 1 for col in antichain})
+        planted.append(table)
+        return dataclasses.replace(table, entries=cells)
+
+    monkeypatch.setattr(verify, "omega_unipotent", omega_unipotent)
+    result = verify.check_extremal(3)
+    assert len(planted) == 1
+    assert result.passed is False
+    assert result.detail == (
+        f"antichain at k={k}, r={r}, r'={r_prime}, row {row}: {tuple(antichain)}"
+    )
+
+
+NEGATIVE_SIZES = [
+    ("check_induction", "max_rank"),
+    ("check_character_tables", "max_rank"),
+    ("check_omega", "max_b_rank"),
+    ("check_omega", "k_max"),
+    ("check_zero_law", "k_max"),
+    ("check_row_persistence", "max_b_rank"),
+    ("check_row_persistence", "k_max"),
+    ("check_extremal", "max_b_rank"),
+    ("check_extremal", "k_max"),
+    ("check_centralizers", "count"),
+    ("check_reduction_consistency", "max_b_rank"),
+    ("check_reduction_consistency", "k_max"),
+    ("check_membership", "max_b_rank"),
+]
+
+
+@pytest.mark.parametrize("check, arg", NEGATIVE_SIZES)
+def test_negative_sizes_raise(check, arg):
+    """A negative size is a usage error, not a check that passes with no
+    items; zero is a size."""
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        getattr(verify, check)(**{arg: -1})
+    assert getattr(verify, check)(**{arg: 0}).passed
 
 
 def test_omega_check_reads_the_printed_cells(monkeypatch):
