@@ -26,8 +26,9 @@ class-size sum as well.
 Everything is exact.  Character values are integers.  Induction runs over
 the class-fusion map (:func:`_induction_matrix`): each class of W_a x W_b
 fuses into exactly one class of W_{a+b}, so each value is added, weighted,
-to one integer sum, and one exact division per class follows.  The
-certification sums, the column relations in ``verify`` and
+to one integer sum, and one exact division per class follows.  Restriction
+reads the same map as a gather: a product class takes the value of the
+class it fuses into.  The certification sums, the column relations in ``verify`` and
 :func:`decompose` are integer dot products, all computed by one
 packed-integer kernel, :class:`_IntMatrix`, whose docstring proves its slot
 width.  An inner product is integral exactly when the dot product is
@@ -35,12 +36,13 @@ divisible by |W_n|; a class function with `fractions.Fraction` values is
 scaled to integers by the lcm of their denominators first.  Only an
 induced value that is not integral is a `Fraction`.
 
-Induction (see :func:`_induction_matrix`), the outer tensor product, the
-linear characters and the seeds of the irreducibles work on lists of values
-in canonical class order, which the public functions only label:
-:func:`build_character_table` induces each seed as a list and labels the
-induced row once.  A dict in any other order is still accepted, and read
-through one lookup per class.
+Induction, the outer tensor product, the linear characters and the seeds
+of the irreducibles work on lists of values in canonical class order, which
+the public functions only label: :func:`build_character_table` induces each
+seed as a list and labels the induced row once.  A dict in any other order
+is still accepted, and read through one lookup per class.  What is read off
+the classes of one rank (labels, sizes, identity, S_n cycle types, linear
+character values) is one record, cached per rank by :func:`_classes`.
 
 The price is the rank bound: nothing here is meant to run past
 ``ORACLE_BOUND`` (default 6, |W_6| = 46080).  Every rank-keyed cache checks
@@ -164,10 +166,29 @@ def signed_cycle_type(window: tuple) -> SignedCycleType:
     )
 
 
+def _merge(p: Partition, q: Partition) -> Partition:
+    """The parts of two partitions, sorted: a partition, built unchecked."""
+    return _trusted(sorted(p + q, reverse=True))
+
+
+class _Classes(NamedTuple):
+    """The classes of W_n and what the oracle reads off them, each tuple in
+    canonical class order: the labels, the class sizes, the position of the
+    identity class, the cycle type in S_n of each class (the merge of its
+    positive and negative cycle types), and the values of each linear
+    character by name (see :func:`linear_character`)."""
+
+    labels: tuple
+    sizes: tuple
+    identity: int
+    cycle_types: tuple
+    linear: dict
+
+
 @_rank_checked()
 @lru_cache(maxsize=None)
-def _classes(n: int) -> tuple:
-    """Pairs (label, class size) in canonical label order.
+def _classes(n: int) -> _Classes:
+    """The classes of W_n, the one cache of per-rank class data.
 
     The classes are read off the bipartitions (alpha, beta) of n as signed
     cycle types (positive type alpha, negative type beta), each of size
@@ -177,22 +198,27 @@ def _classes(n: int) -> tuple:
     relations and their sum.
     """
     order = group_order(n)
-    labels = (SignedCycleType(bp.alpha, bp.beta) for bp in bipartitions_of(n))
-    return tuple((label, order // centralizer_order(label)) for label in labels)
+    labels = tuple(SignedCycleType(bp.alpha, bp.beta) for bp in bipartitions_of(n))
+    negative = [(-1) ** len(c.negative) for c in labels]
+    permutation = [(-1) ** (n - len(c.positive) - len(c.negative)) for c in labels]
+    return _Classes(
+        labels,
+        tuple(order // centralizer_order(c) for c in labels),
+        labels.index(SignedCycleType(Partition([1] * n), Partition())),
+        tuple(_merge(c.positive, c.negative) for c in labels),
+        {
+            "trivial": (1,) * len(labels),
+            "sign_changes": tuple(negative),
+            "permutation_sign": tuple(permutation),
+            "coxeter_sign": tuple(map(mul, negative, permutation)),
+        },
+    )
 
 
-@_rank_checked()
-@lru_cache(maxsize=None)
-def _class_labels(n: int) -> tuple:
-    return tuple(label for label, _ in _classes(n))
-
-
-@_rank_checked(max)
-@lru_cache(maxsize=None)
 def _pair_labels(a: int, b: int) -> tuple:
     """Class labels of W_a x W_b in canonical order: pairs, the W_b label
     varying fastest."""
-    return tuple((l1, l2) for l1 in _class_labels(a) for l2 in _class_labels(b))
+    return tuple(itertools.product(_classes(a).labels, _classes(b).labels))
 
 
 def _in_order(values: dict, labels: tuple) -> list:
@@ -206,13 +232,13 @@ def _in_order(values: dict, labels: tuple) -> list:
 
 def conjugacy_classes(n: int) -> dict:
     """Conjugacy classes of W_n as an ordered mapping label -> class size."""
-    return dict(_classes(n))
+    classes = _classes(n)
+    return dict(zip(classes.labels, classes.sizes))
 
 
-@_rank_checked()
-@lru_cache(maxsize=None)
 def identity_class(n: int) -> SignedCycleType:
-    return SignedCycleType(Partition([1] * n), Partition())
+    classes = _classes(n)
+    return classes.labels[classes.identity]
 
 
 @dataclass(frozen=True)
@@ -226,7 +252,7 @@ class ClassFunction:
     values: dict
 
     def __post_init__(self):
-        if self.values.keys() ^ _class_labels(self.rank):
+        if self.values.keys() ^ _classes(self.rank).labels:
             raise ValueError(
                 f"class function on W_{self.rank} must assign a value to every class"
             )
@@ -262,17 +288,6 @@ def _outer(xs, ys) -> list:
     return [x * y for x in xs for y in ys]
 
 
-def _merge(p: Partition, q: Partition) -> Partition:
-    """The parts of two partitions, sorted: a partition, built unchecked."""
-    return _trusted(sorted(p + q, reverse=True))
-
-
-def _fuse(l1: SignedCycleType, l2: SignedCycleType) -> SignedCycleType:
-    return SignedCycleType(
-        _merge(l1.positive, l2.positive), _merge(l1.negative, l2.negative)
-    )
-
-
 def _integral(values: list) -> tuple:
     """Integer values and a scale: the values times the lcm of their
     denominators, and that lcm (1 when all values are ints)."""
@@ -294,13 +309,15 @@ def _induction_matrix(a: int, b: int) -> tuple:
     induction matrix."""
     n = a + b
     classes = _classes(n)
-    position = {label: i for i, (label, _) in enumerate(classes)}
+    position = {label: i for i, label in enumerate(classes.labels)}
     order = group_order(n)
     fusion = []
-    for (l1, s1), (l2, s2) in itertools.product(_classes(a), _classes(b)):
-        c = position[_fuse(l1, l2)]
-        fusion.append((c, s1 * s2 * (order // classes[c][1])))
-    return tuple(fusion), len(classes)
+    sizes = itertools.product(_classes(a).sizes, _classes(b).sizes)
+    for (l1, l2), (s1, s2) in zip(_pair_labels(a, b), sizes):
+        fused = _merge(l1.positive, l2.positive), _merge(l1.negative, l2.negative)
+        c = position[SignedCycleType(*fused)]
+        fusion.append((c, s1 * s2 * (order // classes.sizes[c])))
+    return tuple(fusion), len(classes.labels)
 
 
 def _induce_values(a: int, b: int, values: list) -> list:
@@ -330,41 +347,28 @@ def induce_class_function(f: ProductClassFunction, n: int | None = None) -> Clas
     if a + b != n:
         raise ValueError(f"cannot induce from W_{a} x W_{b} to W_{n}")
     values = _induce_values(a, b, _in_order(f.values, _pair_labels(a, b)))
-    return ClassFunction(n, dict(zip(_class_labels(n), values)))
+    return ClassFunction(n, dict(zip(_classes(n).labels, values)))
 
 
 def restrict_class_function(f: ClassFunction, a: int, b: int) -> ProductClassFunction:
-    """Restriction of a class function on W_{a+b} to W_a x W_b (pullback
-    along class fusion)."""
+    """Restriction of a class function on W_{a+b} to W_a x W_b: the pullback
+    along class fusion, read as a gather through :func:`_induction_matrix`,
+    the value on each product class D being the value on the class D fuses
+    into."""
     if a + b != f.rank:
         raise ValueError(f"cannot restrict W_{f.rank} to W_{a} x W_{b}")
-    values = {}
-    for l1, _ in _classes(a):
-        for l2, _ in _classes(b):
-            values[(l1, l2)] = f.values[_fuse(l1, l2)]
-    return ProductClassFunction((a, b), values)
+    values = _class_values(f)
+    fusion, _ = _induction_matrix(a, b)
+    pulled = [values[c] for c, _ in fusion]
+    return ProductClassFunction((a, b), dict(zip(_pair_labels(a, b), pulled)))
 
 
-# An unknown linear character raises before anything is cached.
-@_rank_checked()
-@lru_cache(maxsize=None)
 def _linear_values(n: int, which: str) -> tuple:
     """Values of a linear character of W_n in canonical class order."""
-    if which not in LINEAR_CHARACTERS:
-        raise ValueError(f"unknown linear character {which!r}")
-    values = []
-    for label in _class_labels(n):
-        lp, ln = len(label.positive), len(label.negative)
-        if which == "trivial":
-            v = 1
-        elif which == "sign_changes":
-            v = (-1) ** ln
-        elif which == "permutation_sign":
-            v = (-1) ** (n - lp - ln)
-        else:
-            v = (-1) ** (n - lp)
-        values.append(v)
-    return tuple(values)
+    try:
+        return _classes(n).linear[which]
+    except KeyError:
+        raise ValueError(f"unknown linear character {which!r}") from None
 
 
 def linear_character(n: int, which: str) -> ClassFunction:
@@ -377,16 +381,7 @@ def linear_character(n: int, which: str) -> ClassFunction:
     * ``permutation_sign`` -> sign of the underlying permutation
     * ``coxeter_sign``     -> their product, the determinant character
     """
-    values = _linear_values(n, which)
-    return ClassFunction(n, dict(zip(_class_labels(n), values)))
-
-
-@_rank_checked()
-@lru_cache(maxsize=None)
-def _cycle_types(n: int) -> tuple:
-    """The cycle type in S_n of each class of W_n, in canonical class
-    order: the merge of its positive and negative cycle types."""
-    return tuple(_merge(label.positive, label.negative) for label in _class_labels(n))
+    return ClassFunction(n, dict(zip(_classes(n).labels, _linear_values(n, which))))
 
 
 def _irreducible_seed(alpha: Partition, beta: Partition) -> list:
@@ -395,11 +390,11 @@ def _irreducible_seed(alpha: Partition, beta: Partition) -> list:
     back to W_a and W_b, the second twisted by the sign-change character.
     The S_n values come straight from the Murnaghan-Nakayama recursion on
     canonical partitions."""
-    a, b = alpha.size, beta.size
-    first = [_mn(alpha, cycle_type) for cycle_type in _cycle_types(a)]
+    left, right = _classes(alpha.size), _classes(beta.size)
+    first = [_mn(alpha, cycle_type) for cycle_type in left.cycle_types]
     second = [
         _mn(beta, cycle_type) * sign
-        for cycle_type, sign in zip(_cycle_types(b), _linear_values(b, "sign_changes"))
+        for cycle_type, sign in zip(right.cycle_types, right.linear["sign_changes"])
     ]
     return _outer(first, second)
 
@@ -535,7 +530,7 @@ class CharacterTable:
 
 def _class_values(f: ClassFunction) -> list:
     """Values of ``f`` as a list, in canonical class order."""
-    return _in_order(f.values, _class_labels(f.rank))
+    return _in_order(f.values, _classes(f.rank).labels)
 
 
 @_rank_checked()
@@ -549,7 +544,7 @@ def build_character_table(n: int) -> CharacterTable:
     :class:`InternalCheckError` rather than returning a bad table.
     """
     labels = tuple(bipartitions_of(n))
-    classes = _class_labels(n)
+    classes = _classes(n)
     rows, irreducibles = [], {}
     for bp in labels:
         row = _induce_values(bp.alpha.size, bp.beta.size, _irreducible_seed(bp.alpha, bp.beta))
@@ -559,9 +554,9 @@ def build_character_table(n: int) -> CharacterTable:
                 f"W_{n}: character {bp} has non-integral values {bad[:3]}"
             )
         rows.append(row)
-        irreducibles[bp] = ClassFunction(n, dict(zip(classes, row)))
-    sizes = dict(_classes(n))
-    weighted = [tuple(map(mul, sizes.values(), row)) for row in rows]
+        irreducibles[bp] = ClassFunction(n, dict(zip(classes.labels, row)))
+    sizes = dict(zip(classes.labels, classes.sizes))
+    weighted = [tuple(map(mul, classes.sizes, row)) for row in rows]
     table = CharacterTable(n, labels, irreducibles, sizes, tuple(zip(labels, weighted)))
     defect = table._weighted.orthogonality_defect(rows, [group_order(n)] * len(rows))
     if defect:

@@ -19,15 +19,26 @@ from __future__ import annotations
 
 from functools import lru_cache, partial
 from itertools import accumulate, chain, product, repeat
-from operator import le
+from operator import index, le
 from typing import Iterable, Iterator, NamedTuple
+
+
+def _integer(value, what: str) -> int:
+    """``value`` read as an int by `operator.index`, as ints, bools and
+    numpy ints are; anything else, such as a float or a string, raises
+    ValueError naming it."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 class Partition(tuple):
     """A weakly decreasing tuple of positive integers.
 
-    Trailing zeros are trimmed on construction, anything else that is not
-    weakly decreasing and positive is rejected.
+    Parts are read by `operator.index`, so a float or a string is rejected,
+    not rounded or parsed.  Trailing zeros are trimmed on construction,
+    anything else that is not weakly decreasing and positive is rejected.
 
     >>> Partition([3, 1, 0])
     (3, 1)
@@ -42,7 +53,11 @@ class Partition(tuple):
     def __new__(cls, parts: Iterable[int] = ()):
         if type(parts) is cls:
             return parts  # immutable and validated when it was built
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(parts)
+        try:
+            parts = tuple(map(index, parts))
+        except TypeError:
+            parts = tuple(_integer(p, "a partition part") for p in parts)
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         for i, p in enumerate(parts):

@@ -20,8 +20,10 @@ def border_strip_removals(shape, length):
     rows the strip spans minus one.  Uses beta-numbers: with ``B`` the set
     of first-column hook lengths, removable strips correspond to ``b in B``
     with ``b - length`` outside ``B``, and the height is the number of
-    elements of ``B`` strictly between the two.
+    elements of ``B`` strictly between the two.  A strip has length >= 1.
     """
+    if length < 1:
+        raise ValueError(f"border strip length must be at least 1, got {length}")
     shape = Partition(shape)
     rows = len(shape)
     beta = [shape[i] + (rows - 1 - i) for i in range(rows)]

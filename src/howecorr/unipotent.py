@@ -52,6 +52,7 @@ from .partitions import (
     _strip_relation,
     _vertical_strips,
     _dominance_vector,
+    _integer,
     bipartition,
 )
 
@@ -181,18 +182,18 @@ class TowerContext:
     """A member of a Witt tower of unitary groups: Witt index m and the
     parity of the underlying dimension n = 2m + parity.  The field size q is
     optional, and nothing computed here depends on it; when given it must be
-    an odd prime power."""
+    an odd prime power.  All three are read by `operator.index`."""
 
     witt_index: int
     dim_parity: int
     q: int | None = None
 
     def __post_init__(self):
-        if self.witt_index < 0:
+        if _integer(self.witt_index, "Witt index") < 0:
             raise ValueError("Witt index must be nonnegative")
-        if self.dim_parity not in (0, 1):
+        if _integer(self.dim_parity, "dimension parity") not in (0, 1):
             raise ValueError("dimension parity must be 0 or 1")
-        if self.q is not None and not is_odd_prime_power(self.q):
+        if self.q is not None and not is_odd_prime_power(_integer(self.q, "q")):
             raise ValueError(f"q = {self.q} is not an odd prime power")
 
     @property

@@ -33,8 +33,8 @@ from . import hyperoctahedral
 from .errors import NonUniqueExtremeError
 from .hyperoctahedral import (
     _check_rank,
-    _class_labels,
     _class_values,
+    _classes,
     _decompose_values,
     _induce_values,
     _IntMatrix,
@@ -128,7 +128,7 @@ def _induced(chi: Bipartition, s: int, linear: tuple) -> tuple:
     n = chi.size + s
     f = _class_values(build_character_table(chi.size).character(chi))
     induced = _induce_values(chi.size, s, _outer(f, linear))
-    degree = induced[_class_labels(n).index(identity_class(n))]
+    degree = induced[_classes(n).identity]
     return _decompose_values(n, induced), degree
 
 
@@ -337,8 +337,9 @@ def check_row_persistence(
         ctx, ctx_p = _series_contexts(k, k_prime, r, r_prime)
         table = omega_unipotent(ctx, ctx_p, k, convention=convention)
         first_kind = is_first_kind(k, k_prime)
-        for bp in table.row_labels:
-            nonempty = bool(table.row(bp))
+        starts = table.entries._csr[0]  # row i holds the cells starts[i]:starts[i + 1]
+        for i, bp in enumerate(table.row_labels):
+            nonempty = starts[i] < starts[i + 1]
             predicted = row_nonempty(bp, r, r_prime, first_kind, convention)
             if nonempty != predicted:
                 return _fail(

@@ -140,6 +140,9 @@ class TestClasses:
             lambda: linear_character(7, "sign_changes"),
             lambda: ClassFunction(7, {}),
             lambda: identity_class(7),
+            lambda: conjugacy_classes(7),
+            lambda: hyperoctahedral._linear_values(7, "sign_changes"),
+            lambda: hyperoctahedral._pair_labels(0, 7),
             lambda: hyperoctahedral._induction_matrix(6, 1),
             lambda: verify.check_induction(7),
             lambda: verify.check_omega(7),
@@ -289,6 +292,21 @@ class TestInduction:
         chi = build_character_table(3).character(bipartition((2,), (1,)))
         res = restrict_class_function(chi, 2, 1)
         assert res.at((cls((1, 1), ()), cls((1,), ()))) == chi.degree()
+        # restriction reads induction's fusion map, so Frobenius reciprocity
+        # cannot tell the two apart: compare with the pullback, written here
+        # by merging the cycle types of each label pair
+        def merge(p, q):
+            return Partition(sorted(p + q, reverse=True))
+
+        for n in range(6):
+            for chi in build_character_table(n).irreducibles.values():
+                for a in range(n + 1):
+                    pairs = itertools.product(conjugacy_classes(a), conjugacy_classes(n - a))
+                    want = {
+                        (l1, l2): chi.at(SignedCycleType(*map(merge, l1, l2)))
+                        for l1, l2 in pairs
+                    }
+                    assert restrict_class_function(chi, a, n - a).values == want
 
 
 wide = st.integers(-(10**30), 10**30)

@@ -49,6 +49,20 @@ class TestPartition:
         with pytest.raises(ValueError, match=r"positive: \(2, -1\)"):
             Partition([2, -1])
 
+    def test_parts_are_read_as_integers(self):
+        class Two:  # an integer type that is not int, as numpy's are
+            def __index__(self):
+                return 2
+
+        assert Partition([Two(), True]) == (2, 1)
+        assert list(map(type, Partition([Two(), True]))) == [int, int]
+        # a float or a string is rejected, not rounded or parsed
+        for bad in (2.7, 1.0, "3", None):
+            with pytest.raises(ValueError, match=f"^a partition part must be an integer, got {bad!r}$"):
+                Partition([bad, 1])
+        with pytest.raises(ValueError, match="^a partition part must be an integer, got 1.5$"):
+            bipartition([1.5], [])
+
     def test_part_past_end_is_zero(self):
         assert P(3, 1).part(5) == 0
 

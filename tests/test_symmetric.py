@@ -36,6 +36,12 @@ class TestBorderStrips:
     def test_no_removal(self):
         assert border_strip_removals(Partition((2, 2)), 4) == []
 
+    @pytest.mark.parametrize("length", [0, -1, -5])
+    def test_lengths_below_one_are_rejected(self, length):
+        # no strip has a length below 1; read as one, -1 would add a cell
+        with pytest.raises(ValueError, match=f"at least 1, got {length}$"):
+            border_strip_removals(Partition((2, 1)), length)
+
 
 class TestCharacterValues:
     def test_pinned(self):

@@ -121,6 +121,13 @@ class TestCuspidalBookkeeping:
         with pytest.raises(ValueError):
             TowerContext(1, 0, q=4)
         assert TowerContext(2, 1).dimension == 5
+        # read by operator.index: a bool is an integer, a float or a string is not
+        assert TowerContext(True, False, 3).dimension == 2
+        bad = [((1.5, 0), "Witt index", 1.5), (("1", 0), "Witt index", "1"),
+               ((2, 0.0), "dimension parity", 0.0), ((1, 0, 3.0), "q", 3.0)]
+        for args, name, value in bad:
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+                TowerContext(*args)
 
 
 class TestPieriInduction:
