@@ -17,17 +17,7 @@ __version__ = "0.1.0"
 # submodule -> the public names it provides
 _EXPORTS = {
     "errors": ("InternalCheckError", "NonUniqueExtremeError", "RankBoundError"),
-    "hyperoctahedral": (
-        "ClassFunction",
-        "build_character_table",
-        "conjugacy_classes",
-        "decompose",
-        "group_order",
-        "induce_class_function",
-        "linear_character",
-        "restrict_class_function",
-        "tensor_label_map",
-    ),
+    "hyperoctahedral": ("build_character_table", "group_order", "tensor_label_map"),
     "lusztig": (
         "TRIVIAL_GL",
         "CentralizerFactor",

@@ -332,7 +332,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="howecorr", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("omega", help="multiplicity table of a pair of series")
+    p = sub.add_parser(
+        "omega",
+        help="multiplicity table of a pair of series",
+        description="Multiplicity table of the k-series of the first group against "
+        "its partner series of the second.  The table depends on which group of "
+        "the pair is listed first.  For U_3 x U_2, --m 1 --mp 1 --k 1 --parity 1 "
+        "--parity-p 0 gives a first-kind table with three cells of multiplicity "
+        "1; the same pair listed from U_2, --m 1 --mp 1 --k 0 --parity 0 "
+        "--parity-p 1, gives a second-kind table with cells of multiplicity 1 "
+        "and 2.",
+    )
     _add_series_flags(p, with_label=False)
     _add_format_flags(p)
     p.set_defaults(handler=_cmd_omega)

@@ -17,32 +17,31 @@ This module is deliberately brute force and self-certifying; it is the
 oracle against which the strip combinatorics elsewhere in the package is
 checked.  The conjugacy classes are read off the bipartitions of n as
 signed cycle types, each of size |W_n| / (centralizer order); the tests
-cross-check them against an enumeration of all 2^n n! elements
-(:func:`signed_permutations`, :func:`signed_cycle_type`).  Character
+cross-check them against an enumeration of all 2^n n! elements.  Character
 tables are certified orthonormal before they are returned; ``verify``
 certifies the column relations, whose diagonal is |W_n| / |C|, and the
 class-size sum as well.
 
-Everything is exact.  Character values are integers.  Induction runs over
-the class-fusion map (:func:`_induction_matrix`): each class of W_a x W_b
-fuses into exactly one class of W_{a+b}, so each value is added, weighted,
-to one integer sum, and one exact division per class follows.  Restriction
-reads the same map as a gather: a product class takes the value of the
-class it fuses into.  The certification sums, the column relations in ``verify`` and
-:func:`decompose` are integer dot products, all computed by one
-packed-integer kernel, :class:`_IntMatrix`, whose docstring proves its slot
-width.  An inner product is integral exactly when the dot product is
-divisible by |W_n|; a class function with `fractions.Fraction` values is
-scaled to integers by the lcm of their denominators first.  Only an
-induced value that is not integral is a `Fraction`.
+A class function is the sequence of its values in canonical class order,
+the order of the labels in :func:`_classes`: the one record, cached per
+rank, of what is read off the classes of W_n (labels, sizes, the identity's
+position, S_n cycle types, linear character values).  On W_a x W_b the
+order is :func:`_pair_labels`.  A :class:`CharacterTable` holds one value
+tuple per irreducible; class labels are read only to work out class fusion
+and to name a class in a message.
 
-Induction, the outer tensor product, the linear characters and the seeds
-of the irreducibles work on lists of values in canonical class order, which
-the public functions only label: :func:`build_character_table` induces each
-seed as a list and labels the induced row once.  A dict in any other order
-is still accepted, and read through one lookup per class.  What is read off
-the classes of one rank (labels, sizes, identity, S_n cycle types, linear
-character values) is one record, cached per rank by :func:`_classes`.
+Everything is exact.  Character values are integers.  Induction
+(:func:`_induce_values`) runs over the class-fusion map
+(:func:`_induction_matrix`): each class of W_a x W_b fuses into exactly one
+class of W_{a+b}, so each value is added, weighted, to one integer sum, and
+one exact division per class follows.  The certification sums, the column
+relations in ``verify`` and :func:`_decompose_values` are integer dot
+products, all computed by one packed-integer kernel, :class:`_IntMatrix`,
+whose docstring proves its slot width.  An inner product is integral
+exactly when the dot product is divisible by |W_n|; a class function with
+`fractions.Fraction` values is scaled to integers by the lcm of their
+denominators first.  Only an induced value that is not integral is a
+`Fraction`.
 
 The price is the rank bound: nothing here is meant to run past
 ``ORACLE_BOUND`` (default 6, |W_6| = 46080).  Every rank-keyed cache checks
@@ -59,10 +58,10 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
 from math import factorial, lcm
 from operator import add, lshift, mul
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import InternalCheckError, RankBoundError
-from .partitions import Bipartition, Partition, _trusted, bipartitions_of
+from .partitions import Partition, _trusted, bipartitions_of
 from .symmetric import _mn
 
 #: Largest rank the brute-force machinery will accept.  May be raised by the
@@ -112,10 +111,6 @@ class SignedCycleType(NamedTuple):
     positive: Partition
     negative: Partition
 
-    @property
-    def size(self) -> int:
-        return self.positive.size + self.negative.size
-
 
 def group_order(n: int) -> int:
     return 2**n * factorial(n)
@@ -135,37 +130,6 @@ def centralizer_order(label: SignedCycleType) -> int:
     return _part_centralizer(label.positive) * _part_centralizer(label.negative)
 
 
-def signed_permutations(n: int) -> Iterator[tuple]:
-    """All elements of W_n in window notation: tuples w with w[i] = +-sigma(i+1)."""
-    for perm in itertools.permutations(range(1, n + 1)):
-        for signs in itertools.product((1, -1), repeat=n):
-            yield tuple(s * v for s, v in zip(signs, perm))
-
-
-def signed_cycle_type(window: tuple) -> SignedCycleType:
-    """Signed cycle type of an element in window notation.  A cycle of the
-    underlying permutation is positive or negative according to the product
-    of the signs picked up along it."""
-    n = len(window)
-    seen = [False] * n
-    pos, neg = [], []
-    for start in range(n):
-        if seen[start]:
-            continue
-        length, sign, j = 0, 1, start
-        while not seen[j]:
-            seen[j] = True
-            v = window[j]
-            if v < 0:
-                sign = -sign
-            j = abs(v) - 1
-            length += 1
-        (pos if sign > 0 else neg).append(length)
-    return SignedCycleType(
-        Partition(sorted(pos, reverse=True)), Partition(sorted(neg, reverse=True))
-    )
-
-
 def _merge(p: Partition, q: Partition) -> Partition:
     """The parts of two partitions, sorted: a partition, built unchecked."""
     return _trusted(sorted(p + q, reverse=True))
@@ -176,7 +140,13 @@ class _Classes(NamedTuple):
     canonical class order: the labels, the class sizes, the position of the
     identity class, the cycle type in S_n of each class (the merge of its
     positive and negative cycle types), and the values of each linear
-    character by name (see :func:`linear_character`)."""
+    character by name.  On a class with cycle types (pi, nu) they are:
+
+    * ``trivial``          -> 1
+    * ``sign_changes``     -> (-1)^(number of negative cycles)
+    * ``permutation_sign`` -> sign of the underlying permutation
+    * ``coxeter_sign``     -> their product, the determinant character
+    """
 
     labels: tuple
     sizes: tuple
@@ -219,67 +189,6 @@ def _pair_labels(a: int, b: int) -> tuple:
     """Class labels of W_a x W_b in canonical order: pairs, the W_b label
     varying fastest."""
     return tuple(itertools.product(_classes(a).labels, _classes(b).labels))
-
-
-def _in_order(values: dict, labels: tuple) -> list:
-    """The values of a class function listed in the canonical order
-    ``labels``: the dict's own order when it is canonical, as for every
-    class function built here, and else one lookup per class."""
-    if tuple(values) == labels:
-        return list(values.values())
-    return [values[c] for c in labels]
-
-
-def conjugacy_classes(n: int) -> dict:
-    """Conjugacy classes of W_n as an ordered mapping label -> class size."""
-    classes = _classes(n)
-    return dict(zip(classes.labels, classes.sizes))
-
-
-def identity_class(n: int) -> SignedCycleType:
-    classes = _classes(n)
-    return classes.labels[classes.identity]
-
-
-@dataclass(frozen=True)
-class ClassFunction:
-    """An exact class function on W_n, one value per conjugacy class.
-
-    Values are integers or `Fraction`s.  Instances are treated as immutable.
-    """
-
-    rank: int
-    values: dict
-
-    def __post_init__(self):
-        if self.values.keys() ^ _classes(self.rank).labels:
-            raise ValueError(
-                f"class function on W_{self.rank} must assign a value to every class"
-            )
-
-    def at(self, label: SignedCycleType):
-        return self.values[label]
-
-    def degree(self):
-        return self.values[identity_class(self.rank)]
-
-
-@dataclass(frozen=True)
-class ProductClassFunction:
-    """A class function on a product W_a x W_b, indexed by label pairs."""
-
-    ranks: tuple
-    values: dict
-
-    def __post_init__(self):
-        a, b = self.ranks
-        if self.values.keys() ^ _pair_labels(a, b):
-            raise ValueError(
-                f"product class function on W_{a} x W_{b} has wrong support"
-            )
-
-    def at(self, pair):
-        return self.values[pair]
 
 
 def _outer(xs, ys) -> list:
@@ -325,8 +234,11 @@ def _induce_values(a: int, b: int, values: list) -> list:
     values in :func:`_pair_labels` order, as values in canonical class
     order: on a class C, the sum over the product classes D fusing into C
     of |D| |W_{a+b}| / |C| times the value on D, divided by |W_a x W_b|.  A
-    value is a `Fraction` exactly when it is not an integer."""
+    value is a `Fraction` exactly when it is not an integer.  Raises
+    ValueError unless there is one value per product class."""
     fusion, size = _induction_matrix(a, b)
+    if len(values) != len(fusion):
+        raise ValueError(f"W_{a} x W_{b} has {len(fusion)} classes, got {len(values)} values")
     values, scale = _integral(values)
     den = group_order(a) * group_order(b) * scale
     nums = [0] * size
@@ -335,53 +247,13 @@ def _induce_values(a: int, b: int, values: list) -> list:
     return [Fraction(num, den) if num % den else num // den for num in nums]
 
 
-def induce_class_function(f: ProductClassFunction, n: int | None = None) -> ClassFunction:
-    """Induction from W_a x W_b to W_n, a + b = n, by the standard class
-    sum formula: the induced value on a class C is
-
-        |W_n| / (|W_a x W_b| |C|) * sum over fused-in classes D of |D| f(D).
-    """
-    a, b = f.ranks
-    if n is None:
-        n = a + b
-    if a + b != n:
-        raise ValueError(f"cannot induce from W_{a} x W_{b} to W_{n}")
-    values = _induce_values(a, b, _in_order(f.values, _pair_labels(a, b)))
-    return ClassFunction(n, dict(zip(_classes(n).labels, values)))
-
-
-def restrict_class_function(f: ClassFunction, a: int, b: int) -> ProductClassFunction:
-    """Restriction of a class function on W_{a+b} to W_a x W_b: the pullback
-    along class fusion, read as a gather through :func:`_induction_matrix`,
-    the value on each product class D being the value on the class D fuses
-    into."""
-    if a + b != f.rank:
-        raise ValueError(f"cannot restrict W_{f.rank} to W_{a} x W_{b}")
-    values = _class_values(f)
-    fusion, _ = _induction_matrix(a, b)
-    pulled = [values[c] for c, _ in fusion]
-    return ProductClassFunction((a, b), dict(zip(_pair_labels(a, b), pulled)))
-
-
 def _linear_values(n: int, which: str) -> tuple:
-    """Values of a linear character of W_n in canonical class order."""
+    """Values of the linear character ``which`` of W_n (see :class:`_Classes`)
+    in canonical class order."""
     try:
         return _classes(n).linear[which]
     except KeyError:
         raise ValueError(f"unknown linear character {which!r}") from None
-
-
-def linear_character(n: int, which: str) -> ClassFunction:
-    """One of the four linear characters of W_n.
-
-    On a class with cycle types (pi, nu):
-
-    * ``trivial``          -> 1
-    * ``sign_changes``     -> (-1)^(number of negative cycles)
-    * ``permutation_sign`` -> sign of the underlying permutation
-    * ``coxeter_sign``     -> their product, the determinant character
-    """
-    return ClassFunction(n, dict(zip(_classes(n).labels, _linear_values(n, which))))
 
 
 def _irreducible_seed(alpha: Partition, beta: Partition) -> list:
@@ -481,56 +353,25 @@ class _IntMatrix:
 class CharacterTable:
     """Certified character table of W_n.
 
-    ``labels`` fixes the row order (canonical bipartition order); classes
-    come in the canonical class order.  ``weighted_rows`` holds, in label
-    order, pairs (label, row) where row lists |C| chi(C) over the classes:
-    the inner product of chi with a class function f is the dot product of
-    row with the values of f, divided by |W_n|.  Construction via
+    ``labels`` fixes the row order (canonical bipartition order), and
+    ``rows`` holds, in that order, the values of each irreducible as a
+    tuple in canonical class order; the classes, their sizes and the
+    identity's position are read off ``_classes(rank)``.  Construction via
     :func:`build_character_table` is the only supported entry point.
     """
 
     rank: int
     labels: tuple
-    irreducibles: dict
-    class_sizes: dict
-    weighted_rows: tuple
+    rows: tuple
 
     @cached_property
     def _weighted(self) -> _IntMatrix:
-        """The weighted rows as one matrix, with their packed columns per width."""
-        return _IntMatrix([row for _, row in self.weighted_rows])
-
-    def character(self, label: Bipartition) -> ClassFunction:
-        return self.irreducibles[label]
-
-    def degree(self, label: Bipartition) -> int:
-        return self.irreducibles[label].degree()
-
-    def class_labels(self) -> list:
-        return list(self.class_sizes)
-
-    def to_json_dict(self) -> dict:
-        classes = self.class_labels()
-        return {
-            "rank": self.rank,
-            "group_order": group_order(self.rank),
-            "class_labels": [
-                [list(c.positive), list(c.negative)] for c in classes
-            ],
-            "class_sizes": [self.class_sizes[c] for c in classes],
-            "irreducible_labels": [
-                [list(bp.alpha), list(bp.beta)] for bp in self.labels
-            ],
-            "values": [
-                [self.irreducibles[bp].values[c] for c in classes]
-                for bp in self.labels
-            ],
-        }
-
-
-def _class_values(f: ClassFunction) -> list:
-    """Values of ``f`` as a list, in canonical class order."""
-    return _in_order(f.values, _classes(f.rank).labels)
+        """The rows weighted by the class sizes, |C| chi(C), as one matrix
+        with its packed columns per width: the inner product of chi with a
+        class function f is the dot product of chi's weighted row with the
+        values of f, divided by |W_n|."""
+        sizes = _classes(self.rank).sizes
+        return _IntMatrix([tuple(map(mul, sizes, row)) for row in self.rows])
 
 
 @_rank_checked()
@@ -544,8 +385,7 @@ def build_character_table(n: int) -> CharacterTable:
     :class:`InternalCheckError` rather than returning a bad table.
     """
     labels = tuple(bipartitions_of(n))
-    classes = _classes(n)
-    rows, irreducibles = [], {}
+    rows = []
     for bp in labels:
         row = _induce_values(bp.alpha.size, bp.beta.size, _irreducible_seed(bp.alpha, bp.beta))
         bad = [v for v in row if not isinstance(v, int)]
@@ -553,11 +393,8 @@ def build_character_table(n: int) -> CharacterTable:
             raise InternalCheckError(
                 f"W_{n}: character {bp} has non-integral values {bad[:3]}"
             )
-        rows.append(row)
-        irreducibles[bp] = ClassFunction(n, dict(zip(classes.labels, row)))
-    sizes = dict(zip(classes.labels, classes.sizes))
-    weighted = [tuple(map(mul, classes.sizes, row)) for row in rows]
-    table = CharacterTable(n, labels, irreducibles, sizes, tuple(zip(labels, weighted)))
+        rows.append(tuple(row))
+    table = CharacterTable(n, labels, tuple(rows))
     defect = table._weighted.orthogonality_defect(rows, [group_order(n)] * len(rows))
     if defect:
         i, j = defect
@@ -569,8 +406,13 @@ def build_character_table(n: int) -> CharacterTable:
 
 def _decompose_values(n: int, values: list) -> dict:
     """Multiplicities against the irreducibles of W_n of the class function
-    with these values in canonical class order, as :func:`decompose`."""
+    with these values in canonical class order, in canonical label order,
+    zeros omitted.  Raises ValueError unless there is one value per class,
+    or if an inner product is not integral (the class function is then not
+    a virtual character)."""
     table = build_character_table(n)
+    if len(values) != len(table.labels):
+        raise ValueError(f"W_{n} has {len(table.labels)} classes, got {len(values)} values")
     values, scale = _integral(values)
     order = group_order(n) * scale
     totals = table._weighted.dots(values)
@@ -582,22 +424,14 @@ def _decompose_values(n: int, values: list) -> dict:
     return {bp: total // order for bp, total in zip(table.labels, totals) if total}
 
 
-def decompose(f: ClassFunction) -> dict:
-    """Multiplicities of ``f`` against the irreducibles of W_n, in canonical
-    label order, zeros omitted.  Raises if any inner product is non-integral
-    (``f`` is then not a virtual character)."""
-    return _decompose_values(f.rank, _class_values(f))
-
-
 @_rank_checked()
 @lru_cache(maxsize=None)
 def _tensor_label_map(n: int, which: str) -> dict:
     table = build_character_table(n)
     linear = _linear_values(n, which)
     mapping = {}
-    for bp in table.labels:
-        product = list(map(mul, _class_values(table.irreducibles[bp]), linear))
-        mults = _decompose_values(n, product)
+    for bp, row in zip(table.labels, table.rows):
+        mults = _decompose_values(n, list(map(mul, row, linear)))
         if list(mults.values()) != [1]:
             raise InternalCheckError(
                 f"W_{n}: tensoring {bp} with {which} is not irreducible: {mults}"

@@ -182,18 +182,26 @@ class TowerContext:
     """A member of a Witt tower of unitary groups: Witt index m and the
     parity of the underlying dimension n = 2m + parity.  The field size q is
     optional, and nothing computed here depends on it; when given it must be
-    an odd prime power.  All three are read by `operator.index`."""
+    an odd prime power.  All three are read by `operator.index` and stored
+    as exact ints, so that a bool or a numpy int reaches no output and no
+    cache key."""
 
     witt_index: int
     dim_parity: int
     q: int | None = None
 
     def __post_init__(self):
-        if _integer(self.witt_index, "Witt index") < 0:
+        if type(self.witt_index) is not int:
+            object.__setattr__(self, "witt_index", _integer(self.witt_index, "Witt index"))
+        if type(self.dim_parity) is not int:
+            object.__setattr__(self, "dim_parity", _integer(self.dim_parity, "dimension parity"))
+        if type(self.q) is not int and self.q is not None:
+            object.__setattr__(self, "q", _integer(self.q, "q"))
+        if self.witt_index < 0:
             raise ValueError("Witt index must be nonnegative")
-        if _integer(self.dim_parity, "dimension parity") not in (0, 1):
+        if self.dim_parity not in (0, 1):
             raise ValueError("dimension parity must be 0 or 1")
-        if self.q is not None and not is_odd_prime_power(_integer(self.q, "q")):
+        if self.q is not None and not is_odd_prime_power(self.q):
             raise ValueError(f"q = {self.q} is not an odd prime power")
 
     @property

@@ -33,7 +33,6 @@ from . import hyperoctahedral
 from .errors import NonUniqueExtremeError
 from .hyperoctahedral import (
     _check_rank,
-    _class_values,
     _classes,
     _decompose_values,
     _induce_values,
@@ -42,7 +41,6 @@ from .hyperoctahedral import (
     _outer,
     build_character_table,
     group_order,
-    identity_class,
     tensor_label_map,
 )
 from .lusztig import (
@@ -126,16 +124,17 @@ def _induced(chi: Bipartition, s: int, linear: tuple) -> tuple:
     differ.  So check_induction(6) compares 843 names against 491
     inductions."""
     n = chi.size + s
-    f = _class_values(build_character_table(chi.size).character(chi))
+    f = build_character_table(chi.size).rows[_bipartition_index(chi.size)[chi]]
     induced = _induce_values(chi.size, s, _outer(f, linear))
     degree = induced[_classes(n).identity]
     return _decompose_values(n, induced), degree
 
 
 def check_induction(max_rank: int = 5) -> CheckResult:
-    """Compare pieri_induction against decompose(induce(seed)) for every
-    chi in Irr(W_l), every split l + s = r <= max_rank, and both choices of
-    the second factor (trivial, and sgn in both conventions)."""
+    """Compare pieri_induction against the oracle's decomposition of the
+    induced character (``_induced``) for every chi in Irr(W_l), every split
+    l + s = r <= max_rank, and both choices of the second factor (trivial,
+    and sgn in both conventions)."""
     name = "induction-oracle equivalence"
     _check_rank(max_rank)
     compared = 0
@@ -170,21 +169,17 @@ def check_character_tables(max_rank: int = 6) -> CheckResult:
     name = "character-table certification"
     _check_rank(max_rank)
     for n in range(max_rank + 1):
-        table = build_character_table(n)
+        classes = _classes(n)
         order = group_order(n)
-        if sum(table.class_sizes.values()) != order:
+        if sum(classes.sizes) != order:
             return _fail(name, f"W_{n}: class sizes do not sum to {order}")
-        classes = table.class_labels()
-        rows = [_class_values(table.character(bp)) for bp in table.labels]
-        columns = _IntMatrix(list(zip(*rows)))
-        diagonal = [order // size for size in table.class_sizes.values()]
+        columns = _IntMatrix(list(zip(*build_character_table(n).rows)))
+        diagonal = [order // size for size in classes.sizes]
         defect = columns.orthogonality_defect(columns.rows, diagonal)
         if defect:
             i, j = defect
-            return _fail(
-                name,
-                f"W_{n}: column orthogonality fails at {classes[i]}, {classes[j]}",
-            )
+            labels = classes.labels
+            return _fail(name, f"W_{n}: column orthogonality fails at {labels[i]}, {labels[j]}")
     return _ok(name, f"tables W_0..W_{max_rank} certified both ways")
 
 
@@ -263,9 +258,9 @@ def check_omega(
     tables = 0
     labels = [tuple(bipartitions_of(n)) for n in range(max_b_rank + 1)]
     degrees = []
-    for n, bps in enumerate(labels):
-        irreducibles, identity = build_character_table(n).irreducibles, identity_class(n)
-        degrees.append([irreducibles[bp].at(identity) for bp in bps])
+    for n in range(max_b_rank + 1):
+        identity = _classes(n).identity
+        degrees.append([row[identity] for row in build_character_table(n).rows])
     for k, parity_prime, k_prime, r, r_prime in _table_sweep(max_b_rank, k_max):
         ctx, ctx_p = _series_contexts(k, k_prime, r, r_prime)
         got = omega_unipotent(ctx, ctx_p, k, convention=convention)

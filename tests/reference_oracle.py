@@ -1,16 +1,20 @@
-"""Two frozen references for the oracle.
+"""Frozen references for the oracle, all label-keyed: a class function is
+a dict from class labels (pairs of labels on W_a x W_b) to values.
 
 The first is the oracle omega path as it stood before it was factored per
 group, kept as the reference that ``verify._oracle_omega`` must reproduce.
-Everything that decides an entry is frozen here: the product class function
-on W_r x W_r' summed over l and chi in Irr(W_l), with the sgn twist taken as
+Everything that decides an entry is frozen here: the class function on
+W_r x W_r' summed over l and chi in Irr(W_l), with the sgn twist taken as
 an actual pointwise product, and its two-step contraction against the
-irreducible pairs.  Only the certified character tables, the linear
-characters and induction come from the library.
+irreducible pairs.  It is built on the second reference.
 
-The second, at the end, is the label-keyed class enumeration, tensor
-product, induction and table construction that the library's value-list
-versions must reproduce.
+The second is the label-keyed class enumeration, tensor product, induction
+and table construction that the library's value-list versions must
+reproduce; only the partition enumeration, the label types and the S_n
+character values come from the library.
+
+The third, at the end, is the enumeration of all 2^n n! elements of W_n in
+window notation, with the signed cycle type of each.
 """
 
 import itertools
@@ -19,52 +23,29 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from howecorr.hyperoctahedral import (
-    ClassFunction,
-    ProductClassFunction,
-    SignedCycleType,
-    build_character_table,
-    group_order,
-    identity_class,
-    induce_class_function,
-    linear_character,
-)
+from howecorr.hyperoctahedral import SignedCycleType, group_order
 from howecorr.partitions import Partition, bipartitions_of
 from howecorr.symmetric import sn_character_value
 
 
-def tensor(f, g):
-    """Outer tensor product of two class functions, on W_a x W_b."""
-    return ProductClassFunction((f.rank, g.rank), tensor_values(f.values, g.values))
-
-
-def _pointwise(f, g):
-    """Pointwise product of two class functions on W_n."""
-    return ClassFunction(f.rank, {c: v * g.values[c] for c, v in f.values.items()})
-
-
 def _add(f, g):
-    return ProductClassFunction(
-        f.ranks, {c: v + g.values[c] for c, v in f.values.items()}
-    )
+    return {c: v + g[c] for c, v in f.items()}
 
 
-def decompose_product(f) -> dict:
-    """Multiplicity of chi_pi x chi_pi' in a product class function, for
-    all label pairs, by exact inner products (two-step contraction)."""
-    a, b = f.ranks
-    ta, tb = build_character_table(a), build_character_table(b)
-    classes_b = tb.class_labels()
+def decompose_product(f, a, b) -> dict:
+    """Multiplicity of chi_pi x chi_pi' in a class function on W_a x W_b,
+    for all label pairs, by exact inner products (two-step contraction)."""
+    ta, tb = character_table(a), character_table(b)
     # half[bp_b][i]: sum over classes cb of W_b of |cb| chi_bp_b(cb) f(ca_i, cb)
-    half = {bp: [] for bp in tb.labels}
-    for ca in ta.class_sizes:
-        values = [f.values[(ca, cb)] for cb in classes_b]
-        for bp, row in tb.weighted_rows:
-            half[bp].append(sum(map(mul, row, values)))
+    half = {
+        bp: [sum(size * chi[cb] * f[ca, cb] for cb, size in classes(b)) for ca, _ in classes(a)]
+        for bp, chi in tb.items()
+    }
     denom = group_order(a) * group_order(b)
     out = {}
-    for bp_a, row in ta.weighted_rows:
-        for bp_b in tb.labels:
+    for bp_a, chi in ta.items():
+        row = [size * chi[ca] for ca, size in classes(a)]
+        for bp_b in tb:
             total = sum(map(mul, row, half[bp_b]))
             if total % denom:
                 raise ValueError("product class function is not a character")
@@ -75,21 +56,20 @@ def decompose_product(f) -> dict:
 
 @lru_cache(maxsize=None)
 def oracle_omega(r, r_prime, first_kind, convention):
-    """The decomposition of the coupling and the coupling itself, a
-    :class:`ProductClassFunction` on W_r x W_r'."""
+    """The decomposition of the coupling and the coupling itself, a class
+    function on W_r x W_r'."""
     total = None
     for l in range(min(r, r_prime) + 1):
-        table_l = build_character_table(l)
-        sgn_l = linear_character(l, convention)
-        second = linear_character(r - l, "trivial" if first_kind else convention)
-        one = linear_character(r_prime - l, "trivial")
-        for chi in bipartitions_of(l):
-            f = table_l.character(chi)
-            left = induce_class_function(tensor(f, second))
-            right = induce_class_function(tensor(_pointwise(f, sgn_l), one))
-            term = tensor(left, right)
+        sgn_l = linear_values(l, convention)
+        second = linear_values(r - l, "trivial" if first_kind else convention)
+        one = linear_values(r_prime - l, "trivial")
+        for f in character_table(l).values():
+            twisted = {c: v * sgn_l[c] for c, v in f.items()}
+            left = induce_values(tensor_values(f, second), l, r - l)
+            right = induce_values(tensor_values(twisted, one), l, r_prime - l)
+            term = tensor_values(left, right)
             total = term if total is None else _add(total, term)
-    return decompose_product(total), total
+    return decompose_product(total, r, r_prime), total
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +220,50 @@ def decompose_values(f, n):
     return out
 
 
+def identity(n):
+    """The class of the identity of W_n: n positive 1-cycles."""
+    return SignedCycleType(Partition([1] * n), Partition())
+
+
 def induced(chi, s, which):
     """The decomposition and degree of Ind(chi_chi x linear character)."""
     l = chi.size
     f = tensor_values(character_table(l)[chi], linear_values(s, which))
     values = induce_values(f, l, s)
-    return decompose_values(values, l + s), values[identity_class(l + s)]
+    return decompose_values(values, l + s), values[identity(l + s)]
+
+
+# ---------------------------------------------------------------------------
+# Every element of W_n, for cross-checking the classes and the linear
+# characters read off the bipartitions.
+
+
+def signed_permutations(n):
+    """All elements of W_n in window notation: tuples w with w[i] = +-sigma(i+1)."""
+    for perm in itertools.permutations(range(1, n + 1)):
+        for signs in itertools.product((1, -1), repeat=n):
+            yield tuple(s * v for s, v in zip(signs, perm))
+
+
+def signed_cycle_type(window):
+    """Signed cycle type of an element in window notation.  A cycle of the
+    underlying permutation is positive or negative according to the product
+    of the signs picked up along it."""
+    n = len(window)
+    seen = [False] * n
+    pos, neg = [], []
+    for start in range(n):
+        if seen[start]:
+            continue
+        length, sign, j = 0, 1, start
+        while not seen[j]:
+            seen[j] = True
+            v = window[j]
+            if v < 0:
+                sign = -sign
+            j = abs(v) - 1
+            length += 1
+        (pos if sign > 0 else neg).append(length)
+    return SignedCycleType(
+        Partition(sorted(pos, reverse=True)), Partition(sorted(neg, reverse=True))
+    )

@@ -89,6 +89,27 @@ class TestOmega:
         _, out, _ = run(capsys, *args)
         assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
+    def test_help_names_the_pair_order_witness(self, capsys, monkeypatch):
+        # the help says that a table depends on which group of the pair is
+        # listed first, with the U_3 x U_2 witness; both readings must still
+        # be the tables it describes
+        monkeypatch.setenv("COLUMNS", "1000")
+        with pytest.raises(SystemExit) as exc:
+            main(["omega", "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        assert "depends on which group of the pair is listed first" in text
+        readings = {}
+        for args in (
+            "--m 1 --mp 1 --k 1 --parity 1 --parity-p 0",
+            "--m 1 --mp 1 --k 0 --parity 0 --parity-p 1",
+        ):
+            assert args in text
+            _, out, _ = run(capsys, "omega", *args.split(), "--json")
+            table = json.loads(out)
+            readings[table["formula"]] = sorted(mult for _, _, mult in table["entries"])
+        assert readings == {"first-kind": [1, 1, 1], "second-kind": [1, 2]}
+
     def test_below_cuspidal_base_exits_1(self, capsys):
         code, out, err = run(capsys, "omega", "--m", "0", "--mp", "1", "--k", "2")
         assert code == 1

@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 import random
 import re
 from collections import Counter
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -12,23 +14,21 @@ import reference_oracle
 from howecorr import hyperoctahedral, verify
 from howecorr.errors import InternalCheckError, RankBoundError
 from howecorr.hyperoctahedral import (
-    ClassFunction,
-    ProductClassFunction,
+    LINEAR_CHARACTERS,
+    CharacterTable,
     SignedCycleType,
+    _classes,
+    _decompose_values,
+    _induce_values,
+    _linear_values,
+    _outer,
+    _pair_labels,
     build_character_table,
     centralizer_order,
-    conjugacy_classes,
-    decompose,
     group_order,
-    identity_class,
-    induce_class_function,
-    linear_character,
-    restrict_class_function,
-    signed_cycle_type,
-    signed_permutations,
     tensor_label_map,
 )
-from howecorr.partitions import Partition, bipartition, bipartitions_of
+from howecorr.partitions import Partition, _bipartition_index, bipartition, bipartitions_of
 from howecorr.unipotent import sgn_twist
 
 
@@ -36,43 +36,58 @@ def cls(pos, neg):
     return SignedCycleType(Partition(pos), Partition(neg))
 
 
-# Class-function arithmetic for the tests, over the ``.values`` dicts.
+# Class functions in the tests are value sequences in canonical class order,
+# as in the library.
 
 
-def _tensor(f, g):
-    """The outer tensor product of two class functions, on W_a x W_b."""
-    values = {
-        (c1, c2): v1 * v2 for c1, v1 in f.values.items() for c2, v2 in g.values.items()
-    }
-    return ProductClassFunction((f.rank, g.rank), values)
+def _sizes(n):
+    """The classes of W_n as an ordered mapping label -> class size."""
+    classes = _classes(n)
+    return dict(zip(classes.labels, classes.sizes))
 
 
-def _scaled(f, c):
-    return ClassFunction(f.rank, {label: c * v for label, v in f.values.items()})
+def _at(n, values, label):
+    """The value on the class ``label`` of a class function on W_n."""
+    return values[_classes(n).labels.index(label)]
+
+
+def _degree(n, values):
+    return values[_classes(n).identity]
+
+
+def _row(n, bp):
+    table = build_character_table(n)
+    return table.rows[table.labels.index(bp)]
+
+
+def _scaled(values, c):
+    return [c * v for v in values]
 
 
 def _combination(table, coeffs):
-    """The class function sum of c chi_bp over the table's labels bp."""
-    values = dict.fromkeys(table.class_labels(), 0)
-    for bp, c in zip(table.labels, coeffs):
-        for label, v in table.character(bp).values.items():
-            values[label] += c * v
-    return ClassFunction(table.rank, values)
+    """The values of the sum of c chi_bp over the table's labels bp."""
+    return [sum(map(mul, coeffs, column)) for column in zip(*table.rows)]
 
 
-def _inner(f, g):
+def _inner(n, f, g):
     """The exact inner product (1/|W_n|) sum |C| f(C) g(C) on W_n."""
-    sizes = conjugacy_classes(f.rank)
-    total = sum(size * f.at(c) * g.at(c) for c, size in sizes.items())
-    return Fraction(total, group_order(f.rank))
+    total = sum(size * x * y for size, x, y in zip(_classes(n).sizes, f, g))
+    return Fraction(total, group_order(n))
 
 
-def _product_inner(f, g):
-    """The exact inner product of two class functions on W_a x W_b."""
-    a, b = f.ranks
-    pairs = itertools.product(conjugacy_classes(a).items(), conjugacy_classes(b).items())
-    total = sum(s1 * s2 * f.at((l1, l2)) * g.at((l1, l2)) for (l1, s1), (l2, s2) in pairs)
-    return Fraction(total, group_order(a) * group_order(b))
+def _merge(p, q):
+    return Partition(sorted(p + q, reverse=True))
+
+
+def _pullback(n, a, values):
+    """The restriction of a class function on W_n to W_a x W_{n-a}, as
+    values in label-pair order: each pair of labels takes the value on the
+    class whose positive and negative cycle types merge theirs.  Written
+    here, not read off the induction's fusion map, so that the two can
+    disagree."""
+    position = {label: i for i, label in enumerate(_classes(n).labels)}
+    pairs = itertools.product(_classes(a).labels, _classes(n - a).labels)
+    return [values[position[SignedCycleType(*map(_merge, l1, l2))]] for l1, l2 in pairs]
 
 
 @pytest.fixture
@@ -87,61 +102,52 @@ def oracle_bound_8(monkeypatch):
 
 class TestClasses:
     def test_rank_one(self):
-        assert conjugacy_classes(1) == {cls((1,), ()): 1, cls((), (1,)): 1}
+        assert _sizes(1) == {cls((1,), ()): 1, cls((), (1,)): 1}
 
     def test_rank_two(self):
-        sizes = conjugacy_classes(2)
+        sizes = _sizes(2)
         assert len(sizes) == 5
         assert sum(sizes.values()) == 8
 
     def test_rank_five_total(self):
-        assert sum(conjugacy_classes(5).values()) == 3840
+        assert sum(_classes(5).sizes) == 3840
 
     def test_class_count_matches_bipartitions(self, oracle_bound_8):
         for n in (*range(6), 7, 8):
-            labels = set(conjugacy_classes(n))
-            want = {
-                SignedCycleType(bp.alpha, bp.beta) for bp in bipartitions_of(n)
-            }
-            assert labels == want
+            want = {SignedCycleType(bp.alpha, bp.beta) for bp in bipartitions_of(n)}
+            assert set(_classes(n).labels) == want
 
     def test_sizes_against_centralizers(self, oracle_bound_8):
         for n in (*range(5), 7, 8):
             order = group_order(n)
-            sizes = conjugacy_classes(n)
+            sizes = _sizes(n)
             for label, size in sizes.items():
                 assert size * centralizer_order(label) == order
             assert sum(sizes.values()) == order
 
     def test_oracle_bound(self):
         with pytest.raises(RankBoundError):
-            conjugacy_classes(7)
-        # the support check reads the classes, so it hits the bound too
-        with pytest.raises(RankBoundError):
-            ClassFunction(7, {})
+            _classes(7)
 
     def test_negative_rank(self):
         with pytest.raises(ValueError, match="^rank must be nonnegative$"):
-            conjugacy_classes(-1)
+            _classes(-1)
 
     def test_lowered_bound_holds_for_cached_ranks(self, monkeypatch):
         # entries cached at rank 7 under a raised bound must not outlive it
         monkeypatch.setattr(hyperoctahedral, "ORACLE_BOUND", 7)
         tensor_label_map(7, "trivial")
-        linear_character(7, "sign_changes")
+        _linear_values(7, "sign_changes")
         chi = bipartition((3,), (2, 1))
-        verify._induced(chi, 1, hyperoctahedral._linear_values(1, "trivial"))
+        verify._induced(chi, 1, _linear_values(1, "trivial"))
         verify._oracle_omega(7, 0, True, "coxeter_sign")
         monkeypatch.setattr(hyperoctahedral, "ORACLE_BOUND", 6)
         hyperoctahedral._classes.cache_clear()
         calls = [
             lambda: tensor_label_map(7, "trivial"),
             lambda: build_character_table(7),
-            lambda: linear_character(7, "sign_changes"),
-            lambda: ClassFunction(7, {}),
-            lambda: identity_class(7),
-            lambda: conjugacy_classes(7),
-            lambda: hyperoctahedral._linear_values(7, "sign_changes"),
+            lambda: _classes(7),
+            lambda: _linear_values(7, "sign_changes"),
             lambda: hyperoctahedral._pair_labels(0, 7),
             lambda: hyperoctahedral._induction_matrix(6, 1),
             lambda: verify.check_induction(7),
@@ -153,160 +159,165 @@ class TestClasses:
 
     def test_signed_cycle_type_involutions(self):
         # the diagonal sign change (-1, -2) splits into two negative 1-cycles
-        assert signed_cycle_type((-1, -2)) == cls((), (1, 1))
+        assert reference_oracle.signed_cycle_type((-1, -2)) == cls((), (1, 1))
         # the signed transposition has one negative 2-cycle
-        assert signed_cycle_type((-2, 1)) == cls((), (2,))
-        assert signed_cycle_type((2, 1)) == cls((2,), ())
+        assert reference_oracle.signed_cycle_type((-2, 1)) == cls((), (2,))
+        assert reference_oracle.signed_cycle_type((2, 1)) == cls((2,), ())
 
     def test_per_permutation_enumeration_matches_windows(self):
         # the classes come from the bipartitions with analytic sizes;
         # counting the signed cycle types of all elements, window by window,
         # must give the same class sizes
         for n in range(6):
-            windows = Counter(signed_cycle_type(w) for w in signed_permutations(n))
-            assert conjugacy_classes(n) == windows
+            windows = reference_oracle.signed_permutations(n)
+            assert _sizes(n) == Counter(map(reference_oracle.signed_cycle_type, windows))
 
     def test_enumeration_count(self):
-        assert sum(1 for _ in signed_permutations(3)) == 48
+        assert sum(1 for _ in reference_oracle.signed_permutations(3)) == 48
 
     def test_identity_class(self):
-        assert identity_class(3) == cls((1, 1, 1), ())
+        classes = _classes(3)
+        assert classes.labels[classes.identity] == cls((1, 1, 1), ())
 
 
 class TestCharacterTable:
     def test_rank_zero(self):
         table = build_character_table(0)
         assert table.labels == (bipartition((), ()),)
-        assert table.degree(bipartition((), ())) == 1
+        assert table.rows == ((1,),)
 
     def test_rank_one_matrix(self):
         table = build_character_table(1)
-        order = [cls((1,), ()), cls((), (1,))]
-        triv, sign = bipartition((1,), ()), bipartition((), (1,))
-        assert [table.character(triv).at(c) for c in order] == [1, 1]
-        assert [table.character(sign).at(c) for c in order] == [1, -1]
+        assert _classes(1).labels == (cls((1,), ()), cls((), (1,)))
+        assert table.labels == (bipartition((1,), ()), bipartition((), (1,)))
+        assert table.rows == ((1, 1), (1, -1))
 
     def test_rank_two_degrees(self):
         table = build_character_table(2)
-        assert [table.degree(bp) for bp in table.labels] == [1, 1, 2, 1, 1]
+        assert [_degree(2, row) for row in table.rows] == [1, 1, 2, 1, 1]
 
     def test_values_are_integers(self):
         for n in range(5):
-            table = build_character_table(n)
-            for bp in table.labels:
-                for c in table.class_labels():
-                    assert isinstance(table.character(bp).at(c), int)
+            for row in build_character_table(n).rows:
+                assert all(type(v) is int for v in row)
 
     def test_orthonormality(self):
         for n in range(5):
-            table = build_character_table(n)
-            chars = [table.character(bp) for bp in table.labels]
-            for i, f in enumerate(chars):
-                for j, g in enumerate(chars):
-                    assert _inner(f, g) == (1 if i == j else 0)
+            rows = build_character_table(n).rows
+            for i, f in enumerate(rows):
+                for j, g in enumerate(rows):
+                    assert _inner(n, f, g) == (1 if i == j else 0)
 
     def test_degree_sum_of_squares(self):
         for n in range(6):
-            table = build_character_table(n)
-            assert sum(table.degree(bp) ** 2 for bp in table.labels) == group_order(n)
+            rows = build_character_table(n).rows
+            assert sum(_degree(n, row) ** 2 for row in rows) == group_order(n)
 
-    def test_json_export(self):
-        d = build_character_table(2).to_json_dict()
-        assert set(d) >= {
-            "rank",
-            "class_labels",
-            "class_sizes",
-            "irreducible_labels",
-            "values",
-        }
-        assert len(d["values"]) == 5 and all(len(row) == 5 for row in d["values"])
+    def test_rows_follow_the_class_record(self):
+        # one row per label, one value per class of _classes(n), and the
+        # weighted rows are |C| chi(C) in that class order
+        assert [f.name for f in dataclasses.fields(CharacterTable)] == ["rank", "labels", "rows"]
+        for n in range(6):
+            table, classes = build_character_table(n), _classes(n)
+            assert table.rank == n and table.labels == tuple(bipartitions_of(n))
+            assert len(table.rows) == len(table.labels) == len(classes.labels)
+            assert all(type(row) is tuple and len(row) == len(classes.labels) for row in table.rows)
+            weighted = [tuple(s * v for s, v in zip(classes.sizes, row)) for row in table.rows]
+            assert table._weighted.rows == weighted
+
+    def test_bipartition_index_is_the_row_order(self):
+        # verify._induced finds a row by _bipartition_index, not labels.index
+        for n in range(7):
+            labels = build_character_table(n).labels
+            assert _bipartition_index(n) == {bp: i for i, bp in enumerate(labels)}
 
 
 class TestClassFunctions:
     def test_requires_full_support(self):
-        with pytest.raises(ValueError):
-            ClassFunction(1, {cls((1,), ()): 1})
+        # a value list short of or past the classes of W_a x W_b would be
+        # cut by the fusion loop's zip; it is refused instead
+        count = len(_pair_labels(1, 1))
+        for values in ([1] * (count - 1), [1] * (count + 1), []):
+            message = f"^W_1 x W_1 has {count} classes, got {len(values)} values$"
+            with pytest.raises(ValueError, match=message):
+                _induce_values(1, 1, values)
+
+    def test_decomposition_requires_full_support(self):
+        count = len(_classes(2).labels)
+        for values in ([group_order(2)], [0] * (count + 1)):
+            message = f"^W_2 has {count} classes, got {len(values)} values$"
+            with pytest.raises(ValueError, match=message):
+                _decompose_values(2, values)
 
 
 class TestInduction:
     def test_identity_induction(self):
-        t0, t1 = build_character_table(0), build_character_table(1)
-        f = _tensor(t0.character(bipartition((), ())), t1.character(bipartition((1,), ())))
-        induced = induce_class_function(f)
-        triv = t1.character(bipartition((1,), ()))
-        assert induced.values == triv.values
+        triv = _row(1, bipartition((1,), ()))
+        induced = _induce_values(0, 1, _outer(_row(0, bipartition((), ())), triv))
+        assert induced == list(triv)
 
     def test_trivial_from_w1_squared(self):
-        t1 = build_character_table(1)
-        triv = t1.character(bipartition((1,), ()))
-        induced = induce_class_function(_tensor(triv, triv))
-        assert induced.degree() == 2
-        mults = decompose(induced)
+        triv = _row(1, bipartition((1,), ()))
+        induced = _induce_values(1, 1, _outer(triv, triv))
+        assert _degree(2, induced) == 2
+        mults = _decompose_values(2, induced)
         assert mults and all(m == 1 for m in mults.values())
 
     def test_induced_degree_is_index_times_degree(self):
         for a, b in ((1, 2), (2, 2), (0, 3)):
-            ta, tb = build_character_table(a), build_character_table(b)
-            fa = ta.character(bipartitions_of(a)[-1])
-            fb = tb.character(bipartitions_of(b)[0])
-            induced = induce_class_function(_tensor(fa, fb))
+            fa = build_character_table(a).rows[-1]
+            fb = build_character_table(b).rows[0]
+            induced = _induce_values(a, b, _outer(fa, fb))
             index = group_order(a + b) // (group_order(a) * group_order(b))
-            assert induced.degree() == index * fa.degree() * fb.degree()
+            assert _degree(a + b, induced) == index * _degree(a, fa) * _degree(b, fb)
 
     def test_frobenius_reciprocity(self):
+        # <Ind f, chi> on W_n against <f, Res chi> on W_a x W_b, with the
+        # restriction pulled back through the merged cycle types
         rng = random.Random(11)
         for _ in range(20):
             n = rng.randint(1, 5)
             a = rng.randint(0, n)
             b = n - a
-            ta, tb, tn = (build_character_table(x) for x in (a, b, n))
-            f = _tensor(
-                ta.character(rng.choice(bipartitions_of(a))),
-                tb.character(rng.choice(bipartitions_of(b))),
+            f = _outer(
+                rng.choice(build_character_table(a).rows),
+                rng.choice(build_character_table(b).rows),
             )
-            chi = tn.character(rng.choice(bipartitions_of(n)))
-            lhs = _inner(induce_class_function(f), chi)
-            rhs = _product_inner(f, restrict_class_function(chi, a, b))
-            assert lhs == rhs
+            chi = rng.choice(build_character_table(n).rows)
+            lhs = _inner(n, _induce_values(a, b, f), chi)
+            sizes = _outer(_classes(a).sizes, _classes(b).sizes)
+            total = sum(map(lambda s, x, y: s * x * y, sizes, f, _pullback(n, a, chi)))
+            assert lhs == Fraction(total, group_order(a) * group_order(b))
 
     def test_fractional_values_stay_fractions(self):
         # a third of a character of W_1 x W_1: the class sum quotients are
         # 2/3, -2/3 and 0 on W_2, so the nonzero values stay Fractions
-        sign = build_character_table(1).character(bipartition((), (1,)))
-        whole = induce_class_function(_tensor(sign, sign))
-        third = induce_class_function(_tensor(_scaled(sign, Fraction(1, 3)), sign))
-        assert third.values == {c: Fraction(v, 3) for c, v in whole.values.items()}
-        for v in third.values.values():
+        sign = _row(1, bipartition((), (1,)))
+        whole = _induce_values(1, 1, _outer(sign, sign))
+        third = _induce_values(1, 1, _outer(_scaled(sign, Fraction(1, 3)), sign))
+        assert third == [Fraction(v, 3) for v in whole]
+        for v in third:
             assert isinstance(v, Fraction) if v else isinstance(v, int)
-        assert third.degree() == Fraction(2, 3)
+        assert _degree(2, third) == Fraction(2, 3)
 
     def test_induction_past_the_bound_builds_no_matrix(self):
         hyperoctahedral._induction_matrix.cache_clear()
-        pairs = itertools.product(conjugacy_classes(4), conjugacy_classes(3))
-        f = ProductClassFunction((4, 3), {pair: 1 for pair in pairs})
+        values = [1] * (len(_classes(4).labels) * len(_classes(3).labels))
         with pytest.raises(RankBoundError):
-            induce_class_function(f)
+            _induce_values(4, 3, values)
         assert hyperoctahedral._induction_matrix.cache_info().currsize == 0
 
     def test_restriction_norm(self):
-        chi = build_character_table(3).character(bipartition((2,), (1,)))
-        res = restrict_class_function(chi, 2, 1)
-        assert res.at((cls((1, 1), ()), cls((1,), ()))) == chi.degree()
-        # restriction reads induction's fusion map, so Frobenius reciprocity
-        # cannot tell the two apart: compare with the pullback, written here
-        # by merging the cycle types of each label pair
-        def merge(p, q):
-            return Partition(sorted(p + q, reverse=True))
-
+        # the induction's fusion map, read as a gather, is the pullback
+        # through the merged cycle types
+        chi = _row(3, bipartition((2,), (1,)))
+        identity = _classes(2).identity * len(_classes(1).labels) + _classes(1).identity
+        assert _pullback(3, 2, chi)[identity] == _degree(3, chi)
         for n in range(6):
-            for chi in build_character_table(n).irreducibles.values():
+            for chi in build_character_table(n).rows:
                 for a in range(n + 1):
-                    pairs = itertools.product(conjugacy_classes(a), conjugacy_classes(n - a))
-                    want = {
-                        (l1, l2): chi.at(SignedCycleType(*map(merge, l1, l2)))
-                        for l1, l2 in pairs
-                    }
-                    assert restrict_class_function(chi, a, n - a).values == want
+                    fusion, _ = hyperoctahedral._induction_matrix(a, n - a)
+                    assert [chi[c] for c, _ in fusion] == _pullback(n, a, chi)
 
 
 wide = st.integers(-(10**30), 10**30)
@@ -328,54 +339,74 @@ def test_induction_matches_the_fusion_loop(data):
         st.lists(value, min_size=len(pairs), max_size=len(pairs)), label="values"
     )
     f = {(l1, l2): v for ((l1, _), (l2, _)), v in zip(pairs, values)}
-    if data.draw(st.booleans(), label="reversed"):
-        f = dict(reversed(f.items()))
-    got = induce_class_function(ProductClassFunction((a, b), f)).values
-    want = reference_oracle.induce_values(f, a, b)
-    assert list(got.items()) == list(want.items())
-    assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+    got = list(zip(_classes(a + b).labels, _induce_values(a, b, values)))
+    want = list(reference_oracle.induce_values(f, a, b).items())
+    assert got == want
+    assert [type(v) for _, v in got] == [type(v) for _, v in want]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_induced_characters_decompose_as_the_label_keyed_reference(data):
+    # Ind(chi_alpha x chi_beta lambda) from W_a x W_b for each linear
+    # character lambda of W_b, decomposed on W_{a+b}, against the
+    # label-keyed loops; a fraction of it keeps its non-integral values
+    # as Fractions
+    a = data.draw(st.integers(0, 5), label="a")
+    b = data.draw(st.integers(0, 5 - a), label="b")
+    alpha = data.draw(st.sampled_from(bipartitions_of(a)), label="alpha")
+    beta = data.draw(st.sampled_from(bipartitions_of(b)), label="beta")
+    d = data.draw(st.integers(2, 12), label="d")
+    chi_a = reference_oracle.character_table(a)[alpha]
+    chi_b = reference_oracle.character_table(b)[beta]
+    for which in LINEAR_CHARACTERS:
+        linear = reference_oracle.linear_values(b, which)
+        f = reference_oracle.tensor_values(chi_a, {c: v * linear[c] for c, v in chi_b.items()})
+        want = reference_oracle.induce_values(f, a, b)
+        twisted = list(map(mul, _row(b, beta), _linear_values(b, which)))
+        values = _outer(_row(a, alpha), twisted)
+        got = _induce_values(a, b, values)
+        assert got == list(want.values())
+        assert _decompose_values(a + b, got) == reference_oracle.decompose_values(want, a + b)
+        fraction = {c: Fraction(v, d) for c, v in f.items()}
+        got = _induce_values(a, b, [Fraction(v, d) for v in values])
+        want = list(reference_oracle.induce_values(fraction, a, b).values())
+        assert got == want
+        assert [type(v) for v in got] == [type(v) for v in want]
+        assert all(isinstance(v, Fraction) == (Fraction(v).denominator > 1) for v in got)
 
 
 class TestDecompose:
     def test_irreducible(self):
-        table = build_character_table(2)
         lbl = bipartition((2,), ())
-        assert decompose(table.character(lbl)) == {lbl: 1}
+        assert _decompose_values(2, _row(2, lbl)) == {lbl: 1}
 
     def test_regular_character(self):
         table = build_character_table(2)
-        values = {c: 0 for c in table.class_labels()}
-        values[identity_class(2)] = group_order(2)
-        regular = ClassFunction(2, values)
-        mults = decompose(regular)
-        assert mults == {bp: table.degree(bp) for bp in table.labels}
+        values = [0] * len(_classes(2).labels)
+        values[_classes(2).identity] = group_order(2)
+        mults = _decompose_values(2, values)
+        assert mults == {bp: _degree(2, row) for bp, row in zip(table.labels, table.rows)}
 
     def test_zero_function(self):
-        zero = ClassFunction(2, {c: 0 for c in conjugacy_classes(2)})
-        assert decompose(zero) == {}
+        assert _decompose_values(2, [0] * len(_classes(2).labels)) == {}
 
     def test_reconstruction(self):
         table = build_character_table(3)
-        f = induce_class_function(
-            _tensor(
-                build_character_table(2).character(bipartition((1,), (1,))),
-                build_character_table(1).character(bipartition((), (1,))),
-            )
+        f = _induce_values(
+            2, 1, _outer(_row(2, bipartition((1,), (1,))), _row(1, bipartition((), (1,))))
         )
-        mults = decompose(f)
-        rebuilt = _combination(table, [mults.get(bp, 0) for bp in table.labels])
-        assert rebuilt.values == f.values
+        mults = _decompose_values(3, f)
+        assert _combination(table, [mults.get(bp, 0) for bp in table.labels]) == f
 
     def test_rejects_non_virtual(self):
-        half = _scaled(
-            build_character_table(2).character(bipartition((2,), ())), Fraction(1, 2)
-        )
+        half = _scaled(_row(2, bipartition((2,), ())), Fraction(1, 2))
         # the regular character of W_3 over 3: <f, chi> = deg(chi) / 3
-        values = {c: 0 for c in conjugacy_classes(3)}
-        values[identity_class(3)] = Fraction(group_order(3), 3)
-        for f, ip in ((half, "1/2"), (ClassFunction(3, values), "1/3")):
+        values = [0] * len(_classes(3).labels)
+        values[_classes(3).identity] = Fraction(group_order(3), 3)
+        for n, f, ip in ((2, half, "1/2"), (3, values, "1/3")):
             with pytest.raises(ValueError, match=f"not a virtual character: .* = {ip}$"):
-                decompose(f)
+                _decompose_values(n, f)
 
 
 # (width, bit length of the largest row L1 norm, bit length of max|v_i|):
@@ -433,21 +464,21 @@ def test_decompose_recovers_integer_combinations(data):
         label="coefficients",
     )
     combination = _combination(table, coeffs)
-    assert decompose(combination) == {
+    assert _decompose_values(n, combination) == {
         bp: c for bp, c in zip(table.labels, coeffs) if c
     }
     d = data.draw(st.integers(2, 10**12), label="d")
     divided = _scaled(combination, Fraction(1, d))
     fractional = [(bp, c) for bp, c in zip(table.labels, coeffs) if c % d]
     if not fractional:
-        assert decompose(divided) == {
+        assert _decompose_values(n, divided) == {
             bp: c // d for bp, c in zip(table.labels, coeffs) if c
         }
         return
     bp, c = fractional[0]
     message = f"not a virtual character: <f, chi_{bp}> = {Fraction(c, d)}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        decompose(divided)
+        _decompose_values(n, divided)
 
 
 @pytest.fixture
@@ -460,7 +491,7 @@ def fresh_tables():
 def _first_orthonormality_failure(n, rows):
     """The plain-loop reference: the first pair (i, j), i <= j, in
     lexicographic order whose weighted dot product is wrong."""
-    sizes = list(conjugacy_classes(n).values())
+    sizes = _classes(n).sizes
     for i in range(len(rows)):
         for j in range(i, len(rows)):
             total = sum(s * x * y for s, x, y in zip(sizes, rows[i], rows[j]))
@@ -483,17 +514,11 @@ def _first_orthonormality_failure(n, rows):
 )
 def test_corrupted_table_fails_orthonormality(fresh_tables, monkeypatch, n, hits):
     table = build_character_table(n)
-    classes = table.class_labels()
-    deltas = {
-        t: {
-            classes[c1]: table.class_sizes[classes[c2]],
-            classes[c2]: -table.class_sizes[classes[c1]],
-        }
-        for t, (c1, c2) in hits.items()
-    }
-    rows = [[table.character(bp).at(c) for c in classes] for bp in table.labels]
+    sizes = _classes(n).sizes
+    deltas = {t: {c1: sizes[c2], c2: -sizes[c1]} for t, (c1, c2) in hits.items()}
+    rows = [list(row) for row in table.rows]
     for t, delta in deltas.items():
-        rows[t] = [v + delta.get(c, 0) for v, c in zip(rows[t], classes)]
+        rows[t] = [v + delta.get(c, 0) for c, v in enumerate(rows[t])]
     i, j = _first_orthonormality_failure(n, rows)
     build_character_table.cache_clear()
 
@@ -503,7 +528,7 @@ def test_corrupted_table_fails_orthonormality(fresh_tables, monkeypatch, n, hits
     def corrupted(a, b, values):
         row = induce(a, b, values)
         delta = deltas.get(next(calls), {}) if a + b == n else {}
-        return [v + delta.get(c, 0) for v, c in zip(row, classes)]
+        return [v + delta.get(c, 0) for c, v in enumerate(row)]
 
     monkeypatch.setattr(hyperoctahedral, "_induce_values", corrupted)
     message = f"W_{n}: orthonormality fails at ({table.labels[i]}, {table.labels[j]})"
@@ -513,24 +538,25 @@ def test_corrupted_table_fails_orthonormality(fresh_tables, monkeypatch, n, hits
 
 class TestLinearCharacters:
     def test_pinned_values(self):
-        assert linear_character(1, "coxeter_sign").at(cls((), (1,))) == -1
-        assert linear_character(2, "sign_changes").at(cls((2,), ())) == 1
+        assert _at(1, _linear_values(1, "coxeter_sign"), cls((), (1,))) == -1
+        assert _at(2, _linear_values(2, "sign_changes"), cls((2,), ())) == 1
 
     def test_product_rule(self):
         for n in range(5):
-            sc = linear_character(n, "sign_changes")
-            ps = linear_character(n, "permutation_sign")
-            cx = linear_character(n, "coxeter_sign")
-            assert {c: v * ps.at(c) for c, v in sc.values.items()} == cx.values
+            linear = _classes(n).linear
+            assert set(linear) == set(LINEAR_CHARACTERS)
+            assert linear["trivial"] == (1,) * len(_classes(n).labels)
+            product = map(mul, linear["sign_changes"], linear["permutation_sign"])
+            assert tuple(product) == linear["coxeter_sign"]
 
     def test_values_from_window_notation(self):
         for n in range(1, 4):
-            cx = linear_character(n, "coxeter_sign")
-            sc = linear_character(n, "sign_changes")
-            for window in signed_permutations(n):
-                label = signed_cycle_type(window)
+            cx = _linear_values(n, "coxeter_sign")
+            sc = _linear_values(n, "sign_changes")
+            for window in reference_oracle.signed_permutations(n):
+                label = reference_oracle.signed_cycle_type(window)
                 negatives = sum(1 for x in window if x < 0)
-                assert sc.at(label) == (-1) ** negatives
+                assert _at(n, sc, label) == (-1) ** negatives
                 # determinant of the signed permutation matrix
                 det = (-1) ** negatives
                 seen = [abs(x) for x in window]
@@ -544,11 +570,11 @@ class TestLinearCharacters:
                         j = seen[j] - 1
                         length += 1
                     det *= (-1) ** (length - 1)
-                assert cx.at(label) == det
+                assert _at(n, cx, label) == det
 
     def test_unknown_character(self):
-        with pytest.raises(ValueError):
-            linear_character(2, "nope")
+        with pytest.raises(ValueError, match="^unknown linear character 'nope'$"):
+            _linear_values(2, "nope")
 
 
 class TestTensorLabelMap:

@@ -21,11 +21,7 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 # The package namespace, by the submodule that defines each name.
 PUBLIC = {
     "errors": ["InternalCheckError", "NonUniqueExtremeError", "RankBoundError"],
-    "hyperoctahedral": [
-        "ClassFunction", "build_character_table", "conjugacy_classes", "decompose",
-        "group_order", "induce_class_function", "linear_character",
-        "restrict_class_function", "tensor_label_map",
-    ],
+    "hyperoctahedral": ["build_character_table", "group_order", "tensor_label_map"],
     "lusztig": [
         "TRIVIAL_GL", "CentralizerFactor", "CuspidalPair", "CuspidalSupport",
         "EigenvalueOrbit", "GLCuspidal", "GenericCuspidal", "LusztigCoordinates",

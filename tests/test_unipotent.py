@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from howecorr import partitions, unipotent
 from howecorr.errors import NonUniqueExtremeError
-from howecorr.hyperoctahedral import build_character_table
+from howecorr.hyperoctahedral import _classes, build_character_table
 from howecorr.partitions import (
     Bipartition,
     Partition,
@@ -128,6 +128,30 @@ class TestCuspidalBookkeeping:
         for args, name, value in bad:
             with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
                 TowerContext(*args)
+
+    # A bool or a numpy int hashes and compares equal to its int, so a
+    # context that kept it would also reach the omega cache keys.  Each of
+    # the next three tests clears that cache so that its own call fills it.
+
+    def test_bool_witt_index_renders_as_an_int(self):
+        unipotent._omega_cached.cache_clear()
+        table = omega_unipotent(TowerContext(True, 0), TowerContext(1, 0), 0)
+        assert json.dumps(table.to_json_dict()).startswith('{"m": 1, "m_prime": 1,')
+
+    def test_numpy_witt_index_renders_as_an_int(self):
+        numpy = pytest.importorskip("numpy")
+        unipotent._omega_cached.cache_clear()
+        ctx = TowerContext(numpy.int64(2), numpy.int64(0), numpy.int64(3))
+        assert [type(v) for v in (ctx.witt_index, ctx.dim_parity, ctx.q)] == [int] * 3
+        table = omega_unipotent(ctx, TowerContext(1, 0), 0)
+        want = omega_unipotent(TowerContext(2, 0), TowerContext(1, 0), 0).to_json_dict()
+        assert json.dumps(table.to_json_dict()) == json.dumps(want)
+
+    def test_bool_context_leaves_no_bool_table_in_the_cache(self):
+        unipotent._omega_cached.cache_clear()
+        omega_unipotent(TowerContext(True, 0), TowerContext(True, 0), 0)
+        table = omega_unipotent(TowerContext(1, 0), TowerContext(1, 0), 0)
+        assert (type(table.m), type(table.m_prime)) == (int, int)
 
 
 class TestPieriInduction:
@@ -263,10 +287,9 @@ class TestOmegaTables:
         table = omega_unipotent(TowerContext(2, 0), TowerContext(2, 0), 0)
         _, oracle_degree = _oracle_omega(2, 2, True, "coxeter_sign")
         t2 = build_character_table(2)
-        degree = sum(
-            mult * t2.degree(a) * t2.degree(b)
-            for (a, b), mult in table.entries.items()
-        )
+        identity = _classes(2).identity
+        deg = {bp: row[identity] for bp, row in zip(t2.labels, t2.rows)}
+        degree = sum(mult * deg[a] * deg[b] for (a, b), mult in table.entries.items())
         assert degree == oracle_degree
 
     def test_row_helpers(self):

@@ -15,13 +15,11 @@ from howecorr import partitions, unipotent, verify
 from howecorr.errors import NonUniqueExtremeError
 from howecorr.hyperoctahedral import (
     LINEAR_CHARACTERS,
-    ClassFunction,
     SignedCycleType,
-    build_character_table,
-    conjugacy_classes,
-    group_order,
+    _classes,
     _linear_values,
-    identity_class,
+    build_character_table,
+    group_order,
     tensor_label_map,
 )
 from howecorr.lusztig import TRIVIAL_GL, CentralizerFactor, GLCuspidal, trivial_descriptor
@@ -125,20 +123,22 @@ def test_oracle_omega_matches_the_product_reference(first_kind, convention):
             )
             got, degree = _oracle_omega(r, r_prime, first_kind, convention)
             assert got == want, (r, r_prime)
-            assert degree == product.at((identity_class(r), identity_class(r_prime)))
+            identity = reference_oracle.identity(r), reference_oracle.identity(r_prime)
+            assert degree == product[identity]
 
 
 def test_oracle_matches_the_label_keyed_reference():
     # class sizes, table values and the induced characters shared by the
     # induction check and the oracle coupling, against the frozen loops
     for n in range(7):
-        assert list(conjugacy_classes(n).items()) == list(reference_oracle.classes(n))
+        classes = _classes(n)
+        assert list(zip(classes.labels, classes.sizes)) == list(reference_oracle.classes(n))
         table = build_character_table(n)
         want = reference_oracle.character_table(n)
-        assert list(table.irreducibles) == list(want)
-        for bp, chi in table.irreducibles.items():
-            assert chi.values == want[bp]
-            assert all(type(v) is int for v in chi.values.values())
+        assert table.labels == tuple(want)
+        for bp, row in zip(table.labels, table.rows):
+            assert list(zip(classes.labels, row)) == list(want[bp].items())
+            assert all(type(v) is int for v in row)
     keys = [
         (chi, r - chi.size, which)
         for r in range(7)
@@ -239,24 +239,19 @@ def test_sgn_induction_is_the_twist_of_trivial_induction():
 )
 def test_column_relations_fail_on_perturbed_columns(monkeypatch, n, hits):
     table = build_character_table(n)
-    classes = table.class_labels()
-    irreducibles = dict(table.irreducibles)
+    classes, sizes = _classes(n).labels, _classes(n).sizes
+    rows = [list(row) for row in table.rows]
     for t, c in hits:
-        bp = table.labels[t]
-        values = dict(irreducibles[bp].values)
-        values[classes[c]] += 1
-        irreducibles[bp] = ClassFunction(n, values)
-    perturbed = dataclasses.replace(table, irreducibles=irreducibles)
+        rows[t][c] += 1
+    perturbed = dataclasses.replace(table, rows=tuple(map(tuple, rows)))
     # the first failing pair (i, j), i <= j, in row order
-    columns = [
-        [perturbed.character(b).at(cls) for b in table.labels] for cls in classes
-    ]
+    columns = list(zip(*perturbed.rows))
     i, j = next(
         (i, j)
         for i in range(len(classes))
         for j in range(i, len(classes))
         if sum(x * y for x, y in zip(columns[i], columns[j]))
-        != (group_order(n) // table.class_sizes[classes[i]] if i == j else 0)
+        != (group_order(n) // sizes[i] if i == j else 0)
     )
     build = verify.build_character_table
     monkeypatch.setattr(
@@ -270,10 +265,12 @@ def test_column_relations_fail_on_perturbed_columns(monkeypatch, n, hits):
 
 
 def test_class_sizes_that_miss_the_group_order_fail(monkeypatch):
-    table = build_character_table(3)
-    sizes = dict(table.class_sizes)
-    sizes[table.class_labels()[0]] += 1
-    monkeypatch.setitem(table.__dict__, "class_sizes", sizes)
+    classes = _classes(3)
+    sizes = (classes.sizes[0] + 1,) + classes.sizes[1:]
+    real = verify._classes
+    monkeypatch.setattr(
+        verify, "_classes", lambda m: classes._replace(sizes=sizes) if m == 3 else real(m)
+    )
     result = check_character_tables(5)
     assert result.line() == (
         "FAIL character-table certification: W_3: class sizes do not sum to 48"
@@ -334,6 +331,17 @@ def _swallowing_value_errors(real):
     return transport
 
 
+def _shifted_rows(table):
+    # the table with every value of every character one higher
+    rows = tuple(tuple(v + 1 for v in row) for row in table.rows)
+    return dataclasses.replace(table, rows=rows)
+
+
+def _shifted_identity(classes):
+    # the class record with the identity moved to the next class, cyclically
+    return classes._replace(identity=(classes.identity + 1) % len(classes.labels))
+
+
 EMPTY = "Bipartition(alpha=(), beta=())"
 
 EMPTY_CLASS = SignedCycleType(Partition(), Partition())
@@ -352,8 +360,8 @@ PLANTED_FAULTS = [
     ),
     pytest.param(
         # every value of every character one higher
-        "_class_values",
-        lambda real: lambda f: [v + 1 for v in real(f)],
+        "build_character_table",
+        lambda real: lambda n: _shifted_rows(real(n)),
         lambda: check_character_tables(1),
         f"W_0: column orthogonality fails at {EMPTY_CLASS}, {EMPTY_CLASS}",
         id="table-columns",
@@ -376,8 +384,8 @@ PLANTED_FAULTS = [
     ),
     pytest.param(
         # the unpatched run caches the oracle, so only the table side sees it
-        "identity_class",
-        lambda real: lambda n: SignedCycleType(Partition(), Partition([1] * n)),
+        "_classes",
+        lambda real: lambda n: _shifted_identity(real(n)),
         lambda: check_omega(1),
         "degree identity fails at k=0, r=1, r'=1",
         id="omega-degrees",
