@@ -35,13 +35,21 @@ Everything is exact.  Character values are integers.  Induction
 (:func:`_induction_matrix`): each class of W_a x W_b fuses into exactly one
 class of W_{a+b}, so each value is added, weighted, to one integer sum, and
 one exact division per class follows.  The certification sums, the column
-relations in ``verify`` and :func:`_decompose_values` are integer dot
-products, all computed by one packed-integer kernel, :class:`_IntMatrix`,
-whose docstring proves its slot width.  An inner product is integral
-exactly when the dot product is divisible by |W_n|; a class function with
-`fractions.Fraction` values is scaled to integers by the lcm of their
-denominators first.  Only an induced value that is not integral is a
-`Fraction`.
+relations in ``verify``, :func:`_decompose_values` and the decompositions
+of induced characters are integer dot products, all computed by one
+packed-integer kernel, :class:`_IntMatrix`, whose docstring proves its slot
+width.  An induced character Ind(chi x lambda) from W_a x W_b, lambda a
+linear character of W_b, is decomposed without being induced: by Frobenius
+reciprocity, <Ind(chi x lambda), psi> = <chi x lambda, Res psi>, and
+:class:`_Reciprocity` packs, once per (a, b, lambda), the restricted
+columns of the table of W_{a+b} summed against lambda, so that one packed
+sum over the classes of W_a gives every multiplicity.  This is the sum of
+induce-then-decompose, reordered; the tests require the two orders to
+agree.  An inner product is integral exactly when the dot product is
+divisible by |W_n| (by |W_a x W_b| for the reciprocity sum); a class
+function with `fractions.Fraction` values is scaled to integers by the lcm
+of their denominators first.  Only an induced value that is not integral
+is a `Fraction`.
 
 The price is the rank bound: nothing here is meant to run past
 ``ORACLE_BOUND`` (default 6, |W_6| = 46080).  Every rank-keyed cache checks
@@ -311,6 +319,7 @@ class _IntMatrix:
 
     def __init__(self, rows):
         self.rows = rows
+        self._count = len(rows)
         self._norm_bits = max(sum(map(abs, row)) for row in rows).bit_length()
         self._packed = {}
 
@@ -322,20 +331,25 @@ class _IntMatrix:
         for row in reversed(self.rows):
             columns = list(map(add, map(lshift, columns, shifts), row))
         half = 1 << (width - 1)
-        offset = sum(half << shift for shift in range(0, width * len(self.rows), width))
+        offset = sum(half << shift for shift in range(0, width * self._count, width))
         return columns, offset
+
+    def packed(self, width: int) -> tuple:
+        """The packed columns and the offset at ``width``, packed on first
+        use."""
+        packed = self._packed.get(width)
+        if packed is None:
+            packed = self._packed[width] = self._pack(width)
+        return packed
 
     def dots(self, values) -> list:
         """[row . values for row in rows], for a list of integers
         ``values`` indexed like the columns."""
         bound = self._norm_bits + max(map(abs, values)).bit_length() + 1
         width = max(8, 1 << (bound - 1).bit_length())
-        packed = self._packed.get(width)
-        if packed is None:
-            packed = self._packed[width] = self._pack(width)
-        columns, offset = packed
+        columns, offset = self.packed(width)
         total = sum(map(mul, columns, values)) + offset
-        return _read_slots(total, width, len(self.rows))
+        return _read_slots(total, width, self._count)
 
     def orthogonality_defect(self, vectors, diagonal):
         """The first pair (i, j), i <= j, in lexicographic order at which
@@ -372,6 +386,13 @@ class CharacterTable:
         values of f, divided by |W_n|."""
         sizes = _classes(self.rank).sizes
         return _IntMatrix([tuple(map(mul, sizes, row)) for row in self.rows])
+
+    @cached_property
+    def _columns(self) -> _IntMatrix:
+        """The rows as one matrix: packed at a width, its column C holds
+        chi(C) in the slot of each irreducible chi, the vectors that
+        :class:`_Reciprocity` combines."""
+        return _IntMatrix(self.rows)
 
 
 @_rank_checked()
@@ -414,14 +435,96 @@ def _decompose_values(n: int, values: list) -> dict:
     if len(values) != len(table.labels):
         raise ValueError(f"W_{n} has {len(table.labels)} classes, got {len(values)} values")
     values, scale = _integral(values)
-    order = group_order(n) * scale
-    totals = table._weighted.dots(values)
-    for bp, total in zip(table.labels, totals):
-        if total % order:
-            raise ValueError(
-                f"not a virtual character: <f, chi_{bp}> = {Fraction(total, order)}"
-            )
-    return {bp: total // order for bp, total in zip(table.labels, totals) if total}
+    return _multiplicities(table.labels, table._weighted.dots(values), group_order(n) * scale)
+
+
+def _multiplicities(labels, totals, den: int) -> dict:
+    """The inner products total / den, by label, zeros omitted.  Raises
+    ValueError if one is not integral: the class function is then not a
+    virtual character."""
+    for bp, total in zip(labels, totals):
+        if total % den:
+            raise ValueError(f"not a virtual character: <f, chi_{bp}> = {Fraction(total, den)}")
+    return {bp: total // den for bp, total in zip(labels, totals) if total}
+
+
+class _Reciprocity(_IntMatrix):
+    """Induction from W_a x W_b to W_{a+b} of chi x lambda, decomposed by
+    Frobenius reciprocity, for one class function lambda of W_b with
+    integer values ``second`` and any class function chi of W_a.
+
+    The matrix has a row per irreducible psi of W_{a+b} and a column per
+    class c of W_a, with entry |c| times the sum over the classes c' of W_b
+    of |c'| lambda(c') psi(fuse(c, c')), where (c, c') fuses into
+    fuse(c, c') (:func:`_induction_matrix`).  Row psi times the values of
+    chi is then the sum over the product classes D of |D| (chi x lambda)(D)
+    psi(fuse(D)) = |W_a||W_b| <chi x lambda, Res psi> = |W_a||W_b|
+    <Ind(chi x lambda), psi> (the characters of W_n are rational).
+
+    No row is built: column c is packed as |c| times the sum over c' of
+    |c'| lambda(c') times the packed column fuse(c, c') of the table of
+    W_{a+b} (``CharacterTable._columns``, psi(C) in slot psi), an exact
+    integer sum at any width.  The width is :class:`_IntMatrix`'s, proved
+    with the L1 norm of row psi bounded by |W_a||W_b| max|lambda| psi(1),
+    since |psi(C)| <= psi(1) and the sizes |D| sum to |W_a||W_b|.  For
+    characters chi and lambda, whose values are at most their degrees in
+    absolute value, slot psi is therefore at most |W_a||W_b| chi(1)
+    lambda(1) psi(1).
+    """
+
+    def __init__(self, a: int, b: int, second: tuple):
+        right = _classes(b)
+        if len(second) != len(right.labels):
+            raise ValueError(f"W_{b} has {len(right.labels)} classes, got {len(second)} values")
+        self._a = a
+        self._table = table = build_character_table(a + b)
+        self._targets = [c for c, _ in _induction_matrix(a, b)[0]]  # fuse(D), D in pair order
+        self._weights = list(map(mul, right.sizes, second))  # |c'| lambda(c')
+        self._order = group_order(a) * group_order(b)
+        # [W_{a+b} : W_a x W_b] lambda(1), the degree of Ind(chi x lambda) over chi(1)
+        self._degree_factor = group_order(a + b) // self._order * second[right.identity]
+        identity = _classes(a + b).identity
+        norm = self._order * max(map(abs, second)) * max(row[identity] for row in table.rows)
+        self._norm_bits = norm.bit_length()
+        self._count = len(table.rows)
+        self._packed = {}
+
+    def _pack(self, width: int) -> tuple:
+        columns, offset = self._table._columns.packed(width)
+        fused = [columns[c] for c in self._targets]
+        step = len(self._weights)
+        sizes = _classes(self._a).sizes
+        packed = [
+            size * sum(map(mul, self._weights, fused[i : i + step]))
+            for size, i in zip(sizes, range(0, len(fused), step))
+        ]
+        return packed, offset
+
+    def decompose(self, values: list) -> tuple:
+        """Ind(chi x lambda), chi with these values in canonical class
+        order of W_a: its multiplicities against the irreducibles of
+        W_{a+b} (as :func:`_decompose_values` gives them) and its degree,
+        [W_{a+b} : W_a x W_b] chi(1) lambda(1), since only the identity
+        product class fuses into the identity.  Raises ValueError unless
+        there is one value per class of W_a, or if a multiplicity is not
+        integral."""
+        left = _classes(self._a)
+        if len(values) != len(left.labels):
+            count = len(left.labels)
+            raise ValueError(f"W_{self._a} has {count} classes, got {len(values)} values")
+        degree = self._degree_factor * values[left.identity]
+        ints, scale = _integral(values)
+        return _multiplicities(self._table.labels, self.dots(ints), self._order * scale), degree
+
+
+@_rank_checked(lambda a, b, second: a + b)
+@lru_cache(maxsize=None)
+def _reciprocity(a: int, b: int, second: tuple) -> _Reciprocity:
+    """The :class:`_Reciprocity` matrix of W_a x W_b <= W_{a+b} and the class
+    function of W_b with values ``second``, packed once per width: one
+    entry per (a, b, values), so callers pass the values of a linear
+    character (:func:`_linear_values`)."""
+    return _Reciprocity(a, b, second)
 
 
 @_rank_checked()

@@ -9,7 +9,9 @@ and an oracle rank past the bound raises RankBoundError.
 
 The oracle side works only with :mod:`howecorr.hyperoctahedral` and never
 calls the Pieri code it checks.  Its induced characters, Ind(chi x linear
-character) decomposed on W_{l+s}, are memoised once per distinct linear
+character) decomposed on W_{l+s}, come from one packed Frobenius
+reciprocity sum each (``hyperoctahedral._reciprocity``), with no induced
+class function built.  They are memoised once per distinct linear
 character, keyed by its values, and read both by the induction check and
 by the oracle coupling, which decomposes each term factor by factor, on
 W_r and on W_r' separately, and takes outer products instead of
@@ -34,11 +36,9 @@ from .errors import NonUniqueExtremeError
 from .hyperoctahedral import (
     _check_rank,
     _classes,
-    _decompose_values,
-    _induce_values,
     _IntMatrix,
     _linear_values,
-    _outer,
+    _reciprocity,
     build_character_table,
     group_order,
     tensor_label_map,
@@ -114,20 +114,21 @@ def _check_sizes(**sizes) -> None:
 @lru_cache(maxsize=None)
 def _induced(chi: Bipartition, s: int, linear: tuple) -> tuple:
     """Ind from W_l x W_s to W_{l+s} of chi_chi tensor the linear character
-    of W_s with values ``linear`` (``_linear_values(s, which)``), induced as
-    a list of values in canonical class order: its decomposition (read
-    only, it is shared) and its degree.
+    of W_s with values ``linear`` (``_linear_values(s, which)``): its
+    decomposition (read only, it is shared) and its degree,
+    [W_{l+s} : W_l x W_s] chi(1).  The multiplicities come from one packed
+    Frobenius reciprocity sum over the classes of W_l
+    (``hyperoctahedral._reciprocity``), the sum of inducing over the
+    class-fusion map and decomposing on W_{l+s}, reordered; the tests, and
+    at b-rank 8 the opt-in test, require the two orders to agree.
 
     The key is the values, not the name: linear characters that agree on
     W_s give one entry.  On W_0 all of them are (1,), and on W_1
     sign_changes and coxeter_sign are both (1, -1); from W_2 on the four
     differ.  So check_induction(6) compares 843 names against 491
     inductions."""
-    n = chi.size + s
     f = build_character_table(chi.size).rows[_bipartition_index(chi.size)[chi]]
-    induced = _induce_values(chi.size, s, _outer(f, linear))
-    degree = induced[_classes(n).identity]
-    return _decompose_values(n, induced), degree
+    return _reciprocity(chi.size, s, linear).decompose(f)
 
 
 def check_induction(max_rank: int = 5) -> CheckResult:

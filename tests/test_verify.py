@@ -6,12 +6,13 @@ import os
 import pathlib
 import subprocess
 import sys
+import textwrap
 import types
 
 import pytest
 import reference_oracle
 
-from howecorr import partitions, unipotent, verify
+from howecorr import hyperoctahedral, partitions, unipotent, verify
 from howecorr.errors import NonUniqueExtremeError
 from howecorr.hyperoctahedral import (
     LINEAR_CHARACTERS,
@@ -80,15 +81,36 @@ def test_rank_bound_is_the_oracle_bound():
 )
 def test_oracle_certifies_b_rank_eight():
     """Tables, induction and omega in both conventions at b-rank 8, with the
-    bound raised in a fresh interpreter (about 1 s on a 2-core host)."""
-    lines = _run_fresh(
-        "from howecorr import hyperoctahedral, verify\n"
-        "hyperoctahedral.ORACLE_BOUND = 8\n"
-        "results = [verify.check_character_tables(8), verify.check_induction(8)]\n"
-        "print(verify._induced.cache_info().currsize)\n"
-        "results += [verify.check_omega(8, convention=c) for c in verify.SGN_CONVENTIONS]\n"
-        "print('\\n'.join(r.line() for r in results))\n"
-    ).splitlines()
+    bound raised in a fresh interpreter; then every distinct induction key
+    of check_induction(8) is induced and decomposed on the class-fusion
+    route as well, which must agree with the reciprocity sum that _induced
+    reads (about 3 s in all on a 2-core host)."""
+    script = textwrap.dedent(
+        """\
+        from howecorr import hyperoctahedral as h, verify
+        from howecorr.partitions import _bipartition_index, bipartitions_of
+        h.ORACLE_BOUND = 8
+        results = [verify.check_character_tables(8), verify.check_induction(8)]
+        print(verify._induced.cache_info().currsize)
+        results += [verify.check_omega(8, convention=c) for c in verify.SGN_CONVENTIONS]
+        print("\\n".join(r.line() for r in results))
+        keys = {
+            (chi, r - l, h._linear_values(r - l, which))
+            for r in range(9)
+            for l in range(r + 1)
+            for chi in bipartitions_of(l)
+            for which in ("trivial",) + verify.SGN_CONVENTIONS
+        }
+        for chi, s, linear in keys:
+            n = chi.size + s
+            row = h.build_character_table(chi.size).rows[_bipartition_index(chi.size)[chi]]
+            induced = h._induce_values(chi.size, s, h._outer(row, linear))
+            want = h._decompose_values(n, induced), induced[h._classes(n).identity]
+            assert verify._induced(chi, s, linear) == want, (chi, s, linear)
+        print(len(keys), "keys agree")
+        """
+    )
+    lines = _run_fresh(script).splitlines()
     # 2892 comparisons, 1775 distinct inductions (see test_induced_is_keyed_by_values)
     assert lines == [
         "1775",
@@ -99,6 +121,7 @@ def test_oracle_certifies_b_rank_eight():
             f"(k <= 3, b-rank <= 8, {convention})"
             for convention in SGN_CONVENTIONS
         ),
+        "1775 keys agree",
     ]
 
 
@@ -342,6 +365,30 @@ def _shifted_identity(classes):
     return classes._replace(identity=(classes.identity + 1) % len(classes.labels))
 
 
+def _swapped_block(real):
+    # the packed restriction, built uncached, with the fused classes of the
+    # first two product classes of its last block swapped
+    def reciprocity(a, b, second):
+        matrix = hyperoctahedral._Reciprocity(a, b, second)
+        targets = matrix._targets
+        i = len(targets) - len(second)
+        targets[i : i + 2] = reversed(targets[i : i + 2])
+        return matrix
+
+    return reciprocity
+
+
+def _uncached_induction(max_rank):
+    # check_induction from an empty _induced cache, emptied again after, so
+    # that a fault planted under the cache is reached and none of its
+    # results outlives the plant
+    verify._induced.cache_clear()
+    try:
+        return verify.check_induction(max_rank)
+    finally:
+        verify._induced.cache_clear()
+
+
 EMPTY = "Bipartition(alpha=(), beta=())"
 
 EMPTY_CLASS = SignedCycleType(Partition(), Partition())
@@ -374,6 +421,15 @@ PLANTED_FAULTS = [
         "{Bipartition(alpha=(1,), beta=()): 1}, "
         "oracle gives {Bipartition(alpha=(), beta=(1,)): 1}",
         id="induction",
+    ),
+    pytest.param(
+        "_reciprocity",
+        _swapped_block,
+        lambda: _uncached_induction(2),
+        f"Ind(chi_{EMPTY} x coxeter_sign) to W_1: rule gives "
+        "{Bipartition(alpha=(), beta=(1,)): 1}, "
+        "oracle gives {Bipartition(alpha=(), beta=(1,)): -1}",
+        id="induction-restriction",
     ),
     pytest.param(
         "is_first_kind",
