@@ -8,10 +8,11 @@ decomposition, and ``verify`` runs the oracle-equivalence suite.
 
 Start-up: importing this module loads ``errors``, ``partitions`` and
 ``unipotent`` only, which is all that ``omega``, ``theta`` and ``extremal``
-use.  ``centralizer``, ``transport`` and ``omega-full`` import the
-reduction layer (``lusztig``) when they run; ``verify`` imports ``verify``
-and with it the W_n oracle (``hyperoctahedral``, ``symmetric``) and
-``lusztig``.
+use; none of them imports ``dataclasses`` (and with it ``inspect``), and
+text output does not import ``json``.  ``centralizer``, ``transport`` and
+``omega-full`` import the reduction layer (``lusztig``) when they run;
+``verify`` imports ``verify`` and with it the W_n oracle
+(``hyperoctahedral``, ``symmetric``) and ``lusztig``.
 
 Exit codes: 0 on success, 1 on validation errors (bad flags or
 mathematically inconsistent input, one-line diagnostic on stderr) and when

@@ -442,10 +442,14 @@ def _multiplicities(labels, totals, den: int) -> dict:
     """The inner products total / den, by label, zeros omitted.  Raises
     ValueError if one is not integral: the class function is then not a
     virtual character."""
+    mults = {}
     for bp, total in zip(labels, totals):
-        if total % den:
-            raise ValueError(f"not a virtual character: <f, chi_{bp}> = {Fraction(total, den)}")
-    return {bp: total // den for bp, total in zip(labels, totals) if total}
+        if total:
+            mult, rest = divmod(total, den)
+            if rest:
+                raise ValueError(f"not a virtual character: <f, chi_{bp}> = {Fraction(total, den)}")
+            mults[bp] = mult
+    return mults
 
 
 class _Reciprocity(_IntMatrix):

@@ -32,7 +32,6 @@ import gc
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import ItemsView, Mapping
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from itertools import accumulate, chain, repeat
 from operator import ge, le, sub
@@ -177,8 +176,74 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class TowerContext:
+class _DataclassView:
+    """One of the two class attributes through which ``dataclasses`` (and
+    ``pprint``) read a dataclass, built on first read from a frozen
+    dataclass with the record's ``__init__`` signature and then stored on
+    the record's class.  Only code that has imported ``dataclasses`` reads
+    them, so ``dataclasses.fields``, ``replace`` and ``asdict`` take a
+    record as they took the dataclass it replaced, and start-up pays
+    nothing for it."""
+
+    def __set_name__(self, owner, name):
+        self._name = name
+
+    def __get__(self, record, cls):
+        import inspect
+        from dataclasses import field, make_dataclass
+
+        spec = [
+            (p.name, p.annotation)
+            if p.default is p.empty
+            else (p.name, p.annotation, field(default=p.default))
+            for p in list(inspect.signature(cls.__init__).parameters.values())[1:]
+        ]
+        shadow = make_dataclass(cls.__name__, spec, frozen=True)
+        for name in ("__dataclass_fields__", "__dataclass_params__"):
+            setattr(cls, name, getattr(shadow, name))
+        return getattr(shadow, self._name)
+
+
+class _Record:
+    """A frozen record whose fields are its ``__slots__``, in order: equal
+    to a record of the same class with equal fields, hashed, printed and
+    pickled or copied (through the constructor) as that tuple of fields.
+    A subclass's ``__init__`` validates its arguments and sets each field
+    through ``object.__setattr__``; any later assignment raises
+    AttributeError.  This is what a frozen dataclass gives, without
+    importing ``dataclasses``, which loads ``inspect`` and would be the
+    largest cost of a CLI process's start-up."""
+
+    __slots__ = ()
+    __dataclass_fields__ = _DataclassView()
+    __dataclass_params__ = _DataclassView()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class TowerContext(_Record):
     """A member of a Witt tower of unitary groups: Witt index m and the
     parity of the underlying dimension n = 2m + parity.  The field size q is
     optional, and nothing computed here depends on it; when given it must be
@@ -186,23 +251,24 @@ class TowerContext:
     as exact ints, so that a bool or a numpy int reaches no output and no
     cache key."""
 
-    witt_index: int
-    dim_parity: int
-    q: int | None = None
+    __slots__ = ("witt_index", "dim_parity", "q")
 
-    def __post_init__(self):
-        if type(self.witt_index) is not int:
-            object.__setattr__(self, "witt_index", _integer(self.witt_index, "Witt index"))
-        if type(self.dim_parity) is not int:
-            object.__setattr__(self, "dim_parity", _integer(self.dim_parity, "dimension parity"))
-        if type(self.q) is not int and self.q is not None:
-            object.__setattr__(self, "q", _integer(self.q, "q"))
-        if self.witt_index < 0:
+    def __init__(self, witt_index: int, dim_parity: int, q: int | None = None):
+        if type(witt_index) is not int:
+            witt_index = _integer(witt_index, "Witt index")
+        if type(dim_parity) is not int:
+            dim_parity = _integer(dim_parity, "dimension parity")
+        if type(q) is not int and q is not None:
+            q = _integer(q, "q")
+        if witt_index < 0:
             raise ValueError("Witt index must be nonnegative")
-        if self.dim_parity not in (0, 1):
+        if dim_parity not in (0, 1):
             raise ValueError("dimension parity must be 0 or 1")
-        if self.q is not None and not is_odd_prime_power(self.q):
-            raise ValueError(f"q = {self.q} is not an odd prime power")
+        if q is not None and not is_odd_prime_power(q):
+            raise ValueError(f"q = {q} is not an odd prime power")
+        object.__setattr__(self, "witt_index", witt_index)
+        object.__setattr__(self, "dim_parity", dim_parity)
+        object.__setattr__(self, "q", q)
 
     @property
     def dimension(self) -> int:
@@ -413,8 +479,7 @@ class _EntryItems(ItemsView):
         return zip(self._mapping, self._mapping._csr[2])
 
 
-@dataclass(frozen=True)
-class MultiplicityTable:
+class MultiplicityTable(_Record):
     """The coupling table of one pair of unipotent series.
 
     Rows are labelled by Irr(W_r) for the k-series on the first group,
@@ -425,28 +490,41 @@ class MultiplicityTable:
     ``formula`` is None.
     """
 
-    m: int
-    m_prime: int
-    k: int
-    k_prime: int
-    formula: str | None
-    convention: str
-    row_labels: tuple
-    col_labels: tuple
-    entries: Mapping
+    __slots__ = (
+        "m", "m_prime", "k", "k_prime", "formula", "convention",
+        "row_labels", "col_labels", "entries",
+    )
 
-    def __post_init__(self):
-        if isinstance(self.entries, _Entries):
-            return
-        # a mapping passed in is stored in index space once, sorted by row
-        rows, cols = _label_index(self.row_labels), _label_index(self.col_labels)
-        counts = [{} for _ in self.row_labels]
-        try:
-            for (r, c), mult in self.entries.items():
-                counts[rows[r]][cols[c]] = mult
-        except KeyError as err:
-            raise ValueError(f"{err.args[0]} is not a label of this table") from None
-        entries = _Entries(self.row_labels, self.col_labels, csr=_row_sorted(counts))
+    def __init__(
+        self,
+        m: int,
+        m_prime: int,
+        k: int,
+        k_prime: int,
+        formula: str | None,
+        convention: str,
+        row_labels: tuple,
+        col_labels: tuple,
+        entries: Mapping,
+    ):
+        if not isinstance(entries, _Entries):
+            # a mapping passed in is stored in index space once, sorted by row
+            rows, cols = _label_index(row_labels), _label_index(col_labels)
+            counts = [{} for _ in row_labels]
+            try:
+                for (r, c), mult in entries.items():
+                    counts[rows[r]][cols[c]] = mult
+            except KeyError as err:
+                raise ValueError(f"{err.args[0]} is not a label of this table") from None
+            entries = _Entries(row_labels, col_labels, csr=_row_sorted(counts))
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "m_prime", m_prime)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "k_prime", k_prime)
+        object.__setattr__(self, "formula", formula)
+        object.__setattr__(self, "convention", convention)
+        object.__setattr__(self, "row_labels", row_labels)
+        object.__setattr__(self, "col_labels", col_labels)
         object.__setattr__(self, "entries", entries)
 
     @property

@@ -325,25 +325,35 @@ def check_row_persistence(
     """Rows of a nonzero table are nonempty exactly as the strip-removal
     bound predicts; in particular every row is nonempty once r' >= r.  (The
     unconditional version of the second statement is false: see the witness
-    pinned by acceptance criterion 5b, the label -|1 of U_2 against U_0.)"""
+    pinned by acceptance criterion 5b, the label -|1 of U_2 against U_0.)
+
+    A cell store is certified once and its rows are counted again for
+    every table that holds it, as in :func:`check_extremal`; a store fixes
+    the kind, and its labels fix r and r', so the prediction is the same
+    for every such table."""
     name = "row-nonemptiness characterization"
     _check_sizes(max_b_rank=max_b_rank, k_max=k_max)
     rows = 0
+    certified = {}  # (id(entries), row labels, col labels) -> entries
     for k, _, k_prime, r, r_prime in _table_sweep(max_b_rank, k_max):
         ctx, ctx_p = _series_contexts(k, k_prime, r, r_prime)
         table = omega_unipotent(ctx, ctx_p, k, convention=convention)
-        first_kind = is_first_kind(k, k_prime)
-        starts = table.entries._csr[0]  # row i holds the cells starts[i]:starts[i + 1]
-        for i, bp in enumerate(table.row_labels):
-            nonempty = starts[i] < starts[i + 1]
-            predicted = row_nonempty(bp, r, r_prime, first_kind, convention)
-            if nonempty != predicted:
-                return _fail(
-                    name,
-                    f"k={k}, r={r}, r'={r_prime}, row {bp}: "
-                    f"nonempty={nonempty}, predicted={predicted}",
-                )
-            rows += 1
+        entries = table.entries
+        key = (id(entries), table.row_labels, table.col_labels)
+        if key not in certified:
+            first_kind = is_first_kind(k, k_prime)
+            starts = entries._csr[0]  # row i holds the cells starts[i]:starts[i + 1]
+            for i, bp in enumerate(table.row_labels):
+                nonempty = starts[i] < starts[i + 1]
+                predicted = row_nonempty(bp, r, r_prime, first_kind, convention)
+                if nonempty != predicted:
+                    return _fail(
+                        name,
+                        f"k={k}, r={r}, r'={r_prime}, row {bp}: "
+                        f"nonempty={nonempty}, predicted={predicted}",
+                    )
+            certified[key] = entries
+        rows += len(table.row_labels)
     return _ok(name, f"{rows} rows match the strip-removal bound")
 
 

@@ -70,25 +70,30 @@ def _loaded_after(code: str) -> set:
     return set(json.loads(_python("-c", probe).stdout.decode().splitlines()[-1]))
 
 
+# Import the CLI, build its parser and run one omega, theta and extremal
+# call with stdout captured.
+CHEAP_SUBCOMMANDS = (
+    "import contextlib, io, sys\n"
+    "import howecorr.cli as cli\n"
+    "cli.build_parser()\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    for argv in (\n"
+    "        ['omega', '--m', '3', '--mp', '3', '--k', '0'],\n"
+    "        ['theta', '--m', '3', '--mp', '3', '--k', '0',\n"
+    "         '--alpha', '2', '--beta', '1'],\n"
+    "        ['extremal', '--m', '3', '--mp', '3', '--k', '0',\n"
+    "         '--alpha', '2', '--beta', '1'],\n"
+    "    ):\n"
+    "        assert cli.main(argv) == 0, argv\n"
+)
+
+
 class TestImportSurface:
     def test_bare_import_loads_no_submodule(self):
         assert _loaded_after("import howecorr") == {"howecorr"}
 
     def test_cheap_subcommands_load_no_heavy_layer(self):
-        loaded = _loaded_after(
-            "import contextlib, io\n"
-            "import howecorr.cli as cli\n"
-            "cli.build_parser()\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    for argv in (\n"
-            "        ['omega', '--m', '3', '--mp', '3', '--k', '0'],\n"
-            "        ['theta', '--m', '3', '--mp', '3', '--k', '0',\n"
-            "         '--alpha', '2', '--beta', '1'],\n"
-            "        ['extremal', '--m', '3', '--mp', '3', '--k', '0',\n"
-            "         '--alpha', '2', '--beta', '1'],\n"
-            "    ):\n"
-            "        assert cli.main(argv) == 0, argv\n"
-        )
+        loaded = _loaded_after(CHEAP_SUBCOMMANDS)
         assert "howecorr.unipotent" in loaded
         assert not loaded & set(HEAVY), sorted(loaded & set(HEAVY))
 
@@ -102,6 +107,14 @@ class TestImportSurface:
             "print('json' in sys.modules)\n"
         ))
         assert proc.stdout.decode().split() == ["False"]
+
+    def test_cheap_subcommands_do_not_import_dataclasses(self):
+        """``dataclasses`` loads ``inspect`` (and ``ast``, ``dis``,
+        ``tokenize``), the largest import a CLI process could pay."""
+        proc = _python("-c", CHEAP_SUBCOMMANDS + (
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        ))
+        assert proc.stdout.decode().splitlines() == ["[]"]
 
     def test_reduction_subcommands_load_lusztig_only(self):
         loaded = _loaded_after(

@@ -25,7 +25,7 @@ from howecorr.hyperoctahedral import (
 )
 from howecorr.lusztig import TRIVIAL_GL, CentralizerFactor, GLCuspidal, trivial_descriptor
 from howecorr.partitions import Partition, bipartition, bipartitions_of
-from howecorr.unipotent import SGN_CONVENTIONS, TowerContext
+from howecorr.unipotent import SGN_CONVENTIONS, MultiplicityTable, TowerContext
 from howecorr.verify import (
     CheckResult,
     _oracle_omega,
@@ -706,7 +706,10 @@ def test_extremal_check_certifies_a_store_it_has_not_seen(monkeypatch):
         cells = {key: mult for key, mult in table.entries.items() if key[0] != row}
         cells.update({(row, col): 1 for col in antichain})
         planted.append(table)
-        return dataclasses.replace(table, entries=cells)
+        return MultiplicityTable(
+            table.m, table.m_prime, table.k, table.k_prime, table.formula,
+            table.convention, table.row_labels, table.col_labels, cells,
+        )
 
     monkeypatch.setattr(verify, "omega_unipotent", omega_unipotent)
     result = verify.check_extremal(3)
@@ -716,6 +719,51 @@ def test_extremal_check_certifies_a_store_it_has_not_seen(monkeypatch):
         f"antichain at k={k}, r={r}, r'={r_prime}, row {row}: {tuple(antichain)}"
     )
 
+
+
+def test_row_persistence_check_certifies_a_store_it_has_not_seen(monkeypatch):
+    """check_row_persistence predicts the rows of each cell store once and
+    counts them for every table that holds it.  A table whose cells are a
+    store of its own, with an emptied row, is certified all the same,
+    although a table of its kind, ranks and convention was certified at a
+    smaller k."""
+    calls = []
+    real_nonempty = verify.row_nonempty
+    monkeypatch.setattr(
+        verify, "row_nonempty", lambda *args: calls.append(args) or real_nonempty(*args)
+    )
+    result = verify.check_row_persistence(3)
+    assert result.detail == "576 rows match the strip-removal bound"
+    # one prediction per row of each distinct (ranks, kind) store
+    stores = {(len(bipartitions_of(r)), r, r_p, first) for _, r, r_p, first, _ in calls}
+    assert len(calls) == sum(rows for rows, *_ in stores) < 576
+    monkeypatch.setattr(verify, "row_nonempty", real_nonempty)
+
+    row = bipartition((1,), ())
+    k, r, r_prime, convention = 2, 1, 3, SGN_CONVENTIONS[0]
+    k_prime = unipotent.theta_cuspidal(k, 1)
+    target = (*verify._series_contexts(k, k_prime, r, r_prime), k, convention)
+    real = verify.omega_unipotent
+    planted = []
+
+    def omega_unipotent(*args, convention):
+        table = real(*args, convention=convention)
+        if (*args, convention) != target:
+            return table
+        cells = {key: mult for key, mult in table.entries.items() if key[0] != row}
+        planted.append(table)
+        return MultiplicityTable(
+            table.m, table.m_prime, table.k, table.k_prime, table.formula,
+            table.convention, table.row_labels, table.col_labels, cells,
+        )
+
+    monkeypatch.setattr(verify, "omega_unipotent", omega_unipotent)
+    result = verify.check_row_persistence(3)
+    assert len(planted) == 1
+    assert result.passed is False
+    assert result.detail == (
+        f"k={k}, r={r}, r'={r_prime}, row {row}: nonempty=False, predicted=True"
+    )
 
 NEGATIVE_SIZES = [
     ("check_induction", "max_rank"),
