@@ -359,6 +359,15 @@ def _label_index(labels: tuple) -> dict:
     return _bipartition_index(labels[0].size) if labels else {}
 
 
+def _label_position(index: dict, label):
+    """index.get(label), where a label with list parts reads as the label
+    of Partitions it names."""
+    try:
+        return index.get(label)
+    except TypeError:
+        return index.get(bipartition(*label))
+
+
 _MISSING = object()
 
 
@@ -396,10 +405,7 @@ class _Entries(Mapping):
         row_index, col_index = self._label_indices
         try:
             row, col = key
-            try:
-                i, j = row_index.get(row), col_index.get(col)
-            except TypeError:  # a label with list parts: read the label it names
-                i, j = row_index.get(bipartition(*row)), col_index.get(bipartition(*col))
+            i, j = _label_position(row_index, row), _label_position(col_index, col)
         except (TypeError, ValueError):  # not a pair of labels
             return default
         if i is None or j is None:
@@ -535,11 +541,7 @@ class MultiplicityTable(_Record):
         return self.entries.get((row, col), 0)
 
     def row(self, label: Bipartition) -> list:
-        index = self.entries._label_indices[0]
-        try:
-            i = index.get(label)
-        except TypeError:  # a label with list parts: read the label it names
-            i = index.get(bipartition(*label))
+        i = _label_position(self.entries._label_indices[0], label)
         if i is None:
             raise ValueError(f"{label} is not a row label of this table")
         cols = self.col_labels

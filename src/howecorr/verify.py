@@ -17,10 +17,12 @@ by the oracle coupling, which decomposes each term factor by factor, on
 W_r and on W_r' separately, and takes outer products instead of
 contracting a class function on W_r x W_r'.
 
-The extremal check reads each image set as a row, by index, of the cells
-of the table it has just built and certifies its least and greatest member
-in one pass over that row (``unipotent._image_extremes``), without
-recomputing the row; tables that share their cells are certified once.
+The three table checks certify each cell store once: tables of one kind,
+ranks and convention share one (``unipotent._sum_entries``), so one sweep
+(``_stores``) lists the stores, keyed by store, ranks and kind, and a check
+counts a store's result for every table that holds it.  The extremal check reads
+each image set as a row, by index, of a store's cells and certifies its
+extremes in one pass over it (``unipotent._image_extremes``).
 """
 
 from __future__ import annotations
@@ -247,6 +249,23 @@ def _table_sweep(max_b_rank: int, k_max: int):
         yield k, parity_prime, theta_cuspidal(k, parity_prime), r, r_prime
 
 
+def _stores(max_b_rank: int, k_max: int, convention: str) -> list:
+    """[sweep entry, table, count] per cell store of _table_sweep, in order
+    of first appearance, with the first table that holds it.  Every table is
+    built through omega_unipotent.  The key is the store, kept alive by its
+    table so that its id is not reused, its labels, and the ranks and kind
+    that the checks read it with."""
+    found = {}
+    for entry in _table_sweep(max_b_rank, k_max):
+        k, _, k_prime, r, r_prime = entry
+        ctx, ctx_p = _series_contexts(k, k_prime, r, r_prime)
+        table = omega_unipotent(ctx, ctx_p, k, convention=convention)
+        labels = table.row_labels, table.col_labels
+        key = (id(table.entries), *labels, r, r_prime, is_first_kind(k, k_prime))
+        found.setdefault(key, [entry, table, 0])[2] += 1
+    return list(found.values())
+
+
 def check_omega(
     max_b_rank: int = 4, k_max: int = 3, convention: str = DEFAULT_SGN_CONVENTION
 ) -> CheckResult:
@@ -262,9 +281,8 @@ def check_omega(
     for n in range(max_b_rank + 1):
         identity = _classes(n).identity
         degrees.append([row[identity] for row in build_character_table(n).rows])
-    for k, parity_prime, k_prime, r, r_prime in _table_sweep(max_b_rank, k_max):
-        ctx, ctx_p = _series_contexts(k, k_prime, r, r_prime)
-        got = omega_unipotent(ctx, ctx_p, k, convention=convention)
+    for entry, got, count in _stores(max_b_rank, k_max, convention):
+        k, parity_prime, k_prime, r, r_prime = entry
         first_kind = is_first_kind(k, k_prime)
         # the row-sorted copy that rows, lookups and both renderers read
         starts, columns, mults = got.entries._csr
@@ -280,7 +298,7 @@ def check_omega(
         oracle_degree = _oracle_omega(r, r_prime, first_kind, convention)[1]
         if degree != oracle_degree:
             return _fail(name, f"degree identity fails at k={k}, r={r}, r'={r_prime}")
-        tables += 1
+        tables += count
     return _ok(
         name,
         f"{tables} tables equal the oracle entrywise "
@@ -325,35 +343,23 @@ def check_row_persistence(
     """Rows of a nonzero table are nonempty exactly as the strip-removal
     bound predicts; in particular every row is nonempty once r' >= r.  (The
     unconditional version of the second statement is false: see the witness
-    pinned by acceptance criterion 5b, the label -|1 of U_2 against U_0.)
-
-    A cell store is certified once and its rows are counted again for
-    every table that holds it, as in :func:`check_extremal`; a store fixes
-    the kind, and its labels fix r and r', so the prediction is the same
-    for every such table."""
+    pinned by acceptance criterion 5b, the label -|1 of U_2 against U_0.)"""
     name = "row-nonemptiness characterization"
     _check_sizes(max_b_rank=max_b_rank, k_max=k_max)
     rows = 0
-    certified = {}  # (id(entries), row labels, col labels) -> entries
-    for k, _, k_prime, r, r_prime in _table_sweep(max_b_rank, k_max):
-        ctx, ctx_p = _series_contexts(k, k_prime, r, r_prime)
-        table = omega_unipotent(ctx, ctx_p, k, convention=convention)
-        entries = table.entries
-        key = (id(entries), table.row_labels, table.col_labels)
-        if key not in certified:
-            first_kind = is_first_kind(k, k_prime)
-            starts = entries._csr[0]  # row i holds the cells starts[i]:starts[i + 1]
-            for i, bp in enumerate(table.row_labels):
-                nonempty = starts[i] < starts[i + 1]
-                predicted = row_nonempty(bp, r, r_prime, first_kind, convention)
-                if nonempty != predicted:
-                    return _fail(
-                        name,
-                        f"k={k}, r={r}, r'={r_prime}, row {bp}: "
-                        f"nonempty={nonempty}, predicted={predicted}",
-                    )
-            certified[key] = entries
-        rows += len(table.row_labels)
+    for (k, _, k_prime, r, r_prime), table, count in _stores(max_b_rank, k_max, convention):
+        first_kind = is_first_kind(k, k_prime)
+        starts = table.entries._csr[0]  # row i holds the cells starts[i]:starts[i + 1]
+        for i, bp in enumerate(table.row_labels):
+            nonempty = starts[i] < starts[i + 1]
+            predicted = row_nonempty(bp, r, r_prime, first_kind, convention)
+            if nonempty != predicted:
+                return _fail(
+                    name,
+                    f"k={k}, r={r}, r'={r_prime}, row {bp}: "
+                    f"nonempty={nonempty}, predicted={predicted}",
+                )
+        rows += count * len(table.row_labels)
     return _ok(name, f"{rows} rows match the strip-removal bound")
 
 
@@ -364,41 +370,29 @@ def check_row_persistence(
 def check_extremal(max_b_rank: int = 4, k_max: int = 3) -> CheckResult:
     """Unique minimum and maximum under dominance in every nonempty image
     set, for both sgn conventions.  Each row is read by index from its
-    table's cells and certified in one pass over it
-    (``unipotent._image_extremes``).
-
-    Tables of one kind, ranks and convention share one cell store
-    (``unipotent._sum_entries``), so the rows of a store are certified
-    once, and every table that holds it counts them again.  A store is
-    known by the object itself, held so that its id is never reused, and by
-    the row and column labels the certification reads through it."""
+    store's cells and certified in one pass over it
+    (``unipotent._image_extremes``)."""
     name = "extremal uniqueness"
     _check_sizes(max_b_rank=max_b_rank, k_max=k_max)
     checked = 0
-    certified = {}  # (id(entries), row labels, col labels) -> (entries, image sets)
     for convention in SGN_CONVENTIONS:
-        for k, _, k_prime, r, r_prime in _table_sweep(max_b_rank, k_max):
-            ctx, ctx_p = _series_contexts(k, k_prime, r, r_prime)
-            table = omega_unipotent(ctx, ctx_p, k, convention=convention)
+        for (k, _, k_prime, r, r_prime), table, count in _stores(max_b_rank, k_max, convention):
             entries, cols = table.entries, table.col_labels
-            key = (id(entries), table.row_labels, cols)
-            if key not in certified:
-                sets = 0
-                for i, bp in enumerate(table.row_labels):
-                    labels = [cols[j] for j, _ in entries._row(i)]
-                    if not labels:
-                        continue
-                    try:
-                        _image_extremes(SeriesLabel(k, bp), k_prime, labels)
-                    except NonUniqueExtremeError as err:
-                        return _fail(
-                            name,
-                            f"antichain at k={k}, r={r}, r'={r_prime}, "
-                            f"row {bp}: {err.antichain}",
-                        )
-                    sets += 1
-                certified[key] = entries, sets
-            checked += certified[key][1]
+            sets = 0
+            for i, bp in enumerate(table.row_labels):
+                labels = [cols[j] for j, _ in entries._row(i)]
+                if not labels:
+                    continue
+                try:
+                    _image_extremes(SeriesLabel(k, bp), k_prime, labels)
+                except NonUniqueExtremeError as err:
+                    return _fail(
+                        name,
+                        f"antichain at k={k}, r={r}, r'={r_prime}, "
+                        f"row {bp}: {err.antichain}",
+                    )
+                sets += 1
+            checked += count * sets
     return _ok(name, f"{checked} image sets have unique extremes (both conventions)")
 
 

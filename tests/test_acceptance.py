@@ -213,6 +213,7 @@ def test_criterion_5c_sharp_row_nonemptiness(capsys):
 def test_criterion_6_extremal_images(capsys):
     result = check_extremal(max_b_rank=4, k_max=3)
     report_result(capsys, 6, result)
+    assert result.detail == "1776 image sets have unique extremes (both conventions)"
 
 
 def test_criterion_7_centralizer_bookkeeping(capsys):
