@@ -38,18 +38,17 @@ one exact division per class follows.  The certification sums, the column
 relations in ``verify``, :func:`_decompose_values` and the decompositions
 of induced characters are integer dot products, all computed by one
 packed-integer kernel, :class:`_IntMatrix`, whose docstring proves its slot
-width.  An induced character Ind(chi x lambda) from W_a x W_b, lambda a
-linear character of W_b, is decomposed without being induced: by Frobenius
-reciprocity, <Ind(chi x lambda), psi> = <chi x lambda, Res psi>, and
-:class:`_Reciprocity` packs, once per (a, b, lambda), the restricted
-columns of the table of W_{a+b} summed against lambda, so that one packed
-sum over the classes of W_a gives every multiplicity.  This is the sum of
-induce-then-decompose, reordered; the tests require the two orders to
-agree.  An inner product is integral exactly when the dot product is
-divisible by |W_n| (by |W_a x W_b| for the reciprocity sum); a class
-function with `fractions.Fraction` values is scaled to integers by the lcm
-of their denominators first.  Only an induced value that is not integral
-is a `Fraction`.
+width.  The induced characters Ind(chi x lambda) from W_a x W_b, lambda a
+linear character of W_b, are decomposed without being induced, in one
+cached family (every chi in Irr(W_a)) per (a, b, values of lambda),
+:func:`_induced`: by Frobenius reciprocity, <Ind(chi x lambda), psi> =
+<chi x lambda, Res psi>, so one packed sum over the classes of W_a gives
+all of chi's multiplicities.  This is induce-then-decompose, reordered;
+the tests require the two orders to agree.  An inner product is integral
+exactly when the dot product is divisible by |W_n| (by |W_a x W_b| for the
+reciprocity sum); a class function with `fractions.Fraction` values is
+scaled to integers by the lcm of their denominators first.  Only an
+induced value that is not integral is a `Fraction`.
 
 The price is the rank bound: nothing here is meant to run past
 ``ORACLE_BOUND`` (default 6, |W_6| = 46080).  Every rank-keyed cache checks
@@ -297,6 +296,14 @@ def _read_slots(total: int, width: int, count: int) -> list:
     return [(total >> shift & mask) - half for shift in range(0, width * count, width)]
 
 
+def _slot_width(norm_bits: int, largest: int) -> int:
+    """The slot width that :class:`_IntMatrix` proves for rows whose L1
+    norms have at most ``norm_bits`` bits and vectors with max|v_i| at most
+    ``largest``."""
+    bound = norm_bits + largest.bit_length() + 1
+    return max(8, 1 << (bound - 1).bit_length())
+
+
 class _IntMatrix:
     """An integer matrix whose products with integer vectors are computed
     exactly by one packed-integer dot product.
@@ -345,8 +352,7 @@ class _IntMatrix:
     def dots(self, values) -> list:
         """[row . values for row in rows], for a list of integers
         ``values`` indexed like the columns."""
-        bound = self._norm_bits + max(map(abs, values)).bit_length() + 1
-        width = max(8, 1 << (bound - 1).bit_length())
+        width = _slot_width(self._norm_bits, max(map(abs, values)))
         columns, offset = self.packed(width)
         total = sum(map(mul, columns, values)) + offset
         return _read_slots(total, width, self._count)
@@ -391,7 +397,7 @@ class CharacterTable:
     def _columns(self) -> _IntMatrix:
         """The rows as one matrix: packed at a width, its column C holds
         chi(C) in the slot of each irreducible chi, the vectors that
-        :class:`_Reciprocity` combines."""
+        :func:`_induced` combines."""
         return _IntMatrix(self.rows)
 
 
@@ -452,83 +458,58 @@ def _multiplicities(labels, totals, den: int) -> dict:
     return mults
 
 
-class _Reciprocity(_IntMatrix):
-    """Induction from W_a x W_b to W_{a+b} of chi x lambda, decomposed by
-    Frobenius reciprocity, for one class function lambda of W_b with
-    integer values ``second`` and any class function chi of W_a.
-
-    The matrix has a row per irreducible psi of W_{a+b} and a column per
-    class c of W_a, with entry |c| times the sum over the classes c' of W_b
-    of |c'| lambda(c') psi(fuse(c, c')), where (c, c') fuses into
-    fuse(c, c') (:func:`_induction_matrix`).  Row psi times the values of
-    chi is then the sum over the product classes D of |D| (chi x lambda)(D)
-    psi(fuse(D)) = |W_a||W_b| <chi x lambda, Res psi> = |W_a||W_b|
-    <Ind(chi x lambda), psi> (the characters of W_n are rational).
-
-    No row is built: column c is packed as |c| times the sum over c' of
-    |c'| lambda(c') times the packed column fuse(c, c') of the table of
-    W_{a+b} (``CharacterTable._columns``, psi(C) in slot psi), an exact
-    integer sum at any width.  The width is :class:`_IntMatrix`'s, proved
-    with the L1 norm of row psi bounded by |W_a||W_b| max|lambda| psi(1),
-    since |psi(C)| <= psi(1) and the sizes |D| sum to |W_a||W_b|.  For
-    characters chi and lambda, whose values are at most their degrees in
-    absolute value, slot psi is therefore at most |W_a||W_b| chi(1)
-    lambda(1) psi(1).
-    """
-
-    def __init__(self, a: int, b: int, second: tuple):
-        right = _classes(b)
-        if len(second) != len(right.labels):
-            raise ValueError(f"W_{b} has {len(right.labels)} classes, got {len(second)} values")
-        self._a = a
-        self._table = table = build_character_table(a + b)
-        self._targets = [c for c, _ in _induction_matrix(a, b)[0]]  # fuse(D), D in pair order
-        self._weights = list(map(mul, right.sizes, second))  # |c'| lambda(c')
-        self._order = group_order(a) * group_order(b)
-        # [W_{a+b} : W_a x W_b] lambda(1), the degree of Ind(chi x lambda) over chi(1)
-        self._degree_factor = group_order(a + b) // self._order * second[right.identity]
-        identity = _classes(a + b).identity
-        norm = self._order * max(map(abs, second)) * max(row[identity] for row in table.rows)
-        self._norm_bits = norm.bit_length()
-        self._count = len(table.rows)
-        self._packed = {}
-
-    def _pack(self, width: int) -> tuple:
-        columns, offset = self._table._columns.packed(width)
-        fused = [columns[c] for c in self._targets]
-        step = len(self._weights)
-        sizes = _classes(self._a).sizes
-        packed = [
-            size * sum(map(mul, self._weights, fused[i : i + step]))
-            for size, i in zip(sizes, range(0, len(fused), step))
-        ]
-        return packed, offset
-
-    def decompose(self, values: list) -> tuple:
-        """Ind(chi x lambda), chi with these values in canonical class
-        order of W_a: its multiplicities against the irreducibles of
-        W_{a+b} (as :func:`_decompose_values` gives them) and its degree,
-        [W_{a+b} : W_a x W_b] chi(1) lambda(1), since only the identity
-        product class fuses into the identity.  Raises ValueError unless
-        there is one value per class of W_a, or if a multiplicity is not
-        integral."""
-        left = _classes(self._a)
-        if len(values) != len(left.labels):
-            count = len(left.labels)
-            raise ValueError(f"W_{self._a} has {count} classes, got {len(values)} values")
-        degree = self._degree_factor * values[left.identity]
-        ints, scale = _integral(values)
-        return _multiplicities(self._table.labels, self.dots(ints), self._order * scale), degree
-
-
-@_rank_checked(lambda a, b, second: a + b)
+@_rank_checked(lambda l, s, second: l + s)
 @lru_cache(maxsize=None)
-def _reciprocity(a: int, b: int, second: tuple) -> _Reciprocity:
-    """The :class:`_Reciprocity` matrix of W_a x W_b <= W_{a+b} and the class
-    function of W_b with values ``second``, packed once per width: one
-    entry per (a, b, values), so callers pass the values of a linear
-    character (:func:`_linear_values`)."""
-    return _Reciprocity(a, b, second)
+def _induced(l: int, s: int, second: tuple) -> tuple:
+    """Ind from W_l x W_s to W_{l+s} of chi x lambda for every chi in
+    Irr(W_l), lambda the class function of W_s with integer values
+    ``second`` (a linear character's, :func:`_linear_values`, so names that
+    agree on W_s share the entry): per chi, in canonical label order, its
+    multiplicities against Irr(W_{l+s}) as :func:`_decompose_values` gives
+    them (shared, read only) and its degree [W_{l+s} : W_l x W_s] chi(1)
+    lambda(1), since only the identity product class fuses into the
+    identity.  Raises ValueError unless ``second`` has one value per class
+    of W_s, or if a multiplicity is not integral.
+
+    By Frobenius reciprocity (the characters of W_n are rational),
+    |W_l||W_s| <Ind(chi x lambda), psi> is the sum over the product classes
+    D of |D| (chi x lambda)(D) psi(fuse(D)) (:func:`_induction_matrix`),
+    that is the sum over the classes c of W_l of chi(c) P_c(psi), where
+    P_c(psi) = |c| times the sum over the classes c' of W_s of |c'|
+    lambda(c') psi(fuse(c, c')): induce-then-decompose, reordered; the tests
+    require the two orders to agree.  Each P_c is packed once for the
+    family, psi in slot psi, as that sum over the packed columns of the
+    table of W_{l+s} (``CharacterTable._columns``), and one packed
+    ``sum(map(mul))`` per chi gives all of chi's multiplicities.  The slot
+    width is :class:`_IntMatrix`'s: the L1 norm of row psi is at most
+    |W_l||W_s| max|lambda| psi(1), since |psi(C)| <= psi(1) and the sizes
+    |D| sum to |W_l||W_s|, and max|v| is the largest degree in Irr(W_l),
+    since |chi(c)| <= chi(1).  The packed P_c are dropped once the family
+    is built.
+    """
+    left, right = _classes(l), _classes(s)
+    if len(second) != len(right.labels):
+        raise ValueError(f"W_{s} has {len(right.labels)} classes, got {len(second)} values")
+    n, order = l + s, group_order(l) * group_order(s)
+    table, rows = build_character_table(n), build_character_table(l).rows
+    identity = _classes(n).identity
+    norm = order * max(map(abs, second)) * max(row[identity] for row in table.rows)
+    width = _slot_width(norm.bit_length(), max(row[left.identity] for row in rows))
+    columns, offset = table._columns.packed(width)
+    fused = [columns[c] for c, _ in _induction_matrix(l, s)[0]]  # fuse(D), D in pair order
+    weights = list(map(mul, right.sizes, second))  # |c'| lambda(c')
+    step = len(weights)
+    packed = [
+        size * sum(map(mul, weights, fused[i : i + step]))
+        for size, i in zip(left.sizes, range(0, len(fused), step))
+    ]
+    degree = group_order(n) // order * second[right.identity]
+    family = []
+    for row in rows:
+        total = sum(map(mul, packed, row)) + offset
+        mults = _multiplicities(table.labels, _read_slots(total, width, len(table.labels)), order)
+        family.append((mults, degree * row[left.identity]))
+    return tuple(family)
 
 
 @_rank_checked()

@@ -10,12 +10,13 @@ and an oracle rank past the bound raises RankBoundError.
 The oracle side works only with :mod:`howecorr.hyperoctahedral` and never
 calls the Pieri code it checks.  Its induced characters, Ind(chi x linear
 character) decomposed on W_{l+s}, come from one packed Frobenius
-reciprocity sum each (``hyperoctahedral._reciprocity``), with no induced
-class function built.  They are memoised once per distinct linear
-character, keyed by its values, and read both by the induction check and
-by the oracle coupling, which decomposes each term factor by factor, on
-W_r and on W_r' separately, and takes outer products instead of
-contracting a class function on W_r x W_r'.
+reciprocity sum each, with no induced class function built, one cached
+family per (l, s, values of the linear character)
+(``hyperoctahedral._induced``).  The induction check and the oracle
+coupling both read them by chi's position in Irr(W_l); the coupling
+decomposes each term factor by factor, on W_r and on W_r' separately, and
+accumulates the outer products into positions of Irr(W_r) x Irr(W_r')
+instead of contracting a class function on W_r x W_r'.
 
 The three table checks certify each cell store once: tables of one kind,
 ranks and convention share one (``unipotent._sum_entries``), so one sweep
@@ -38,9 +39,9 @@ from .errors import NonUniqueExtremeError
 from .hyperoctahedral import (
     _check_rank,
     _classes,
+    _induced,
     _IntMatrix,
     _linear_values,
-    _reciprocity,
     build_character_table,
     group_order,
     tensor_label_map,
@@ -62,7 +63,7 @@ from .lusztig import (
     transport_series,
     transport_support,
 )
-from .partitions import Bipartition, _bipartition_index, bipartition, bipartitions_of
+from .partitions import _bipartition_index, bipartition, bipartitions_of
 from .unipotent import (
     DEFAULT_SGN_CONVENTION,
     SGN_CONVENTIONS,
@@ -111,45 +112,26 @@ def _check_sizes(**sizes) -> None:
 # induction: Pieri rule vs explicit induced class functions
 
 
-# Keys are (chi, s, values) with |chi| + s <= ORACLE_BOUND: check_induction
-# and check_omega check their rank before they read this cache.
-@lru_cache(maxsize=None)
-def _induced(chi: Bipartition, s: int, linear: tuple) -> tuple:
-    """Ind from W_l x W_s to W_{l+s} of chi_chi tensor the linear character
-    of W_s with values ``linear`` (``_linear_values(s, which)``): its
-    decomposition (read only, it is shared) and its degree,
-    [W_{l+s} : W_l x W_s] chi(1).  The multiplicities come from one packed
-    Frobenius reciprocity sum over the classes of W_l
-    (``hyperoctahedral._reciprocity``), the sum of inducing over the
-    class-fusion map and decomposing on W_{l+s}, reordered; the tests, and
-    at b-rank 8 the opt-in test, require the two orders to agree.
-
-    The key is the values, not the name: linear characters that agree on
-    W_s give one entry.  On W_0 all of them are (1,), and on W_1
-    sign_changes and coxeter_sign are both (1, -1); from W_2 on the four
-    differ.  So check_induction(6) compares 843 names against 491
-    inductions."""
-    f = build_character_table(chi.size).rows[_bipartition_index(chi.size)[chi]]
-    return _reciprocity(chi.size, s, linear).decompose(f)
-
-
 def check_induction(max_rank: int = 5) -> CheckResult:
     """Compare pieri_induction against the oracle's decomposition of the
-    induced character (``_induced``) for every chi in Irr(W_l), every split
-    l + s = r <= max_rank, and both choices of the second factor (trivial,
-    and sgn in both conventions)."""
+    induced character (``hyperoctahedral._induced``) for every chi in
+    Irr(W_l), every split l + s = r <= max_rank, and both choices of the
+    second factor (trivial, and sgn in both conventions).  The oracle's
+    families are keyed by the values of the linear character, not its name:
+    on W_0 all names agree, and on W_1 sign_changes and coxeter_sign do, so
+    check_induction(6) compares 843 names against 64 families."""
     name = "induction-oracle equivalence"
     _check_rank(max_rank)
     compared = 0
-    cases = [("trivial", DEFAULT_SGN_CONVENTION)]
-    cases += [("sgn", conv) for conv in SGN_CONVENTIONS]
+    cases = [("trivial", "trivial", DEFAULT_SGN_CONVENTION)]
+    cases += [("sgn", conv, conv) for conv in SGN_CONVENTIONS]
     for r in range(max_rank + 1):
         for l in range(r + 1):
             s = r - l
-            for chi in bipartitions_of(l):
-                for second, conv in cases:
-                    which = "trivial" if second == "trivial" else conv
-                    got = _induced(chi, s, _linear_values(s, which))[0]
+            families = [_induced(l, s, _linear_values(s, which)) for _, which, _ in cases]
+            for i, chi in enumerate(bipartitions_of(l)):
+                for (second, which, conv), family in zip(cases, families):
+                    got = family[i][0]
                     want = {bp: 1 for bp in pieri_induction(chi, s, second, conv)}
                     if got != want:
                         return _fail(
@@ -192,7 +174,7 @@ def check_character_tables(max_rank: int = 6) -> CheckResult:
 
 # Keys are (r, r', kind, convention) with r, r' <= ORACLE_BOUND (checked by check_omega).
 @lru_cache(maxsize=None)
-def _oracle_omega(r: int, r_prime: int, first_kind: bool, convention: str):
+def _oracle_omega(r: int, r_prime: int, first_kind: bool, convention: str) -> tuple:
     """Oracle-side coupling: the sum over l and chi in Irr(W_l) of
     Ind(chi x second) tensor Ind(sgn_l chi x 1), second the trivial
     character (first kind) or sgn (second kind), decomposed into
@@ -200,37 +182,30 @@ def _oracle_omega(r: int, r_prime: int, first_kind: bool, convention: str):
 
     No class function on W_r x W_r' is built: since
     <L tensor R, chi_a x chi_b> = <L, chi_a> <R, chi_b>, each term
-    contributes the outer product of the decompositions of its two honestly
-    induced factors, on W_r and on W_r' separately.  The label of sgn_l chi
-    comes from tensor_label_map, which decomposes the actual pointwise
-    product.  Returns the multiplicities of the pairs (a, b) and the degree
-    of the coupling, its value at the identity pair: the sum over the terms
-    of the products of the two induced degrees."""
+    contributes the outer product of the decompositions of its two induced
+    factors, on W_r and on W_r' separately (``hyperoctahedral._induced``,
+    one family per l and side).  The label of sgn_l chi comes from
+    tensor_label_map, which decomposes the actual pointwise product.
+    Returns the cells as sorted (row, column, multiplicity) triples of
+    positions in Irr(W_r) x Irr(W_r'), canonical order (the order of a
+    table's row-sorted copy, unipotent._Entries._csr), and the degree of the
+    coupling, its value at the identity pair: the sum over the terms of the
+    products of the two induced degrees."""
     which = "trivial" if first_kind else convention
+    rows, cols = _bipartition_index(r), _bipartition_index(r_prime)
     counts = Counter()
     degree = 0
     for l in range(min(r, r_prime) + 1):
-        twist = tensor_label_map(l, convention)
-        left_linear = _linear_values(r - l, which)
-        right_linear = _linear_values(r_prime - l, "trivial")
-        for chi in bipartitions_of(l):
-            left, left_degree = _induced(chi, r - l, left_linear)
-            right, right_degree = _induced(twist[chi], r_prime - l, right_linear)
-            for a, mult_a in left.items():
-                for b, mult_b in right.items():
-                    counts[a, b] += mult_a * mult_b
+        twist, index = tensor_label_map(l, convention), _bipartition_index(l)
+        left = _induced(l, r - l, _linear_values(r - l, which))
+        right = _induced(l, r_prime - l, _linear_values(r_prime - l, "trivial"))
+        for chi, (left_mults, left_degree) in zip(bipartitions_of(l), left):
+            right_mults, right_degree = right[index[twist[chi]]]
+            for a, mult_a in left_mults.items():
+                for b, mult_b in right_mults.items():
+                    counts[rows[a], cols[b]] += mult_a * mult_b
             degree += left_degree * right_degree
-    return dict(counts), degree
-
-
-@lru_cache(maxsize=None)
-def _oracle_index_entries(r: int, r_prime: int, first_kind: bool, convention: str) -> tuple:
-    """The cells of _oracle_omega as sorted (row, column, multiplicity)
-    triples of positions in Irr(W_r) x Irr(W_r'), canonical order: the
-    order of a table's row-sorted copy (unipotent._Entries._csr)."""
-    rows, cols = _bipartition_index(r), _bipartition_index(r_prime)
-    want, _ = _oracle_omega(r, r_prime, first_kind, convention)
-    return tuple(sorted((rows[a], cols[b], mult) for (a, b), mult in want.items()))
+    return tuple(sorted((i, j, mult) for (i, j), mult in counts.items())), degree
 
 
 def _series_contexts(k: int, k_prime: int, r: int, r_prime: int):
@@ -287,7 +262,7 @@ def check_omega(
         # the row-sorted copy that rows, lookups and both renderers read
         starts, columns, mults = got.entries._csr
         cells = tuple(zip(_cell_rows(starts), columns, mults))
-        want = _oracle_index_entries(r, r_prime, first_kind, convention)
+        want, oracle_degree = _oracle_omega(r, r_prime, first_kind, convention)
         if (got.row_labels, got.col_labels, cells) != (labels[r], labels[r_prime], want):
             return _fail(
                 name,
@@ -295,7 +270,6 @@ def check_omega(
             )
         deg_r, deg_rp = degrees[r], degrees[r_prime]
         degree = sum(mult * deg_r[i] * deg_rp[j] for i, j, mult in cells)
-        oracle_degree = _oracle_omega(r, r_prime, first_kind, convention)[1]
         if degree != oracle_degree:
             return _fail(name, f"degree identity fails at k={k}, r={r}, r'={r_prime}")
         tables += count

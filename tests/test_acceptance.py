@@ -20,7 +20,7 @@ from howecorr.lusztig import (
     GLCuspidal,
     transport_support,
 )
-from howecorr.partitions import bipartition, bipartitions_of
+from howecorr.partitions import _bipartition_index, bipartition, bipartitions_of
 from howecorr.unipotent import (
     SGN_CONVENTIONS,
     SeriesLabel,
@@ -182,7 +182,7 @@ def test_criterion_5b_every_label_nonempty_at_first_occurrence(capsys):
                 f"(c) {convention}: image of 1|- is {got_triv}, not [(k'=0, -|-, 1)]"
             )
         oracle, _ = _oracle_omega(1, 0, True, convention)
-        if any(row == sgn for row, _ in oracle):
+        if any(row == _bipartition_index(1)[sgn] for row, _, _ in oracle):
             violations.append(f"(c) {convention}: oracle row of -|1 is nonempty")
 
     passed = not violations

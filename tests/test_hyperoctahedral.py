@@ -138,10 +138,8 @@ class TestClasses:
         monkeypatch.setattr(hyperoctahedral, "ORACLE_BOUND", 7)
         tensor_label_map(7, "trivial")
         _linear_values(7, "sign_changes")
-        chi = bipartition((3,), (2, 1))
-        verify._induced(chi, 1, _linear_values(1, "trivial"))
+        hyperoctahedral._induced(6, 1, (1, 1))
         verify._oracle_omega(7, 0, True, "coxeter_sign")
-        hyperoctahedral._reciprocity(6, 1, (1, 1))
         monkeypatch.setattr(hyperoctahedral, "ORACLE_BOUND", 6)
         hyperoctahedral._classes.cache_clear()
         calls = [
@@ -151,7 +149,7 @@ class TestClasses:
             lambda: _linear_values(7, "sign_changes"),
             lambda: hyperoctahedral._pair_labels(0, 7),
             lambda: hyperoctahedral._induction_matrix(6, 1),
-            lambda: hyperoctahedral._reciprocity(6, 1, (1, 1)),
+            lambda: hyperoctahedral._induced(6, 1, (1, 1)),
             lambda: verify.check_induction(7),
             lambda: verify.check_omega(7),
         ]
@@ -228,7 +226,8 @@ class TestCharacterTable:
             assert table._weighted.rows == weighted
 
     def test_bipartition_index_is_the_row_order(self):
-        # verify._induced finds a row by _bipartition_index, not labels.index
+        # verify._oracle_omega finds an induced family's entry by
+        # _bipartition_index, not labels.index
         for n in range(7):
             labels = build_character_table(n).labels
             assert _bipartition_index(n) == {bp: i for i, bp in enumerate(labels)}
@@ -251,30 +250,25 @@ class TestClassFunctions:
             with pytest.raises(ValueError, match=message):
                 _decompose_values(2, values)
 
-    def test_reciprocity_requires_full_support(self):
-        # chi on W_2 and the second factor on W_1, each one value short or
-        # past its classes; zip would cut them
-        reciprocity = hyperoctahedral._reciprocity
-        for values in ([1] * 4, [1] * 6):
-            message = f"^W_2 has 5 classes, got {len(values)} values$"
-            with pytest.raises(ValueError, match=message):
-                reciprocity(2, 1, (1, 1)).decompose(values)
+    def test_induced_requires_full_support(self):
+        # the second factor on W_1, one value short of or past its classes;
+        # zip would cut it
         for second in ((1,), (1, 1, 1)):
             message = f"^W_1 has 2 classes, got {len(second)} values$"
             with pytest.raises(ValueError, match=message):
-                reciprocity(2, 1, second)
+                hyperoctahedral._induced(2, 1, second)
 
-    def test_reciprocity_rejects_non_virtual(self):
-        # Ind from W_1 x W_1 of chi x trivial: chi = (1, 0) is no virtual
-        # character, and neither is half the trivial character; the class-
-        # fusion route names the same inner product
-        message = "^not a virtual character: <f, chi_.*> = 1/2$"
-        for values in ([1, 0], [Fraction(1, 2)] * 2):
-            with pytest.raises(ValueError, match=message) as got:
-                hyperoctahedral._reciprocity(1, 1, (1, 1)).decompose(values)
-            with pytest.raises(ValueError, match=message) as want:
-                _decompose_values(2, _induce_values(1, 1, _outer(values, (1, 1))))
-            assert str(got.value) == str(want.value)
+    def test_induced_rejects_non_virtual(self, monkeypatch):
+        # a wrong class size of W_1 under the reciprocity sum: Ind from
+        # W_0 x W_1 of the trivial character, weighted (2, 1) instead of
+        # (1, 1), has <f, chi> = 3/2 against the trivial character of W_1
+        build_character_table(1)  # built and certified with the real sizes
+        real = hyperoctahedral._classes
+        wrong = real(1)._replace(sizes=(2, 1))
+        monkeypatch.setattr(hyperoctahedral, "_classes", lambda n: wrong if n == 1 else real(n))
+        message = r"^not a virtual character: <f, chi_Bipartition\(alpha=\(1,\), beta=\(\)\)> = 3/2$"
+        with pytest.raises(ValueError, match=message):
+            hyperoctahedral._induced.__wrapped__(0, 1, (1, 1))
 
 
 class TestInduction:
@@ -403,29 +397,20 @@ def test_induced_characters_decompose_as_the_label_keyed_reference(data):
         assert all(isinstance(v, Fraction) == (Fraction(v).denominator > 1) for v in got)
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_reciprocity_matches_induce_then_decompose(data):
-    # one packed reciprocity sum against induction over the class-fusion map
-    # followed by decomposition on W_{l+s}: the same finite sum, reordered;
-    # chi, a fraction of it, or an integer multiple of it, with every linear
-    # character of W_s
-    l = data.draw(st.integers(0, 6), label="l")
-    s = data.draw(st.integers(0, 6 - l), label="s")
-    chi = data.draw(st.sampled_from(bipartitions_of(l)), label="chi")
-    scale = data.draw(st.sampled_from((1, -3, Fraction(1, 2), Fraction(2, 3))), label="scale")
-    values = _scaled(_row(l, chi), scale)
-    for which in LINEAR_CHARACTERS:
-        linear = _linear_values(s, which)
-        induced = _induce_values(l, s, _outer(values, linear))
-        try:
-            want = _decompose_values(l + s, induced), _degree(l + s, induced)
-        except ValueError as err:
-            with pytest.raises(ValueError) as got:
-                hyperoctahedral._reciprocity(l, s, linear).decompose(values)
-            assert str(got.value) == str(err)
-        else:
-            assert hyperoctahedral._reciprocity(l, s, linear).decompose(values) == want
+def test_reciprocity_matches_induce_then_decompose():
+    # every family of packed reciprocity sums against induction over the
+    # class-fusion map followed by decomposition on W_{l+s}: the same finite
+    # sum, reordered; every chi, l + s <= 6, every linear character of W_s
+    compared = 0
+    for l in range(7):
+        for s, which in itertools.product(range(7 - l), LINEAR_CHARACTERS):
+            linear = _linear_values(s, which)
+            family = hyperoctahedral._induced(l, s, linear)
+            for row, got in zip(build_character_table(l).rows, family, strict=True):
+                induced = _induce_values(l, s, _outer(row, linear))
+                assert got == (_decompose_values(l + s, induced), _degree(l + s, induced))
+                compared += 1
+    assert compared == 1124
 
 
 class TestDecompose:

@@ -24,7 +24,7 @@ from howecorr.hyperoctahedral import (
     tensor_label_map,
 )
 from howecorr.lusztig import TRIVIAL_GL, CentralizerFactor, GLCuspidal, trivial_descriptor
-from howecorr.partitions import Partition, bipartition, bipartitions_of
+from howecorr.partitions import Partition, _bipartition_index, bipartition, bipartitions_of
 from howecorr.unipotent import SGN_CONVENTIONS, MultiplicityTable, TowerContext
 from howecorr.verify import (
     CheckResult,
@@ -81,39 +81,39 @@ def test_rank_bound_is_the_oracle_bound():
 )
 def test_oracle_certifies_b_rank_eight():
     """Tables, induction and omega in both conventions at b-rank 8, with the
-    bound raised in a fresh interpreter; then every distinct induction key
-    of check_induction(8) is induced and decomposed on the class-fusion
-    route as well, which must agree with the reciprocity sum that _induced
-    reads (about 3 s in all on a 2-core host)."""
+    bound raised in a fresh interpreter; then every induced family that
+    check_induction(8) reads is compared, chi by chi, with induction on the
+    class-fusion route followed by decomposition (about 3 s in all on a
+    2-core host)."""
     script = textwrap.dedent(
         """\
         from howecorr import hyperoctahedral as h, verify
-        from howecorr.partitions import _bipartition_index, bipartitions_of
         h.ORACLE_BOUND = 8
         results = [verify.check_character_tables(8), verify.check_induction(8)]
-        print(verify._induced.cache_info().currsize)
+        print(h._induced.cache_info().currsize)
         results += [verify.check_omega(8, convention=c) for c in verify.SGN_CONVENTIONS]
         print("\\n".join(r.line() for r in results))
         keys = {
-            (chi, r - l, h._linear_values(r - l, which))
+            (l, r - l, h._linear_values(r - l, which))
             for r in range(9)
             for l in range(r + 1)
-            for chi in bipartitions_of(l)
             for which in ("trivial",) + verify.SGN_CONVENTIONS
         }
-        for chi, s, linear in keys:
-            n = chi.size + s
-            row = h.build_character_table(chi.size).rows[_bipartition_index(chi.size)[chi]]
-            induced = h._induce_values(chi.size, s, h._outer(row, linear))
-            want = h._decompose_values(n, induced), induced[h._classes(n).identity]
-            assert verify._induced(chi, s, linear) == want, (chi, s, linear)
-        print(len(keys), "keys agree")
+        compared = 0
+        for l, s, linear in keys:
+            family = h._induced(l, s, linear)
+            for row, got in zip(h.build_character_table(l).rows, family, strict=True):
+                induced = h._induce_values(l, s, h._outer(row, linear))
+                want = h._decompose_values(l + s, induced), induced[h._classes(l + s).identity]
+                assert got == want, (l, s, linear, row)
+                compared += 1
+        print(len(keys), "families,", compared, "inductions agree")
         """
     )
     lines = _run_fresh(script).splitlines()
-    # 2892 comparisons, 1775 distinct inductions (see test_induced_is_keyed_by_values)
+    # 2892 comparisons against 109 families (see test_induced_is_keyed_by_values)
     assert lines == [
-        "1775",
+        "109",
         "PASS character-table certification: tables W_0..W_8 certified both ways",
         "PASS induction-oracle equivalence: 2892 induced characters matched (rank <= 8)",
         *(
@@ -121,7 +121,7 @@ def test_oracle_certifies_b_rank_eight():
             f"(k <= 3, b-rank <= 8, {convention})"
             for convention in SGN_CONVENTIONS
         ),
-        "1775 keys agree",
+        "109 families, 1775 inductions agree",
     ]
 
 
@@ -144,8 +144,10 @@ def test_oracle_omega_matches_the_product_reference(first_kind, convention):
             want, product = reference_oracle.oracle_omega(
                 r, r_prime, first_kind, convention
             )
+            rows, cols = _bipartition_index(r), _bipartition_index(r_prime)
+            cells = sorted((rows[a], cols[b], mult) for (a, b), mult in want.items())
             got, degree = _oracle_omega(r, r_prime, first_kind, convention)
-            assert got == want, (r, r_prime)
+            assert got == tuple(cells), (r, r_prime)
             identity = reference_oracle.identity(r), reference_oracle.identity(r_prime)
             assert degree == product[identity]
 
@@ -162,17 +164,15 @@ def test_oracle_matches_the_label_keyed_reference():
         for bp, row in zip(table.labels, table.rows):
             assert list(zip(classes.labels, row)) == list(want[bp].items())
             assert all(type(v) is int for v in row)
-    keys = [
-        (chi, r - chi.size, which)
-        for r in range(7)
-        for l in range(r + 1)
-        for chi in bipartitions_of(l)
-        for which in ("trivial",) + SGN_CONVENTIONS
-    ]
-    assert len(keys) == 843
-    for chi, s, which in keys:
-        got = verify._induced.__wrapped__(chi, s, _linear_values(s, which))
-        assert got == reference_oracle.induced(chi, s, which), (chi, s, which)
+    compared = 0
+    for r in range(7):
+        for l in range(r + 1):
+            for which in ("trivial",) + SGN_CONVENTIONS:
+                family = hyperoctahedral._induced.__wrapped__(l, r - l, _linear_values(r - l, which))
+                for chi, got in zip(bipartitions_of(l), family, strict=True):
+                    assert got == reference_oracle.induced(chi, r - l, which), (chi, which)
+                    compared += 1
+    assert compared == 843
 
 
 def test_induced_is_keyed_by_values():
@@ -183,10 +183,10 @@ def test_induced_is_keyed_by_values():
     assert _linear_values(1, "trivial") == (1, 1)
     for s in range(2, 7):
         assert len({_linear_values(s, which) for which in LINEAR_CHARACTERS}) == 4, s
-    verify._induced.cache_clear()
+    hyperoctahedral._induced.cache_clear()
     result = verify.check_induction(6)
     assert result.detail == "843 induced characters matched (rank <= 6)"
-    assert verify._induced.cache_info().currsize == 491
+    assert hyperoctahedral._induced.cache_info().currsize == 64
 
 
 @pytest.mark.parametrize("max_b_rank, tables, stores", [(4, 200, 50), (6, 392, 98)])
@@ -229,11 +229,11 @@ def test_oracle_never_calls_pieri_code(monkeypatch):
         "_coupling_row",
         "omega_unipotent",
     )
-    for module in (partitions, unipotent, verify):
+    for module in (partitions, unipotent, hyperoctahedral, verify):
         for name in names:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
-    verify._induced.cache_clear()
+    hyperoctahedral._induced.cache_clear()
     for first_kind in (True, False):
         for convention in SGN_CONVENTIONS:
             verify._oracle_omega.__wrapped__(3, 3, first_kind, convention)
@@ -248,12 +248,12 @@ def test_sgn_induction_is_the_twist_of_trivial_induction():
         for convention in SGN_CONVENTIONS:
             twist_n = tensor_label_map(n, convention)
             for l in range(n + 1):
-                twist_l = tensor_label_map(l, convention)
-                for chi in bipartitions_of(l):
-                    s = n - l
-                    trivial = verify._induced(twist_l[chi], s, _linear_values(s, "trivial"))[0]
-                    want = {twist_n[bp]: mult for bp, mult in trivial.items()}
-                    assert verify._induced(chi, s, _linear_values(s, convention))[0] == want
+                twist_l, index, s = tensor_label_map(l, convention), _bipartition_index(l), n - l
+                trivial = hyperoctahedral._induced(l, s, _linear_values(s, "trivial"))
+                sgn = hyperoctahedral._induced(l, s, _linear_values(s, convention))
+                for chi, (got, _) in zip(bipartitions_of(l), sgn):
+                    mults = trivial[index[twist_l[chi]]][0]
+                    assert got == {twist_n[bp]: mult for bp, mult in mults.items()}
                     cases += 1
     assert cases == 562
 
@@ -376,16 +376,23 @@ def _shifted_identity(classes):
 
 
 def _swapped_block(real):
-    # the packed restriction, built uncached, with the fused classes of the
-    # first two product classes of its last block swapped
-    def reciprocity(a, b, second):
-        matrix = hyperoctahedral._Reciprocity(a, b, second)
-        targets = matrix._targets
-        i = len(targets) - len(second)
-        targets[i : i + 2] = reversed(targets[i : i + 2])
-        return matrix
+    # the family, computed uncached over a fusion map whose last block has
+    # the fused classes of its first two product classes swapped
+    fusion = hyperoctahedral._induction_matrix
 
-    return reciprocity
+    def swapped(a, b):
+        targets, size = fusion(a, b)
+        targets = list(targets)
+        i = len(targets) - len(_classes(b).labels)
+        targets[i : i + 2] = reversed(targets[i : i + 2])
+        return targets, size
+
+    def induced(l, s, second):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hyperoctahedral, "_induction_matrix", swapped)
+            return real.__wrapped__(l, s, second)
+
+    return induced
 
 
 def _first_kind_cells(real):
@@ -419,17 +426,6 @@ def _wrong_rank_table(real):
         return real(ctx, ctx_p, k, convention=convention)
 
     return omega_unipotent
-
-
-def _uncached_induction(max_rank):
-    # check_induction from an empty _induced cache, emptied again after, so
-    # that a fault planted under the cache is reached and none of its
-    # results outlives the plant
-    verify._induced.cache_clear()
-    try:
-        return verify.check_induction(max_rank)
-    finally:
-        verify._induced.cache_clear()
 
 
 EMPTY = "Bipartition(alpha=(), beta=())"
@@ -466,9 +462,9 @@ PLANTED_FAULTS = [
         id="induction",
     ),
     pytest.param(
-        "_reciprocity",
+        "_induced",
         _swapped_block,
-        lambda: _uncached_induction(2),
+        lambda: verify.check_induction(2),
         f"Ind(chi_{EMPTY} x coxeter_sign) to W_1: rule gives "
         "{Bipartition(alpha=(), beta=(1,)): 1}, "
         "oracle gives {Bipartition(alpha=(), beta=(1,)): -1}",
