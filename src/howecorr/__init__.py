@@ -26,20 +26,15 @@ _EXPORTS = {
         "EigenvalueOrbit",
         "GLCuspidal",
         "GenericCuspidal",
-        "LusztigCoordinates",
         "OmegaFullDecomposition",
         "SemisimpleDescriptor",
         "UnipotentCuspidal",
         "centralizer_decomposition",
-        "coordinates_in",
-        "coordinates_out",
         "match_semisimple",
         "omega_full",
         "orbit_closure",
         "transport_series",
         "transport_support",
-        "trivial_descriptor",
-        "weyl_of_cuspidal_pair",
     ),
     "partitions": (
         "Bipartition",

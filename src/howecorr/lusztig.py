@@ -30,7 +30,6 @@ from .errors import InternalCheckError
 from .unipotent import (
     DEFAULT_SGN_CONVENTION,
     MultiplicityTable,
-    SeriesLabel,
     TowerContext,
     _validate_series,
     is_odd_prime_power,
@@ -166,16 +165,6 @@ class SemisimpleDescriptor:
         }
 
 
-def trivial_descriptor(q: int, n: int, modulus: int | None = None) -> SemisimpleDescriptor:
-    """The identity class in dimension n: eigenvalue 1 with multiplicity n."""
-    if modulus is None:
-        modulus = q * q - 1
-    orbits = ()
-    if n:
-        orbits = (orbit_closure(q, modulus, 0, n),)
-    return SemisimpleDescriptor(q, modulus, orbits)
-
-
 @dataclass(frozen=True)
 class CentralizerFactor:
     """One factor of the centralizer away from eigenvalue 1: a general
@@ -265,44 +254,6 @@ def match_semisimple(
     if nu1:
         orbits.append(orbit_closure(s.q, s.modulus, 0, nu1))
     return SemisimpleDescriptor(s.q, s.modulus, tuple(orbits))
-
-
-@dataclass(frozen=True)
-class LusztigCoordinates:
-    """Coordinates of a series member through the reduction: one opaque
-    unipotent label per centralizer factor away from eigenvalue 1 (a
-    partition for a linear factor, a cuspidal index plus bipartition for a
-    unitary one), the series label of the reduced unipotent block, and the
-    index drop l.  Moving in and out of coordinates is a relabelling; no
-    character computation is involved."""
-
-    hash_part_label: tuple
-    unipotent_part: SeriesLabel
-    reduction_l: int
-
-
-def coordinates_in(member, dec: CentralizerDecomposition) -> LusztigCoordinates:
-    """Split an ambient series label (hash labels, reduced series label)
-    into reduction coordinates for the decomposition ``dec``."""
-    hash_labels, unipotent = member
-    coords = LusztigCoordinates(tuple(hash_labels), unipotent, dec.l)
-    coordinates_out(coords, dec)  # checks the factor count
-    return coords
-
-
-def coordinates_out(coords: LusztigCoordinates, dec: CentralizerDecomposition):
-    """Inverse of :func:`coordinates_in`; together they are the identity on
-    labels."""
-    if len(coords.hash_part_label) != len(dec.factors):
-        raise ValueError(
-            f"{len(coords.hash_part_label)} factor labels given, centralizer "
-            f"has {len(dec.factors)} factors away from eigenvalue 1"
-        )
-    if coords.reduction_l != dec.l:
-        raise ValueError(
-            f"coordinates carry drop {coords.reduction_l}, decomposition has {dec.l}"
-        )
-    return (coords.hash_part_label, coords.unipotent_part)
 
 
 TRIVIAL_GL_LABEL = "1"
@@ -480,14 +431,6 @@ class CuspidalPair:
     def gl_size(self) -> int:
         return sum(e.size for e in self.gl_part)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "gl_part": [e.to_json_dict() for e in self.gl_part],
-            "torus_rank": self.torus_rank,
-            "base_k": self.base_k,
-            "semisimple": self.semisimple.to_json_dict(),
-        }
-
 
 def _check_pair(pair: CuspidalPair, ctx: TowerContext) -> int:
     """Check ``pair`` against the group of ``ctx``; return the non-unit
@@ -537,20 +480,6 @@ def transport_series(
     gl_part = _transported_gl(pair.gl_part, ctx_prime.witt_index - first, "series")
     s_prime = match_semisimple(pair.semisimple, ctx, ctx_prime)
     return CuspidalPair(gl_part, k_prime, s_prime)
-
-
-def weyl_of_cuspidal_pair(pair: CuspidalPair, ctx: TowerContext) -> tuple:
-    """Shape of the relative Weyl group of the series: the factors of the
-    centralizer away from eigenvalue 1 (symbolic, never instantiated) and
-    the type-B rank r = m - l - m(k)."""
-    _check_pair(pair, ctx)
-    dec = centralizer_decomposition(pair.semisimple, ctx)
-    r = ctx.witt_index - dec.l - witt_index_of_cuspidal(pair.base_k)
-    if r != pair.torus_rank:
-        raise InternalCheckError(
-            f"type-B rank {r} disagrees with the torus rank {pair.torus_rank}"
-        )
-    return dec.factors, r
 
 
 @dataclass(frozen=True)

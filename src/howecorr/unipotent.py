@@ -835,8 +835,9 @@ def theta_images(
 ) -> list:
     """Image of one series member under the correspondence: the labelled
     columns of its table row, with multiplicities, in canonical column
-    order.  Empty below the partner's first occurrence.  The row is computed
-    in closed form; no table is built."""
+    order.  Empty below the partner's first occurrence, and for a row that
+    is empty in a nonzero table (see row_nonempty).  The row is computed in
+    closed form; no table is built."""
     # every check of omega_unipotent, in the same order, then the label size
     _check_convention(convention)
     r, k_prime, r_prime = _series_ranks(
@@ -872,7 +873,14 @@ def extremal_images(
     """
     images = theta_images(pi, ctx, ctx_prime, convention=convention)
     if not images:
-        raise ValueError(f"image of {pi} is empty (below first occurrence)")
+        k_prime = theta_cuspidal(pi.k, ctx_prime.dim_parity)
+        first = witt_index_of_cuspidal(k_prime)
+        if ctx_prime.witt_index < first:
+            reason = f"below first occurrence: m' < {first} = m({k_prime})"
+        else:
+            r, r_prime = pi.char_label.size, ctx_prime.witt_index - first
+            reason = f"its row of the nonzero table at r={r}, r'={r_prime} is empty"
+        raise ValueError(f"image of {pi} is empty ({reason})")
     return _image_extremes(pi, images[0][0].k, [sl.char_label for sl, _ in images])
 
 

@@ -13,26 +13,27 @@ from howecorr.lusztig import (
     EigenvalueOrbit,
     GenericCuspidal,
     GLCuspidal,
-    LusztigCoordinates,
     SemisimpleDescriptor,
     UnipotentCuspidal,
     centralizer_decomposition,
-    coordinates_in,
-    coordinates_out,
     match_semisimple,
     omega_full,
     orbit_closure,
     transport_series,
     transport_support,
-    trivial_descriptor,
-    weyl_of_cuspidal_pair,
 )
 from howecorr.partitions import Bipartition, bipartition
-from howecorr.unipotent import SeriesLabel, TowerContext, omega_unipotent
+from howecorr.unipotent import TowerContext, omega_unipotent
 
 
 def descriptor(*orbits, q=3, modulus=8):
     return SemisimpleDescriptor(q, modulus, tuple(orbits))
+
+
+def identity_class(q, n, modulus=None):
+    """The identity class in dimension n: eigenvalue 1 with multiplicity n."""
+    modulus = modulus or q * q - 1
+    return SemisimpleDescriptor(q, modulus, (orbit_closure(q, modulus, 0, n),) if n else ())
 
 
 class TestOrbits:
@@ -114,13 +115,6 @@ class TestDescriptors:
         with pytest.raises(ValueError, match="not an odd prime power"):
             SemisimpleDescriptor(4, 15, ())
 
-    def test_trivial_descriptor(self):
-        s = trivial_descriptor(3, 5)
-        assert s.dimension == 5
-        assert s.unit_multiplicity == 5
-        assert s.non_unit_orbits == ()
-        assert trivial_descriptor(3, 0).orbits == ()
-
     def test_json(self):
         s = descriptor(orbit_closure(3, 8, 4, 2), orbit_closure(3, 8, 0))
         got = s.to_json_dict()
@@ -136,7 +130,7 @@ class TestDescriptors:
 
 class TestCentralizers:
     def test_trivial_class(self):
-        dec = centralizer_decomposition(trivial_descriptor(3, 5), TowerContext(2, 1, 3))
+        dec = centralizer_decomposition(identity_class(3, 5), TowerContext(2, 1, 3))
         factors, block, l = dec
         assert factors == ()
         assert block == TowerContext(2, 1, 3)
@@ -158,11 +152,11 @@ class TestCentralizers:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            centralizer_decomposition(trivial_descriptor(3, 4), TowerContext(2, 1, 3))
+            centralizer_decomposition(identity_class(3, 4), TowerContext(2, 1, 3))
 
     def test_field_mismatch(self):
         with pytest.raises(ValueError):
-            centralizer_decomposition(trivial_descriptor(3, 5), TowerContext(2, 1, 5))
+            centralizer_decomposition(identity_class(3, 5), TowerContext(2, 1, 5))
 
     def test_factor_kind_validation(self):
         with pytest.raises(ValueError):
@@ -190,31 +184,7 @@ class TestMatching:
 
     def test_wrong_ambient_dimension(self):
         with pytest.raises(ValueError):
-            match_semisimple(trivial_descriptor(3, 3), TowerContext(2, 0, 3), TowerContext(2, 1, 3))
-
-
-class TestCoordinates:
-    def setup_method(self):
-        s = descriptor(orbit_closure(3, 8, 0, 3), orbit_closure(3, 8, 4, 2))
-        self.dec = centralizer_decomposition(s, TowerContext(2, 1, 3))
-
-    def test_round_trip(self):
-        member = (("2",), SeriesLabel(0, bipartition((1,), ())))
-        coords = coordinates_in(member, self.dec)
-        assert coords.reduction_l == self.dec.l
-        assert coordinates_out(coords, self.dec) == member
-
-    def test_label_count_mismatch(self):
-        with pytest.raises(ValueError):
-            coordinates_in(((), SeriesLabel(0, bipartition((), ()))), self.dec)
-        bad = LusztigCoordinates(("2", "1,1"), SeriesLabel(0, bipartition((), ())), self.dec.l)
-        with pytest.raises(ValueError):
-            coordinates_out(bad, self.dec)
-
-    def test_drop_mismatch(self):
-        bad = LusztigCoordinates(("2",), SeriesLabel(0, bipartition((), ())), self.dec.l + 1)
-        with pytest.raises(ValueError):
-            coordinates_out(bad, self.dec)
+            match_semisimple(identity_class(3, 3), TowerContext(2, 0, 3), TowerContext(2, 1, 3))
 
 
 class TestCuspidalData:
@@ -331,7 +301,7 @@ class TestTransportSupport:
 def unipotent_pair(torus_rank, k, q=3):
     gl = (TRIVIAL_GL,) * torus_rank
     n = 2 * torus_rank + (k * (k + 1)) // 2
-    return CuspidalPair(gl, k, trivial_descriptor(q, n))
+    return CuspidalPair(gl, k, identity_class(q, n))
 
 
 class TestCuspidalPairs:
@@ -344,27 +314,25 @@ class TestCuspidalPairs:
         assert pair.gl_size == 3
         assert [e.label for e in pair.nontrivial_part] == ["a"]
 
+    # the three ways a pair can disagree with its group, met by transport
     def test_unit_multiplicity_consistency(self):
-        s = trivial_descriptor(3, 3)  # needs 2*torus + T(k) = 3
-        with pytest.raises(ValueError):
-            weyl_of_cuspidal_pair(CuspidalPair((TRIVIAL_GL,), 0, s), TowerContext(1, 1, 3))
-
-    def test_json_carries_derived_rank(self):
-        assert unipotent_pair(2, 0).to_json_dict()["torus_rank"] == 2
-
-
-class TestWeylShape:
-    def test_trivial_class(self):
-        factors, r = weyl_of_cuspidal_pair(unipotent_pair(2, 0), TowerContext(2, 0, 3))
-        assert factors == ()
-        assert r == 2
-
-    def test_minus_one_isotypic_part(self):
-        s = descriptor(orbit_closure(3, 8, 0, 2), orbit_closure(3, 8, 4, 2))
+        s = identity_class(3, 3)  # needs 2*torus + T(k) = 3
         pair = CuspidalPair((TRIVIAL_GL,), 0, s)
-        factors, r = weyl_of_cuspidal_pair(pair, TowerContext(2, 0, 3))
-        assert factors == (CentralizerFactor("unitary", 2, 1),)
-        assert r == 1
+        with pytest.raises(ValueError, match="is inconsistent with torus rank 1 and base k = 0"):
+            transport_series(pair, TowerContext(1, 1, 3), TowerContext(1, 0, 3))
+
+    def test_gl_part_does_not_fit(self):
+        # no eigenvalue 1, as torus rank 0 and k = 0 need; a GL_2 entry in U_2
+        pair = CuspidalPair((GLCuspidal(2, "a"),), 0, descriptor(orbit_closure(3, 8, 4, 2)))
+        with pytest.raises(ValueError, match="GL part of size 2 does not fit in Witt index 1"):
+            transport_series(pair, TowerContext(1, 0, 3), TowerContext(1, 1, 3))
+
+    def test_non_unit_part_too_small(self):
+        # k = 1 takes one eigenvalue 1; the -1 left is one dimension, GL_1 needs two
+        s = descriptor(orbit_closure(3, 8, 0), orbit_closure(3, 8, 4))
+        pair = CuspidalPair((GLCuspidal(1, "a"),), 1, s)
+        with pytest.raises(ValueError, match=r"fewer non-unit dimensions .* \(1 < 2\)"):
+            transport_series(pair, TowerContext(1, 0, 3), TowerContext(1, 1, 3))
 
 
 class TestTransportSeries:
@@ -377,7 +345,7 @@ class TestTransportSeries:
         assert transport_series(image, ctx_prime, ctx) == pair
 
     def test_zero_below_first_occurrence(self):
-        pair = CuspidalPair((), 2, trivial_descriptor(3, 3))
+        pair = CuspidalPair((), 2, identity_class(3, 3))
         assert transport_series(pair, TowerContext(1, 1, 3), TowerContext(0, 0, 3)) is None
 
     def test_shrink_needs_trivial_entries(self):
@@ -405,7 +373,7 @@ class TestOmegaFull:
         assert dec.unipotent_table.to_json_dict() == table.to_json_dict()
 
     def test_below_first_occurrence_raises(self):
-        pair = CuspidalPair((), 2, trivial_descriptor(3, 3))
+        pair = CuspidalPair((), 2, identity_class(3, 3))
         with pytest.raises(ValueError, match="zero image"):
             omega_full(pair, TowerContext(1, 1, 3), TowerContext(0, 0, 3))
 

@@ -24,11 +24,10 @@ PUBLIC = {
     "hyperoctahedral": ["build_character_table", "group_order", "tensor_label_map"],
     "lusztig": [
         "TRIVIAL_GL", "CentralizerFactor", "CuspidalPair", "CuspidalSupport",
-        "EigenvalueOrbit", "GLCuspidal", "GenericCuspidal", "LusztigCoordinates",
-        "OmegaFullDecomposition", "SemisimpleDescriptor", "UnipotentCuspidal",
-        "centralizer_decomposition", "coordinates_in", "coordinates_out",
+        "EigenvalueOrbit", "GLCuspidal", "GenericCuspidal", "OmegaFullDecomposition",
+        "SemisimpleDescriptor", "UnipotentCuspidal", "centralizer_decomposition",
         "match_semisimple", "omega_full", "orbit_closure", "transport_series",
-        "transport_support", "trivial_descriptor", "weyl_of_cuspidal_pair",
+        "transport_support",
     ],
     "partitions": [
         "Bipartition", "Partition", "bipartition", "bipartition_dominance_leq",

@@ -1003,10 +1003,21 @@ class TestExtremalImages:
         assert hi == SeriesLabel(0, TRIV1)
 
     def test_empty_image_raises(self):
-        with pytest.raises(ValueError):
+        below = r"is empty \(below first occurrence: m' < 3 = m\(3\)\)"
+        with pytest.raises(ValueError, match=below):
             extremal_images(
                 SeriesLabel(2, TRIV1), TowerContext(2, 1), TowerContext(2, 0)
             )
+
+    def test_empty_row_above_first_occurrence(self):
+        # m' = 0 = m(k' = 0), so the first-kind table is nonzero; its row -|1
+        # is empty, as the row needs a strip of r - r' = 1 cell off alpha = -
+        pi, ctx, ctx_prime = SeriesLabel(0, SGN1), TowerContext(1, 0), TowerContext(0, 0)
+        assert omega_unipotent(ctx, ctx_prime, 0).formula == "first-kind"
+        assert theta_images(pi, ctx, ctx_prime) == []
+        empty_row = r"is empty \(its row of the nonzero table at r=1, r'=0 is empty\)"
+        with pytest.raises(ValueError, match=empty_row):
+            extremal_images(pi, ctx, ctx_prime)
 
     def test_extremes_bound_every_image(self):
         from howecorr.partitions import bipartition_dominance_leq

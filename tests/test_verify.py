@@ -11,6 +11,7 @@ import types
 
 import pytest
 import reference_oracle
+from test_lusztig import identity_class
 
 from howecorr import hyperoctahedral, partitions, unipotent, verify
 from howecorr.errors import NonUniqueExtremeError
@@ -23,7 +24,7 @@ from howecorr.hyperoctahedral import (
     group_order,
     tensor_label_map,
 )
-from howecorr.lusztig import TRIVIAL_GL, CentralizerFactor, GLCuspidal, trivial_descriptor
+from howecorr.lusztig import TRIVIAL_GL, CentralizerFactor, GLCuspidal
 from howecorr.partitions import Partition, _bipartition_index, bipartition, bipartitions_of
 from howecorr.unipotent import SGN_CONVENTIONS, MultiplicityTable, TowerContext
 from howecorr.verify import (
@@ -570,9 +571,7 @@ PLANTED_FAULTS = [
     pytest.param(
         # the partner class keeps its dimension but loses its non-unit part
         "match_semisimple",
-        lambda real: lambda s, ctx, ctx_p: trivial_descriptor(
-            s.q, ctx_p.dimension, s.modulus
-        ),
+        lambda real: lambda s, ctx, ctx_p: identity_class(s.q, ctx_p.dimension, s.modulus),
         lambda: verify.check_centralizers(5),
         "trial 1: factor lists differ after match",
         id="centralizers-factors",
@@ -661,14 +660,6 @@ PLANTED_FAULTS = [
         id="transport-series",
     ),
     pytest.param(
-        # the factor labels of another class
-        "coordinates_out",
-        lambda real: lambda coords, dec: (("2",), real(coords, dec)[1]),
-        verify.check_transport,
-        "coordinate relabelling not the identity",
-        id="transport-coordinates",
-    ),
-    pytest.param(
         "omega_unipotent",
         lambda real: lambda ctx, ctx_p, k: real(ctx, TowerContext(0, 0), k),
         check_pinned_table,
@@ -701,7 +692,7 @@ def test_planted_faults_reach_every_fail_line(monkeypatch):
     """Every _fail call of verify runs under some planted fault, so no
     failure branch of the suite is dead code."""
     lines = _fail_lines()
-    assert len(lines) == 26
+    assert len(lines) == 25
     ran = set()
 
     def local(frame, event, arg):
