@@ -9,6 +9,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -19,11 +20,17 @@ import reference_pieri
 from howecorr import unipotent
 from howecorr.cli import main, parse_gl_part, parse_orbits, parse_partition
 from howecorr.errors import InternalCheckError
+from howecorr.partitions import bipartitions_of
 from howecorr.unipotent import (
     SGN_CONVENTIONS,
     MultiplicityTable,
+    SeriesLabel,
     TowerContext,
+    extremal_images,
     omega_unipotent,
+    theta_cuspidal,
+    triangular,
+    witt_index_of_cuspidal,
 )
 from test_golden_cli import CORPUS, GOLDEN
 
@@ -227,6 +234,39 @@ class TestExtremal:
         assert code == 0
         assert out.startswith(want)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("convention", SGN_CONVENTIONS)
+    def test_agrees_with_extremal_images(self, capsys, convention):
+        """Every label with r <= 2, k <= 2, both partner parities and m' up to
+        two past the first occurrence: `extremal` prints zero exactly where
+        `unipotent.extremal_images` finds the image empty, and the same
+        extremes elsewhere (every image at these ranks has unique ones)."""
+        def as_json(sl):
+            return {"k": sl.k, "alpha": list(sl.char_label.alpha),
+                    "beta": list(sl.char_label.beta)}
+
+        seen = set()
+        for k, r, parity_p in product(range(3), range(3), (0, 1)):
+            first = witt_index_of_cuspidal(theta_cuspidal(k, parity_p))
+            ctx = TowerContext(witt_index_of_cuspidal(k) + r, triangular(k) % 2)
+            for m_prime, label in product(range(first + 3), bipartitions_of(r)):
+                pi, ctx_p = SeriesLabel(k, label), TowerContext(m_prime, parity_p)
+                code, out, _ = run(
+                    capsys, "extremal", "--m", str(ctx.witt_index), "--mp", str(m_prime),
+                    "--k", str(k), "--parity-p", str(parity_p), "--convention", convention,
+                    "--alpha", ",".join(map(str, label.alpha)) or "-",
+                    "--beta", ",".join(map(str, label.beta)) or "-", "--json",
+                )
+                try:
+                    lo, hi = extremal_images(pi, ctx, ctx_p, convention=convention)
+                except ValueError:
+                    assert (code, json.loads(out)) == (0, {"zero": True})
+                    seen.add("zero")
+                    continue
+                want = {"zero": False, "min": as_json(lo), "max": as_json(hi)}
+                assert (code, json.loads(out)) == (0, want)
+                seen.add("extremes")
+        assert seen == {"zero", "extremes"}
 
 
 class TestCentralizer:

@@ -1,5 +1,7 @@
 """Semisimple bookkeeping: orbits, centralizers, transport, full coupling."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +25,12 @@ from howecorr.lusztig import (
     transport_support,
 )
 from howecorr.partitions import Bipartition, bipartition
-from howecorr.unipotent import TowerContext, omega_unipotent
+from howecorr.unipotent import (
+    TowerContext,
+    omega_unipotent,
+    triangular,
+    witt_index_of_cuspidal,
+)
 
 
 def descriptor(*orbits, q=3, modulus=8):
@@ -333,6 +340,49 @@ class TestCuspidalPairs:
         pair = CuspidalPair((GLCuspidal(1, "a"),), 1, s)
         with pytest.raises(ValueError, match=r"fewer non-unit dimensions .* \(1 < 2\)"):
             transport_series(pair, TowerContext(1, 0, 3), TowerContext(1, 1, 3))
+
+
+# non-unit parts of a series: none, -1 twice, one degree-2 orbit, and a
+# degree-2 orbit that a GL_1 entry takes up
+NON_UNIT_PARTS = [
+    ((), ()),
+    ((orbit_closure(3, 8, 4, 2),), ()),
+    ((orbit_closure(3, 8, 1),), ()),
+    ((orbit_closure(3, 8, 1),), (GLCuspidal(1, "a"),)),
+]
+
+
+class TestTypeBRank:
+    """The relative Weyl group of a series has type-B rank m - l - m(k).
+    The eigenvalue-1 multiplicity 2 * torus rank + T(k) that transport
+    checks makes that rank the torus rank, on both sides of the pair."""
+
+    @staticmethod
+    def type_b_rank(pair, ctx):
+        l = centralizer_decomposition(pair.semisimple, ctx).l
+        return ctx.witt_index - l - witt_index_of_cuspidal(pair.base_k)
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_type_b_rank_is_the_torus_rank(self, k):
+        images = 0
+        for t, (orbits, gl) in product(range(3), NON_UNIT_PARTS):
+            nu1 = 2 * t + triangular(k)
+            s = descriptor(*orbits, *([orbit_closure(3, 8, 0, nu1)] if nu1 else []))
+            ctx = TowerContext(s.dimension // 2, s.dimension % 2, 3)
+            pair = CuspidalPair((TRIVIAL_GL,) * t + gl, k, s)
+            assert self.type_b_rank(pair, ctx) == t
+            for m_prime, parity_p in product(range(ctx.witt_index + 3), (0, 1)):
+                ctx_p = TowerContext(m_prime, parity_p, 3)
+                try:
+                    image = transport_series(pair, ctx, ctx_p)
+                except ValueError as err:
+                    # the nontrivial GL entries outgrow the partner's torus
+                    assert str(err).startswith("no partner series exists")
+                    continue
+                if image is not None:
+                    assert self.type_b_rank(image, ctx_p) == image.torus_rank
+                    images += 1
+        assert images
 
 
 class TestTransportSeries:

@@ -43,6 +43,15 @@ PUBLIC = {
     "verify": ["CheckResult", "run_verification"],
 }
 
+# Names the package no longer has, by the submodule that defined them: the
+# reduction layer's relabelling record and helpers that no caller used.
+DELETED = {
+    "lusztig": [
+        "LusztigCoordinates", "coordinates_in", "coordinates_out",
+        "trivial_descriptor", "weyl_of_cuspidal_pair",
+    ],
+}
+
 # the W_n oracle, the reduction layer and the verification suite
 HEAVY = ("howecorr.hyperoctahedral", "howecorr.symmetric", "howecorr.lusztig",
          "howecorr.verify")
@@ -143,6 +152,16 @@ class TestPublicNames:
         namespace = {}
         exec(f"from howecorr import {name}", namespace)
         assert namespace[name] is want
+
+    @pytest.mark.parametrize(
+        "module, name", [(m, n) for m, names in DELETED.items() for n in names]
+    )
+    def test_deleted_name_is_gone(self, module, name):
+        assert not hasattr(importlib.import_module(f"howecorr.{module}"), name)
+        with pytest.raises(AttributeError, match=name):
+            getattr(howecorr, name)
+        with pytest.raises(ImportError):
+            exec(f"from howecorr import {name}", {})
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):

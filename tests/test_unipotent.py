@@ -1019,6 +1019,38 @@ class TestExtremalImages:
         with pytest.raises(ValueError, match=empty_row):
             extremal_images(pi, ctx, ctx_prime)
 
+    @pytest.mark.parametrize("k", range(3))
+    def test_empty_image_names_its_cause(self, k):
+        """Every empty image with r <= 3, both partner parities and m' up to
+        three past the first occurrence, in both conventions: the error says
+        "below first occurrence" exactly when m' < m(k'), and otherwise names
+        the row and ranks; a nonempty image gives extremes from the image."""
+        causes = set()
+        for r, parity_p, convention in product(range(4), (0, 1), SGN_CONVENTIONS):
+            ctx = TowerContext(witt_index_of_cuspidal(k) + r, triangular(k) % 2)
+            k_prime = theta_cuspidal(k, parity_p)
+            first = witt_index_of_cuspidal(k_prime)
+            for m_prime, label in product(range(first + 4), bipartitions_of(r)):
+                pi, ctx_p = SeriesLabel(k, label), TowerContext(m_prime, parity_p)
+                images = theta_images(pi, ctx, ctx_p, convention=convention)
+                if images:
+                    lo, hi = extremal_images(pi, ctx, ctx_p, convention=convention)
+                    assert {lo, hi} <= {sl for sl, _ in images}
+                    continue
+                if m_prime < first:
+                    reason = f"below first occurrence: m' < {first} = m({k_prime})"
+                else:
+                    table = omega_unipotent(ctx, ctx_p, k, convention=convention)
+                    assert table.entries and not table.row(label)
+                    reason = (f"its row of the nonzero table at r={r}, "
+                              f"r'={m_prime - first} is empty")
+                with pytest.raises(ValueError) as raised:
+                    extremal_images(pi, ctx, ctx_p, convention=convention)
+                assert str(raised.value) == f"image of {pi} is empty ({reason})"
+                causes.add(m_prime < first)
+        # k = 0 goes to k' = 0 or 1, which occur first at m' = 0
+        assert causes == ({True, False} if k else {False})
+
     def test_extremes_bound_every_image(self):
         from howecorr.partitions import bipartition_dominance_leq
 
