@@ -33,15 +33,15 @@ import sys
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .errors import InternalCheckError, NonUniqueExtremeError
+from .errors import EmptyImageError, InternalCheckError, NonUniqueExtremeError
 from .partitions import Partition, Bipartition
 from .unipotent import (
     DEFAULT_SGN_CONVENTION,
     SGN_CONVENTIONS,
     SeriesLabel,
     TowerContext,
-    _image_extremes,
     _label_str,
+    extremal_images,
     omega_unipotent,
     theta_cuspidal,
     theta_images,
@@ -153,11 +153,10 @@ def _cmd_theta(args):
 
 def _cmd_extremal(args):
     ctx, ctx_p = _contexts(args)
-    pi = _pi_of(args)
-    images = theta_images(pi, ctx, ctx_p, convention=args.convention)
-    if not images:
+    try:
+        lo, hi = extremal_images(_pi_of(args), ctx, ctx_p, convention=args.convention)
+    except EmptyImageError:
         return lambda: {"zero": True}, lambda: "zero", 0
-    lo, hi = _image_extremes(pi, images[0][0].k, [img.char_label for img, _ in images])
     return (
         lambda: {
             "zero": False,

@@ -13,6 +13,13 @@ class InternalCheckError(RuntimeError):
     the library itself is wrong and the computation must not be trusted."""
 
 
+class EmptyImageError(ValueError):
+    """A correspondence image set is empty, so it has no least or greatest
+    element: the partner group lies below the first occurrence of the
+    partner cuspidal, or the label's row of a nonzero table is empty.  The
+    message names which."""
+
+
 class NonUniqueExtremeError(RuntimeError):
     """The configured partial order failed to single out a unique minimal or
     maximal element of a correspondence image set.

@@ -37,7 +37,7 @@ from itertools import accumulate, chain, repeat
 from operator import ge, le, sub
 from typing import NamedTuple
 
-from .errors import NonUniqueExtremeError
+from .errors import EmptyImageError, NonUniqueExtremeError
 from .partitions import (
     Bipartition,
     Partition,
@@ -377,7 +377,8 @@ class _Entries(Mapping):
     label) to multiplicity, iterated by row and then by column.
 
     A table of the omega sum stores the sum's blocks (see _blocks): the row
-    and the column tuple of each chi, cached tuples of indices.  Each chi
+    and the column tuple of each chi, cached tuples of indices, and, in a
+    second-kind table, the permutation its rows are read through.  Each chi
     gives each pair of its two tuples once, so a cell's multiplicity is the
     number of blocks that give it; no first-kind cell exceeds 1 (see
     _coupling_row).  Every read goes through one copy of the cells sorted
@@ -385,9 +386,9 @@ class _Entries(Mapping):
     is stored as that copy.
     """
 
-    def __init__(self, rows: tuple, cols: tuple, blocks=((), ()), first_kind=True, csr=None):
+    def __init__(self, rows: tuple, cols: tuple, blocks=((), ()), row_twist=None, csr=None):
         self._rows, self._cols = rows, cols
-        self._blocks, self._first_kind = blocks, first_kind
+        self._blocks, self._row_twist = blocks, row_twist
         if csr is not None:
             self._csr = csr
 
@@ -437,14 +438,14 @@ class _Entries(Mapping):
     def _csr(self) -> tuple:
         """(starts, columns, multiplicities): the cells of row i, in column
         order, sit at starts[i]:starts[i + 1].  One bucket per row takes the
-        columns its blocks give, and is then sorted, or counted when a
-        column can repeat."""
+        columns its blocks give, and is then sorted, or, in a second-kind
+        table, counted and moved: row i is the bucket of twist[i]."""
         buckets = [[] for _ in self._rows]
         for row_tuple, col_tuple in zip(*self._blocks):
             for i in row_tuple:
                 buckets[i].extend(col_tuple)
-        if not self._first_kind:
-            return _row_sorted(list(map(Counter, buckets)))
+        if self._row_twist is not None:
+            return _row_sorted(list(map(Counter, map(buckets.__getitem__, self._row_twist))))
         for bucket in buckets:
             bucket.sort()
         starts = tuple(accumulate(map(len, buckets), initial=0))
@@ -615,35 +616,28 @@ def _series_ranks(m: int, parity: int, m_prime: int, parity_prime: int, k: int) 
     return r, k_prime, m_prime - witt_index_of_cuspidal(k_prime)
 
 
-# Keys are (n, l, which), 3(n + 1) of them at rank n, so the bound keeps
-# every key of every rank up to 24 resident (975 keys).  All keys of rank 16
-# hold about 5.2 MiB, of rank 18 about 12.5 MiB (tracemalloc): trivial keys
-# hold an int per index, sgn keys reuse the ints of the twist permutations
-# they read (0.8 and 1.8 MiB); one table reads only 2(l_max + 1).  A live table
-# of either kind keeps references to the tuples it read (see _Entries), so an
-# evicted key frees its tuples only once no table holds them.
+# Keys are (n, l), n + 1 of them at rank n, so the bound keeps every key of
+# every rank up to 43 resident (990 keys).  All keys of rank 16 hold about
+# 2.0 MiB, of rank 18 about 5.5 MiB (tracemalloc), an int per index; one
+# table reads only 2(l_max + 1).  A live table keeps references to the
+# tuples it read (see _Entries), so an evicted key frees its tuples only
+# once no table holds them.
 STRIP_INDEX_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=STRIP_INDEX_CACHE_SIZE)
-def _strip_indices(n: int, l: int, which: str) -> tuple:
+def _strip_indices(n: int, l: int) -> tuple:
     """One tuple per chi in Irr(W_l), in canonical order: the indices in
-    Irr(W_n) of the labels of Ind(chi x which), ``which`` a linear character
-    of W_{n-l} as in _pieri_labels, ascending, which is strip order.
+    Irr(W_n) of the labels of Ind(chi x 1) from W_l x W_{n-l}, as in
+    _pieri_labels, ascending, which is strip order.
 
-    Positions are mixed-radix numbers (_bipartition_radix), so the trivial
-    character's horizontal strip additions to alpha are read as positions
+    Positions are mixed-radix numbers (_bipartition_radix), so the
+    horizontal strip additions to alpha are read as positions
     (partitions._strip_relation), and beta only adds its own position and
-    stride.  sgn of W_n restricts to W_l x W_{n-l} as sgn x sgn, so
-    Ind(chi x sgn) = sgn Ind(sgn chi x 1): the sgn lists are the trivial
-    lists read through the twist permutations of ranks l and n.
+    stride.  No sgn list is kept: sgn of W_n restricts to W_l x W_{n-l} as
+    sgn x sgn, so Ind(chi x sgn) = sgn Ind(sgn chi x 1), the list of
+    sgn chi read through the twist permutation of rank n (see _sum_entries).
     """
-    if which != "trivial":
-        trivial = _strip_indices(n, l, "trivial")
-        twist_n = _twist_permutation(n, which).__getitem__
-        return tuple(
-            tuple(sorted(map(twist_n, trivial[j]))) for j in _twist_permutation(l, which)
-        )
     s = n - l
     starts, counts = _bipartition_radix(n)
     out = []
@@ -691,15 +685,17 @@ def _twist_permutation(n: int, convention: str) -> tuple:
 OMEGA_CACHE_SIZE = 1024
 
 
-def _blocks(r: int, r_prime: int, row_which: str, convention: str) -> tuple:
-    """The row tuples and the column tuples of the chi of the omega sum of
-    ranks r, r', in order, read from _strip_indices: rows
-    Ind(chi x row_which), columns Ind(sgn chi x 1)."""
+def _blocks(r: int, r_prime: int, convention: str | None) -> tuple:
+    """The row and the column tuples of the chi of the sum over l and chi
+    in Irr(W_l) of Ind(chi x 1) x Ind(chi' x 1), read from _strip_indices:
+    chi' is sgn chi under ``convention``, chi itself when it is None."""
     rows, cols = [], []
     for l in range(min(r, r_prime) + 1):
-        cols_of = _strip_indices(r_prime, l, "trivial")
-        rows.extend(_strip_indices(r, l, row_which))
-        cols.extend(map(cols_of.__getitem__, _twist_permutation(l, convention)))
+        rows.extend(_strip_indices(r, l))
+        cols_of = _strip_indices(r_prime, l)
+        if convention is not None:
+            cols_of = map(cols_of.__getitem__, _twist_permutation(l, convention))
+        cols.extend(cols_of)
     return tuple(rows), tuple(cols)
 
 
@@ -708,11 +704,14 @@ def _blocks(r: int, r_prime: int, row_which: str, convention: str) -> tuple:
 # keeps them.
 @lru_cache(maxsize=OMEGA_CACHE_SIZE)
 def _sum_entries(r: int, r_prime: int, first_kind: bool, convention: str) -> _Entries:
-    """The cells of the omega sum of ranks r, r' >= 0 (see _Entries)."""
-    # Rows: Ind(chi x 1) or Ind(chi x sgn); columns: Ind(sgn chi x 1).  The
-    # sum runs over indices, one (row tuple, column tuple) block per chi.
-    blocks = _blocks(r, r_prime, "trivial" if first_kind else convention, convention)
-    return _Entries(_bipartitions_of(r), _bipartitions_of(r_prime), blocks, first_kind)
+    """The cells of the omega sum of ranks r, r' >= 0 (see _Entries).  The
+    second-kind rows Ind(chi x sgn) = sgn Ind(sgn chi x 1) are summed over
+    sgn chi in place of chi: each block pairs the trivial lists of one chi,
+    and the rows are read through the twist (an involution) of rank r."""
+    rows, cols = _bipartitions_of(r), _bipartitions_of(r_prime)
+    if first_kind:
+        return _Entries(rows, cols, _blocks(r, r_prime, convention))
+    return _Entries(rows, cols, _blocks(r, r_prime, None), _twist_permutation(r, convention))
 
 
 @lru_cache(maxsize=OMEGA_CACHE_SIZE)
@@ -867,9 +866,9 @@ def extremal_images(
     concatenation (:func:`~howecorr.partitions.bipartition_dominance_leq`),
     certified in one pass over the images (see _image_extremes).
 
-    Raises ValueError on an empty image set, and
-    :class:`NonUniqueExtremeError` with the offending antichain if there is
-    no unique least or greatest element.
+    Raises :class:`EmptyImageError` (a ValueError) on an empty image set,
+    and :class:`NonUniqueExtremeError` with the offending antichain if there
+    is no unique least or greatest element.
     """
     images = theta_images(pi, ctx, ctx_prime, convention=convention)
     if not images:
@@ -880,7 +879,7 @@ def extremal_images(
         else:
             r, r_prime = pi.char_label.size, ctx_prime.witt_index - first
             reason = f"its row of the nonzero table at r={r}, r'={r_prime} is empty"
-        raise ValueError(f"image of {pi} is empty ({reason})")
+        raise EmptyImageError(f"image of {pi} is empty ({reason})")
     return _image_extremes(pi, images[0][0].k, [sl.char_label for sl, _ in images])
 
 

@@ -9,11 +9,11 @@ from operator import le
 
 import pytest
 import reference_pieri
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from howecorr import partitions, unipotent
-from howecorr.errors import NonUniqueExtremeError
+from howecorr.errors import EmptyImageError, NonUniqueExtremeError
 from howecorr.hyperoctahedral import _classes, build_character_table
 from howecorr.partitions import (
     Bipartition,
@@ -335,18 +335,22 @@ class TestPieriInduction:
             pieri_induction(EMPTY, 1, "sgn", "nope")
 
     def test_omega_reads_the_certified_rule(self):
-        # the index lists of the omega sum are pieri_induction's labels, so
-        # check_induction certifies what omega is built from
-        for convention in SGN_CONVENTIONS:
-            for second in ("trivial", "sgn"):
-                which = "trivial" if second == "trivial" else convention
-                for n in range(7):
-                    labels = bipartitions_of(n)
-                    for l in range(n + 1):
-                        indices = unipotent._strip_indices(n, l, which)
-                        for chi, row in zip(bipartitions_of(l), indices):
-                            got = pieri_induction(chi, n - l, second, convention)
-                            assert got == [labels[i] for i in row], (chi, which)
+        # the index lists of the omega sum are pieri_induction's trivial
+        # labels, and the trivial list of sgn chi read through the twist of
+        # rank n is its sgn labels, so check_induction certifies what omega
+        # is built from
+        for n in range(7):
+            labels = bipartitions_of(n)
+            for l in range(n + 1):
+                indices = unipotent._strip_indices(n, l)
+                for chi, row in zip(bipartitions_of(l), indices):
+                    got = pieri_induction(chi, n - l, "trivial")
+                    assert got == [labels[i] for i in row], (chi, "trivial")
+                for convention in SGN_CONVENTIONS:
+                    sgn_lists = _sgn_strip_indices(n, l, convention)
+                    for chi, row in zip(bipartitions_of(l), sgn_lists):
+                        got = pieri_induction(chi, n - l, "sgn", convention)
+                        assert got == [labels[i] for i in row], (chi, convention)
 
     def test_sgn_twist_consistency(self):
         for n in range(5):
@@ -426,6 +430,38 @@ class TestOmegaTables:
                                 convention,
                             )
 
+    @seed(32)
+    @settings(deadline=None, max_examples=20)
+    @given(
+        k_parity=st.sampled_from([(2, 0), (2, 1), (0, 1)]),
+        r=st.integers(9, 12),
+        r_prime=st.integers(9, 12),
+        convention=st.sampled_from(SGN_CONVENTIONS),
+    )
+    def test_second_kind_tables_above_the_sweep_match_the_reference(
+        self, k_parity, r, r_prime, convention
+    ):
+        """Second-kind tables at r, r' in 9..12, above the sweep of
+        test_tables_match_the_reference_pieri_path and in the range of the
+        benchmark's tables: the same JSON as the unmemoised Pieri path,
+        which sums the sgn labels of each chi rather than the trivial lists
+        through the twist permutation."""
+        k, parity_prime = k_parity
+        k_prime = theta_cuspidal(k, parity_prime)
+        assert not is_first_kind(k, k_prime)
+        args = (
+            witt_index_of_cuspidal(k) + r,
+            triangular(k) % 2,
+            witt_index_of_cuspidal(k_prime) + r_prime,
+            parity_prime,
+            k,
+        )
+        got = omega_unipotent(
+            TowerContext(*args[:2]), TowerContext(*args[2:4]), k, convention=convention
+        )
+        want = reference_pieri.omega_table(*args, convention)
+        assert got.to_json_dict() == want.to_json_dict(), (args, convention)
+
     def test_series_validation(self):
         with pytest.raises(ValueError):
             omega_unipotent(TowerContext(0, 0), TowerContext(1, 0), 2)  # m < m(k)
@@ -500,6 +536,18 @@ class TestOmegaTables:
         a = omega_unipotent(TowerContext(2, 0), TowerContext(2, 0), 0)
         b = omega_unipotent(TowerContext(2, 0), TowerContext(2, 0), 0)
         assert a is b
+
+
+def _sgn_strip_indices(n: int, l: int, convention: str) -> tuple:
+    """The index lists of Ind(chi x sgn), one tuple per chi in Irr(W_l):
+    sgn Ind(sgn chi x 1), the trivial list of sgn chi read through the twist
+    permutation of rank n, sorted."""
+    trivial = unipotent._strip_indices(n, l)
+    twist_n = unipotent._twist_permutation(n, convention).__getitem__
+    return tuple(
+        tuple(sorted(map(twist_n, trivial[j])))
+        for j in unipotent._twist_permutation(l, convention)
+    )
 
 
 def _clear_index_caches():
@@ -604,17 +652,22 @@ class TestIndexSpaceAssembly:
 
     def test_index_lists_equal_the_label_hashing_reference(self):
         """The radix arithmetic gives the tuples that hashing each label
-        gave, for every n <= 14, l <= n, linear character and convention."""
+        gave, for every n <= 14, l <= n, linear character and convention:
+        the sgn lists are the trivial lists read through the twist
+        permutations, as the second-kind tables read them."""
         for n in range(15):
             for convention in SGN_CONVENTIONS:
                 assert unipotent._twist_permutation(
                     n, convention
                 ) == reference_pieri.twist_permutation(n, convention), (n, convention)
             for l in range(n + 1):
-                for which in ("trivial", *SGN_CONVENTIONS):
-                    assert unipotent._strip_indices(
-                        n, l, which
-                    ) == reference_pieri.strip_indices(n, l, which), (n, l, which)
+                assert unipotent._strip_indices(n, l) == reference_pieri.strip_indices(
+                    n, l, "trivial"
+                ), (n, l)
+                for convention in SGN_CONVENTIONS:
+                    assert _sgn_strip_indices(
+                        n, l, convention
+                    ) == reference_pieri.strip_indices(n, l, convention), (n, l, convention)
 
     @settings(deadline=None, max_examples=50)
     @given(n=st.integers(0, 16), convention=st.sampled_from(SGN_CONVENTIONS))
@@ -697,10 +750,14 @@ class TestEntriesView:
     @staticmethod
     def _sum_order(table) -> dict:
         """The cells of a table of the omega sum, in the order the sum
-        first gives them."""
+        first gives them: a second-kind table reads its row indices through
+        its row permutation."""
         rows, cols = table.row_labels, table.col_labels
-        pairs = chain.from_iterable(starmap(product, zip(*table.entries._blocks)))
-        return {(rows[i], cols[j]): table.entries[rows[i], cols[j]] for i, j in pairs}
+        entries = table.entries
+        if entries._row_twist is not None:
+            rows = [rows[i] for i in entries._row_twist]
+        pairs = chain.from_iterable(starmap(product, zip(*entries._blocks)))
+        return {(rows[i], cols[j]): entries[rows[i], cols[j]] for i, j in pairs}
 
     @pytest.mark.parametrize("passed", ["built", "plain dict, reversed"])
     @pytest.mark.parametrize("kind", TABLES)
@@ -1004,7 +1061,7 @@ class TestExtremalImages:
 
     def test_empty_image_raises(self):
         below = r"is empty \(below first occurrence: m' < 3 = m\(3\)\)"
-        with pytest.raises(ValueError, match=below):
+        with pytest.raises(EmptyImageError, match=below):
             extremal_images(
                 SeriesLabel(2, TRIV1), TowerContext(2, 1), TowerContext(2, 0)
             )
@@ -1016,7 +1073,7 @@ class TestExtremalImages:
         assert omega_unipotent(ctx, ctx_prime, 0).formula == "first-kind"
         assert theta_images(pi, ctx, ctx_prime) == []
         empty_row = r"is empty \(its row of the nonzero table at r=1, r'=0 is empty\)"
-        with pytest.raises(ValueError, match=empty_row):
+        with pytest.raises(EmptyImageError, match=empty_row):
             extremal_images(pi, ctx, ctx_prime)
 
     @pytest.mark.parametrize("k", range(3))
@@ -1044,7 +1101,7 @@ class TestExtremalImages:
                     assert table.entries and not table.row(label)
                     reason = (f"its row of the nonzero table at r={r}, "
                               f"r'={m_prime - first} is empty")
-                with pytest.raises(ValueError) as raised:
+                with pytest.raises(EmptyImageError) as raised:
                     extremal_images(pi, ctx, ctx_p, convention=convention)
                 assert str(raised.value) == f"image of {pi} is empty ({reason})"
                 causes.add(m_prime < first)
