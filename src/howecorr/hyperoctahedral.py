@@ -33,22 +33,25 @@ and to name a class in a message.
 Everything is exact.  Character values are integers.  Induction
 (:func:`_induce_values`) runs over the class-fusion map
 (:func:`_induction_matrix`): each class of W_a x W_b fuses into exactly one
-class of W_{a+b}, so each value is added, weighted, to one integer sum, and
-one exact division per class follows.  The certification sums, the column
-relations in ``verify``, :func:`_decompose_values` and the decompositions
-of induced characters are integer dot products, all computed by one
-packed-integer kernel, :class:`_IntMatrix`, whose docstring proves its slot
-width.  The induced characters Ind(chi x lambda) from W_a x W_b, lambda a
-linear character of W_b, are decomposed without being induced, in one
-cached family (every chi in Irr(W_a)) per (a, b, values of lambda),
-:func:`_induced`: by Frobenius reciprocity, <Ind(chi x lambda), psi> =
-<chi x lambda, Res psi>, so one packed sum over the classes of W_a gives
-all of chi's multiplicities.  This is induce-then-decompose, reordered;
-the tests require the two orders to agree.  An inner product is integral
-exactly when the dot product is divisible by |W_n| (by |W_a x W_b| for the
-reciprocity sum); a class function with `fractions.Fraction` values is
-scaled to integers by the lcm of their denominators first.  Only an
-induced value that is not integral is a `Fraction`.
+class of W_{a+b}, so each value is added, weighted, to one sum, and one
+exact division per class follows.  Only an induced value that is not
+integral is a `Fraction`; `Fraction` inputs are summed as they come.  The
+certification sums, the column relations in ``verify`` and the
+decompositions of induced characters are integer dot products, all
+computed by one packed-integer kernel, :class:`_IntMatrix`, whose
+docstring proves its slot width; a table keeps one packed view,
+``CharacterTable._columns``.  The induced characters Ind(chi x lambda)
+from W_a x W_b, lambda a linear character of W_b, are decomposed without
+being induced, in one cached family (every chi in Irr(W_a)) per (a, b,
+values of lambda), :func:`_induced`: by Frobenius reciprocity,
+<Ind(chi x lambda), psi> = <chi x lambda, Res psi>, so one packed sum over
+the classes of W_a gives all of chi's multiplicities.  This is
+induce-then-decompose, reordered; the tests require the two orders to
+agree.  It is the only decomposition here, and a multiplicity is integral
+exactly when its reciprocity sum is divisible by |W_a x W_b|.  Tensoring
+with a linear character permutes Irr(W_n), so :func:`tensor_label_map`
+decomposes nothing: it finds each row times the linear character among
+the rows of the certified table.
 
 The price is the rank bound: nothing here is meant to run past
 ``ORACLE_BOUND`` (default 6, |W_6| = 46080).  Every rank-keyed cache checks
@@ -63,7 +66,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
-from math import factorial, lcm
+from math import factorial
 from operator import add, lshift, mul
 from typing import NamedTuple
 
@@ -204,15 +207,6 @@ def _outer(xs, ys) -> list:
     return [x * y for x in xs for y in ys]
 
 
-def _integral(values: list) -> tuple:
-    """Integer values and a scale: the values times the lcm of their
-    denominators, and that lcm (1 when all values are ints)."""
-    if set(map(type, values)) == {int}:
-        return values, 1
-    scale = lcm(*[v.denominator for v in values])
-    return [v.numerator * (scale // v.denominator) for v in values], scale
-
-
 @_rank_checked(add)
 @lru_cache(maxsize=None)
 def _induction_matrix(a: int, b: int) -> tuple:
@@ -246,8 +240,7 @@ def _induce_values(a: int, b: int, values: list) -> list:
     fusion, size = _induction_matrix(a, b)
     if len(values) != len(fusion):
         raise ValueError(f"W_{a} x W_{b} has {len(fusion)} classes, got {len(values)} values")
-    values, scale = _integral(values)
-    den = group_order(a) * group_order(b) * scale
+    den = group_order(a) * group_order(b)
     nums = [0] * size
     for (c, weight), v in zip(fusion, values):
         nums[c] += weight * v
@@ -385,19 +378,12 @@ class CharacterTable:
     rows: tuple
 
     @cached_property
-    def _weighted(self) -> _IntMatrix:
-        """The rows weighted by the class sizes, |C| chi(C), as one matrix
-        with its packed columns per width: the inner product of chi with a
-        class function f is the dot product of chi's weighted row with the
-        values of f, divided by |W_n|."""
-        sizes = _classes(self.rank).sizes
-        return _IntMatrix([tuple(map(mul, sizes, row)) for row in self.rows])
-
-    @cached_property
     def _columns(self) -> _IntMatrix:
-        """The rows as one matrix: packed at a width, its column C holds
-        chi(C) in the slot of each irreducible chi, the vectors that
-        :func:`_induced` combines."""
+        """The rows as one matrix, the one packed view of the table: packed
+        at a width, its column C holds chi(C) in the slot of each
+        irreducible chi.  Its dot products with the rows weighted by the
+        class sizes certify the table (:func:`build_character_table`), and
+        :func:`_induced` combines its packed columns."""
         return _IntMatrix(self.rows)
 
 
@@ -408,8 +394,11 @@ def build_character_table(n: int) -> CharacterTable:
 
     Every irreducible is induced from the two-partition construction, checked
     to be integer valued, and the full table is certified orthonormal with
-    respect to the exact inner product.  A failed certification raises
-    :class:`InternalCheckError` rather than returning a bad table.
+    respect to the exact inner product: |W_n| <chi, psi> is the dot product
+    of chi's row with psi's row weighted by the class sizes, |C| psi(C), one
+    packed ``CharacterTable._columns.dots`` per psi.  A failed
+    certification raises :class:`InternalCheckError` rather than returning
+    a bad table.
     """
     labels = tuple(bipartitions_of(n))
     rows = []
@@ -422,26 +411,15 @@ def build_character_table(n: int) -> CharacterTable:
             )
         rows.append(tuple(row))
     table = CharacterTable(n, labels, tuple(rows))
-    defect = table._weighted.orthogonality_defect(rows, [group_order(n)] * len(rows))
+    sizes = _classes(n).sizes
+    weighted = [list(map(mul, sizes, row)) for row in rows]
+    defect = table._columns.orthogonality_defect(weighted, [group_order(n)] * len(rows))
     if defect:
         i, j = defect
         raise InternalCheckError(
             f"W_{n}: orthonormality fails at ({labels[i]}, {labels[j]})"
         )
     return table
-
-
-def _decompose_values(n: int, values: list) -> dict:
-    """Multiplicities against the irreducibles of W_n of the class function
-    with these values in canonical class order, in canonical label order,
-    zeros omitted.  Raises ValueError unless there is one value per class,
-    or if an inner product is not integral (the class function is then not
-    a virtual character)."""
-    table = build_character_table(n)
-    if len(values) != len(table.labels):
-        raise ValueError(f"W_{n} has {len(table.labels)} classes, got {len(values)} values")
-    values, scale = _integral(values)
-    return _multiplicities(table.labels, table._weighted.dots(values), group_order(n) * scale)
 
 
 def _multiplicities(labels, totals, den: int) -> dict:
@@ -465,8 +443,8 @@ def _induced(l: int, s: int, second: tuple) -> tuple:
     Irr(W_l), lambda the class function of W_s with integer values
     ``second`` (a linear character's, :func:`_linear_values`, so names that
     agree on W_s share the entry): per chi, in canonical label order, its
-    multiplicities against Irr(W_{l+s}) as :func:`_decompose_values` gives
-    them (shared, read only) and its degree [W_{l+s} : W_l x W_s] chi(1)
+    multiplicities against Irr(W_{l+s}) by label, zeros omitted (shared,
+    read only), and its degree [W_{l+s} : W_l x W_s] chi(1)
     lambda(1), since only the identity product class fuses into the
     identity.  Raises ValueError unless ``second`` has one value per class
     of W_s, or if a multiplicity is not integral.
@@ -514,21 +492,31 @@ def _induced(l: int, s: int, second: tuple) -> tuple:
 
 @_rank_checked()
 @lru_cache(maxsize=None)
-def _tensor_label_map(n: int, which: str) -> dict:
+def _tensor_label_map(n: int, which: str) -> tuple:
+    """The permutation of Irr(W_n) that tensoring with the linear character
+    ``which`` induces, by position in canonical label order: entry i is the
+    position of the row that equals row i times the linear character's
+    values.  Such a product is again irreducible (Macdonald I, Appendix B),
+    so it is one row of the certified table; raises InternalCheckError if
+    it is none."""
     table = build_character_table(n)
     linear = _linear_values(n, which)
-    mapping = {}
+    position = {row: i for i, row in enumerate(table.rows)}
+    twist = []
     for bp, row in zip(table.labels, table.rows):
-        mults = _decompose_values(n, list(map(mul, row, linear)))
-        if list(mults.values()) != [1]:
+        i = position.get(tuple(map(mul, row, linear)))
+        if i is None:
             raise InternalCheckError(
-                f"W_{n}: tensoring {bp} with {which} is not irreducible: {mults}"
+                f"W_{n}: tensoring {bp} with {which} gives no row of the table"
             )
-        mapping[bp] = next(iter(mults))
-    return mapping
+        twist.append(i)
+    return tuple(twist)
 
 
 def tensor_label_map(n: int, which: str) -> dict:
     """Label permutation induced on Irr(W_n) by tensoring with a linear
-    character, computed by decomposing the actual pointwise products."""
-    return dict(_tensor_label_map(n, which))
+    character, read off the certified table: each row times the linear
+    character's values is the row of the label it maps to."""
+    twist = _tensor_label_map(n, which)
+    labels = build_character_table(n).labels
+    return {bp: labels[i] for bp, i in zip(labels, twist)}

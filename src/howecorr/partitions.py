@@ -343,6 +343,8 @@ def horizontal_strip_additions(p: Iterable[int], size: int) -> list:
     [(4, 1), (3, 2), (3, 1, 1), (2, 2, 1)]
     """
     p = Partition(p)
+    if type(size) is not int:
+        size = _integer(size, "strip size")
     if size < 0:
         raise ValueError("strip size must be nonnegative")
     return list(_horizontal_strips(p, size))
@@ -358,6 +360,8 @@ def vertical_strip_additions(p: Iterable[int], size: int) -> list:
     [(3, 1), (2, 1, 1)]
     """
     p = Partition(p)
+    if type(size) is not int:
+        size = _integer(size, "strip size")
     if size < 0:
         raise ValueError("strip size must be nonnegative")
     return list(_vertical_strips(p, size))

@@ -334,6 +334,8 @@ def pieri_induction(
         _check_convention(convention)
     elif second != "trivial":
         raise ValueError(f"second factor must be 'trivial' or 'sgn', got {second!r}")
+    if type(s) is not int:
+        s = _integer(s, "strip size")
     if s < 0:
         raise ValueError("strip size must be nonnegative")
     which = "trivial" if second == "trivial" else convention
@@ -616,16 +618,14 @@ def _series_ranks(m: int, parity: int, m_prime: int, parity_prime: int, k: int) 
     return r, k_prime, m_prime - witt_index_of_cuspidal(k_prime)
 
 
-# Keys are (n, l), n + 1 of them at rank n, so the bound keeps every key of
-# every rank up to 43 resident (990 keys).  All keys of rank 16 hold about
+# Keys are (n, l), n + 1 of them at rank n.  All keys of rank 16 hold about
 # 2.0 MiB, of rank 18 about 5.5 MiB (tracemalloc), an int per index; one
-# table reads only 2(l_max + 1).  A live table keeps references to the
-# tuples it read (see _Entries), so an evicted key frees its tuples only
-# once no table holds them.
-STRIP_INDEX_CACHE_SIZE = 1024
-
-
-@lru_cache(maxsize=STRIP_INDEX_CACHE_SIZE)
+# table reads only 2(l_max + 1).  Rank n's keys hold about 1.6 times rank
+# n - 1's, so all ranks below n together hold less than twice rank n's (1.65
+# times at n = 18), and the cache stays a small multiple of the largest rank
+# in use, as partitions._partitions_of's does; a bound would only evict
+# lists that the next table at that rank rebuilds.
+@lru_cache(maxsize=None)
 def _strip_indices(n: int, l: int) -> tuple:
     """One tuple per chi in Irr(W_l), in canonical order: the indices in
     Irr(W_n) of the labels of Ind(chi x 1) from W_l x W_{n-l}, as in

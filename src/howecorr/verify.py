@@ -42,9 +42,9 @@ from .hyperoctahedral import (
     _induced,
     _IntMatrix,
     _linear_values,
+    _tensor_label_map,
     build_character_table,
     group_order,
-    tensor_label_map,
 )
 from .lusztig import (
     TRIVIAL_GL,
@@ -182,8 +182,9 @@ def _oracle_omega(r: int, r_prime: int, first_kind: bool, convention: str) -> tu
     <L tensor R, chi_a x chi_b> = <L, chi_a> <R, chi_b>, each term
     contributes the outer product of the decompositions of its two induced
     factors, on W_r and on W_r' separately (``hyperoctahedral._induced``,
-    one family per l and side).  The label of sgn_l chi comes from
-    tensor_label_map, which decomposes the actual pointwise product.
+    one family per l and side).  The position of sgn_l chi in Irr(W_l) is
+    read off the twist permutation (``hyperoctahedral._tensor_label_map``),
+    which finds the actual pointwise product among the rows of the table.
     Returns the cells as sorted (row, column, multiplicity) triples of
     positions in Irr(W_r) x Irr(W_r'), canonical order (the order of a
     table's row-sorted copy, unipotent._Entries._csr), and the degree of the
@@ -194,11 +195,11 @@ def _oracle_omega(r: int, r_prime: int, first_kind: bool, convention: str) -> tu
     counts = Counter()
     degree = 0
     for l in range(min(r, r_prime) + 1):
-        twist, index = tensor_label_map(l, convention), _bipartition_index(l)
+        twist = _tensor_label_map(l, convention)
         left = _induced(l, r - l, _linear_values(r - l, which))
         right = _induced(l, r_prime - l, _linear_values(r_prime - l, "trivial"))
-        for chi, (left_mults, left_degree) in zip(bipartitions_of(l), left):
-            right_mults, right_degree = right[index[twist[chi]]]
+        for (left_mults, left_degree), t in zip(left, twist):
+            right_mults, right_degree = right[t]
             for a, mult_a in left_mults.items():
                 for b, mult_b in right_mults.items():
                     counts[rows[a], cols[b]] += mult_a * mult_b

@@ -13,6 +13,11 @@ and table construction that the library's value-list versions must
 reproduce; only the partition enumeration, the label types and the S_n
 character values come from the library.
 
+Beside its label-keyed decomposition sits one of value lists in the
+library's class order (``decompose_value_list``): plain integer sums
+against the rows of the library's certified table, without its packed
+kernel, for ranks whose element enumeration is out of reach.
+
 The third, at the end, is the enumeration of all 2^n n! elements of W_n in
 window notation, with the signed cycle type of each.
 """
@@ -23,7 +28,12 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from howecorr.hyperoctahedral import SignedCycleType, group_order
+from howecorr.hyperoctahedral import (
+    SignedCycleType,
+    _classes,
+    build_character_table,
+    group_order,
+)
 from howecorr.partitions import Partition, bipartitions_of
 from howecorr.symmetric import sn_character_value
 
@@ -213,6 +223,22 @@ def decompose_values(f, n):
     for bp, chi in character_table(n).items():
         total = sum(map(mul, chi.values(), weighted))
         m, rest = divmod(total, group_order(n))
+        if rest:
+            raise ValueError("not a virtual character")
+        if m:
+            out[bp] = m
+    return out
+
+
+def decompose_value_list(values, n):
+    """Multiplicities, by label and zeros omitted, of a class function on
+    W_n given as values in the library's canonical class order, by plain
+    integer sums against the rows of ``build_character_table(n)``."""
+    table = build_character_table(n)
+    weighted = list(map(mul, _classes(n).sizes, values))
+    out = {}
+    for bp, row in zip(table.labels, table.rows):
+        m, rest = divmod(sum(map(mul, row, weighted)), group_order(n))
         if rest:
             raise ValueError("not a virtual character")
         if m:

@@ -18,7 +18,6 @@ from howecorr.hyperoctahedral import (
     CharacterTable,
     SignedCycleType,
     _classes,
-    _decompose_values,
     _induce_values,
     _linear_values,
     _outer,
@@ -67,6 +66,22 @@ def _scaled(values, c):
 def _combination(table, coeffs):
     """The values of the sum of c chi_bp over the table's labels bp."""
     return [sum(map(mul, coeffs, column)) for column in zip(*table.rows)]
+
+
+def _decompose(n, values):
+    """The label-keyed reference decomposition of a class function on W_n
+    given as values in canonical class order."""
+    return reference_oracle.decompose_values(dict(zip(_classes(n).labels, values)), n)
+
+
+def _weighted(n, values):
+    """The values times the class sizes, |C| f(C): a table's dot products
+    with them are |W_n| times the inner products with f."""
+    return list(map(mul, _classes(n).sizes, values))
+
+
+def _plain_dots(rows, values):
+    return [sum(map(mul, row, values)) for row in rows]
 
 
 def _inner(n, f, g):
@@ -215,15 +230,14 @@ class TestCharacterTable:
 
     def test_rows_follow_the_class_record(self):
         # one row per label, one value per class of _classes(n), and the
-        # weighted rows are |C| chi(C) in that class order
+        # one packed view holds the rows themselves
         assert [f.name for f in dataclasses.fields(CharacterTable)] == ["rank", "labels", "rows"]
         for n in range(6):
             table, classes = build_character_table(n), _classes(n)
             assert table.rank == n and table.labels == tuple(bipartitions_of(n))
             assert len(table.rows) == len(table.labels) == len(classes.labels)
             assert all(type(row) is tuple and len(row) == len(classes.labels) for row in table.rows)
-            weighted = [tuple(s * v for s, v in zip(classes.sizes, row)) for row in table.rows]
-            assert table._weighted.rows == weighted
+            assert table._columns.rows is table.rows
 
     def test_bipartition_index_is_the_row_order(self):
         # verify._oracle_omega finds an induced family's entry by
@@ -242,13 +256,6 @@ class TestClassFunctions:
             message = f"^W_1 x W_1 has {count} classes, got {len(values)} values$"
             with pytest.raises(ValueError, match=message):
                 _induce_values(1, 1, values)
-
-    def test_decomposition_requires_full_support(self):
-        count = len(_classes(2).labels)
-        for values in ([group_order(2)], [0] * (count + 1)):
-            message = f"^W_2 has {count} classes, got {len(values)} values$"
-            with pytest.raises(ValueError, match=message):
-                _decompose_values(2, values)
 
     def test_induced_requires_full_support(self):
         # the second factor on W_1, one value short of or past its classes;
@@ -281,7 +288,7 @@ class TestInduction:
         triv = _row(1, bipartition((1,), ()))
         induced = _induce_values(1, 1, _outer(triv, triv))
         assert _degree(2, induced) == 2
-        mults = _decompose_values(2, induced)
+        mults = _decompose(2, induced)
         assert mults and all(m == 1 for m in mults.values())
 
     def test_induced_degree_is_index_times_degree(self):
@@ -370,7 +377,8 @@ def test_induction_matches_the_fusion_loop(data):
 @given(st.data())
 def test_induced_characters_decompose_as_the_label_keyed_reference(data):
     # Ind(chi_alpha x chi_beta lambda) from W_a x W_b for each linear
-    # character lambda of W_b, decomposed on W_{a+b}, against the
+    # character lambda of W_b, induced, and decomposed by the reciprocity
+    # sum with chi_beta lambda as the second factor, against the
     # label-keyed loops; a fraction of it keeps its non-integral values
     # as Fractions
     a = data.draw(st.integers(0, 5), label="a")
@@ -388,7 +396,10 @@ def test_induced_characters_decompose_as_the_label_keyed_reference(data):
         values = _outer(_row(a, alpha), twisted)
         got = _induce_values(a, b, values)
         assert got == list(want.values())
-        assert _decompose_values(a + b, got) == reference_oracle.decompose_values(want, a + b)
+        family = hyperoctahedral._induced.__wrapped__(a, b, tuple(twisted))
+        mults, degree = family[bipartitions_of(a).index(alpha)]
+        assert mults == reference_oracle.decompose_values(want, a + b)
+        assert degree == _degree(a + b, got)
         fraction = {c: Fraction(v, d) for c, v in f.items()}
         got = _induce_values(a, b, [Fraction(v, d) for v in values])
         want = list(reference_oracle.induce_values(fraction, a, b).values())
@@ -399,8 +410,9 @@ def test_induced_characters_decompose_as_the_label_keyed_reference(data):
 
 def test_reciprocity_matches_induce_then_decompose():
     # every family of packed reciprocity sums against induction over the
-    # class-fusion map followed by decomposition on W_{l+s}: the same finite
-    # sum, reordered; every chi, l + s <= 6, every linear character of W_s
+    # class-fusion map followed by the label-keyed reference decomposition
+    # on W_{l+s}: the same finite sum, reordered; every chi, l + s <= 6,
+    # every linear character of W_s
     compared = 0
     for l in range(7):
         for s, which in itertools.product(range(7 - l), LINEAR_CHARACTERS):
@@ -408,42 +420,44 @@ def test_reciprocity_matches_induce_then_decompose():
             family = hyperoctahedral._induced(l, s, linear)
             for row, got in zip(build_character_table(l).rows, family, strict=True):
                 induced = _induce_values(l, s, _outer(row, linear))
-                assert got == (_decompose_values(l + s, induced), _degree(l + s, induced))
+                assert got == (_decompose(l + s, induced), _degree(l + s, induced))
                 compared += 1
     assert compared == 1124
 
 
 class TestDecompose:
+    # a table's packed dot products with the size-weighted values of a class
+    # function are |W_n| times its multiplicities: against plain sums and
+    # against the multiplicities known in advance
+    def _dots(self, n, values):
+        table = build_character_table(n)
+        got = table._columns.dots(_weighted(n, values))
+        assert got == _plain_dots(table.rows, _weighted(n, values))
+        return got
+
     def test_irreducible(self):
-        lbl = bipartition((2,), ())
-        assert _decompose_values(2, _row(2, lbl)) == {lbl: 1}
+        table = build_character_table(2)
+        for t, row in enumerate(table.rows):
+            want = [group_order(2) if i == t else 0 for i in range(len(table.rows))]
+            assert self._dots(2, row) == want
 
     def test_regular_character(self):
         table = build_character_table(2)
         values = [0] * len(_classes(2).labels)
         values[_classes(2).identity] = group_order(2)
-        mults = _decompose_values(2, values)
-        assert mults == {bp: _degree(2, row) for bp, row in zip(table.labels, table.rows)}
+        assert self._dots(2, values) == [group_order(2) * _degree(2, row) for row in table.rows]
 
     def test_zero_function(self):
-        assert _decompose_values(2, [0] * len(_classes(2).labels)) == {}
+        assert self._dots(2, [0] * len(_classes(2).labels)) == [0] * len(_classes(2).labels)
 
     def test_reconstruction(self):
         table = build_character_table(3)
         f = _induce_values(
             2, 1, _outer(_row(2, bipartition((1,), (1,))), _row(1, bipartition((), (1,))))
         )
-        mults = _decompose_values(3, f)
-        assert _combination(table, [mults.get(bp, 0) for bp in table.labels]) == f
-
-    def test_rejects_non_virtual(self):
-        half = _scaled(_row(2, bipartition((2,), ())), Fraction(1, 2))
-        # the regular character of W_3 over 3: <f, chi> = deg(chi) / 3
-        values = [0] * len(_classes(3).labels)
-        values[_classes(3).identity] = Fraction(group_order(3), 3)
-        for n, f, ip in ((2, half, "1/2"), (3, values, "1/3")):
-            with pytest.raises(ValueError, match=f"not a virtual character: .* = {ip}$"):
-                _decompose_values(n, f)
+        mults = [total // group_order(3) for total in self._dots(3, f)]
+        assert _combination(table, mults) == f
+        assert {bp: m for bp, m in zip(table.labels, mults) if m} == _decompose(3, f)
 
 
 # (width, bit length of the largest row L1 norm, bit length of max|v_i|):
@@ -492,30 +506,27 @@ coefficient = st.one_of(st.integers(-3, 3), st.integers(-(10**40), 10**40))
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_decompose_recovers_integer_combinations(data):
-    # large coefficients widen the packed slots; dividing by d must name the
-    # first row whose multiplicity is not an integer, with its exact value
+    # large coefficients widen the packed slots past 64 bits: the table's
+    # packed dots with the size-weighted combination are |W_n| times the
+    # coefficients, as plain sums give them; with each weighted row scaled
+    # by its coefficient, orthogonality_defect names the first coefficient
+    # that is not 1, as the plain loop does
     n = data.draw(st.integers(0, 5), label="n")
     table = build_character_table(n)
     coeffs = data.draw(
         st.lists(coefficient, min_size=len(table.labels), max_size=len(table.labels)),
         label="coefficients",
     )
-    combination = _combination(table, coeffs)
-    assert _decompose_values(n, combination) == {
-        bp: c for bp, c in zip(table.labels, coeffs) if c
-    }
-    d = data.draw(st.integers(2, 10**12), label="d")
-    divided = _scaled(combination, Fraction(1, d))
-    fractional = [(bp, c) for bp, c in zip(table.labels, coeffs) if c % d]
-    if not fractional:
-        assert _decompose_values(n, divided) == {
-            bp: c // d for bp, c in zip(table.labels, coeffs) if c
-        }
-        return
-    bp, c = fractional[0]
-    message = f"not a virtual character: <f, chi_{bp}> = {Fraction(c, d)}"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        _decompose_values(n, divided)
+    weighted = _weighted(n, _combination(table, coeffs))
+    got = table._columns.dots(weighted)
+    assert got == _plain_dots(table.rows, weighted)
+    assert got == [group_order(n) * c for c in coeffs]
+    scaled = [_scaled(row, c) for row, c in zip(table.rows, coeffs)]
+    diagonal = [group_order(n)] * len(coeffs)
+    want = _first_orthonormality_failure(n, table.rows, scaled)
+    vectors = [_weighted(n, vector) for vector in scaled]
+    assert table._columns.orthogonality_defect(vectors, diagonal) == want
+    assert want == next(((i, i) for i, c in enumerate(coeffs) if c != 1), None)
 
 
 @pytest.fixture
@@ -525,13 +536,14 @@ def fresh_tables():
     build_character_table.cache_clear()
 
 
-def _first_orthonormality_failure(n, rows):
+def _first_orthonormality_failure(n, rows, vectors=None):
     """The plain-loop reference: the first pair (i, j), i <= j, in
-    lexicographic order whose weighted dot product is wrong."""
-    sizes = _classes(n).sizes
+    lexicographic order whose weighted dot product of rows[i] with
+    vectors[j] (by default rows[j]) is wrong."""
+    sizes, vectors = _classes(n).sizes, rows if vectors is None else vectors
     for i in range(len(rows)):
         for j in range(i, len(rows)):
-            total = sum(s * x * y for s, x, y in zip(sizes, rows[i], rows[j]))
+            total = sum(s * x * y for s, x, y in zip(sizes, rows[i], vectors[j]))
             if total != (group_order(n) if i == j else 0):
                 return i, j
     return None
@@ -645,6 +657,39 @@ class TestTensorLabelMap:
                 assert tensor_label_map(n, "coxeter_sign")[bp] == sgn_twist(
                     bp, "coxeter_sign"
                 )
+
+    def test_matches_the_label_keyed_reference(self):
+        # each label's image is the one irreducible, of multiplicity 1, in
+        # the reference decomposition of the pointwise product
+        for n in range(7):
+            table = reference_oracle.character_table(n)
+            for which in LINEAR_CHARACTERS:
+                linear = reference_oracle.linear_values(n, which)
+                want = {}
+                for bp, chi in table.items():
+                    product = {c: v * linear[c] for c, v in chi.items()}
+                    [(want[bp], mult)] = reference_oracle.decompose_values(product, n).items()
+                    assert mult == 1
+                assert tensor_label_map(n, which) == want
+
+    @pytest.mark.parametrize("n, t", [(2, 0), (3, 4), (4, 10), (5, 20)])
+    @pytest.mark.parametrize("which", ["sign_changes", "permutation_sign", "coxeter_sign"])
+    def test_a_perturbed_row_fails(self, monkeypatch, n, t, which):
+        # row t gains 1 on one class: neither row t nor the row that
+        # tensoring maps onto row t then maps onto a row of the table, and
+        # the first of the two in row order is named
+        table = build_character_table(n)
+        rows = [list(row) for row in table.rows]
+        rows[t][0] += 1
+        perturbed = dataclasses.replace(table, rows=tuple(map(tuple, rows)))
+        first = min(t, hyperoctahedral._tensor_label_map(n, which).index(t))
+        build = hyperoctahedral.build_character_table
+        monkeypatch.setattr(
+            hyperoctahedral, "build_character_table", lambda m: perturbed if m == n else build(m)
+        )
+        message = f"W_{n}: tensoring {table.labels[first]} with {which} gives no row of the table"
+        with pytest.raises(InternalCheckError, match=f"^{re.escape(message)}$"):
+            hyperoctahedral._tensor_label_map.__wrapped__(n, which)
 
     def test_bounds(self):
         # the rank is checked before the character name

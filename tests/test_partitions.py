@@ -214,6 +214,16 @@ class TestStrips:
         with pytest.raises(ValueError):
             vertical_strip_additions((2, 1), -1)
 
+    def test_a_non_integer_strip_size_is_refused(self):
+        # a float size would share the cache key of the equal int and leave
+        # float parts in the strip caches for both
+        for strips in (horizontal_strip_additions, vertical_strip_additions):
+            for bad, shown in ((1.0, "1.0"), (1.5, "1.5"), ("1", "'1'")):
+                with pytest.raises(ValueError, match=f"^strip size must be an integer, got {shown}$"):
+                    strips((1,), bad)
+            assert all(type(part) is int for lam in strips((1,), 1) for part in lam)
+            assert strips((1,), True) == strips((1,), 1)
+
 
 partitions = st.integers(0, 9).flatmap(lambda n: st.sampled_from(partitions_of(n)))
 strip_sizes = st.integers(0, 5)

@@ -333,6 +333,9 @@ class TestPieriInduction:
             pieri_induction(EMPTY, 1, "weird")
         with pytest.raises(ValueError):
             pieri_induction(EMPTY, 1, "sgn", "nope")
+        for second in ("trivial", "sgn"):
+            with pytest.raises(ValueError, match="^strip size must be an integer, got 1.0$"):
+                pieri_induction(bipartition((1,), ()), 1.0, second)
 
     def test_omega_reads_the_certified_rule(self):
         # the index lists of the omega sum are pieri_induction's trivial

@@ -84,10 +84,11 @@ def test_oracle_certifies_b_rank_eight():
     """Tables, induction and omega in both conventions at b-rank 8, with the
     bound raised in a fresh interpreter; then every induced family that
     check_induction(8) reads is compared, chi by chi, with induction on the
-    class-fusion route followed by decomposition (about 3 s in all on a
-    2-core host)."""
-    script = textwrap.dedent(
+    class-fusion route followed by decomposition in plain integer sums
+    (reference_oracle.decompose_value_list)."""
+    script = f"import sys\nsys.path.insert(0, {str(SRC.parent / 'tests')!r})\n" + textwrap.dedent(
         """\
+        import reference_oracle
         from howecorr import hyperoctahedral as h, verify
         h.ORACLE_BOUND = 8
         results = [verify.check_character_tables(8), verify.check_induction(8)]
@@ -105,7 +106,10 @@ def test_oracle_certifies_b_rank_eight():
             family = h._induced(l, s, linear)
             for row, got in zip(h.build_character_table(l).rows, family, strict=True):
                 induced = h._induce_values(l, s, h._outer(row, linear))
-                want = h._decompose_values(l + s, induced), induced[h._classes(l + s).identity]
+                want = (
+                    reference_oracle.decompose_value_list(induced, l + s),
+                    induced[h._classes(l + s).identity],
+                )
                 assert got == want, (l, s, linear, row)
                 compared += 1
         print(len(keys), "families,", compared, "inductions agree")
