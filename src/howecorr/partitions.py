@@ -17,6 +17,7 @@ Enumeration orders are fixed once and used everywhere:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache, partial
 from itertools import accumulate, chain, product, repeat
 from operator import index, le
@@ -113,6 +114,11 @@ class Bipartition(NamedTuple):
         return sum(self.alpha) + sum(self.beta)
 
 
+# Builds a Bipartition from an (alpha, beta) pair of Partitions without the
+# Python-level __new__ of a named tuple.
+_bipartition = partial(tuple.__new__, Bipartition)
+
+
 def bipartition(alpha: Iterable[int], beta: Iterable[int]) -> Bipartition:
     """Coerce two part sequences into a :class:`Bipartition`."""
     return Bipartition(Partition(alpha), Partition(beta))
@@ -123,23 +129,29 @@ def conjugate(p: Iterable[int]) -> Partition:
     return Partition(p).conjugate()
 
 
-def _gen_partitions(n: int, max_part: int) -> Iterator[tuple]:
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _gen_partitions(n - first, first):
-            yield (first,) + rest
-
-
-# One entry per rank.  All ranks below n together hold at most 3.7 times
-# the items of rank n (n <= 24), and any caller at rank n holds rank n's list
-# anyway, so the cache stays a small multiple of the largest rank in use; a
-# bound would only evict lists that the next call at that rank rebuilds.
-# The same holds for _bipartitions_of and _bipartition_index.
+# One entry per rank, built bottom-up: the partitions of n with first part k
+# are (k,) followed by the partitions of n - k with first part at most k,
+# which in decreasing lexicographic order are a suffix of that rank's list.
+# Building rank n reads, and so fills, every lower rank's entry, lowest
+# first, so no call recurses deeper than one rank.  All ranks below n
+# together hold at most 3.7 times the items of rank n (n <= 24), and any
+# caller at rank n holds rank n's list anyway, so the cache stays a small
+# multiple of the largest rank in use; a bound would only evict lists that
+# the next call at that rank rebuilds.  The same holds for _bipartitions_of
+# and _bipartition_index.
 @lru_cache(maxsize=None)
 def _partitions_of(n: int) -> tuple:
-    return tuple(Partition(p) for p in _gen_partitions(n, n))
+    if n == 0:
+        return (_trusted(()),)
+    lower = [_partitions_of(m) for m in range(n)]
+    out = []
+    for k in range(n, 0, -1):
+        rest = lower[n - k]
+        # first parts fall along the list, so those at most k start where
+        # the negated first part reaches -k
+        start = bisect_left(rest, -k, key=lambda p: -p[0]) if n - k > k else 0
+        out.extend(map(_trusted, map((k,).__add__, rest[start:])))
+    return tuple(out)
 
 
 def partitions_of(n: int) -> list:
@@ -156,12 +168,8 @@ def partitions_of(n: int) -> list:
 # Unbounded for the reason given at _partitions_of.
 @lru_cache(maxsize=None)
 def _bipartitions_of(n: int) -> tuple:
-    out = []
-    for a in range(n, -1, -1):
-        for alpha in _partitions_of(a):
-            for beta in _partitions_of(n - a):
-                out.append(Bipartition(alpha, beta))
-    return tuple(out)
+    pairs = (product(_partitions_of(a), _partitions_of(n - a)) for a in range(n, -1, -1))
+    return tuple(map(_bipartition, chain.from_iterable(pairs)))
 
 
 # Unbounded for the reason given at _partitions_of.

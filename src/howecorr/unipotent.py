@@ -41,6 +41,7 @@ from .errors import EmptyImageError, NonUniqueExtremeError
 from .partitions import (
     Bipartition,
     Partition,
+    _bipartition,
     _bipartition_index,
     _bipartition_radix,
     _bipartitions_of,
@@ -284,9 +285,9 @@ class SeriesLabel(NamedTuple):
 
 
 # Build labels from (first, second) pairs without the Python-level __new__
-# of a named tuple; a theta row makes one per cell.
+# of a named tuple; a theta row makes one per cell (partitions._bipartition
+# does the same for bipartitions).
 _series_label = partial(tuple.__new__, SeriesLabel)
-_bipartition = partial(tuple.__new__, Bipartition)
 
 
 def _check_convention(convention: str) -> None:
@@ -644,9 +645,14 @@ def _strip_indices(n: int, l: int) -> tuple:
     for a in range(l, -1, -1):
         # (lam, beta), |lam| = a + s: start + pos(lam) * p(l - a) + pos(beta)
         start, stride = starts[a + s], counts[l - a]
-        for lams in _strip_relation(a + s)[a]:
-            heads = [start + stride * i for i in lams]
-            out.extend(zip(*[range(h, h + stride) for h in heads]))
+        rows = _strip_relation(a + s)[a]
+        if stride == 1:
+            # |beta| <= 1: one beta, so each row is the relation's row shifted
+            out.extend(map(tuple, map(map, repeat(start.__add__), rows)))
+        else:
+            for lams in rows:
+                heads = [start + stride * i for i in lams]
+                out.extend(zip(*[range(h, h + stride) for h in heads]))
     return tuple(out)
 
 
@@ -674,7 +680,7 @@ def _twist_permutation(n: int, convention: str) -> tuple:
         start, stride = starts[n - a], counts[a]
         heads = [start + stride * j for j in _star_permutation(n - a, convention)]
         for i in _star_permutation(a, convention):
-            out.extend([h + i for h in heads])
+            out.extend(map(i.__add__, heads))
     return tuple(out)
 
 

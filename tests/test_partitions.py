@@ -1,14 +1,19 @@
 import pytest
+import reference_pieri
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from howecorr import unipotent
 from howecorr.partitions import (
     Bipartition,
     Partition,
     _bipartition_index,
     _bipartition_radix,
+    _bipartitions_of,
+    _conjugate_positions,
     _horizontal_strip_removals,
     _partition_position,
+    _partitions_of,
     _strip_relation,
     bipartition,
     bipartition_dominance_leq,
@@ -119,6 +124,84 @@ class TestEnumeration:
             got = bipartitions_of(n)
             assert len(got) == want
             assert len(set(got)) == want
+
+
+
+def _reference_partitions(n, max_part):
+    """The partitions of n with parts at most max_part, decreasing
+    lexicographic, by recursion on the first part."""
+    if n == 0:
+        return [()]
+    return [
+        (first,) + rest
+        for first in range(min(n, max_part), 0, -1)
+        for rest in _reference_partitions(n - first, first)
+    ]
+
+
+def _clear_per_rank_caches():
+    """The per-rank caches behind the strip-index lists."""
+    for cached in (
+        _partitions_of,
+        _bipartitions_of,
+        _bipartition_index,
+        _partition_position,
+        _bipartition_radix,
+        _strip_relation,
+        _conjugate_positions,
+        unipotent._strip_indices,
+        unipotent._star_permutation,
+        unipotent._twist_permutation,
+    ):
+        cached.cache_clear()
+
+
+def _assert_partitions_of_match_the_reference(n):
+    got = _partitions_of(n)
+    assert got == tuple(_reference_partitions(n, n)), n
+    for p in got:
+        assert type(p) is Partition and p == Partition(list(p)), (n, p)
+
+
+class TestBulkEnumeration:
+    def test_partitions_of_equal_a_recursive_reference(self):
+        for n in range(21):
+            _assert_partitions_of_match_the_reference(n)
+
+    def test_a_high_rank_built_first_fills_the_lower_ranks_identically(self):
+        _clear_per_rank_caches()
+        _partitions_of(20)
+        assert _partitions_of.cache_info().currsize == 21
+        for n in range(21):
+            _assert_partitions_of_match_the_reference(n)
+        assert _partitions_of.cache_info().currsize == 21
+
+    def test_bipartitions_of_equal_the_nested_loop_reference(self):
+        for n in range(17):
+            want = tuple(
+                Bipartition(alpha, beta)
+                for a in range(n, -1, -1)
+                for alpha in partitions_of(a)
+                for beta in partitions_of(n - a)
+            )
+            got = _bipartitions_of(n)
+            assert got == want, n
+            for bp in got:
+                assert type(bp) is Bipartition, (n, bp)
+                assert type(bp.alpha) is Partition and type(bp.beta) is Partition, (n, bp)
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        st.integers(0, 14).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+        st.sampled_from(SGN_CONVENTIONS),
+    )
+    def test_cold_strip_indices_equal_the_label_hashing_reference(self, case, convention):
+        n, l = case
+        _clear_per_rank_caches()
+        got = unipotent._strip_indices(n, l)
+        twist = unipotent._twist_permutation(n, convention)
+        assert got == reference_pieri.strip_indices(n, l, "trivial"), (n, l)
+        assert twist == reference_pieri.twist_permutation(n, convention), (n, convention)
 
 
 class TestConjugate:
