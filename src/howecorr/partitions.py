@@ -237,22 +237,15 @@ def _strip_relation(n: int) -> tuple:
     return tuple(tuple(map(tuple, rows)) for rows in out)
 
 
-# One entry per size, like _partitions_of.
-@lru_cache(maxsize=None)
-def _conjugate_positions(n: int) -> tuple:
-    """Position of x' of each partition x of n, in canonical order."""
-    position = _partition_position(n)
-    return tuple(position[p.conjugate()] for p in _partitions_of(n))
-
-
-# Strip additions and removals of one partition are memoised per
-# (partition, size), one cache per kind, each result an immutable tuple in
-# decreasing lexicographic order.  They serve single coupling rows,
-# pieri_induction and the public strip functions; the omega sum reads
-# _strip_relation instead.  Every row of r = r' = 18 touches 6,179
-# addition and 11,284 removal keys, about 11 MiB together (tracemalloc);
-# the bound keeps all of them resident.  Past it the least recently used
-# entries go, which only costs recomputation.
+# Horizontal strip additions and removals of one partition are memoised per
+# (partition, size), one cache each, each result an immutable tuple in
+# decreasing lexicographic order; vertical additions are conjugates of
+# horizontal ones.  They serve single coupling rows, pieri_induction and the
+# public strip functions; the omega sum reads _strip_relation instead.
+# Every row of r = r' = 18 touches 6,179 addition and 11,284 removal keys,
+# about 11 MiB together (tracemalloc); the bound keeps all of them resident.
+# Past it the least recently used entries go, which only costs
+# recomputation.
 STRIP_CACHE_SIZE = 16384
 
 
@@ -331,15 +324,6 @@ def _horizontal_strip_removals(p: Partition, size: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=STRIP_CACHE_SIZE)
-def _vertical_strips(p: Partition, size: int) -> tuple:
-    """Vertical strip additions of a valid partition ``p``: the conjugates of
-    the horizontal strip additions of p', put back in decreasing
-    lexicographic order."""
-    conjugates = _horizontal_strips(p.conjugate(), size)
-    return tuple(sorted((lam.conjugate() for lam in conjugates), reverse=True))
-
-
 def horizontal_strip_additions(p: Iterable[int], size: int) -> list:
     """All partitions obtained from ``p`` by adding a horizontal strip.
 
@@ -362,7 +346,9 @@ def vertical_strip_additions(p: Iterable[int], size: int) -> list:
     """All partitions obtained from ``p`` by adding a vertical strip
     (no two new cells in the same row, so each row grows by at most one).
 
-    Conjugate-dual to :func:`horizontal_strip_additions`.
+    Conjugate-dual to :func:`horizontal_strip_additions`: the conjugates of
+    the horizontal strip additions of p', put back in decreasing
+    lexicographic order.
 
     >>> vertical_strip_additions((2,), 2)
     [(3, 1), (2, 1, 1)]
@@ -372,7 +358,8 @@ def vertical_strip_additions(p: Iterable[int], size: int) -> list:
         size = _integer(size, "strip size")
     if size < 0:
         raise ValueError("strip size must be nonnegative")
-    return list(_vertical_strips(p, size))
+    conjugates = _horizontal_strips(p.conjugate(), size)
+    return sorted((lam.conjugate() for lam in conjugates), reverse=True)
 
 
 def dominance_leq(a: Iterable[int], b: Iterable[int]) -> bool:

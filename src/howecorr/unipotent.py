@@ -45,12 +45,11 @@ from .partitions import (
     _bipartition_index,
     _bipartition_radix,
     _bipartitions_of,
-    _conjugate_positions,
     _horizontal_strip_removals,
     _horizontal_strips,
+    _partition_position,
     _partitions_of,
     _strip_relation,
-    _vertical_strips,
     _dominance_vector,
     _integer,
     bipartition,
@@ -309,27 +308,18 @@ def sgn_twist(bp: Bipartition, convention: str = DEFAULT_SGN_CONVENTION) -> Bipa
     return Bipartition(_star(beta, convention), _star(alpha, convention))
 
 
-def _pieri_labels(alpha: Partition, beta: Partition, size: int, which: str):
-    """Labels in Ind from W_l x W_size to W_{l+size} of chi_(alpha, beta)
-    tensor the linear character ``which`` ("trivial" or a sgn convention),
-    each with multiplicity one, as an iterator of (alpha, beta) pairs in
-    strip order.
-
-    This is the Pieri rule: the trivial character adds a horizontal strip
-    to alpha; sgn adds the strip to beta, vertical under ``coxeter_sign``
-    and horizontal under ``sign_changes``.
-    """
-    if which == "trivial":
-        return zip(_horizontal_strips(alpha, size), repeat(beta))
-    strips = _vertical_strips if which == "coxeter_sign" else _horizontal_strips
-    return zip(repeat(alpha), strips(beta, size))
-
-
 def pieri_induction(
     bp: Bipartition, s: int, second: str, convention: str = DEFAULT_SGN_CONVENTION
 ) -> list:
     """Labels in Ind from W_l x W_s to W_{l+s} of (chi_bp tensor 1) or
-    (chi_bp tensor sgn), each with multiplicity one (see _pieri_labels)."""
+    (chi_bp tensor sgn), each with multiplicity one, in canonical order.
+
+    This is the Pieri rule (Macdonald I §5): the trivial character adds a
+    horizontal strip to alpha.  sgn of W_{l+s} restricts to W_l x W_s as
+    sgn x sgn, so Ind(chi x sgn) = sgn Ind(sgn chi x 1), the identity that
+    _strip_indices relies on: sgn gives (alpha, mu*) for each horizontal
+    strip mu added to beta*.
+    """
     alpha, beta = Partition(bp.alpha), Partition(bp.beta)
     if second == "sgn":
         _check_convention(convention)
@@ -339,8 +329,10 @@ def pieri_induction(
         s = _integer(s, "strip size")
     if s < 0:
         raise ValueError("strip size must be nonnegative")
-    which = "trivial" if second == "trivial" else convention
-    return list(map(_bipartition, _pieri_labels(alpha, beta, s, which)))
+    if second == "trivial":
+        return list(map(_bipartition, zip(_horizontal_strips(alpha, s), repeat(beta))))
+    mus = (_star(mu, convention) for mu in _horizontal_strips(_star(beta, convention), s))
+    return list(map(_bipartition, zip(repeat(alpha), sorted(mus, reverse=True))))
 
 
 def _uncollected(build, cells):
@@ -629,8 +621,8 @@ def _series_ranks(m: int, parity: int, m_prime: int, parity_prime: int, k: int) 
 @lru_cache(maxsize=None)
 def _strip_indices(n: int, l: int) -> tuple:
     """One tuple per chi in Irr(W_l), in canonical order: the indices in
-    Irr(W_n) of the labels of Ind(chi x 1) from W_l x W_{n-l}, as in
-    _pieri_labels, ascending, which is strip order.
+    Irr(W_n) of the labels of Ind(chi x 1) from W_l x W_{n-l}, as
+    pieri_induction gives them, ascending, which is canonical order.
 
     Positions are mixed-radix numbers (_bipartition_radix), so the
     horizontal strip additions to alpha are read as positions
@@ -662,9 +654,8 @@ def _strip_indices(n: int, l: int) -> tuple:
 def _star_permutation(n: int, convention: str) -> tuple:
     """Position of x* (see _star) of each partition x of n, in canonical
     order: the conjugation permutation of partitions, or the identity."""
-    if convention == "coxeter_sign":
-        return _conjugate_positions(n)
-    return tuple(range(len(_partitions_of(n))))
+    position = _partition_position(n)
+    return tuple(position[_star(p, convention)] for p in _partitions_of(n))
 
 
 # One entry per rank and convention, like the enumeration caches in
@@ -878,12 +869,13 @@ def extremal_images(
     """
     images = theta_images(pi, ctx, ctx_prime, convention=convention)
     if not images:
-        k_prime = theta_cuspidal(pi.k, ctx_prime.dim_parity)
-        first = witt_index_of_cuspidal(k_prime)
-        if ctx_prime.witt_index < first:
+        r, k_prime, r_prime = _series_ranks(
+            ctx.witt_index, ctx.dim_parity, ctx_prime.witt_index, ctx_prime.dim_parity, pi.k
+        )
+        if r_prime < 0:
+            first = ctx_prime.witt_index - r_prime
             reason = f"below first occurrence: m' < {first} = m({k_prime})"
         else:
-            r, r_prime = pi.char_label.size, ctx_prime.witt_index - first
             reason = f"its row of the nonzero table at r={r}, r'={r_prime} is empty"
         raise EmptyImageError(f"image of {pi} is empty ({reason})")
     return _image_extremes(pi, images[0][0].k, [sl.char_label for sl, _ in images])

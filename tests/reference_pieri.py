@@ -9,8 +9,10 @@ Only the enumeration of (bi)partitions, the cuspidal bookkeeping and the
 
 The index lists of the omega sum are frozen too, as they were built by
 hashing each label into the canonical order (``strip_indices``,
-``twist_permutation``).  They read the library's Pieri and sgn rules, so
-they pin only the passage from labels to indices.
+``twist_permutation``).  ``strip_indices`` reads the ``pieri_induction``
+frozen here, so it shares no strip code with the library;
+``twist_permutation`` reads the library's sgn twist, so it pins only the
+passage from labels to indices.
 """
 
 from functools import lru_cache
@@ -24,7 +26,6 @@ from howecorr.partitions import (
 )
 from howecorr.unipotent import (
     MultiplicityTable,
-    _pieri_labels,
     _validate_series,
     theta_cuspidal,
     witt_index_of_cuspidal,
@@ -145,13 +146,13 @@ def omega_table(m, parity, m_prime, parity_prime, k, convention):
     )
 
 
-def strip_indices(n, l, which):
-    """The indices in Irr(W_n) of the labels of Ind(chi x which), one tuple
+def strip_indices(n, l, second, convention="coxeter_sign"):
+    """The indices in Irr(W_n) of the labels of Ind(chi x second), one tuple
     per chi in Irr(W_l), each label hashed into the canonical order."""
     index = _bipartition_index(n)
     return tuple(
-        tuple(map(index.__getitem__, _pieri_labels(alpha, beta, n - l, which)))
-        for alpha, beta in _bipartitions_of(l)
+        tuple(map(index.__getitem__, pieri_induction(chi, n - l, second, convention)))
+        for chi in _bipartitions_of(l)
     )
 
 

@@ -10,7 +10,6 @@ from howecorr.partitions import (
     _bipartition_index,
     _bipartition_radix,
     _bipartitions_of,
-    _conjugate_positions,
     _horizontal_strip_removals,
     _partition_position,
     _partitions_of,
@@ -148,7 +147,6 @@ def _clear_per_rank_caches():
         _partition_position,
         _bipartition_radix,
         _strip_relation,
-        _conjugate_positions,
         unipotent._strip_indices,
         unipotent._star_permutation,
         unipotent._twist_permutation,

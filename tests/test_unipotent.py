@@ -355,6 +355,22 @@ class TestPieriInduction:
                         got = pieri_induction(chi, n - l, "sgn", convention)
                         assert got == [labels[i] for i in row], (chi, convention)
 
+    @settings(deadline=None, max_examples=200)
+    @given(
+        chi=st.integers(0, 9).flatmap(lambda l: st.sampled_from(bipartitions_of(l))),
+        s=st.integers(0, 5),
+        second=st.sampled_from(("trivial", "sgn")),
+        convention=st.sampled_from(SGN_CONVENTIONS),
+    )
+    def test_equals_the_frozen_reference_in_order(self, chi, s, second, convention):
+        """The rule, including the sgn side read through x*, gives the
+        labels of the recursive strip generators, list for list, past the
+        oracle's rank."""
+        got = pieri_induction(chi, s, second, convention)
+        assert got == reference_pieri.pieri_induction(chi, s, second, convention)
+        assert all(type(bp) is Bipartition for bp in got)
+        assert all(type(p) is Partition for bp in got for p in bp)
+
     def test_sgn_twist_consistency(self):
         for n in range(5):
             for bp in bipartitions_of(n):
@@ -565,7 +581,6 @@ def _clear_index_caches():
         partitions._bipartition_radix,
         partitions._partition_position,
         partitions._strip_relation,
-        partitions._conjugate_positions,
     ):
         cached.cache_clear()
 
@@ -574,7 +589,6 @@ def _clear_all_caches():
     _clear_index_caches()
     for cached in (
         partitions._horizontal_strips,
-        partitions._vertical_strips,
         partitions._bipartitions_of,
         partitions._partitions_of,
     ):
@@ -648,8 +662,7 @@ class TestIndexSpaceAssembly:
 
         _clear_all_caches()
         for module in (partitions, unipotent):
-            for name in ("_horizontal_strips", "_vertical_strips"):
-                monkeypatch.setattr(module, name, forbidden)
+            monkeypatch.setattr(module, "_horizontal_strips", forbidden)
         for case in self.CASES:
             self._snapshot(*case)
 
@@ -670,7 +683,7 @@ class TestIndexSpaceAssembly:
                 for convention in SGN_CONVENTIONS:
                     assert _sgn_strip_indices(
                         n, l, convention
-                    ) == reference_pieri.strip_indices(n, l, convention), (n, l, convention)
+                    ) == reference_pieri.strip_indices(n, l, "sgn", convention), (n, l, convention)
 
     @settings(deadline=None, max_examples=50)
     @given(n=st.integers(0, 16), convention=st.sampled_from(SGN_CONVENTIONS))
