@@ -61,13 +61,14 @@ its rank against the bound on each call, before it is read.
 from __future__ import annotations
 
 import itertools
+import struct
 import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
 from math import factorial
-from operator import add, lshift, mul
+from operator import add, mul
 from typing import NamedTuple
 
 from .errors import InternalCheckError, RankBoundError
@@ -271,7 +272,8 @@ def _irreducible_seed(alpha: Partition, beta: Partition) -> list:
     return _outer(first, second)
 
 
-#: memoryview formats of the unsigned machine integers of 8, 16, 32 and 64 bits.
+#: memoryview and struct formats of the unsigned machine integers of 8, 16,
+#: 32 and 64 bits (``struct`` reads them little-endian, at standard sizes).
 _SLOT_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
@@ -310,11 +312,14 @@ class _IntMatrix:
     2^(width - 1) to every slot therefore puts slot b at d_b + 2^(width - 1),
     inside [0, 2^width): the sum plus that offset has exactly these
     base-2^width digits, no carry crosses a slot boundary, and unpacking
-    (:func:`_read_slots`) is exact.  The floor of 8 bits makes every slot
-    of up to 64 bits an unsigned machine integer, so that all of them are
-    read by one cast of the sum's bytes.  The packed columns are kept per
-    width; rounding the width up to a power of two keeps that to one
-    packing for all the calls whose bounds share it.
+    (:func:`_read_slots`) is exact.  For the same reason the sum fixes its
+    slots, so one comparison with the sum that the slots wanted would give
+    checks all of them (:meth:`orthogonality_defect`).  The floor of 8 bits
+    makes every slot of up to 64 bits an unsigned machine integer, so that
+    a column's slots are packed by one ``struct`` call and a sum's are read
+    by one cast of its bytes.  The packed columns are kept per width;
+    rounding the width up to a power of two keeps that to one packing for
+    all the calls whose bounds share it.
     """
 
     def __init__(self, rows):
@@ -324,15 +329,22 @@ class _IntMatrix:
         self._packed = {}
 
     def _pack(self, width: int) -> tuple:
-        """The packed columns, by Horner's rule from the last row up, and
-        the offset 2^(width - 1) in every slot."""
-        shifts = itertools.repeat(width)
-        columns = [0] * len(self.rows[0])
-        for row in reversed(self.rows):
-            columns = list(map(add, map(lshift, columns, shifts), row))
-        half = 1 << (width - 1)
-        offset = sum(half << shift for shift in range(0, width * self._count, width))
-        return columns, offset
+        """The packed columns and the offset 2^(width - 1) in every slot.
+        Each column is packed in one step: its entries plus the offset are
+        its unsigned slots, laid out as little-endian bytes (by one
+        ``struct`` call at 8 to 64 bits, by ``int.to_bytes`` per slot
+        above) and read back by ``int.from_bytes``, less the offset."""
+        half, size, count = 1 << (width - 1), width // 8, self._count
+        columns = zip(*self.rows)
+        if width <= 64:
+            pack = struct.Struct(f"<{count}{_SLOT_FORMATS[width]}").pack
+            data = (pack(*map(half.__add__, column)) for column in columns)
+        else:
+            data = (
+                b"".join((half + x).to_bytes(size, "little") for x in column) for column in columns
+            )
+        offset = int.from_bytes(half.to_bytes(size, "little") * count, "little")
+        return [int.from_bytes(packed, "little") - offset for packed in data], offset
 
     def packed(self, width: int) -> tuple:
         """The packed columns and the offset at ``width``, packed on first
@@ -353,13 +365,29 @@ class _IntMatrix:
     def orthogonality_defect(self, vectors, diagonal):
         """The first pair (i, j), i <= j, in lexicographic order at which
         row_i . vectors[j] is not diagonal[i] (for i == j) or 0 (else), or
-        None when there is none."""
-        gram = [self.dots(vector) for vector in vectors]
-        for i, want in enumerate(diagonal):
-            for j in range(i, len(vectors)):
-                if gram[j][i] != (want if i == j else 0):
-                    return i, j
-        return None
+        None when there is none; one diagonal entry per row and per vector.
+
+        One width, the largest that any vector needs, serves the call.
+        Vector j passes when its packed sum is diagonal[j] 2^(width * j):
+        the sum fixes its slots, so that one comparison checks them all (a
+        diagonal entry that no slot can hold never passes).  Only a vector
+        that fails it has its slots read, and the least i <= j at which one
+        is wrong is kept, as the plain scan would; a vector wrong only below
+        its diagonal gives none."""
+        largest = max(max(map(abs, vector)) for vector in vectors)
+        width = _slot_width(self._norm_bits, largest)
+        columns, offset = self.packed(width)
+        half = 1 << (width - 1)
+        first = None
+        for j, (vector, want) in enumerate(zip(vectors, diagonal)):
+            total = sum(map(mul, columns, vector))
+            if -half < want < half and total == want << (width * j):
+                continue
+            slots = _read_slots(total + offset, width, self._count)
+            wrong = [i for i in range(j + 1) if slots[i] != (want if i == j else 0)]
+            if wrong and (first is None or wrong[0] < first[0]):
+                first = wrong[0], j
+        return first
 
 
 @dataclass(frozen=True)

@@ -499,6 +499,27 @@ class TestPackedDots:
         total = sum((d + half) << (width * b) for b, d in enumerate(slots))
         assert hyperoctahedral._read_slots(total, width, len(slots)) == slots
 
+    def test_a_diagonal_outside_the_slots_is_not_matched_by_a_carry(self):
+        # 8-bit slots: vector 0 packs to 5 + 1 * 2^8 = 261, the packing of a
+        # diagonal entry 261 that no slot can hold, so only the slot scan
+        # sees that row 0 . vector 0 is 5
+        matrix = hyperoctahedral._IntMatrix([[1, 0], [0, 1]])
+        assert matrix.orthogonality_defect([[5, 1], [0, 1]], [261, 1]) == (0, 0)
+        assert set(matrix._packed) == {8}
+
+    @pytest.mark.parametrize("width", [8, 16, 32, 64, 128])
+    def test_packing_is_exact(self, width):
+        # the extreme entries the proof admits at this width, zeros, and an
+        # all-zero column: each packed column is the signed sum of its
+        # entries at bit width * b, and the offset puts 2^(width - 1) in
+        # every slot
+        top = 2 ** (width - 1) - 1
+        rows = [[top, -top, 0, 0], [-top, 0, top, 0], [0, top, -top, 0], [1, -1, top, 0]]
+        columns, offset = hyperoctahedral._IntMatrix(rows)._pack(width)
+        want = [sum(row[c] << (width * b) for b, row in enumerate(rows)) for c in range(4)]
+        assert columns == want
+        assert offset == sum(2 ** (width - 1) << (width * b) for b in range(len(rows)))
+
 
 coefficient = st.one_of(st.integers(-3, 3), st.integers(-(10**40), 10**40))
 
@@ -527,6 +548,43 @@ def test_decompose_recovers_integer_combinations(data):
     vectors = [_weighted(n, vector) for vector in scaled]
     assert table._columns.orthogonality_defect(vectors, diagonal) == want
     assert want == next(((i, i) for i, c in enumerate(coeffs) if c != 1), None)
+
+
+def _planted_gram_cases():
+    """(n, hits, scale) per rank n <= 5: each hit (i, j) adds scale times
+    row i to vector j, which moves the weighted dot of row i with vector j
+    by scale |W_n| and leaves every other slot alone."""
+    for n in range(6):
+        k = len(bipartitions_of(n))
+        cases = {"first slot": [(0, k - 1)], "last slot": [(k - 1, k - 1)]}
+        if k > 1:
+            cases.update({"upper": [(k // 3, 2 * k // 3)], "lower only": [(k - 1, 0)]})
+        if k > 2:
+            # vector 1 fails first, but (0, k - 1) comes first in order
+            cases["two vectors"] = [(1, 1), (0, k - 1)]
+        for case, hits in cases.items():
+            yield pytest.param(n, hits, 1, id=f"{n}-{case}")
+    yield pytest.param(5, [(3, 20)], 2**90, id="5-upper-128-bit slots")
+
+
+@pytest.mark.parametrize("n, hits, scale", _planted_gram_cases())
+def test_planted_gram_faults_match_the_plain_loop(n, hits, scale):
+    # the size-weighted rows pass by one comparison per vector; a planted
+    # fault must send its vector to the slot scan, and the pair returned
+    # must be the plain loop's, None when every fault lies below the
+    # diagonal
+    rows = build_character_table(n).rows
+    vectors = [list(row) for row in rows]
+    for i, j in hits:
+        vectors[j] = [v + scale * x for v, x in zip(vectors[j], rows[i])]
+    matrix = hyperoctahedral._IntMatrix(rows)
+    weighted = [_weighted(n, vector) for vector in vectors]
+    got = matrix.orthogonality_defect(weighted, [group_order(n)] * len(rows))
+    assert got == _first_orthonormality_failure(n, rows, vectors)
+    assert got == min(((i, j) for i, j in hits if i <= j), default=None)
+    assert len(matrix._packed) == 1  # one width serves the call
+    if scale > 1:
+        assert set(matrix._packed) == {128}
 
 
 @pytest.fixture
