@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import howecorr.cli as cli
+import reference_cli
 import reference_pieri
 from howecorr import unipotent
 from howecorr.cli import main, parse_gl_part, parse_orbits, parse_partition
@@ -72,6 +73,100 @@ class TestParsing:
             parse_gl_part("2")
         with pytest.raises(ValueError):
             parse_gl_part("2:1")
+
+
+_REFERENCE = reference_cli.build_parser()
+
+
+def _outcome(parser, argv):
+    """vars() of the namespace, or the exit code with stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as stop:
+            return stop.code, out.getvalue(), err.getvalue()
+
+
+def _well_formed(name):
+    """The required flags of a subcommand, each with a valid value."""
+    argv = [name]
+    for flag in cli._COMMANDS[name].flags:
+        if flag.required:
+            argv += [flag.name, "1" if flag.type is int else "-"]
+    return argv
+
+
+def _usage_errors():
+    """One argv per level (top level, each subcommand) and kind of usage
+    error that the level can give."""
+    yield "top", "invalid_choice", ["frobnicate"]
+    yield "top", "missing_required", []
+    yield "top", "unrecognized", ["--bogus"]
+    for name, command in cli._COMMANDS.items():
+        base = _well_formed(name)
+        ints = [f.name for f in command.flags if f.type is int]
+        chosen = [f.name for f in command.flags if f.choices]
+        if ints:
+            yield name, "invalid_int", base + [ints[0], "x"]
+        if chosen:
+            yield name, "invalid_choice", base + [chosen[0], "9"]
+        if len(base) > 1:
+            yield name, "missing_required", base[:1] + base[3:]
+        yield name, "unrecognized", base + ["stray"]
+        yield name, "expected_one_argument", base + [command.flags[0].name]
+        yield name, "not_allowed_with", base + ["--json", "--text"]
+
+
+class TestAgainstTheReferenceParser:
+    """Every --help text and usage-error line is the one the reference
+    parser (``tests/reference_cli.py``) prints, and every argv gives its
+    namespace or its exit."""
+
+    @pytest.mark.parametrize(
+        "prefix", [[]] + [[name] for name in cli._COMMANDS], ids=["top", *cli._COMMANDS]
+    )
+    def test_help_is_the_reference_help(self, capsys, monkeypatch, prefix):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main([*prefix, "--help"])
+        assert exc.value.code == 0
+        got = capsys.readouterr()
+        want = _outcome(_REFERENCE, [*prefix, "--help"])
+        assert (0, got.out, got.err) == want
+        assert got.out.startswith("usage: howecorr")
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(argv, id=f"{level}-{kind}") for level, kind, argv in _usage_errors()
+    ])
+    def test_usage_error_is_the_reference_line(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        got = capsys.readouterr()
+        want = _outcome(_REFERENCE, argv)
+        assert (exc.value.code, got.out, got.err) == want
+        assert exc.value.code == 1 and len(got.err.splitlines()) == 1
+
+    def test_superscript_two_is_not_a_negative_number(self, capsys):
+        # "-²"[1:].isdigit() holds, but argparse reads "-²" as a flag, so
+        # --alpha has no value; a digit test would print a partition error
+        argv = ["theta", "--m", "1", "--mp", "1", "--k", "0", "--alpha", "-²",
+                "--beta", "-"]
+        assert cli._parse_well_formed(argv) is None
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert capsys.readouterr().err == (
+            "howecorr theta: error: argument --alpha: expected one argument\n"
+        )
+
+    @pytest.mark.parametrize("name", sorted(cli._COMMANDS))
+    def test_well_formed_argv_is_parsed_from_the_table(self, name):
+        for argv in (_well_formed(name), _well_formed(name) + ["--json"]):
+            args = cli._parse_well_formed(argv)
+            assert args is not None
+            assert vars(args) == _outcome(_REFERENCE, argv)
 
 
 class TestOmega:
@@ -585,3 +680,38 @@ def test_every_argv_exits_cleanly(argv):
     assert code in (0, 1, 2), argv
     assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
     assert "Traceback" not in err.getvalue(), argv
+
+
+# Tokens that the table parser must decline, or (repeated flags, "-" as a
+# value) accept exactly as argparse does; each goes in as a new token, or
+# in place of a flag's value.
+_INJECTED = st.sampled_from([
+    "--conv", "--par", "--m=3", "--alpha=1", "-", "-1", "-1.5", "-²", "--", "-h",
+    "stray", "", "--json", "--text",
+])
+
+
+@st.composite
+def _mangled_argv(draw):
+    argv = draw(_argv())
+    for _ in range(draw(st.integers(1, 3))):
+        values = [i for i in range(2, len(argv)) if argv[i - 1].startswith("--")]
+        action = draw(st.sampled_from(["insert", "replace", "repeat"]))
+        if action == "replace" and values:
+            argv[draw(st.sampled_from(values))] = draw(_INJECTED)
+        elif action == "repeat" and values:
+            at = draw(st.sampled_from(values))
+            argv[at + 1:at + 1] = argv[at - 1:at + 1]  # the flag and its value
+        else:
+            at = draw(st.integers(0, len(argv)))
+            argv[at:at] = [draw(_INJECTED)]
+    return argv
+
+
+@settings(max_examples=600, deadline=None)
+@given(argv=_mangled_argv())
+def test_table_parser_matches_the_reference(argv):
+    """The table parser gives the reference parser's namespace, handler
+    included, or its exit code, stdout and stderr."""
+    want = _outcome(_REFERENCE, argv)
+    assert _outcome(cli.build_parser(), argv) == want, argv

@@ -124,6 +124,14 @@ class TestImportSurface:
         ))
         assert proc.stdout.decode().splitlines() == ["[]"]
 
+    def test_cheap_subcommands_do_not_import_argparse(self):
+        """A well-formed argv is parsed from the flag table; only --help
+        and usage errors load ``argparse`` (and with it ``gettext``)."""
+        proc = _python("-c", CHEAP_SUBCOMMANDS + (
+            "print(sorted({'argparse', 'gettext'} & set(sys.modules)))\n"
+        ))
+        assert proc.stdout.decode().splitlines() == ["[]"]
+
     def test_reduction_subcommands_load_lusztig_only(self):
         loaded = _loaded_after(
             "import contextlib, io\n"
@@ -202,6 +210,11 @@ class TestConsoleEntryPoint:
         proc = _python("-m", "howecorr", *argv, check=False)
         assert code == 0
         assert (proc.returncode, proc.stdout) == (code, buf.getvalue().encode())
+        assert proc.stderr == b""
+
+    def test_help_exits_0(self):
+        proc = _python("-m", "howecorr", "omega", "--help")
+        assert proc.stdout.decode().startswith("usage: howecorr omega")
         assert proc.stderr == b""
 
     def test_bad_flag_exits_1_with_one_line(self):
