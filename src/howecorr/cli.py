@@ -478,13 +478,8 @@ def build_parser() -> _TableParser:
     return _TableParser()
 
 
-@lru_cache(maxsize=1)
-def _shared_parser() -> _TableParser:
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _shared_parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         # each handler returns both renderers; only the printed one runs
         to_json, to_text, code = args.handler(args)

@@ -41,7 +41,8 @@ from .unipotent import (
 
 
 def _check_field(q: int, modulus: int) -> None:
-    """q must be an odd prime power and the modulus q^(2d) - 1, d >= 1."""
+    """q must be an odd prime power below unipotent.FIELD_SIZE_BOUND = 2^24
+    (a larger q raises ValueError) and the modulus q^(2d) - 1, d >= 1."""
     if not is_odd_prime_power(q):
         raise ValueError(f"q = {q} is not an odd prime power")
     m = q * q - 1

@@ -66,6 +66,7 @@ def triangular(k: int) -> int:
 def witt_index_of_cuspidal(k: int) -> int:
     """Witt index of the unitary group carrying the k-th cuspidal unipotent
     representation, which has dimension k(k+1)/2."""
+    k = k if type(k) is int else _integer(k, "k")
     if k < 0:
         raise ValueError("k must be nonnegative")
     return triangular(k) // 2
@@ -79,6 +80,7 @@ def theta_cuspidal(k: int, target_dim_parity: int) -> int:
     required parity (their triangular numbers differ by the odd number
     2k + 1); k = 0 goes to 0 in the even tower and to 1 in the odd tower.
     """
+    k = k if type(k) is int else _integer(k, "k")
     if k < 0:
         raise ValueError("k must be nonnegative")
     if target_dim_parity not in (0, 1):
@@ -97,26 +99,18 @@ def is_first_kind(k: int, k_prime: int) -> bool:
     return k % 2 == 1 or k == k_prime == 0
 
 
-# Trial division runs over the odd p up to just past this power of two, so
-# it alone decides every q below its square; past it the prime-power test
-# takes integer roots and Miller-Rabin.
-TRIAL_DIVISION_LIMIT = 1 << 8
-
-# Miller-Rabin with the first 13 primes as bases is exact below
-# PRIME_TEST_BOUND (Sorenson and Webster, Math. Comp. 86 (2017), 985-1003).
-MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-PRIME_TEST_BOUND = 3317044064679887385961981
+# Trial division decides each q below this bound in at most 2^11 divisions.
+FIELD_SIZE_BOUND = 2**24
 
 
 def is_odd_prime_power(q: int) -> bool:
-    """Whether q is a power of an odd prime (the admissible field sizes).
-
-    Exact: trial division by the odd p up to just past
-    TRIAL_DIVISION_LIMIT, then, when q has no factor there, the one base whose power q can be (its
-    root of highest degree) goes through deterministic Miller-Rabin.
-    Raises ValueError when that base is at least PRIME_TEST_BOUND, where
-    the test would no longer be exact.
-    """
+    """Whether q is a power of an odd prime (the admissible field sizes),
+    by trial division by the odd p with p^2 <= q.  Raises ValueError when q
+    is at least FIELD_SIZE_BOUND = 2^24, where no field size is accepted."""
+    if q >= FIELD_SIZE_BOUND:
+        raise ValueError(
+            f"q = {q} is too large: field sizes must be below 2^24 = {FIELD_SIZE_BOUND}"
+        )
     if q < 3 or q % 2 == 0:
         return False
     p = 3
@@ -125,55 +119,8 @@ def is_odd_prime_power(q: int) -> bool:
             while q % p == 0:
                 q //= p
             return q == 1
-        if p > TRIAL_DIVISION_LIMIT:
-            break
         p += 2
-    else:
-        return True  # q itself is prime
-    # Every prime factor of q exceeds TRIAL_DIVISION_LIMIT = 2^8, so
-    # q = b^e has e < q.bit_length() / 8.  If b is prime it is no perfect
-    # power, so the exact root of highest degree is b itself.
-    base = q
-    for e in range(q.bit_length() // 8, 1, -1):
-        root = _integer_root(q, e)
-        if root**e == q:
-            base = root
-            break
-    if base >= PRIME_TEST_BOUND:
-        raise ValueError(
-            f"q = {q} is too large to test exactly for an odd prime power "
-            f"(its base must be below {PRIME_TEST_BOUND})"
-        )
-    return _is_prime(base)
-
-
-def _integer_root(q: int, e: int) -> int:
-    """The largest x with x**e <= q, for q >= 1 and e >= 2: Newton's
-    iteration from above, which decreases to the root."""
-    x = 1 << -(-q.bit_length() // e)
-    while True:
-        y = ((e - 1) * x + q // x ** (e - 1)) // e
-        if y >= x:
-            return x
-        x = y
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for an odd n > 41 below PRIME_TEST_BOUND."""
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in MILLER_RABIN_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    return True  # q itself is prime
 
 
 class _DataclassView:
@@ -247,9 +194,9 @@ class TowerContext(_Record):
     """A member of a Witt tower of unitary groups: Witt index m and the
     parity of the underlying dimension n = 2m + parity.  The field size q is
     optional, and nothing computed here depends on it; when given it must be
-    an odd prime power.  All three are read by `operator.index` and stored
-    as exact ints, so that a bool or a numpy int reaches no output and no
-    cache key."""
+    an odd prime power below FIELD_SIZE_BOUND = 2^24.  All three are read by
+    `operator.index` and stored as exact ints, so that a bool or a numpy int
+    reaches no output and no cache key."""
 
     __slots__ = ("witt_index", "dim_parity", "q")
 
@@ -747,6 +694,7 @@ def omega_unipotent(
     table when m' < m(k').
     """
     _check_convention(convention)
+    k = k if type(k) is int else _integer(k, "k")  # for the key: True == 1 == 1.0
     return _omega_cached(
         ctx.witt_index, ctx.dim_parity, ctx_prime.witt_index, ctx_prime.dim_parity, k, convention
     )
@@ -836,8 +784,9 @@ def theta_images(
     closed form; no table is built."""
     # every check of omega_unipotent, in the same order, then the label size
     _check_convention(convention)
+    k = pi.k if type(pi.k) is int else _integer(pi.k, "k")
     r, k_prime, r_prime = _series_ranks(
-        ctx.witt_index, ctx.dim_parity, ctx_prime.witt_index, ctx_prime.dim_parity, pi.k
+        ctx.witt_index, ctx.dim_parity, ctx_prime.witt_index, ctx_prime.dim_parity, k
     )
     if pi.char_label.size != r:
         raise ValueError(
@@ -846,9 +795,7 @@ def theta_images(
     alpha, beta = Partition(pi.char_label.alpha), Partition(pi.char_label.beta)
     if r_prime < 0:
         return []
-    row = _coupling_row(
-        alpha, beta, r, r_prime, is_first_kind(pi.k, k_prime), convention
-    )
+    row = _coupling_row(alpha, beta, r, r_prime, is_first_kind(k, k_prime), convention)
     return [(_series_label((k_prime, col)), mult) for col, mult in row]
 
 

@@ -44,11 +44,14 @@ def run(capsys, *argv):
 
 class TestParsing:
     def test_main_reuses_one_parser(self, capsys):
-        run(capsys, "theta", "--m", "1", "--mp", "1", "--k", "0",
-            "--alpha", "1", "--beta", "-")
-        run(capsys, "omega", "--m", "1", "--mp", "1", "--k", "0")
-        assert cli._shared_parser.cache_info().currsize == 1
-        assert cli._shared_parser.cache_info().misses <= 1
+        # two usage errors through main build the argparse parser at most once
+        for argv in (["omega", "--m", "x"], ["theta", "--k"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 1
+        capsys.readouterr()
+        assert cli._argparse_parser.cache_info().currsize == 1
+        assert cli._argparse_parser.cache_info().misses <= 1
         assert cli.build_parser() is not cli.build_parser()
 
     def test_partition(self):
@@ -428,22 +431,23 @@ class TestCentralizer:
         assert err == "error: q = 15 is not an odd prime power\n"
 
     def test_large_prime_field_answers(self, capsys):
+        # the largest prime below the field size bound 2^24
         code, out, err = run(
-            capsys, "centralizer", "--q", str(2**61 - 1), "--n", "3", "--orbits", "0^3"
+            capsys, "centralizer", "--q", str(2**24 - 3), "--n", "3", "--orbits", "0^3"
         )
         assert (code, err) == (0, "")
         assert out.startswith("no factors away from eigenvalue 1\n")
 
     def test_field_past_the_exact_test_exits_1(self, capsys):
-        q = 3317044064679887385962123  # the next prime past PRIME_TEST_BOUND
-        code, out, err = run(
-            capsys, "centralizer", "--q", str(q), "--n", "3", "--orbits", "0^3"
-        )
-        assert (code, out) == (1, "")
-        assert err == (
-            f"error: q = {q} is too large to test exactly for an odd prime power "
-            "(its base must be below 3317044064679887385961981)\n"
-        )
+        # the bound itself, and a prime far past it
+        for q in (2**24, 2**61 - 1):
+            code, out, err = run(
+                capsys, "centralizer", "--q", str(q), "--n", "3", "--orbits", "0^3"
+            )
+            assert (code, out) == (1, "")
+            assert err == (
+                f"error: q = {q} is too large: field sizes must be below 2^24 = 16777216\n"
+            )
 
     def test_dash_is_the_empty_orbit_list(self, capsys):
         dash = run(capsys, "centralizer", "--q", "3", "--n", "0", "--orbits", "-")

@@ -2,9 +2,10 @@ import copy
 import gc
 import json
 import pickle
+import random
 import tracemalloc
 from itertools import chain, product, starmap
-from math import comb, factorial, prod
+from math import comb, factorial, isqrt, prod
 from operator import le
 
 import pytest
@@ -72,47 +73,64 @@ class TestCuspidalBookkeeping:
                 assert theta_cuspidal(k_prime, triangular(k) % 2) == k
 
     def test_odd_prime_powers_against_factorisation(self):
-        def prime_factors(q):
-            factors, p = set(), 2
-            while q > 1:
-                while q % p == 0:
-                    factors.add(p)
-                    q //= p
-                p += 1
-            return factors
+        # a factorisation by the primes below 2^12, which divide every
+        # composite q below 2^24: every q below 5000, a seeded sample of odd
+        # q below the bound and the last 64 q below it
+        primes = [p for p in range(2, 1 << 12) if all(p % d for d in range(2, isqrt(p) + 1))]
 
-        got = [q for q in range(5000) if is_odd_prime_power(q)]
-        factors = [prime_factors(q) for q in range(5000)]
-        want = [q for q, ps in enumerate(factors) if len(ps) == 1 and 2 not in ps]
-        assert got == want
-        assert {9, 27, 25, 2187, 4913} <= set(got)
+        def want(q):
+            if q < 2:
+                return False
+            base = next((p for p in primes if q % p == 0), q)
+            while q % base == 0:
+                q //= base
+            return q == 1 and base != 2
+
+        rng = random.Random(38)
+        sample = [2 * rng.randrange(1 << 23) + 1 for _ in range(2000)]
+        for q in chain(range(5000), sample, range(2**24 - 64, 2**24)):
+            assert is_odd_prime_power(q) is want(q), q
+        assert {9, 27, 25, 2187, 4913} <= set(filter(is_odd_prime_power, range(5000)))
 
     @pytest.mark.parametrize(
         "q, want",
         [
-            (2**61 - 1, True),  # a prime past trial division
-            ((2**31 - 1) ** 2, True),  # the square of one
-            (257**5, True),  # the smallest base past trial division
+            (2**61 - 1, ValueError),  # a prime past the bound
+            ((2**31 - 1) ** 2, ValueError),  # the square of one
+            (257**5, ValueError),  # a base past 2^8, the old trial division limit
             (561, False),  # a Carmichael number
-            (3215031751, False),  # a strong pseudoprime to bases 2, 3, 5, 7
-            # strong pseudoprimes with no factor below 2^8: only base 41
-            # exposes the second
-            (3825123056546413051, False),
-            (318665857834031151167461, False),
-            (1000003 * (2**61 - 1), False),  # two primes past trial division
+            (3215031751, ValueError),  # a strong pseudoprime to bases 2, 3, 5, 7
+            (3825123056546413051, ValueError),  # strong pseudoprimes with no
+            (318665857834031151167461, ValueError),  # factor below 2^8
+            (1000003 * (2**61 - 1), ValueError),  # two primes past the bound
+            (2**24 - 3, True),  # the largest prime below the bound
+            (4093**2, True),  # the square of the largest prime below 2^12
+            (4091 * 4093, False),  # two primes below 2^12
+            (257**2, True),  # the smallest base past the old limit
         ],
     )
     def test_odd_prime_powers_past_trial_division(self, q, want):
-        assert is_odd_prime_power(q) is want
+        if want is ValueError:
+            with pytest.raises(ValueError, match=f"^q = {q} is too large: field sizes must be"):
+                is_odd_prime_power(q)
+        else:
+            assert is_odd_prime_power(q) is want
 
     def test_prime_power_test_is_bounded(self):
-        # the next prime past the bound has no exact answer, only a refusal
-        q = unipotent.PRIME_TEST_BOUND + 142
-        with pytest.raises(ValueError, match=f"^q = {q} is too large to test exactly"):
-            is_odd_prime_power(q)
-        # a large q with a small factor, or a small base, is still exact
-        assert is_odd_prime_power(3**60)
-        assert not is_odd_prime_power(3 * unipotent.PRIME_TEST_BOUND)
+        # every q from the bound on is refused, prime power or not
+        bound = unipotent.FIELD_SIZE_BOUND
+        assert bound == 2**24
+        for q in (bound, bound + 1, 3**60, 3 * bound, 2**61 - 1):
+            with pytest.raises(
+                ValueError,
+                match=f"^q = {q} is too large: field sizes must be below 2\\^24 = 16777216$",
+            ):
+                is_odd_prime_power(q)
+        # below it, every answer is exact
+        assert is_odd_prime_power(3**15)
+        assert not is_odd_prime_power(3 * 5**9)
+        with pytest.raises(ValueError, match="^q = 16777216 is too large"):
+            TowerContext(1, 0, q=bound)
 
     def test_tower_context_validation(self):
         with pytest.raises(ValueError):
@@ -153,6 +171,40 @@ class TestCuspidalBookkeeping:
         omega_unipotent(TowerContext(True, 0), TowerContext(True, 0), 0)
         table = omega_unipotent(TowerContext(1, 0), TowerContext(1, 0), 0)
         assert (type(table.m), type(table.m_prime)) == (int, int)
+
+    # The series index k reaches the same cache key, so it is read by
+    # operator.index before the key is formed.
+
+    def test_bool_series_index_leaves_no_bool_table_in_the_cache(self):
+        unipotent._omega_cached.cache_clear()
+        ctx, ctx_prime = TowerContext(1, 1), TowerContext(1, 0)
+        omega_unipotent(ctx, ctx_prime, True)
+        table = omega_unipotent(ctx, ctx_prime, 1)
+        assert type(table.k) is int
+        assert json.dumps(table.to_json_dict()).startswith('{"m": 1, "m_prime": 1, "k": 1,')
+
+    def test_numpy_series_index_renders_as_an_int(self):
+        numpy = pytest.importorskip("numpy")
+        unipotent._omega_cached.cache_clear()
+        ctx, ctx_prime = TowerContext(1, 1), TowerContext(1, 0)
+        omega_unipotent(ctx, ctx_prime, numpy.int64(1))
+        table = omega_unipotent(ctx, ctx_prime, 1)
+        assert type(table.k) is int
+        json.dumps(table.to_json_dict())
+        images = theta_images(SeriesLabel(numpy.int64(1), TRIV1), ctx, ctx_prime)
+        assert images and all(type(label.k) is int for label, _ in images)
+
+    def test_fractional_series_index_is_refused(self):
+        ctx, ctx_prime = TowerContext(1, 1), TowerContext(1, 0)
+        calls = [
+            lambda: omega_unipotent(ctx, ctx_prime, 1.5),
+            lambda: theta_images(SeriesLabel(1.5, TRIV1), ctx, ctx_prime),
+            lambda: theta_cuspidal(1.5, 0),
+            lambda: witt_index_of_cuspidal(1.5),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="^k must be an integer, got 1.5$"):
+                call()
 
 
 # pickle, copy and deepcopy: each must give back an equal record
@@ -555,6 +607,84 @@ class TestOmegaTables:
         a = omega_unipotent(TowerContext(2, 0), TowerContext(2, 0), 0)
         b = omega_unipotent(TowerContext(2, 0), TowerContext(2, 0), 0)
         assert a is b
+
+
+def _conjugate_beta(bp: Bipartition) -> Bipartition:
+    """The relabelling (alpha, beta) -> (alpha, beta*), beta* the conjugate."""
+    return bipartition(bp.alpha, Partition(bp.beta).conjugate())
+
+
+def _convention_pair(k: int, parity_prime: int, r: int, r_prime: int) -> tuple:
+    """The omega table of ranks r, r' of the k-series against its partner in
+    the tower of parity ``parity_prime``, in each convention."""
+    k_prime = theta_cuspidal(k, parity_prime)
+    ctx = TowerContext(witt_index_of_cuspidal(k) + r, triangular(k) % 2)
+    ctx_prime = TowerContext(witt_index_of_cuspidal(k_prime) + r_prime, parity_prime)
+    return tuple(
+        omega_unipotent(ctx, ctx_prime, k, convention=convention)
+        for convention in ("sign_changes", "coxeter_sign")
+    )
+
+
+def _relabelled_entries(table) -> dict:
+    return {
+        (_conjugate_beta(row), _conjugate_beta(col)): mult
+        for (row, col), mult in table.entries.items()
+    }
+
+
+class TestConventionRelabelling:
+    """coxeter_sign is sign_changes with every label (alpha, beta) printed
+    as (alpha, beta*): a horizontal strip on beta becomes a vertical one,
+    and sgn_twist (alpha, beta) -> (beta*, alpha*) of one convention is the
+    other's conjugated.  Tables, rows and the Pieri rule are checked."""
+
+    def test_tables_are_relabelled(self):
+        for k, parity_prime, r, r_prime in product(range(4), (0, 1), range(9), range(9)):
+            changes, coxeter = _convention_pair(k, parity_prime, r, r_prime)
+            assert set(map(_conjugate_beta, changes.row_labels)) == set(coxeter.row_labels)
+            assert set(map(_conjugate_beta, changes.col_labels)) == set(coxeter.col_labels)
+            assert dict(coxeter.entries.items()) == _relabelled_entries(changes), (
+                k, parity_prime, r, r_prime,
+            )
+
+    def test_theta_images_are_relabelled(self):
+        for k, parity_prime, r, r_prime in product(range(4), (0, 1), range(7), range(7)):
+            k_prime = theta_cuspidal(k, parity_prime)
+            ctx = TowerContext(witt_index_of_cuspidal(k) + r, triangular(k) % 2)
+            ctx_prime = TowerContext(witt_index_of_cuspidal(k_prime) + r_prime, parity_prime)
+            for label in bipartitions_of(r):
+                changes = theta_images(
+                    SeriesLabel(k, label), ctx, ctx_prime, convention="sign_changes"
+                )
+                coxeter = theta_images(
+                    SeriesLabel(k, _conjugate_beta(label)), ctx, ctx_prime,
+                    convention="coxeter_sign",
+                )
+                want = {
+                    SeriesLabel(k_prime, _conjugate_beta(sl.char_label)): mult
+                    for sl, mult in changes
+                }
+                assert len(coxeter) == len(changes)
+                assert dict(coxeter) == want, (k, parity_prime, label, r_prime)
+
+    def test_pieri_induction_is_relabelled(self):
+        for l, s, second in product(range(6), range(5), ("trivial", "sgn")):
+            for chi in bipartitions_of(l):
+                changes = pieri_induction(chi, s, second, "sign_changes")
+                coxeter = pieri_induction(_conjugate_beta(chi), s, second, "coxeter_sign")
+                assert sorted(coxeter) == sorted(map(_conjugate_beta, changes)), (chi, s)
+
+    @settings(deadline=None, max_examples=8)
+    @given(
+        k=st.integers(0, 3),
+        parity_prime=st.integers(0, 1),
+        r=st.integers(9, 10),
+        r_prime=st.integers(9, 10),
+    )
+    def test_tables_above_the_sweep_are_relabelled(self, k, parity_prime, r, r_prime):
+        changes, coxeter = _convention_pair(k, parity_prime, r, r_prime)
+        assert dict(coxeter.entries.items()) == _relabelled_entries(changes)
 
 
 def _sgn_strip_indices(n: int, l: int, convention: str) -> tuple:
