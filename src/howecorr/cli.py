@@ -14,8 +14,9 @@ from the flag table ``_COMMANDS`` and never imports ``argparse``; the
 argparse parser generated from that table takes the rest (``--help``,
 usage errors, values that start with "-"), so their text is argparse's.
 ``centralizer``, ``transport`` and ``omega-full`` import the reduction
-layer (``lusztig``) when they run; ``verify`` imports ``verify`` and with
-it the W_n oracle (``hyperoctahedral``, ``symmetric``) and ``lusztig``.
+layer (``lusztig``, no ``dataclasses`` either) when they run; ``verify``
+imports ``verify`` and with it the W_n oracle (``hyperoctahedral``,
+``symmetric``) and ``lusztig``.
 
 Exit codes: 0 on success, 1 on validation errors (bad flags or
 mathematically inconsistent input, one-line diagnostic on stderr) and when

@@ -354,14 +354,6 @@ class _IntMatrix:
             packed = self._packed[width] = self._pack(width)
         return packed
 
-    def dots(self, values) -> list:
-        """[row . values for row in rows], for a list of integers
-        ``values`` indexed like the columns."""
-        width = _slot_width(self._norm_bits, max(map(abs, values)))
-        columns, offset = self.packed(width)
-        total = sum(map(mul, columns, values)) + offset
-        return _read_slots(total, width, self._count)
-
     def orthogonality_defect(self, vectors, diagonal):
         """The first pair (i, j), i <= j, in lexicographic order at which
         row_i . vectors[j] is not diagonal[i] (for i == j) or 0 (else), or
@@ -424,7 +416,7 @@ def build_character_table(n: int) -> CharacterTable:
     to be integer valued, and the full table is certified orthonormal with
     respect to the exact inner product: |W_n| <chi, psi> is the dot product
     of chi's row with psi's row weighted by the class sizes, |C| psi(C), one
-    packed ``CharacterTable._columns.dots`` per psi.  A failed
+    packed comparison per psi (``_IntMatrix.orthogonality_defect``).  A failed
     certification raises :class:`InternalCheckError` rather than returning
     a bad table.
     """

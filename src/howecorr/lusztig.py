@@ -23,7 +23,6 @@ torus size t', and a partner exists only when the nontrivial entries fit in t'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import InternalCheckError
@@ -31,6 +30,7 @@ from .unipotent import (
     DEFAULT_SGN_CONVENTION,
     MultiplicityTable,
     TowerContext,
+    _Record,
     _validate_series,
     is_odd_prime_power,
     omega_unipotent,
@@ -52,28 +52,25 @@ def _check_field(q: int, modulus: int) -> None:
         raise ValueError(f"modulus {modulus} is not q^2d - 1 for q = {q}")
 
 
-@dataclass(frozen=True)
-class EigenvalueOrbit:
+class EigenvalueOrbit(_Record):
     """An orbit of eigenvalue exponents under e -> -q e mod M, with a
     multiplicity.  The orbit size is the degree of the eigenvalue over the
     fixed field; the orbits of 1 and -1 are the singletons {0} and {M/2}."""
 
-    q: int
-    modulus: int
-    exponents: frozenset
-    multiplicity: int = 1
+    __slots__ = ("q", "modulus", "exponents", "multiplicity")
 
-    def __post_init__(self):
-        _check_field(self.q, self.modulus)
-        if self.multiplicity < 1:
+    def __init__(self, q: int, modulus: int, exponents: frozenset, multiplicity: int = 1):
+        _check_field(q, modulus)
+        if multiplicity < 1:
             raise ValueError("orbit multiplicity must be positive")
-        if not self.exponents:
+        if not exponents:
             raise ValueError("orbit must contain at least one exponent")
-        for e in self.exponents:
-            if not 0 <= e < self.modulus:
-                raise ValueError(f"exponent {e} not reduced mod {self.modulus}")
-            if (-self.q * e) % self.modulus not in self.exponents:
-                raise ValueError(f"exponent set {set(self.exponents)} is not closed")
+        for e in exponents:
+            if not 0 <= e < modulus:
+                raise ValueError(f"exponent {e} not reduced mod {modulus}")
+            if (-q * e) % modulus not in exponents:
+                raise ValueError(f"exponent set {set(exponents)} is not closed")
+        self._set(q, modulus, exponents, multiplicity)
 
     @property
     def size(self) -> int:
@@ -112,28 +109,23 @@ def _orbit_sort_key(orbit: EigenvalueOrbit):
     return (not orbit.is_one, orbit.size, sorted(orbit.exponents))
 
 
-@dataclass(frozen=True)
-class SemisimpleDescriptor:
+class SemisimpleDescriptor(_Record):
     """A semisimple class given by disjoint eigenvalue orbits with
     multiplicities.  The ambient dimension it can live in is
     ``dimension`` = sum of orbit size times multiplicity."""
 
-    q: int
-    modulus: int
-    orbits: tuple
+    __slots__ = ("q", "modulus", "orbits")
 
-    def __post_init__(self):
-        _check_field(self.q, self.modulus)
+    def __init__(self, q: int, modulus: int, orbits: tuple):
+        _check_field(q, modulus)
         seen = set()
-        for orbit in self.orbits:
-            if orbit.q != self.q or orbit.modulus != self.modulus:
+        for orbit in orbits:
+            if orbit.q != q or orbit.modulus != modulus:
                 raise ValueError("orbit and descriptor disagree on q or modulus")
             if seen & orbit.exponents:
                 raise ValueError("orbits must be pairwise disjoint")
             seen |= orbit.exponents
-        object.__setattr__(
-            self, "orbits", tuple(sorted(self.orbits, key=_orbit_sort_key))
-        )
+        self._set(q, modulus, tuple(sorted(orbits, key=_orbit_sort_key)))
 
     @property
     def dimension(self) -> int:
@@ -166,20 +158,18 @@ class SemisimpleDescriptor:
         }
 
 
-@dataclass(frozen=True)
-class CentralizerFactor:
+class CentralizerFactor(_Record):
     """One factor of the centralizer away from eigenvalue 1: a general
     linear or unitary group of degree ``size`` over the extension of degree
     ``field_degree``.  Odd orbits give unitary factors (the orbits of 1 and
     -1 in particular), even orbits give linear ones."""
 
-    kind: str
-    size: int
-    field_degree: int
+    __slots__ = ("kind", "size", "field_degree")
 
-    def __post_init__(self):
-        if self.kind not in ("unitary", "linear"):
-            raise ValueError(f"unknown factor kind {self.kind!r}")
+    def __init__(self, kind: str, size: int, field_degree: int):
+        if kind not in ("unitary", "linear"):
+            raise ValueError(f"unknown factor kind {kind!r}")
+        self._set(kind, size, field_degree)
 
     @property
     def rank_contribution(self) -> int:
@@ -260,20 +250,19 @@ def match_semisimple(
 TRIVIAL_GL_LABEL = "1"
 
 
-@dataclass(frozen=True)
-class GLCuspidal:
+class GLCuspidal(_Record):
     """A cuspidal datum on a general linear factor of a Levi: an opaque
     label and the factor size t.  The label "1" is reserved for the trivial
     character of GL_1, the entries that transport adds and removes."""
 
-    size: int
-    label: str
+    __slots__ = ("size", "label")
 
-    def __post_init__(self):
-        if self.size < 1:
+    def __init__(self, size: int, label: str):
+        if size < 1:
             raise ValueError("GL factor size must be positive")
-        if self.label == TRIVIAL_GL_LABEL and self.size != 1:
+        if label == TRIVIAL_GL_LABEL and size != 1:
             raise ValueError("the trivial cuspidal lives on GL_1 only")
+        self._set(size, label)
 
     @property
     def is_trivial(self) -> bool:
@@ -286,35 +275,42 @@ class GLCuspidal:
 TRIVIAL_GL = GLCuspidal(1, TRIVIAL_GL_LABEL)
 
 
-@dataclass(frozen=True)
-class UnipotentCuspidal:
+class UnipotentCuspidal(_Record):
     """The k-th cuspidal unipotent representation as the cuspidal datum on
     the unitary factor; its first occurrence data is computable."""
 
-    k: int
+    __slots__ = ("k",)
 
-    def __post_init__(self):
-        if self.k < 0:
+    def __init__(self, k: int):
+        if k < 0:
             raise ValueError("k must be nonnegative")
+        self._set(k)
 
     def to_json_dict(self) -> dict:
         return {"unipotent": True, "k": self.k}
 
 
-@dataclass(frozen=True)
-class GenericCuspidal:
+class GenericCuspidal(_Record):
     """An opaque cuspidal datum on the unitary factor.  Its first
     occurrence index in the partner tower cannot be computed from the label
     alone, so it travels with the datum; ``partner_label`` names its
-    first-occurrence image (defaults to a derived tag)."""
+    first-occurrence image (defaults to a derived tag) and takes no part
+    in equality or the hash."""
 
-    label: str
-    first_occurrence: int
-    partner_label: str | None = field(default=None, compare=False)
+    __slots__ = ("label", "first_occurrence", "partner_label")
 
-    def __post_init__(self):
-        if self.first_occurrence < 0:
+    def __init__(self, label: str, first_occurrence: int, partner_label: str | None = None):
+        if first_occurrence < 0:
             raise ValueError("first occurrence index must be nonnegative")
+        self._set(label, first_occurrence, partner_label)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values()[:2] == other._values()[:2]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values()[:2])
 
     def to_json_dict(self) -> dict:
         return {
@@ -328,16 +324,14 @@ def _sorted_entries(entries) -> tuple:
     return tuple(sorted(entries, key=lambda e: (e.size, e.label)))
 
 
-@dataclass(frozen=True)
-class CuspidalSupport:
+class CuspidalSupport(_Record):
     """A cuspidal support (L, rho) in flattened form: the multiset of GL
     cuspidal entries and the cuspidal datum phi on the unitary factor."""
 
-    entries: tuple
-    phi: object
+    __slots__ = ("entries", "phi")
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", _sorted_entries(self.entries))
+    def __init__(self, entries: tuple, phi: object):
+        self._set(_sorted_entries(entries), phi)
 
     @property
     def gl_size(self) -> int:
@@ -404,21 +398,18 @@ def transport_support(
     return CuspidalSupport(gl, phi_prime)
 
 
-@dataclass(frozen=True)
-class CuspidalPair:
+class CuspidalPair(_Record):
     """A Harish-Chandra series: the multiset of GL cuspidal entries with
     trivial GL_1 entries listed explicitly, the cuspidal unipotent index k
     of the unitary part in reduced coordinates, and the semisimple class of
     the whole series.  The torus rank is the count of trivial entries."""
 
-    gl_part: tuple
-    base_k: int
-    semisimple: SemisimpleDescriptor
+    __slots__ = ("gl_part", "base_k", "semisimple")
 
-    def __post_init__(self):
-        if self.base_k < 0:
+    def __init__(self, gl_part: tuple, base_k: int, semisimple: SemisimpleDescriptor):
+        if base_k < 0:
             raise ValueError("base k must be nonnegative")
-        object.__setattr__(self, "gl_part", _sorted_entries(self.gl_part))
+        self._set(_sorted_entries(gl_part), base_k, semisimple)
 
     @property
     def torus_rank(self) -> int:
@@ -483,19 +474,24 @@ def transport_series(
     return CuspidalPair(gl_part, k_prime, s_prime)
 
 
-@dataclass(frozen=True)
-class OmegaFullDecomposition:
+class OmegaFullDecomposition(_Record):
     """The decomposition of the full coupling for one pair of series: the
     factors away from eigenvalue 1 pair diagonally (each label with itself;
     all Weyl-level characters here are rational, so the pairing involution
     is the identity), tensored with the unipotent table of the reduced
     contexts."""
 
-    hash_descriptor: tuple
-    pairing: str
-    l: int
-    l_prime: int
-    unipotent_table: MultiplicityTable
+    __slots__ = ("hash_descriptor", "pairing", "l", "l_prime", "unipotent_table")
+
+    def __init__(
+        self,
+        hash_descriptor: tuple,
+        pairing: str,
+        l: int,
+        l_prime: int,
+        unipotent_table: MultiplicityTable,
+    ):
+        self._set(hash_descriptor, pairing, l, l_prime, unipotent_table)
 
     def contains(self, member, member_prime) -> bool:
         """Membership test for a pair of labels.  Each label is a pair

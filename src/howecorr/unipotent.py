@@ -78,19 +78,21 @@ def theta_cuspidal(k: int, target_dim_parity: int) -> int:
 
     For k >= 1 exactly one of k - 1, k + 1 has triangular number of the
     required parity (their triangular numbers differ by the odd number
-    2k + 1); k = 0 goes to 0 in the even tower and to 1 in the odd tower.
+    2k + 1): k + 1 when T(k + 1) has it, else k - 1.  k = 0 goes to 0 in
+    the even tower and to 1 in the odd tower.  Both arguments are read by
+    `operator.index`, so a bool parity gives an int and a float raises
+    ValueError.
     """
     k = k if type(k) is int else _integer(k, "k")
+    if type(target_dim_parity) is not int:
+        target_dim_parity = _integer(target_dim_parity, "parity")
     if k < 0:
         raise ValueError("k must be nonnegative")
     if target_dim_parity not in (0, 1):
         raise ValueError("parity must be 0 or 1")
     if k == 0:
         return target_dim_parity
-    candidates = [kp for kp in (k - 1, k + 1) if triangular(kp) % 2 == target_dim_parity]
-    if len(candidates) != 1:
-        raise RuntimeError(f"parity rule failed at k={k}")  # unreachable
-    return candidates[0]
+    return k + 1 if triangular(k + 1) % 2 == target_dim_parity else k - 1
 
 
 def is_first_kind(k: int, k_prime: int) -> bool:
@@ -128,9 +130,11 @@ class _DataclassView:
     ``pprint``) read a dataclass, built on first read from a frozen
     dataclass with the record's ``__init__`` signature and then stored on
     the record's class.  Only code that has imported ``dataclasses`` reads
-    them, so ``dataclasses.fields``, ``replace`` and ``asdict`` take a
-    record as they took the dataclass it replaced, and start-up pays
-    nothing for it."""
+    them, so ``dataclasses.fields``, ``replace`` and ``asdict`` take every
+    ``_Record`` as they took the dataclass it replaced, and start-up pays
+    nothing for it.  Every field it reports compares, even
+    ``GenericCuspidal.partner_label``, which the record itself leaves out
+    of equality."""
 
     def __set_name__(self, owner, name):
         self._name = name
@@ -155,15 +159,23 @@ class _Record:
     """A frozen record whose fields are its ``__slots__``, in order: equal
     to a record of the same class with equal fields, hashed, printed and
     pickled or copied (through the constructor) as that tuple of fields.
-    A subclass's ``__init__`` validates its arguments and sets each field
-    through ``object.__setattr__``; any later assignment raises
+    A subclass's ``__init__`` validates and normalises its arguments and
+    sets the fields by one ``_set`` call; any later assignment raises
     AttributeError.  This is what a frozen dataclass gives, without
     importing ``dataclasses``, which loads ``inspect`` and would be the
-    largest cost of a CLI process's start-up."""
+    largest cost of a CLI process's start-up.  ``TowerContext``,
+    ``MultiplicityTable``, the records of :mod:`howecorr.lusztig` and
+    ``verify.CheckResult`` are records; only the oracle's
+    ``CharacterTable`` is still a dataclass."""
 
     __slots__ = ()
     __dataclass_fields__ = _DataclassView()
     __dataclass_params__ = _DataclassView()
+
+    def _set(self, *values) -> None:
+        """Set the fields, one value each in ``__slots__`` order."""
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(map(self.__getattribute__, self.__slots__))
@@ -213,9 +225,7 @@ class TowerContext(_Record):
             raise ValueError("dimension parity must be 0 or 1")
         if q is not None and not is_odd_prime_power(q):
             raise ValueError(f"q = {q} is not an odd prime power")
-        object.__setattr__(self, "witt_index", witt_index)
-        object.__setattr__(self, "dim_parity", dim_parity)
-        object.__setattr__(self, "q", q)
+        self._set(witt_index, dim_parity, q)
 
     @property
     def dimension(self) -> int:
@@ -466,15 +476,7 @@ class MultiplicityTable(_Record):
             except KeyError as err:
                 raise ValueError(f"{err.args[0]} is not a label of this table") from None
             entries = _Entries(row_labels, col_labels, csr=_row_sorted(counts))
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "m_prime", m_prime)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "k_prime", k_prime)
-        object.__setattr__(self, "formula", formula)
-        object.__setattr__(self, "convention", convention)
-        object.__setattr__(self, "row_labels", row_labels)
-        object.__setattr__(self, "col_labels", col_labels)
-        object.__setattr__(self, "entries", entries)
+        self._set(m, m_prime, k, k_prime, formula, convention, row_labels, col_labels, entries)
 
     @property
     def is_zero(self) -> bool:

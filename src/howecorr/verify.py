@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -69,6 +68,7 @@ from .unipotent import (
     TowerContext,
     _cell_rows,
     _image_extremes,
+    _Record,
     is_first_kind,
     omega_unipotent,
     pieri_induction,
@@ -80,11 +80,11 @@ from .unipotent import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(_Record):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str):
+        self._set(name, passed, detail)
 
     def line(self) -> str:
         return f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.detail}"
@@ -207,12 +207,10 @@ def _oracle_omega(r: int, r_prime: int, first_kind: bool, convention: str) -> tu
     return tuple(sorted((i, j, mult) for (i, j), mult in counts.items())), degree
 
 
-def _series_contexts(k: int, k_prime: int, r: int, r_prime: int):
-    ctx = TowerContext(witt_index_of_cuspidal(k) + r, triangular(k) % 2)
-    ctx_p = TowerContext(
-        witt_index_of_cuspidal(k_prime) + r_prime, triangular(k_prime) % 2
-    )
-    return ctx, ctx_p
+def _series_context(k: int, r: int) -> TowerContext:
+    """The group of the k-series at b-rank r: Witt index m(k) + r and
+    dimension parity T(k) mod 2."""
+    return TowerContext(witt_index_of_cuspidal(k) + r, triangular(k) % 2)
 
 
 def _table_sweep(max_b_rank: int, k_max: int):
@@ -230,10 +228,14 @@ def _stores(max_b_rank: int, k_max: int, convention: str) -> list:
     table so that its id is not reused, its labels, and the ranks and kind
     that the checks read it with."""
     found = {}
+    # each context once (k' <= k_max + 1), where every entry reads two
+    context = {
+        (j, r): _series_context(j, r)
+        for j, r in product(range(k_max + 2), range(max_b_rank + 1))
+    }
     for entry in _table_sweep(max_b_rank, k_max):
         k, _, k_prime, r, r_prime = entry
-        ctx, ctx_p = _series_contexts(k, k_prime, r, r_prime)
-        table = omega_unipotent(ctx, ctx_p, k, convention=convention)
+        table = omega_unipotent(context[k, r], context[k_prime, r_prime], k, convention=convention)
         labels = table.row_labels, table.col_labels
         key = (id(table.entries), *labels, r, r_prime, is_first_kind(k, k_prime))
         found.setdefault(key, [entry, table, 0])[2] += 1

@@ -84,6 +84,17 @@ def _plain_dots(rows, values):
     return [sum(map(mul, row, values)) for row in rows]
 
 
+def _packed_dots(matrix, values):
+    """[row . values for row in matrix.rows] read off the packed columns,
+    as orthogonality_defect reads the slots of a vector that fails: the
+    width the proof gives, the columns packed at it, and the slots of the
+    sum plus the offset."""
+    width = hyperoctahedral._slot_width(matrix._norm_bits, max(map(abs, values)))
+    columns, offset = matrix.packed(width)
+    total = sum(map(mul, columns, values)) + offset
+    return hyperoctahedral._read_slots(total, width, len(matrix.rows))
+
+
 def _inner(n, f, g):
     """The exact inner product (1/|W_n|) sum |C| f(C) g(C) on W_n."""
     total = sum(size * x * y for size, x, y in zip(_classes(n).sizes, f, g))
@@ -431,7 +442,7 @@ class TestDecompose:
     # against the multiplicities known in advance
     def _dots(self, n, values):
         table = build_character_table(n)
-        got = table._columns.dots(_weighted(n, values))
+        got = _packed_dots(table._columns, _weighted(n, values))
         assert got == _plain_dots(table.rows, _weighted(n, values))
         return got
 
@@ -483,13 +494,13 @@ class TestPackedDots:
         vectors += [[rng.randint(-top, top) for _ in range(4)] for _ in range(4)]
         for v in vectors:
             want = [sum(x * y for x, y in zip(row, v)) for row in rows]
-            assert matrix.dots(v) == want
+            assert _packed_dots(matrix, v) == want
         assert set(matrix._packed) == {width}
-        assert matrix.dots(vectors[0])[:4] == [norm * top, -norm * top, 0, 0]
+        assert _packed_dots(matrix, vectors[0])[:4] == [norm * top, -norm * top, 0, 0]
 
     def test_small_bounds_use_eight_bit_slots(self):
         matrix = hyperoctahedral._IntMatrix([[1, 0], [0, -1]])
-        assert matrix.dots([1, 1]) == [1, -1]
+        assert _packed_dots(matrix, [1, 1]) == [1, -1]
         assert set(matrix._packed) == {8}
 
     @pytest.mark.parametrize("width", [8, 16, 32, 64, 128])
@@ -539,7 +550,7 @@ def test_decompose_recovers_integer_combinations(data):
         label="coefficients",
     )
     weighted = _weighted(n, _combination(table, coeffs))
-    got = table._columns.dots(weighted)
+    got = _packed_dots(table._columns, weighted)
     assert got == _plain_dots(table.rows, weighted)
     assert got == [group_order(n) * c for c in coeffs]
     scaled = [_scaled(row, c) for row, c in zip(table.rows, coeffs)]

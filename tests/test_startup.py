@@ -12,6 +12,7 @@ import subprocess
 import sys
 
 import pytest
+from test_golden_cli import CORPUS
 
 import howecorr
 from howecorr.cli import main
@@ -96,6 +97,13 @@ CHEAP_SUBCOMMANDS = (
 )
 
 
+# One golden-corpus argv of each reduction subcommand.
+REDUCTION_ARGVS = [
+    CORPUS[name]
+    for name in ("centralizer_n6_linear", "transport_generic_anchor", "omega_full_with_factor")
+]
+
+
 class TestImportSurface:
     def test_bare_import_loads_no_submodule(self):
         assert _loaded_after("import howecorr") == {"howecorr"}
@@ -120,6 +128,21 @@ class TestImportSurface:
         """``dataclasses`` loads ``inspect`` (and ``ast``, ``dis``,
         ``tokenize``), the largest import a CLI process could pay."""
         proc = _python("-c", CHEAP_SUBCOMMANDS + (
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        ))
+        assert proc.stdout.decode().splitlines() == ["[]"]
+
+    def test_reduction_subcommands_do_not_import_dataclasses(self):
+        """The reduction layer's records are ``_Record``s, as the tower
+        context and the table are, so ``centralizer``, ``transport`` and
+        ``omega-full`` start without ``dataclasses`` too."""
+        proc = _python("-c", (
+            "import contextlib, io, sys\n"
+            "import howecorr.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    for argv in {REDUCTION_ARGVS!r}:\n"
+            "        for flags in ([], ['--json']):\n"
+            "            assert cli.main(argv + flags) == 0, argv\n"
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
         ))
         assert proc.stdout.decode().splitlines() == ["[]"]

@@ -1,5 +1,7 @@
 import copy
+import dataclasses
 import gc
+import inspect
 import json
 import pickle
 import random
@@ -16,6 +18,19 @@ from hypothesis import strategies as st
 from howecorr import partitions, unipotent
 from howecorr.errors import EmptyImageError, NonUniqueExtremeError
 from howecorr.hyperoctahedral import _classes, build_character_table
+from howecorr.lusztig import (
+    TRIVIAL_GL,
+    CentralizerFactor,
+    CuspidalPair,
+    CuspidalSupport,
+    EigenvalueOrbit,
+    GenericCuspidal,
+    GLCuspidal,
+    OmegaFullDecomposition,
+    SemisimpleDescriptor,
+    UnipotentCuspidal,
+    orbit_closure,
+)
 from howecorr.partitions import (
     Bipartition,
     Partition,
@@ -41,7 +56,7 @@ from howecorr.unipotent import (
     triangular,
     witt_index_of_cuspidal,
 )
-from howecorr.verify import _oracle_omega, _series_contexts
+from howecorr.verify import CheckResult, _oracle_omega, _series_context
 
 TRIV1 = bipartition((1,), ())
 SGN1 = bipartition((), (1,))
@@ -65,6 +80,26 @@ class TestCuspidalBookkeeping:
                 assert triangular(k_prime) % 2 == parity
                 if k >= 1:
                     assert k_prime in (k - 1, k + 1)
+
+    def test_theta_parity_is_read_as_an_int(self):
+        assert type(theta_cuspidal(0, True)) is int and theta_cuspidal(0, True) == 1
+        assert type(theta_cuspidal(0, False)) is int and theta_cuspidal(0, False) == 0
+        for parity in (1.0, "1", None):
+            with pytest.raises(ValueError, match=f"^parity must be an integer, got {parity!r}$"):
+                theta_cuspidal(0, parity)
+
+    def test_theta_matches_the_candidate_rule(self):
+        # the rule as it was first written: the one of k - 1, k + 1 whose
+        # triangular number has the target parity
+        def want(k, parity):
+            if k == 0:
+                return parity
+            (kp,) = [kp for kp in (k - 1, k + 1) if triangular(kp) % 2 == parity]
+            return kp
+
+        for k in range(65):
+            for parity in (0, 1):
+                assert theta_cuspidal(k, parity) == want(k, parity), (k, parity)
 
     def test_theta_round_trip(self):
         for k in range(1, 7):
@@ -360,6 +395,169 @@ class TestRecords:
             assert got.to_text() == table.to_text()
 
 
+def _record_cases():
+    """One case per record outside ``unipotent``: the class, the arguments
+    of one instance, its repr and the class's signature as the frozen
+    dataclass it replaced printed them, and the arguments of an unequal
+    instance."""
+    unit, minus_one = orbit_closure(3, 8, 0, 2), orbit_closure(3, 8, 4)
+    unit_repr = "EigenvalueOrbit(q=3, modulus=8, exponents=frozenset({0}), multiplicity=2)"
+    minus_one_repr = "EigenvalueOrbit(q=3, modulus=8, exponents=frozenset({4}), multiplicity=1)"
+    descriptor_repr = (
+        f"SemisimpleDescriptor(q=3, modulus=8, orbits=({unit_repr}, {minus_one_repr}))"
+    )
+    # the semisimple class of U_3 with eigenvalues 1, 1, -1, orbits out of order
+    descriptor = SemisimpleDescriptor(3, 8, (minus_one, unit))
+    rho, rho_repr = GLCuspidal(2, "rho"), "GLCuspidal(size=2, label='rho')"
+    trivial_repr = "GLCuspidal(size=1, label='1')"
+    table = omega_unipotent(*TestRecords.SMALL)
+    cases = [
+        (
+            EigenvalueOrbit, (3, 8, frozenset({4}), 2),
+            "EigenvalueOrbit(q=3, modulus=8, exponents=frozenset({4}), multiplicity=2)",
+            "(q: 'int', modulus: 'int', exponents: 'frozenset', multiplicity: 'int' = 1)",
+            (3, 8, frozenset({4}), 1),
+        ),
+        (
+            SemisimpleDescriptor, (3, 8, (minus_one, unit)), descriptor_repr,
+            "(q: 'int', modulus: 'int', orbits: 'tuple')",
+            (3, 8, (unit,)),
+        ),
+        (
+            CentralizerFactor, ("linear", 2, 2),
+            "CentralizerFactor(kind='linear', size=2, field_degree=2)",
+            "(kind: 'str', size: 'int', field_degree: 'int')",
+            ("unitary", 2, 2),
+        ),
+        (
+            GLCuspidal, (2, "rho"), rho_repr, "(size: 'int', label: 'str')", (2, "sigma"),
+        ),
+        (
+            UnipotentCuspidal, (1,), "UnipotentCuspidal(k=1)", "(k: 'int')", (0,),
+        ),
+        (
+            GenericCuspidal, ("c", 1, "d"),
+            "GenericCuspidal(label='c', first_occurrence=1, partner_label='d')",
+            "(label: 'str', first_occurrence: 'int', partner_label: 'str | None' = None)",
+            ("c", 2, "d"),
+        ),
+        (
+            CuspidalSupport, ((rho, TRIVIAL_GL), UnipotentCuspidal(0)),
+            f"CuspidalSupport(entries=({trivial_repr}, {rho_repr}), "
+            "phi=UnipotentCuspidal(k=0))",
+            "(entries: 'tuple', phi: 'object')",
+            ((rho,), UnipotentCuspidal(0)),
+        ),
+        (
+            CuspidalPair, ((rho, TRIVIAL_GL), 0, descriptor),
+            f"CuspidalPair(gl_part=({trivial_repr}, {rho_repr}), base_k=0, "
+            f"semisimple={descriptor_repr})",
+            "(gl_part: 'tuple', base_k: 'int', semisimple: 'SemisimpleDescriptor')",
+            ((rho, TRIVIAL_GL), 1, descriptor),
+        ),
+        (
+            OmegaFullDecomposition,
+            ((CentralizerFactor("unitary", 1, 1),), "diagonal", 1, 0, table),
+            "OmegaFullDecomposition(hash_descriptor=(CentralizerFactor(kind='unitary', "
+            "size=1, field_degree=1),), pairing='diagonal', l=1, l_prime=0, "
+            f"unipotent_table={TestRecords.SMALL_REPR})",
+            "(hash_descriptor: 'tuple', pairing: 'str', l: 'int', l_prime: 'int', "
+            "unipotent_table: 'MultiplicityTable')",
+            ((), "diagonal", 1, 0, table),
+        ),
+        (
+            CheckResult, ("x", True, "y"), "CheckResult(name='x', passed=True, detail='y')",
+            "(name: 'str', passed: 'bool', detail: 'str')",
+            ("x", False, "y"),
+        ),
+    ]
+    return [pytest.param(*case, id=case[0].__name__) for case in cases]
+
+
+class TestRecordContract:
+    """The records of ``lusztig`` and ``verify.CheckResult`` keep the
+    contract of the frozen dataclasses they were, as ``TestRecords`` checks
+    for ``TowerContext`` and ``MultiplicityTable``."""
+
+    CASES = _record_cases()
+
+    @staticmethod
+    def _keywords(cls, args) -> dict:
+        return dict(zip(inspect.signature(cls).parameters, args))
+
+    @pytest.mark.parametrize("cls, args, text, signature, other", CASES)
+    def test_signature_and_construction(self, cls, args, text, signature, other):
+        sig = inspect.signature(cls)
+        assert str(sig.replace(return_annotation=sig.empty)) == signature
+        record, by_keyword = cls(*args), cls(**self._keywords(cls, args))
+        assert by_keyword == record
+        # every field, partner_label too, which equality leaves out
+        assert [getattr(by_keyword, name) for name in sig.parameters] == [
+            getattr(record, name) for name in sig.parameters
+        ]
+        with pytest.raises(TypeError):
+            cls(*args, None)
+
+    @pytest.mark.parametrize("cls, args, text, signature, other", CASES)
+    def test_equality_hash_and_repr(self, cls, args, text, signature, other):
+        record, twin = cls(*args), cls(*args)
+        assert record == twin and not record != twin and record is not twin
+        assert record != cls(*other) and not record == cls(*other)
+        values = tuple(getattr(record, name) for name in inspect.signature(cls).parameters)
+        assert record != values and record.__eq__(values) is NotImplemented
+        assert repr(record) == text
+        if cls is OmegaFullDecomposition:
+            # the table's entries mapping is unhashable, and so was the dataclass
+            with pytest.raises(TypeError, match="unhashable type"):
+                hash(record)
+        else:
+            # a frozen dataclass hashes the tuple of its compared fields
+            compared = values[:2] if cls is GenericCuspidal else values
+            assert hash(record) == hash(twin) == hash(compared)
+
+    def test_partner_label_takes_no_part_in_equality(self):
+        named, derived = GenericCuspidal("c", 1, "d"), GenericCuspidal("c", 1)
+        assert named == derived and hash(named) == hash(derived) == hash(("c", 1))
+        assert derived.partner_label is None
+        assert len({named, derived, GenericCuspidal("c", 2, "d")}) == 2
+
+    @pytest.mark.parametrize("cls, args, text, signature, other", CASES)
+    def test_fields_cannot_be_assigned(self, cls, args, text, signature, other):
+        record = cls(*args)
+        for name in [*inspect.signature(cls).parameters, "other"]:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        assert repr(record) == text
+        # slotted, where the dataclass kept its fields in a __dict__
+        assert not hasattr(record, "__dict__")
+
+    @pytest.mark.parametrize("round_trip", ROUND_TRIPS.values(), ids=ROUND_TRIPS)
+    @pytest.mark.parametrize("cls, args, text, signature, other", CASES)
+    def test_round_trips(self, cls, args, text, signature, other, round_trip):
+        record = cls(*args)
+        got = round_trip(record)
+        assert type(got) is cls and got == record and repr(got) == text
+
+    @pytest.mark.parametrize("cls, args, text, signature, other", CASES)
+    def test_dataclasses_functions_apply(self, cls, args, text, signature, other):
+        record = cls(*args)
+        names = list(inspect.signature(cls).parameters)
+        assert dataclasses.is_dataclass(record)
+        assert [f.name for f in dataclasses.fields(record)] == names
+        assert dataclasses.replace(record) == record
+        changed = dataclasses.replace(record, **{names[-1]: other[-1]})
+        assert changed == cls(*args[:-1], other[-1])
+        assert list(dataclasses.asdict(record)) == names
+
+    def test_asdict_recurses_into_records(self):
+        support = CuspidalSupport((GLCuspidal(2, "rho"), TRIVIAL_GL), UnipotentCuspidal(0))
+        assert dataclasses.asdict(support) == {
+            "entries": ({"size": 1, "label": "1"}, {"size": 2, "label": "rho"}),
+            "phi": {"k": 0},
+        }
+        assert dataclasses.astuple(CheckResult("x", True, "y")) == ("x", True, "y")
+
+
 class TestPieriInduction:
     def test_trivial_second_factor(self):
         got = pieri_induction(bipartition((1,), (1,)), 2, "trivial")
@@ -472,7 +670,7 @@ class TestOmegaTables:
         for k in range(6):
             for parity_prime in (0, 1):
                 k_prime = theta_cuspidal(k, parity_prime)
-                ctx, ctx_p = _series_contexts(k, k_prime, 1, 1)
+                ctx, ctx_p = _series_context(k, 1), _series_context(k_prime, 1)
                 formula = omega_unipotent(ctx, ctx_p, k).formula
                 assert is_first_kind(k, k_prime) == (formula == "first-kind")
         assert is_first_kind(0, 0) and not is_first_kind(0, 1)
@@ -566,7 +764,7 @@ class TestOmegaTables:
             for convention in SGN_CONVENTIONS:
                 for r in range(9):
                     for r_prime in range(9):
-                        ctx, ctx_p = _series_contexts(k, k_prime, r, r_prime)
+                        ctx, ctx_p = _series_context(k, r), _series_context(k_prime, r_prime)
                         table = omega_unipotent(ctx, ctx_p, k, convention=convention)
                         for bp in table.row_labels:
                             want = [
@@ -834,7 +1032,7 @@ class TestIndexSpaceAssembly:
         """Sum of mult * deg(row) * deg(col) equals the degree of the
         coupling, as in test_degree_identity_at_rank_12, at random ranks."""
         k_prime = theta_cuspidal(k, parity_prime)
-        ctx, ctx_p = _series_contexts(k, k_prime, r, r_prime)
+        ctx, ctx_p = _series_context(k, r), _series_context(k_prime, r_prime)
         table = omega_unipotent(ctx, ctx_p, k, convention=convention)
         got = sum(
             mult * _wn_degree(a) * _wn_degree(b)
@@ -849,7 +1047,7 @@ class TestIndexSpaceAssembly:
         |W_l| = C(r, l) C(r', l) 2^l l!, with hook-length degrees."""
         r = r_prime = 12
         k_prime = theta_cuspidal(k, parity_prime)
-        ctx, ctx_p = _series_contexts(k, k_prime, r, r_prime)
+        ctx, ctx_p = _series_context(k, r), _series_context(k_prime, r_prime)
         want = _coupling_degree(r, r_prime)
         degree = {bp: _wn_degree(bp) for bp in bipartitions_of(r)}
         for convention in SGN_CONVENTIONS:
@@ -1144,7 +1342,7 @@ class TestThetaImages:
                     for k in range(4):
                         for parity_prime in (0, 1):
                             k_prime = theta_cuspidal(k, parity_prime)
-                            ctx, ctx_p = _series_contexts(k, k_prime, r, r_prime)
+                            ctx, ctx_p = _series_context(k, r), _series_context(k_prime, r_prime)
                             table = omega_unipotent(
                                 ctx, ctx_p, k, convention=convention
                             )
@@ -1262,7 +1460,7 @@ class TestExtremalImages:
                 k_prime = theta_cuspidal(k, parity_prime)
                 for r in range(4):
                     for r_prime in range(4):
-                        ctx, ctx_p = _series_contexts(k, k_prime, r, r_prime)
+                        ctx, ctx_p = _series_context(k, r), _series_context(k_prime, r_prime)
                         table = omega_unipotent(ctx, ctx_p, k)
                         for bp in table.row_labels:
                             if not table.row(bp):

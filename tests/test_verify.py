@@ -422,8 +422,8 @@ def _wrong_rank_table(real):
     # table of ranks (2, 1), whose store and labels the earlier second-kind
     # (k=0, k'=1, r=2, r'=1) table holds
     k_prime = unipotent.theta_cuspidal(2, 0)
-    target = verify._series_contexts(2, k_prime, 1, 1)
-    wrong = verify._series_contexts(2, k_prime, 2, 1)
+    target = verify._series_context(2, 1), verify._series_context(k_prime, 1)
+    wrong = verify._series_context(2, 2), verify._series_context(k_prime, 1)
 
     def omega_unipotent(ctx, ctx_p, k, convention):
         if (ctx, ctx_p) == target and k == 2:
@@ -736,13 +736,15 @@ def test_extremal_check_certifies_a_store_it_has_not_seen(monkeypatch):
     row = bipartition((1,), ())
     k, r, r_prime, convention = 2, 1, 3, SGN_CONVENTIONS[0]
     k_prime = unipotent.theta_cuspidal(k, 1)
-    target = (*verify._series_contexts(k, k_prime, r, r_prime), k, convention)
+    ctx, ctx_p = verify._series_context(k, r), verify._series_context(k_prime, r_prime)
+    target = (ctx, ctx_p, k, convention)
     real = verify.omega_unipotent
     # the premise: a table at a smaller k holds the same store
     store = real(*target[:3], convention=convention).entries
     assert any(
         real(
-            *verify._series_contexts(j, unipotent.theta_cuspidal(j, p), r, r_prime),
+            verify._series_context(j, r),
+            verify._series_context(unipotent.theta_cuspidal(j, p), r_prime),
             j,
             convention=convention,
         ).entries
@@ -795,7 +797,8 @@ def test_row_persistence_check_certifies_a_store_it_has_not_seen(monkeypatch):
     row = bipartition((1,), ())
     k, r, r_prime, convention = 2, 1, 3, SGN_CONVENTIONS[0]
     k_prime = unipotent.theta_cuspidal(k, 1)
-    target = (*verify._series_contexts(k, k_prime, r, r_prime), k, convention)
+    ctx, ctx_p = verify._series_context(k, r), verify._series_context(k_prime, r_prime)
+    target = (ctx, ctx_p, k, convention)
     real = verify.omega_unipotent
     planted = []
 
@@ -874,7 +877,9 @@ def test_omega_check_reads_the_printed_cells(monkeypatch):
     renderers read, so a fault planted there alone is caught."""
     assert check_omega(1).passed
     k_prime = unipotent.theta_cuspidal(0, 1)
-    table = unipotent.omega_unipotent(*verify._series_contexts(0, k_prime, 1, 1), 0)
+    table = unipotent.omega_unipotent(
+        verify._series_context(0, 1), verify._series_context(k_prime, 1), 0
+    )
     starts, columns, mults = table.entries._csr
     # _sum_entries shares the store across tests, so monkeypatch restores it
     corrupted = starts, columns, (mults[0] + 1,) + tuple(mults[1:])
