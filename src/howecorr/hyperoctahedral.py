@@ -49,9 +49,9 @@ the classes of W_a gives all of chi's multiplicities.  This is
 induce-then-decompose, reordered; the tests require the two orders to
 agree.  It is the only decomposition here, and a multiplicity is integral
 exactly when its reciprocity sum is divisible by |W_a x W_b|.  Tensoring
-with a linear character permutes Irr(W_n), so :func:`tensor_label_map`
+with a linear character permutes Irr(W_n), so :func:`_tensor_label_map`
 decomposes nothing: it finds each row times the linear character among
-the rows of the certified table.
+the rows of the certified table and gives the permutation by position.
 
 The price is the rank bound: nothing here is meant to run past
 ``ORACLE_BOUND`` (default 6, |W_6| = 46080).  Every rank-keyed cache checks
@@ -531,12 +531,3 @@ def _tensor_label_map(n: int, which: str) -> tuple:
             )
         twist.append(i)
     return tuple(twist)
-
-
-def tensor_label_map(n: int, which: str) -> dict:
-    """Label permutation induced on Irr(W_n) by tensoring with a linear
-    character, read off the certified table: each row times the linear
-    character's values is the row of the label it maps to."""
-    twist = _tensor_label_map(n, which)
-    labels = build_character_table(n).labels
-    return {bp: labels[i] for bp, i in zip(labels, twist)}

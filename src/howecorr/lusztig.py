@@ -84,9 +84,6 @@ class EigenvalueOrbit(_Record):
     def is_minus_one(self) -> bool:
         return self.modulus % 2 == 0 and self.exponents == frozenset({self.modulus // 2})
 
-    def with_multiplicity(self, multiplicity: int) -> "EigenvalueOrbit":
-        return EigenvalueOrbit(self.q, self.modulus, self.exponents, multiplicity)
-
 
 def orbit_closure(q: int, modulus: int, exponent: int, multiplicity: int = 1) -> EigenvalueOrbit:
     """Close a single exponent under e -> -q e mod M.
@@ -97,12 +94,16 @@ def orbit_closure(q: int, modulus: int, exponent: int, multiplicity: int = 1) ->
     if exponent is None:
         raise ValueError("the zero eigenvalue has no exponent")
     _check_field(q, modulus)
+    return EigenvalueOrbit(q, modulus, _closure(q, modulus, exponent), multiplicity)
+
+
+def _closure(q: int, modulus: int, exponent: int) -> frozenset:
     exps = set()
     e = exponent % modulus
     while e not in exps:
         exps.add(e)
         e = (-q * e) % modulus
-    return EigenvalueOrbit(q, modulus, frozenset(exps), multiplicity)
+    return frozenset(exps)
 
 
 def _orbit_sort_key(orbit: EigenvalueOrbit):

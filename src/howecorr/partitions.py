@@ -124,11 +124,6 @@ def bipartition(alpha: Iterable[int], beta: Iterable[int]) -> Bipartition:
     return Bipartition(Partition(alpha), Partition(beta))
 
 
-def conjugate(p: Iterable[int]) -> Partition:
-    """Transpose of the Young diagram, as a free function."""
-    return Partition(p).conjugate()
-
-
 # One entry per rank, built bottom-up: the partitions of n with first part k
 # are (k,) followed by the partitions of n - k with first part at most k,
 # which in decreasing lexicographic order are a suffix of that rank's list.
@@ -360,16 +355,6 @@ def vertical_strip_additions(p: Iterable[int], size: int) -> list:
         raise ValueError("strip size must be nonnegative")
     conjugates = _horizontal_strips(p.conjugate(), size)
     return sorted((lam.conjugate() for lam in conjugates), reverse=True)
-
-
-def dominance_leq(a: Iterable[int], b: Iterable[int]) -> bool:
-    """Dominance order on partitions of equal size: every prefix sum of
-    ``a`` is at most the corresponding prefix sum of ``b``; the order of
-    :func:`bipartition_dominance_leq` on (a, empty) against (b, empty)."""
-    empty = Partition()
-    return bipartition_dominance_leq(
-        Bipartition(Partition(a), empty), Bipartition(Partition(b), empty)
-    )
 
 
 def _dominance_vector(bp: Bipartition, width: int) -> tuple:

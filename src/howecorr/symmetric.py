@@ -44,6 +44,13 @@ def border_strip_removals(shape, length):
 # partitions of size m <= ORACLE_BOUND: at most sum p(m)^2 keys, 210 at 6.
 @lru_cache(maxsize=None)
 def _mn(label: tuple, cycle_type: tuple) -> int:
+    """chi_label of S_n on the class of the given cycle type, both tuples.
+
+    >>> _mn((2, 1), (1, 1, 1))
+    2
+    >>> _mn((1, 1, 1), (3,))
+    1
+    """
     if not cycle_type:
         return 1
     k = cycle_type[0]
@@ -52,21 +59,3 @@ def _mn(label: tuple, cycle_type: tuple) -> int:
     for smaller, height in border_strip_removals(label, k):
         total += (-1) ** height * _mn(tuple(smaller), rest)
     return total
-
-
-def sn_character_value(label, cycle_type) -> int:
-    """Value of the irreducible S_n character ``chi_label`` on the class
-    with the given cycle type.  Both arguments are partitions of n.
-
-    >>> sn_character_value((2, 1), (1, 1, 1))
-    2
-    >>> sn_character_value((1, 1, 1), (3,))
-    1
-    """
-    label = Partition(label)
-    cycle_type = Partition(cycle_type)
-    if label.size != cycle_type.size:
-        raise ValueError(
-            f"label and class live in different groups: {label.size} != {cycle_type.size}"
-        )
-    return _mn(tuple(label), tuple(cycle_type))

@@ -257,14 +257,6 @@ def _star(p: Partition, convention: str) -> Partition:
     return p.conjugate() if convention == "coxeter_sign" else p
 
 
-def sgn_twist(bp: Bipartition, convention: str = DEFAULT_SGN_CONVENTION) -> Bipartition:
-    """Label of (sgn tensor chi_bp): (alpha, beta) -> (beta*, alpha*).
-    Certified against the oracle's tensor_label_map."""
-    _check_convention(convention)
-    alpha, beta = Partition(bp.alpha), Partition(bp.beta)
-    return Bipartition(_star(beta, convention), _star(alpha, convention))
-
-
 def pieri_induction(
     bp: Bipartition, s: int, second: str, convention: str = DEFAULT_SGN_CONVENTION
 ) -> list:
@@ -611,9 +603,9 @@ def _star_permutation(n: int, convention: str) -> tuple:
 # partitions, so it needs no bound.
 @lru_cache(maxsize=None)
 def _twist_permutation(n: int, convention: str) -> tuple:
-    """Index in Irr(W_n) of sgn_twist of each bipartition of n, in canonical
-    order: (alpha, beta) with |alpha| = a goes to (beta*, alpha*), at
-    starts[n - a] + pos(beta*) * p(a) + pos(alpha*)."""
+    """The sgn twist: entry i is the index of sgn tensor chi_i in Irr(W_n),
+    canonical order.  (alpha, beta) with |alpha| = a goes to (beta*, alpha*),
+    at starts[n - a] + pos(beta*) * p(a) + pos(alpha*)."""
     starts, counts = _bipartition_radix(n)
     out = []
     for a in range(n, -1, -1):
@@ -738,7 +730,7 @@ def _coupling_row(
     A term chi = (a, b) of the l-sum reaches the row by a horizontal strip
     added to a (first kind) or a strip added to b, which is a horizontal
     strip added to b* (second kind), and reaches the columns by a
-    horizontal strip added to the alpha of sgn_twist(chi) = (b*, a*) (Pieri
+    horizontal strip added to the alpha of sgn chi = (b*, a*) (Pieri
     rule; Macdonald, Symmetric Functions and Hall Polynomials, I §5).  So
     the first-kind cell (gamma, delta) is 1 when alpha/delta* and gamma/beta*
     are horizontal strips and 0 otherwise; the second-kind cell is 0 unless

@@ -49,10 +49,12 @@ from .lusztig import (
     TRIVIAL_GL,
     CuspidalPair,
     CuspidalSupport,
+    EigenvalueOrbit,
     GLCuspidal,
     GenericCuspidal,
     SemisimpleDescriptor,
     UnipotentCuspidal,
+    _closure,
     centralizer_decomposition,
     match_semisimple,
     omega_full,
@@ -379,21 +381,17 @@ def random_descriptor(rng: random.Random, max_dim: int = 8) -> SemisimpleDescrip
     q = rng.choice((3, 5))
     degree = rng.choice((1, 2))
     modulus = q ** (2 * degree) - 1
-    n = rng.randint(1, max_dim)
-    remaining = n
-    orbits = {}
+    remaining = rng.randint(1, max_dim)
+    mults = {}  # exponent set -> summed multiplicity, in first-drawn order
     while remaining:
-        orbit = orbit_closure(q, modulus, rng.randrange(modulus))
-        if orbit.size > remaining:
-            orbit = orbit_closure(q, modulus, 0)
-        mult = rng.randint(1, remaining // orbit.size)
-        key = orbit.exponents
-        if key in orbits:
-            orbits[key] = orbits[key].with_multiplicity(orbits[key].multiplicity + mult)
-        else:
-            orbits[key] = orbit.with_multiplicity(mult)
-        remaining -= orbit.size * mult
-    return SemisimpleDescriptor(q, modulus, tuple(orbits.values()))
+        exponents = _closure(q, modulus, rng.randrange(modulus))
+        if len(exponents) > remaining:
+            exponents = _closure(q, modulus, 0)
+        mult = rng.randint(1, remaining // len(exponents))
+        mults[exponents] = mults.get(exponents, 0) + mult
+        remaining -= len(exponents) * mult
+    orbits = (EigenvalueOrbit(q, modulus, e, m) for e, m in mults.items())
+    return SemisimpleDescriptor(q, modulus, tuple(orbits))
 
 
 def check_centralizers(count: int = 200, seed: int = 20260825) -> CheckResult:

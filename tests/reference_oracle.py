@@ -35,7 +35,7 @@ from howecorr.hyperoctahedral import (
     group_order,
 )
 from howecorr.partitions import Partition, bipartitions_of
-from howecorr.symmetric import sn_character_value
+from howecorr.symmetric import _mn
 
 
 def _add(f, g):
@@ -188,7 +188,7 @@ def linear_values(n, which):
 
 
 def _sn_pullback(label, cls):
-    return sn_character_value(label, _merge(cls.positive, cls.negative))
+    return _mn(tuple(label), tuple(_merge(cls.positive, cls.negative)))
 
 
 def irreducible_seed(alpha, beta):

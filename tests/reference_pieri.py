@@ -10,9 +10,8 @@ Only the enumeration of (bi)partitions, the cuspidal bookkeeping and the
 The index lists of the omega sum are frozen too, as they were built by
 hashing each label into the canonical order (``strip_indices``,
 ``twist_permutation``).  ``strip_indices`` reads the ``pieri_induction``
-frozen here, so it shares no strip code with the library;
-``twist_permutation`` reads the library's sgn twist, so it pins only the
-passage from labels to indices.
+frozen here and ``twist_permutation`` the ``sgn_twist`` frozen here, so
+they share no strip or twist code with the library.
 """
 
 from functools import lru_cache
@@ -30,7 +29,6 @@ from howecorr.unipotent import (
     theta_cuspidal,
     witt_index_of_cuspidal,
 )
-from howecorr.unipotent import sgn_twist as library_sgn_twist
 
 
 def _conjugate(p):
@@ -160,5 +158,5 @@ def twist_permutation(n, convention):
     """The index in Irr(W_n) of the sgn twist of each bipartition of n."""
     index = _bipartition_index(n)
     return tuple(
-        index[library_sgn_twist(chi, convention)] for chi in _bipartitions_of(n)
+        index[sgn_twist(chi, convention)] for chi in _bipartitions_of(n)
     )

@@ -25,10 +25,9 @@ from howecorr.hyperoctahedral import (
     build_character_table,
     centralizer_order,
     group_order,
-    tensor_label_map,
 )
 from howecorr.partitions import Partition, _bipartition_index, bipartition, bipartitions_of
-from howecorr.unipotent import sgn_twist
+from howecorr.unipotent import SGN_CONVENTIONS, _twist_permutation
 
 
 def cls(pos, neg):
@@ -162,14 +161,14 @@ class TestClasses:
     def test_lowered_bound_holds_for_cached_ranks(self, monkeypatch):
         # entries cached at rank 7 under a raised bound must not outlive it
         monkeypatch.setattr(hyperoctahedral, "ORACLE_BOUND", 7)
-        tensor_label_map(7, "trivial")
+        hyperoctahedral._tensor_label_map(7, "trivial")
         _linear_values(7, "sign_changes")
         hyperoctahedral._induced(6, 1, (1, 1))
         verify._oracle_omega(7, 0, True, "coxeter_sign")
         monkeypatch.setattr(hyperoctahedral, "ORACLE_BOUND", 6)
         hyperoctahedral._classes.cache_clear()
         calls = [
-            lambda: tensor_label_map(7, "trivial"),
+            lambda: hyperoctahedral._tensor_label_map(7, "trivial"),
             lambda: build_character_table(7),
             lambda: _classes(7),
             lambda: _linear_values(7, "sign_changes"),
@@ -695,37 +694,39 @@ class TestLinearCharacters:
             _linear_values(2, "nope")
 
 
+def label_map(n, which):
+    """The oracle's permutation of Irr(W_n) under tensoring with ``which``,
+    as a label dict."""
+    labels = bipartitions_of(n)
+    twist = hyperoctahedral._tensor_label_map(n, which)
+    return {bp: labels[i] for bp, i in zip(labels, twist)}
+
+
 class TestTensorLabelMap:
     def test_trivial_is_identity(self):
         for n in range(4):
-            assert tensor_label_map(n, "trivial") == {
-                bp: bp for bp in bipartitions_of(n)
-            }
+            assert hyperoctahedral._tensor_label_map(n, "trivial") == tuple(
+                range(len(bipartitions_of(n)))
+            )
 
     def test_pinned_rank_two(self):
-        assert tensor_label_map(2, "sign_changes")[bipartition((2,), ())] == bipartition(
-            (), (2,)
-        )
-        assert tensor_label_map(2, "coxeter_sign")[bipartition((2,), ())] == bipartition(
-            (), (1, 1)
-        )
+        assert label_map(2, "sign_changes")[bipartition((2,), ())] == bipartition((), (2,))
+        assert label_map(2, "coxeter_sign")[bipartition((2,), ())] == bipartition((), (1, 1))
 
     def test_involution(self):
         for n in range(4):
             for which in ("sign_changes", "permutation_sign", "coxeter_sign"):
-                m = tensor_label_map(n, which)
-                assert all(m[m[bp]] == bp for bp in m)
+                twist = hyperoctahedral._tensor_label_map(n, which)
+                assert all(twist[j] == i for i, j in enumerate(twist))
 
     def test_closed_forms_certified(self):
-        # the combinatorial module relies on these two; the oracle decides
-        for n in range(6):
-            for bp in bipartitions_of(n):
-                assert tensor_label_map(n, "sign_changes")[bp] == sgn_twist(
-                    bp, "sign_changes"
-                )
-                assert tensor_label_map(n, "coxeter_sign")[bp] == sgn_twist(
-                    bp, "coxeter_sign"
-                )
+        # the omega tables read the sgn twist as this permutation; the
+        # oracle decides it at every rank it reaches
+        for n in range(hyperoctahedral.ORACLE_BOUND + 1):
+            for convention in SGN_CONVENTIONS:
+                assert hyperoctahedral._tensor_label_map(n, convention) == _twist_permutation(
+                    n, convention
+                ), (n, convention)
 
     def test_matches_the_label_keyed_reference(self):
         # each label's image is the one irreducible, of multiplicity 1, in
@@ -739,7 +740,7 @@ class TestTensorLabelMap:
                     product = {c: v * linear[c] for c, v in chi.items()}
                     [(want[bp], mult)] = reference_oracle.decompose_values(product, n).items()
                     assert mult == 1
-                assert tensor_label_map(n, which) == want
+                assert label_map(n, which) == want
 
     @pytest.mark.parametrize("n, t", [(2, 0), (3, 4), (4, 10), (5, 20)])
     @pytest.mark.parametrize("which", ["sign_changes", "permutation_sign", "coxeter_sign"])
@@ -764,8 +765,8 @@ class TestTensorLabelMap:
         # the rank is checked before the character name
         for which in ("trivial", "bogus"):
             with pytest.raises(RankBoundError, match="^rank 7 exceeds the oracle bound 6;"):
-                tensor_label_map(7, which)
+                hyperoctahedral._tensor_label_map(7, which)
         with pytest.raises(ValueError, match="^rank must be nonnegative$"):
-            tensor_label_map(-1, "trivial")
+            hyperoctahedral._tensor_label_map(-1, "trivial")
         with pytest.raises(ValueError, match="^unknown linear character 'bogus'$"):
-            tensor_label_map(2, "bogus")
+            hyperoctahedral._tensor_label_map(2, "bogus")

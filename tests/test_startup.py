@@ -22,7 +22,7 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 # The package namespace, by the submodule that defines each name.
 PUBLIC = {
     "errors": ["InternalCheckError", "NonUniqueExtremeError", "RankBoundError"],
-    "hyperoctahedral": ["build_character_table", "group_order", "tensor_label_map"],
+    "hyperoctahedral": ["build_character_table", "group_order"],
     "lusztig": [
         "TRIVIAL_GL", "CentralizerFactor", "CuspidalPair", "CuspidalSupport",
         "EigenvalueOrbit", "GLCuspidal", "GenericCuspidal", "OmegaFullDecomposition",
@@ -32,25 +32,30 @@ PUBLIC = {
     ],
     "partitions": [
         "Bipartition", "Partition", "bipartition", "bipartition_dominance_leq",
-        "bipartitions_of", "conjugate", "dominance_leq",
-        "horizontal_strip_additions", "partitions_of", "vertical_strip_additions",
+        "bipartitions_of", "horizontal_strip_additions", "partitions_of",
+        "vertical_strip_additions",
     ],
     "unipotent": [
         "DEFAULT_SGN_CONVENTION", "MultiplicityTable", "SeriesLabel", "TowerContext",
-        "extremal_images", "omega_unipotent", "pieri_induction", "sgn_twist",
-        "theta_cuspidal", "theta_images", "witt_index_of_cuspidal",
+        "extremal_images", "omega_unipotent", "pieri_induction", "theta_cuspidal",
+        "theta_images", "witt_index_of_cuspidal",
     ],
-    "symmetric": ["sn_character_value"],
+    "symmetric": [],
     "verify": ["CheckResult", "run_verification"],
 }
 
 # Names the package no longer has, by the submodule that defined them: the
-# reduction layer's relabelling record and helpers that no caller used.
+# reduction layer's relabelling record and helpers that no caller used, and
+# label-level restatements of the rules the package runs by index.
 DELETED = {
+    "hyperoctahedral": ["tensor_label_map"],
     "lusztig": [
         "LusztigCoordinates", "coordinates_in", "coordinates_out",
         "trivial_descriptor", "weyl_of_cuspidal_pair",
     ],
+    "partitions": ["conjugate", "dominance_leq"],
+    "symmetric": ["sn_character_value"],
+    "unipotent": ["sgn_twist"],
 }
 
 # the W_n oracle, the reduction layer and the verification suite

