@@ -45,12 +45,17 @@ def border_strip_removals(shape, length):
 @lru_cache(maxsize=None)
 def _mn(label: tuple, cycle_type: tuple) -> int:
     """chi_label of S_n on the class of the given cycle type, both tuples.
+    A label and a class of different sizes raise ValueError.
 
     >>> _mn((2, 1), (1, 1, 1))
     2
     >>> _mn((1, 1, 1), (3,))
     1
     """
+    if sum(label) != sum(cycle_type):
+        raise ValueError(
+            f"label and class live in different groups: {sum(label)} != {sum(cycle_type)}"
+        )
     if not cycle_type:
         return 1
     k = cycle_type[0]

@@ -88,6 +88,12 @@ class TestOrbits:
         with pytest.raises(ValueError, match="is not q\\^2d - 1"):
             EigenvalueOrbit(3, 9, frozenset({0}))
 
+    def test_with_multiplicity(self):
+        orbit = orbit_closure(3, 8, 4, 3)
+        assert orbit.multiplicity == 3
+        assert orbit.exponents == frozenset({4})
+        assert orbit == EigenvalueOrbit(3, 8, frozenset({4}), 3)
+
 
 class TestDescriptors:
     def test_dimension(self):

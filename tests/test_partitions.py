@@ -1,3 +1,5 @@
+from itertools import accumulate
+
 import pytest
 import reference_pieri
 from hypothesis import given, settings
@@ -372,9 +374,22 @@ def test_strip_removals_equal_brute_force_filter(p, size):
     assert _horizontal_strip_removals(p, size) == tuple(want)
 
 
+bipartitions = st.builds(Bipartition, partitions, partitions)
 equal_size_pairs = st.integers(0, 10).flatmap(
     lambda n: st.tuples(*[st.sampled_from(bipartitions_of(n))] * 2)
 )
+
+
+@settings(deadline=None)
+@given(bp=bipartitions, convention=st.sampled_from(SGN_CONVENTIONS))
+def test_sgn_twist_is_an_involution(bp, convention):
+    # the sgn twist by index, read back as labels: (alpha, beta) -> (beta*, alpha*)
+    n = bp.size
+    labels, i = _bipartitions_of(n), _bipartition_index(n)[bp]
+    twist = unipotent._twist_permutation(n, convention)
+    twisted = labels[twist[i]]
+    assert (twisted.alpha.size, twisted.beta.size) == (bp.beta.size, bp.alpha.size)
+    assert labels[twist[twist[i]]] == bp
 
 
 @settings(deadline=None, max_examples=200)
@@ -395,7 +410,40 @@ def test_radix_position_is_the_canonical_index(case):
     assert position == _bipartition_index(n)[Bipartition(alpha, beta)]
 
 
+def _partition_leq(a, b):
+    """Dominance on partitions: the bipartition order on (a, ()) against (b, ())."""
+    return bipartition_dominance_leq(bipartition(a, ()), bipartition(b, ()))
+
+
 class TestDominance:
+    def test_examples(self):
+        assert _partition_leq((1, 1, 1, 1), (4,))
+        assert _partition_leq((2, 2), (3, 1))
+        assert not _partition_leq((3, 1), (2, 2))
+
+    def test_rejects_unequal_norms(self):
+        with pytest.raises(ValueError):
+            _partition_leq((2,), (1,))
+
+    def test_partition_order_is_padded_prefix_sums(self):
+        for n in range(8):
+            parts = partitions_of(n)
+            for a in parts:
+                for b in parts:
+                    width = max(len(a), len(b))
+                    sums_a = accumulate((*a, *[0] * (width - len(a))))
+                    sums_b = accumulate((*b, *[0] * (width - len(b))))
+                    want = all(x <= y for x, y in zip(sums_a, sums_b))
+                    assert _partition_leq(a, b) == want, (a, b)
+
+    def test_partition_order_messages(self):
+        with pytest.raises(ValueError, match="^dominance needs equal sizes: 2 != 1$"):
+            _partition_leq((2,), (1,))
+        with pytest.raises(ValueError, match=r"^parts must be weakly decreasing: \(1, 2\)$"):
+            _partition_leq((1, 2), (3,))
+        with pytest.raises(ValueError, match=r"^parts must be positive: \(-1, 2\)$"):
+            _partition_leq((1,), (-1, 2))
+
     def test_partial_order_axioms(self):
         bps = bipartitions_of(5)
         for x in bps:

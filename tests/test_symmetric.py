@@ -74,3 +74,10 @@ class TestCharacterValues:
                     total = sum(_mn(s, c1) * _mn(s, c2) for s in shapes)
                     want = sn_centralizer_order(c1) if c1 == c2 else 0
                     assert total == want
+
+    def test_norm_mismatch(self):
+        with pytest.raises(ValueError, match="^label and class live in different groups: 2 != 3$"):
+            _mn(Partition((2,)), Partition((3,)))
+        # a larger label once reached the empty class and read as 1
+        with pytest.raises(ValueError, match="^label and class live in different groups: 3 != 2$"):
+            _mn((3,), (2,))
