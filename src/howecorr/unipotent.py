@@ -39,6 +39,7 @@ from typing import NamedTuple
 
 from .errors import EmptyImageError, NonUniqueExtremeError
 from .partitions import (
+    STRIP_CACHE_SIZE,
     Bipartition,
     Partition,
     _bipartition,
@@ -280,8 +281,18 @@ def pieri_induction(
         raise ValueError("strip size must be nonnegative")
     if second == "trivial":
         return list(map(_bipartition, zip(_horizontal_strips(alpha, s), repeat(beta))))
+    return list(map(_bipartition, zip(repeat(alpha), _starred_strips(beta, s, convention))))
+
+
+# One entry per (beta, strip size, convention) that pieri_induction's sgn
+# branch meets, bounded as the strip caches are: a repeat skips conjugating
+# beta and every strip.
+@lru_cache(maxsize=STRIP_CACHE_SIZE)
+def _starred_strips(beta: Partition, s: int, convention: str) -> tuple:
+    """mu* for each horizontal strip mu of ``s`` cells added to beta*, in
+    canonical (decreasing lexicographic) order."""
     mus = (_star(mu, convention) for mu in _horizontal_strips(_star(beta, convention), s))
-    return list(map(_bipartition, zip(repeat(alpha), sorted(mus, reverse=True))))
+    return tuple(sorted(mus, reverse=True))
 
 
 def _uncollected(build, cells):

@@ -435,6 +435,99 @@ def test_reciprocity_matches_induce_then_decompose():
     assert compared == 1124
 
 
+def _reference_family(l, s, second):
+    """Ind from W_l x W_s of chi x f for every chi in Irr(W_l), f the class
+    function on W_s with values ``second``, by the label-keyed reference:
+    per chi its multiplicities (``reference_oracle.decompose_values``) and
+    degree, or, at the first chi with a non-integral multiplicity, the
+    message that names the first label with one."""
+    f = {label: v for (label, _), v in zip(reference_oracle.classes(s), second)}
+    n, family = l + s, []
+    for chi in reference_oracle.character_table(l).values():
+        induced = reference_oracle.induce_values(reference_oracle.tensor_values(chi, f), l, s)
+        try:
+            mults = reference_oracle.decompose_values(induced, n)
+        except ValueError:
+            classes = reference_oracle.classes(n)
+            for bp, psi in reference_oracle.character_table(n).items():
+                total = sum(size * psi[c] * induced[c] for c, size in classes)
+                if total % group_order(n):
+                    return f"not a virtual character: <f, chi_{bp}> = {Fraction(total, group_order(n))}"
+            raise
+        family.append((mults, induced[reference_oracle.identity(n)]))
+    return tuple(family)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_induced_families_match_the_reference_for_integer_class_functions(data):
+    # the second factor an integer class function on W_s: a virtual
+    # character (an integer combination of irreducibles, so multiplicities
+    # may be negative) or any integer values (so they may be non-integral);
+    # a negative multiplicity takes the signed read, a non-integral one
+    # raises on either read
+    l = data.draw(st.integers(0, 5), label="l")
+    s = data.draw(st.integers(0, 5 - l), label="s")
+    count = len(_classes(s).labels)
+    if data.draw(st.booleans(), label="virtual"):
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=count, max_size=count))
+        second = tuple(_combination(build_character_table(s), coeffs))
+    else:
+        second = tuple(data.draw(st.lists(st.integers(-4, 4), min_size=count, max_size=count)))
+    want = _reference_family(l, s, second)
+    if isinstance(want, str):
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            hyperoctahedral._induced.__wrapped__(l, s, second)
+    else:
+        assert hyperoctahedral._induced.__wrapped__(l, s, second) == want
+
+
+class TestFamilyRead:
+    # the nonzero digits of a reciprocity sum are read only when every slot
+    # is its digit (the sum is >= 0 and no slot's top bit is set); any other
+    # sum goes through the signed read, _read_slots
+
+    @pytest.fixture
+    def signed_reads(self, monkeypatch):
+        calls = []
+        real = hyperoctahedral._read_slots
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(hyperoctahedral, "_read_slots", spy)
+        return calls
+
+    def test_characters_read_only_nonzero_digits(self, signed_reads):
+        for which in LINEAR_CHARACTERS:
+            hyperoctahedral._induced.__wrapped__(3, 2, _linear_values(2, which))
+        assert signed_reads == []
+
+    def test_a_negative_multiplicity_takes_the_signed_read(self, signed_reads):
+        # 1 - sign_changes on W_1: Ind(chi x 1) - Ind(chi x sign_changes)
+        family = hyperoctahedral._induced.__wrapped__(1, 1, (0, 2))
+        assert signed_reads
+        assert family == (
+            ({bipartition((2,), ()): 1, bipartition((1, 1), ()): 1, bipartition((1,), (1,)): -1}, 0),
+            ({bipartition((1,), (1,)): 1, bipartition((), (2,)): -1, bipartition((), (1, 1)): -1}, 0),
+        )
+        assert family == _reference_family(1, 1, (0, 2))
+
+    @pytest.mark.parametrize(
+        "second, signed, value",
+        [((-2, 2, -1, 1, 2), False, "1/2"), ((-2, -2, -2, 1, 0), True, "-1/2")],
+    )
+    def test_a_non_integral_multiplicity_names_its_label(self, signed_reads, second, signed, value):
+        # integral against chi_((2), ()), not against chi_((1, 1), ()), the
+        # second label: the message names it on either read
+        message = f"not a virtual character: <f, chi_Bipartition(alpha=(1, 1), beta=())> = {value}"
+        assert _reference_family(0, 2, second) == message
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            hyperoctahedral._induced.__wrapped__(0, 2, second)
+        assert bool(signed_reads) == signed
+
+
 class TestDecompose:
     # a table's packed dot products with the size-weighted values of a class
     # function are |W_n| times its multiplicities: against plain sums and

@@ -14,7 +14,7 @@ import reference_oracle
 from test_hyperoctahedral import label_map
 from test_lusztig import identity_class
 
-from howecorr import hyperoctahedral, partitions, unipotent, verify
+from howecorr import hyperoctahedral, partitions, symmetric, unipotent, verify
 from howecorr.errors import NonUniqueExtremeError
 from howecorr.hyperoctahedral import (
     LINEAR_CHARACTERS,
@@ -228,6 +228,7 @@ def test_oracle_never_calls_pieri_code(monkeypatch):
         "_partition_position",
         "_bipartition_radix",
         "_coupling_row",
+        "_starred_strips",
         "omega_unipotent",
     )
     modules = (partitions, unipotent, hyperoctahedral, verify)
@@ -238,7 +239,17 @@ def test_oracle_never_calls_pieri_code(monkeypatch):
         for name in names:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
-    hyperoctahedral._induced.cache_clear()
+    # every oracle cache, so that what earlier tests built runs again under
+    # the guard whatever the test order
+    for cached in (
+        hyperoctahedral._classes,
+        hyperoctahedral._induction_matrix,
+        hyperoctahedral.build_character_table,
+        hyperoctahedral._induced,
+        hyperoctahedral._tensor_label_map,
+        symmetric._mn,
+    ):
+        cached.cache_clear()
     for first_kind in (True, False):
         for convention in SGN_CONVENTIONS:
             verify._oracle_omega.__wrapped__(3, 3, first_kind, convention)
