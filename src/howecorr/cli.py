@@ -9,7 +9,10 @@ decomposition, and ``verify`` runs the oracle-equivalence suite.
 Start-up: importing this module loads ``errors``, ``partitions`` and
 ``unipotent`` only, which is all that ``omega``, ``theta`` and ``extremal``
 use; none of them imports ``dataclasses`` (and with it ``inspect``), and
-text output does not import ``json``.  A well-formed command is parsed
+text output does not import ``json``.  ``--json`` output imports it for
+its string escaping alone: ``_write_json`` writes the bytes of
+``json.dumps(value, indent=2, sort_keys=True)`` in chunks, so the whole text
+is never held at once.  A well-formed command is parsed
 from the flag table ``_COMMANDS`` and never imports ``argparse``; the
 argparse parser generated from that table takes the rest (``--help``,
 usage errors, values that start with "-"), so their text is argparse's.
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import sys
 from functools import lru_cache
+from itertools import chain
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
@@ -479,17 +483,103 @@ def build_parser() -> _TableParser:
     return _TableParser()
 
 
+# rows of ints per template, and pieces per write, in _write_json
+_ROWS = 128
+_PIECES = 256
+
+
+def _write_json(value, write) -> None:
+    """Pass to ``write``, in chunks, the text of ``json.dumps(value,
+    indent=2, sort_keys=True)`` for the JSON types the CLI emits: dicts with
+    str keys, lists and tuples, str, exact ints, bools and None.  Any other
+    type, or a key that is not a str, raises TypeError.
+
+    A list of exact ints is joined at once, and a list of equal-length rows
+    of exact ints (the omega entries) is formatted ``_ROWS`` rows to one
+    ``%d`` template; the type checks keep bools out of ``%d``, which would
+    print True as 1.  The pieces of the text go to one list, which is
+    written out as soon as it holds ``_PIECES`` of them."""
+    from json.encoder import encode_basestring_ascii as quote
+
+    out, containers = [], (dict, list, tuple)
+
+    def leaf(value) -> str:
+        kind = type(value)
+        if kind is str:
+            return quote(value)
+        if kind is int:
+            return str(value)
+        if kind is bool:
+            return "true" if value else "false"
+        if value is None:
+            return "null"
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+    def put(piece, item, indent):
+        # a leaf is written with the piece before it, a container after it
+        if type(item) in containers:
+            out.append(piece)
+            container(item, indent)
+        else:
+            out.append(piece + leaf(item))
+        if len(out) >= _PIECES:
+            write("".join(out))
+            out.clear()
+
+    def container(value, indent):
+        if not value:
+            out.append("{}" if type(value) is dict else "[]")
+            return
+        inner = indent + "  "
+        if type(value) is dict:
+            head = "{\n" + inner
+            for key, item in sorted(value.items()):
+                if type(key) is not str:
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                put(head + quote(key) + ": ", item, inner)
+                head = ",\n" + inner
+            out.append("\n" + indent + "}")
+            return
+        sep = ",\n" + inner
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            out.append("[\n" + inner + sep.join(map(str, value)) + "\n" + indent + "]")
+            return
+        head = "[\n" + inner
+        if (
+            kinds <= {list, tuple}
+            and len(set(map(len, value))) == 1
+            and set(map(type, chain.from_iterable(value))) == {int}
+        ):
+            row = "[" + ",".join(["\n" + inner + "  %d"] * len(value[0])) + "\n" + inner + "]"
+            count = 0
+            for start in range(0, len(value), _ROWS):
+                block = value[start:start + _ROWS]
+                if len(block) != count:  # the first block, and a short last one
+                    count = len(block)
+                    template = sep.join([row] * count)
+                out.append(head + template % tuple(chain.from_iterable(block)))
+                head = sep
+                if len(out) >= _PIECES:
+                    write("".join(out))
+                    out.clear()
+        else:
+            for item in value:
+                put(head, item, inner)
+                head = sep
+        out.append("\n" + indent + "]")
+
+    put("", value, "")
+    write("".join(out))
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # each handler returns both renderers; only the printed one runs
+        # each handler returns both renderers; only the printed one runs.
+        # The JSON value is built here, so that a ValueError prints nothing.
         to_json, to_text, code = args.handler(args)
-        if args.json:
-            import json  # only --json output needs it; text start-up skips it
-
-            text = json.dumps(to_json(), indent=2, sort_keys=True)
-        else:
-            text = to_text()
+        value = to_json() if args.json else to_text()
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -497,7 +587,11 @@ def main(argv=None) -> int:
         print(f"internal check failed: {err}", file=sys.stderr)
         return 2
     try:
-        print(text)
+        if args.json:
+            _write_json(value, sys.stdout.write)
+            print()
+        else:
+            print(value)
         sys.stdout.flush()
     except BrokenPipeError:
         import os

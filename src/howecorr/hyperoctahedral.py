@@ -24,11 +24,14 @@ class-size sum as well.
 
 A class function is the sequence of its values in canonical class order,
 the order of the labels in :func:`_classes`: the one record, cached per
-rank, of what is read off the classes of W_n (labels, sizes, the identity's
-position, S_n cycle types, linear character values).  On W_a x W_b the
-order is :func:`_pair_labels`.  A :class:`CharacterTable` holds one value
-tuple per irreducible; class labels are read only to work out class fusion
-and to name a class in a message.
+rank, of what is read off the classes of W_n (labels and their positions,
+centralizer orders, sizes, the identity's position, S_n cycle types, linear
+character values).  A class of W_a x W_b is a pair (class of W_a, class of
+W_b), and *product class order* lists the pairs by the canonical order of
+W_a, then by that of W_b, the W_b class varying fastest: a class function
+on W_a x W_b is its values in that order.  A :class:`CharacterTable`
+holds one value tuple per irreducible; class labels are read only to work
+out class fusion and to name a class in a message.
 
 Everything is exact.  Character values are integers.  Induction
 (:func:`_induce_values`) runs over the class-fusion map
@@ -151,7 +154,8 @@ def _merge(p: Partition, q: Partition) -> Partition:
 
 class _Classes(NamedTuple):
     """The classes of W_n and what the oracle reads off them, each tuple in
-    canonical class order: the labels, the class sizes, the position of the
+    canonical class order: the labels, the position of each label, the
+    centralizer orders |W_n| / |C|, the class sizes, the position of the
     identity class, the cycle type in S_n of each class (the merge of its
     positive and negative cycle types), and the values of each linear
     character by name.  On a class with cycle types (pi, nu) they are:
@@ -163,6 +167,8 @@ class _Classes(NamedTuple):
     """
 
     labels: tuple
+    position: dict
+    centralizers: tuple
     sizes: tuple
     identity: int
     cycle_types: tuple
@@ -183,12 +189,16 @@ def _classes(n: int) -> _Classes:
     """
     order = group_order(n)
     labels = tuple(SignedCycleType(bp.alpha, bp.beta) for bp in bipartitions_of(n))
+    position = {label: i for i, label in enumerate(labels)}
+    centralizers = tuple(map(centralizer_order, labels))
     negative = [(-1) ** len(c.negative) for c in labels]
     permutation = [(-1) ** (n - len(c.positive) - len(c.negative)) for c in labels]
     return _Classes(
         labels,
-        tuple(order // centralizer_order(c) for c in labels),
-        labels.index(SignedCycleType(Partition([1] * n), Partition())),
+        position,
+        centralizers,
+        tuple(order // z for z in centralizers),
+        position[SignedCycleType(Partition([1] * n), Partition())],
         tuple(_merge(c.positive, c.negative) for c in labels),
         {
             "trivial": (1,) * len(labels),
@@ -199,15 +209,9 @@ def _classes(n: int) -> _Classes:
     )
 
 
-def _pair_labels(a: int, b: int) -> tuple:
-    """Class labels of W_a x W_b in canonical order: pairs, the W_b label
-    varying fastest."""
-    return tuple(itertools.product(_classes(a).labels, _classes(b).labels))
-
-
 def _outer(xs, ys) -> list:
     """Values of the outer product of two class functions, given as value
-    lists, in :func:`_pair_labels` order."""
+    lists, in product class order."""
     return [x * y for x in xs for y in ys]
 
 
@@ -215,7 +219,7 @@ def _outer(xs, ys) -> list:
 @lru_cache(maxsize=None)
 def _induction_matrix(a: int, b: int) -> tuple:
     """Class fusion for the embedding W_a x W_b <= W_{a+b}: per product
-    class D, in :func:`_pair_labels` order, the position in canonical class
+    class D, in product class order, the position in canonical class
     order of the class C of W_{a+b} that D fuses into, and the weight
     |D| |W_{a+b}| / |C|; and the number of classes of W_{a+b}.  Fusion
     concatenates the positive cycle types and the negative cycle types, so
@@ -227,20 +231,16 @@ def _induction_matrix(a: int, b: int) -> tuple:
     negative (:func:`_merges`), and the two merges, as a plain tuple, find C
     in a dict keyed by the labels of W_{a+b}, which hash and compare as
     tuples."""
-    n = a + b
-    classes, left, right = _classes(n), _classes(a), _classes(b)
-    position = {label: i for i, label in enumerate(classes.labels)}
-    order = group_order(n)
-    weights = [order // size for size in classes.sizes]  # |W_{a+b}| / |C|
+    classes, left, right = _classes(a + b), _classes(a), _classes(b)
     positive, negative = _merges(left.labels, right.labels)
     chain = itertools.chain.from_iterable
     keys = zip(
         chain(positive[c.positive] for c in left.labels),
         chain(negative[c.negative] for c in left.labels),
     )
-    fused = list(map(position.__getitem__, keys))
+    fused = list(map(classes.position.__getitem__, keys))
     sizes = _outer(left.sizes, right.sizes)
-    fusion = tuple(zip(fused, map(mul, sizes, map(weights.__getitem__, fused))))
+    fusion = tuple(zip(fused, map(mul, sizes, map(classes.centralizers.__getitem__, fused))))
     return fusion, len(classes.labels)
 
 
@@ -261,7 +261,7 @@ def _merges(firsts: tuple, seconds: tuple) -> tuple:
 
 def _induce_values(a: int, b: int, values: list) -> list:
     """Induction from W_a x W_b to W_{a+b} of the class function with these
-    values in :func:`_pair_labels` order, as values in canonical class
+    values in product class order, as values in canonical class
     order: on a class C, the sum over the product classes D fusing into C
     of |D| |W_{a+b}| / |C| times the value on D, divided by |W_a x W_b|.  A
     value is a `Fraction` exactly when it is not an integer; when every sum
@@ -292,7 +292,7 @@ def _linear_values(n: int, which: str) -> tuple:
 
 def _irreducible_seeds(labels):
     """For each label (alpha, beta) in turn, the label and the values, in
-    :func:`_pair_labels` order, of the character of W_a x W_b whose
+    product class order, of the character of W_a x W_b whose
     induction is chi_(alpha, beta): chi_alpha and chi_beta pulled back to
     W_a and W_b, the second twisted by the sign-change character.  The S_n
     values come straight from the Murnaghan-Nakayama recursion on canonical

@@ -602,14 +602,65 @@ class TestOneRendererPerFormat:
             assert got.to_text() == want.to_text(), args
 
 
-def test_closed_stdout_exits_1_without_a_traceback():
-    # the omega text at r = r' = 10 is several MB, far beyond any pipe
-    # buffer, so the writer must meet the closed pipe
+def _written(value) -> str:
+    out = io.StringIO()
+    cli._write_json(value, out.write)
+    return out.getvalue()
+
+
+# JSON trees of the types the CLI emits, with the writer's fast paths drawn
+# on purpose: int lists, equal-length int rows, and bools beside ints, which
+# must stay off those paths; test_full_and_partial_row_templates takes the
+# row lists longer than one template
+_INTS = st.integers() | st.integers(-(2**80), 2**80)
+_TEXT = st.text(st.sampled_from('"\\/\x00\x1f\n\t\x7f\u00e9\u2028\U0001f600') | st.characters())
+_LEAVES = st.none() | st.booleans() | _INTS | _TEXT
+_INT_ROWS = st.integers(0, 4).flatmap(
+    lambda width: st.lists(
+        st.lists(_INTS, min_size=width, max_size=width).map(tuple)
+        | st.lists(_INTS | st.booleans(), min_size=width, max_size=width),
+        max_size=6,
+    )
+)
+_TREES = st.recursive(
+    _LEAVES | st.lists(_INTS | st.booleans()) | _INT_ROWS,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(_TEXT, children, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(value=_TREES)
+    def test_bytes_are_json_dumps(self, value):
+        assert _written(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_full_and_partial_row_templates(self):
+        for count in (cli._ROWS - 1, cli._ROWS, 2 * cli._ROWS + 1):
+            rows = [[i, -i, 2**70 + i] for i in range(count)]
+            assert _written({"entries": rows}) == json.dumps(
+                {"entries": rows}, indent=2, sort_keys=True
+            )
+
+    @pytest.mark.parametrize(
+        "value", [1.5, [1, 2.0], [[1, 2], [3, 4.0]], {"a": float("nan")}, {1: 2}, {"a": 1, 2: 3}]
+    )
+    def test_other_types_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            _written(value)
+
+
+def _assert_closed_stdout_exits_1(*flags):
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{path}" if path else str(src)}
     proc = subprocess.Popen(
-        [sys.executable, "-m", "howecorr", "omega", "--m", "10", "--mp", "10", "--k", "0"],
+        [sys.executable, "-m", "howecorr", "omega", "--m", "10", "--mp", "10", "--k", "0",
+         *flags],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
     first = proc.stdout.readline()
@@ -620,6 +671,18 @@ def test_closed_stdout_exits_1_without_a_traceback():
     assert first.strip()
     assert "Traceback" not in err and "Exception ignored" not in err
     assert len(err.splitlines()) <= 1
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # the omega text at r = r' = 10 is several MB, far beyond any pipe
+    # buffer, so the writer must meet the closed pipe
+    _assert_closed_stdout_exits_1()
+
+
+def test_closed_stdout_mid_json_exits_1_without_a_traceback():
+    # the JSON at r = r' = 10 (355 kB) is written in chunks, so the
+    # closed pipe is met between two writes, not in one print
+    _assert_closed_stdout_exits_1("--json")
 
 
 # Argv for the fuzz: every flag of a subcommand with a rank from -2 to 7 or

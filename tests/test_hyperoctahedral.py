@@ -21,7 +21,6 @@ from howecorr.hyperoctahedral import (
     _induce_values,
     _linear_values,
     _outer,
-    _pair_labels,
     build_character_table,
     centralizer_order,
     group_order,
@@ -150,6 +149,14 @@ class TestClasses:
                 assert size * centralizer_order(label) == order
             assert sum(sizes.values()) == order
 
+    def test_positions_and_centralizers_follow_the_labels(self):
+        # _induction_matrix reads both off the rank's record
+        for n in range(7):
+            classes = _classes(n)
+            assert classes.position == {c: i for i, c in enumerate(classes.labels)}
+            assert classes.centralizers == tuple(map(centralizer_order, classes.labels))
+            assert classes.identity == classes.position[cls([1] * n, [])]
+
     def test_oracle_bound(self):
         with pytest.raises(RankBoundError):
             _classes(7)
@@ -172,7 +179,6 @@ class TestClasses:
             lambda: build_character_table(7),
             lambda: _classes(7),
             lambda: _linear_values(7, "sign_changes"),
-            lambda: hyperoctahedral._pair_labels(0, 7),
             lambda: hyperoctahedral._induction_matrix(6, 1),
             lambda: hyperoctahedral._induced(6, 1, (1, 1)),
             lambda: verify.check_induction(7),
@@ -261,7 +267,7 @@ class TestClassFunctions:
     def test_requires_full_support(self):
         # a value list short of or past the classes of W_a x W_b would be
         # cut by the fusion loop's zip; it is refused instead
-        count = len(_pair_labels(1, 1))
+        count = len(_classes(1).labels) ** 2
         for values in ([1] * (count - 1), [1] * (count + 1), []):
             message = f"^W_1 x W_1 has {count} classes, got {len(values)} values$"
             with pytest.raises(ValueError, match=message):
