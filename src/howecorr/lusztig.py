@@ -19,6 +19,9 @@ every question to the tables of :mod:`howecorr.unipotent`.
 Supports and series cross the pair by one GL_1 law (``_transported_gl``):
 nontrivial GL entries move verbatim, trivial GL_1 entries fill the partner
 torus size t', and a partner exists only when the nontrivial entries fit in t'.
+The records read their integers by `operator.index`, as ``TowerContext``
+does, and keep nothing they can derive: the pairing of an
+:class:`OmegaFullDecomposition` is the class constant "diagonal".
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import InternalCheckError
+from .partitions import _integer
 from .unipotent import (
     DEFAULT_SGN_CONVENTION,
     MultiplicityTable,
@@ -40,9 +44,11 @@ from .unipotent import (
 )
 
 
-def _check_field(q: int, modulus: int) -> None:
-    """q must be an odd prime power below unipotent.FIELD_SIZE_BOUND = 2^24
-    (a larger q raises ValueError) and the modulus q^(2d) - 1, d >= 1."""
+def _check_field(q: int, modulus: int) -> tuple:
+    """(q, modulus) read as ints: q must be an odd prime power below
+    unipotent.FIELD_SIZE_BOUND = 2^24 (a larger q raises ValueError) and
+    the modulus q^(2d) - 1, d >= 1."""
+    q, modulus = _integer(q, "q"), _integer(modulus, "modulus")
     if not is_odd_prime_power(q):
         raise ValueError(f"q = {q} is not an odd prime power")
     m = q * q - 1
@@ -50,6 +56,7 @@ def _check_field(q: int, modulus: int) -> None:
         m = (m + 1) * q * q - 1
     if m != modulus:
         raise ValueError(f"modulus {modulus} is not q^2d - 1 for q = {q}")
+    return q, modulus
 
 
 class EigenvalueOrbit(_Record):
@@ -60,7 +67,10 @@ class EigenvalueOrbit(_Record):
     __slots__ = ("q", "modulus", "exponents", "multiplicity")
 
     def __init__(self, q: int, modulus: int, exponents: frozenset, multiplicity: int = 1):
-        _check_field(q, modulus)
+        q, modulus = _check_field(q, modulus)
+        multiplicity = _integer(multiplicity, "orbit multiplicity")
+        if any(type(e) is not int for e in exponents):
+            exponents = frozenset(_integer(e, "exponent") for e in exponents)
         if multiplicity < 1:
             raise ValueError("orbit multiplicity must be positive")
         if not exponents:
@@ -93,7 +103,8 @@ def orbit_closure(q: int, modulus: int, exponent: int, multiplicity: int = 1) ->
     of a unitary group are invertible)."""
     if exponent is None:
         raise ValueError("the zero eigenvalue has no exponent")
-    _check_field(q, modulus)
+    q, modulus = _check_field(q, modulus)
+    exponent = _integer(exponent, "exponent")
     return EigenvalueOrbit(q, modulus, _closure(q, modulus, exponent), multiplicity)
 
 
@@ -118,7 +129,7 @@ class SemisimpleDescriptor(_Record):
     __slots__ = ("q", "modulus", "orbits")
 
     def __init__(self, q: int, modulus: int, orbits: tuple):
-        _check_field(q, modulus)
+        q, modulus = _check_field(q, modulus)
         seen = set()
         for orbit in orbits:
             if orbit.q != q or orbit.modulus != modulus:
@@ -259,6 +270,7 @@ class GLCuspidal(_Record):
     __slots__ = ("size", "label")
 
     def __init__(self, size: int, label: str):
+        size = _integer(size, "GL factor size")
         if size < 1:
             raise ValueError("GL factor size must be positive")
         if label == TRIVIAL_GL_LABEL and size != 1:
@@ -283,6 +295,7 @@ class UnipotentCuspidal(_Record):
     __slots__ = ("k",)
 
     def __init__(self, k: int):
+        k = _integer(k, "k")
         if k < 0:
             raise ValueError("k must be nonnegative")
         self._set(k)
@@ -301,6 +314,7 @@ class GenericCuspidal(_Record):
     __slots__ = ("label", "first_occurrence", "partner_label")
 
     def __init__(self, label: str, first_occurrence: int, partner_label: str | None = None):
+        first_occurrence = _integer(first_occurrence, "first occurrence index")
         if first_occurrence < 0:
             raise ValueError("first occurrence index must be nonnegative")
         self._set(label, first_occurrence, partner_label)
@@ -408,6 +422,7 @@ class CuspidalPair(_Record):
     __slots__ = ("gl_part", "base_k", "semisimple")
 
     def __init__(self, gl_part: tuple, base_k: int, semisimple: SemisimpleDescriptor):
+        base_k = _integer(base_k, "base k")
         if base_k < 0:
             raise ValueError("base k must be nonnegative")
         self._set(_sorted_entries(gl_part), base_k, semisimple)
@@ -479,20 +494,16 @@ class OmegaFullDecomposition(_Record):
     """The decomposition of the full coupling for one pair of series: the
     factors away from eigenvalue 1 pair diagonally (each label with itself;
     all Weyl-level characters here are rational, so the pairing involution
-    is the identity), tensored with the unipotent table of the reduced
-    contexts."""
+    is the identity, and ``pairing`` is the constant "diagonal"), tensored
+    with the unipotent table of the reduced contexts."""
 
-    __slots__ = ("hash_descriptor", "pairing", "l", "l_prime", "unipotent_table")
+    __slots__ = ("hash_descriptor", "l", "l_prime", "unipotent_table")
+    pairing = "diagonal"
 
     def __init__(
-        self,
-        hash_descriptor: tuple,
-        pairing: str,
-        l: int,
-        l_prime: int,
-        unipotent_table: MultiplicityTable,
+        self, hash_descriptor: tuple, l: int, l_prime: int, unipotent_table: MultiplicityTable
     ):
-        self._set(hash_descriptor, pairing, l, l_prime, unipotent_table)
+        self._set(hash_descriptor, l, l_prime, unipotent_table)
 
     def contains(self, member, member_prime) -> bool:
         """Membership test for a pair of labels.  Each label is a pair
@@ -543,4 +554,4 @@ def omega_full(
             f"reduced table pairs k={pair.base_k} with k'={table.k_prime}, but "
             f"transport produced k'={transported.base_k}"
         )
-    return OmegaFullDecomposition(dec.factors, "diagonal", dec.l, dec_prime.l, table)
+    return OmegaFullDecomposition(dec.factors, dec.l, dec_prime.l, table)

@@ -24,6 +24,9 @@ l-sum over bipartition indices; one row (``theta_images``,
 Which linear character plays "sgn" is a convention; both the determinant
 character (``coxeter_sign``, the default) and the sign-change character
 (``sign_changes``) are supported, threaded through as ``convention``.
+
+A :class:`MultiplicityTable` keeps m, m', k, k', the convention and its cell
+store; its labels come from the store's ranks, its formula from (k, k').
 """
 
 from __future__ import annotations
@@ -308,12 +311,6 @@ def _uncollected(build, cells):
             gc.enable()
 
 
-def _label_index(labels: tuple) -> dict:
-    """Position of each label of ``labels``: Irr(W_n) in canonical order
-    for some n, or nothing."""
-    return _bipartition_index(labels[0].size) if labels else {}
-
-
 def _label_position(index: dict, label):
     """index.get(label), where a label with list parts reads as the label
     of Partitions it names."""
@@ -323,13 +320,18 @@ def _label_position(index: dict, label):
         return index.get(bipartition(*label))
 
 
+def _labels(n: int) -> tuple:
+    """Irr(W_n) in canonical order, and nothing for n < 0 (no group)."""
+    return _bipartitions_of(n) if n >= 0 else ()
+
+
 _MISSING = object()
 
 
 class _Entries(Mapping):
-    """The nonzero cells of a coupling table, stored as indices into its
-    row and column labels: a read-only mapping from (row label, column
-    label) to multiplicity, iterated by row and then by column.
+    """The nonzero cells of a table of ranks r, r', stored as indices into
+    Irr(W_r) and Irr(W_r') (no column when r' < 0): a read-only mapping from
+    (row label, column label) to multiplicity, by row and then by column.
 
     A table of the omega sum stores the sum's blocks (see _blocks): the row
     and the column tuple of each chi, cached tuples of indices, and, in a
@@ -341,8 +343,8 @@ class _Entries(Mapping):
     is stored as that copy.
     """
 
-    def __init__(self, rows: tuple, cols: tuple, blocks=((), ()), row_twist=None, csr=None):
-        self._rows, self._cols = rows, cols
+    def __init__(self, r: int, r_prime: int, blocks=((), ()), row_twist=None, csr=None):
+        self._r, self._r_prime = r, r_prime
         self._blocks, self._row_twist = blocks, row_twist
         if csr is not None:
             self._csr = csr
@@ -350,18 +352,20 @@ class _Entries(Mapping):
     def __iter__(self):
         starts, columns, _ = self._csr
         return zip(
-            map(self._rows.__getitem__, _cell_rows(starts)),
-            map(self._cols.__getitem__, columns),
+            map(_labels(self._r).__getitem__, _cell_rows(starts)),
+            map(_labels(self._r_prime).__getitem__, columns),
         )
 
     def __len__(self) -> int:
         return len(self._csr[1])
 
     def get(self, key, default=None):
-        row_index, col_index = self._label_indices
+        if self._r_prime < 0:
+            return default
         try:
             row, col = key
-            i, j = _label_position(row_index, row), _label_position(col_index, col)
+            i = _label_position(_bipartition_index(self._r), row)
+            j = _label_position(_bipartition_index(self._r_prime), col)
         except (TypeError, ValueError):  # not a pair of labels
             return default
         if i is None or j is None:
@@ -386,16 +390,12 @@ class _Entries(Mapping):
         return repr(dict(self.items()))
 
     @cached_property
-    def _label_indices(self) -> tuple:
-        return _label_index(self._rows), _label_index(self._cols)
-
-    @cached_property
     def _csr(self) -> tuple:
         """(starts, columns, multiplicities): the cells of row i, in column
         order, sit at starts[i]:starts[i + 1].  One bucket per row takes the
         columns its blocks give, and is then sorted, or, in a second-kind
         table, counted and moved: row i is the bucket of twist[i]."""
-        buckets = [[] for _ in self._rows]
+        buckets = [[] for _ in _labels(self._r)]
         for row_tuple, col_tuple in zip(*self._blocks):
             for i in row_tuple:
                 buckets[i].extend(col_tuple)
@@ -445,51 +445,54 @@ class MultiplicityTable(_Record):
     """The coupling table of one pair of unipotent series.
 
     Rows are labelled by Irr(W_r) for the k-series on the first group,
-    columns by Irr(W_r') for the k'-series on the second; ``entries`` holds
-    the nonzero multiplicities, a read-only mapping from (row label, column
-    label) pairs (see _Entries).  A table below the first occurrence of the
-    partner cuspidal (m' < m(k')) is empty: no columns, no entries,
-    ``formula`` is None.
+    columns by Irr(W_r') for the k'-series on the second (r = m - m(k),
+    r' = m' - m(k')): the labels of ``entries``, a read-only mapping from
+    (row label, column label) pairs to the nonzero multiplicities (see
+    _Entries).  A table below the first occurrence of the partner cuspidal
+    (m' < m(k')) is empty: no columns, no entries, ``formula`` is None.
     """
 
-    __slots__ = (
-        "m", "m_prime", "k", "k_prime", "formula", "convention",
-        "row_labels", "col_labels", "entries",
-    )
+    __slots__ = ("m", "m_prime", "k", "k_prime", "convention", "entries")
 
     def __init__(
-        self,
-        m: int,
-        m_prime: int,
-        k: int,
-        k_prime: int,
-        formula: str | None,
-        convention: str,
-        row_labels: tuple,
-        col_labels: tuple,
-        entries: Mapping,
+        self, m: int, m_prime: int, k: int, k_prime: int, convention: str, entries: Mapping
     ):
         if not isinstance(entries, _Entries):
             # a mapping passed in is stored in index space once, sorted by row
-            rows, cols = _label_index(row_labels), _label_index(col_labels)
-            counts = [{} for _ in row_labels]
+            r, r_prime = m - witt_index_of_cuspidal(k), m_prime - witt_index_of_cuspidal(k_prime)
+            rows = _bipartition_index(r)
+            cols = _bipartition_index(r_prime) if r_prime >= 0 else {}
+            counts = [{} for _ in rows]
             try:
-                for (r, c), mult in entries.items():
-                    counts[rows[r]][cols[c]] = mult
+                for (row, col), mult in entries.items():
+                    counts[rows[row]][cols[col]] = mult
             except KeyError as err:
                 raise ValueError(f"{err.args[0]} is not a label of this table") from None
-            entries = _Entries(row_labels, col_labels, csr=_row_sorted(counts))
-        self._set(m, m_prime, k, k_prime, formula, convention, row_labels, col_labels, entries)
+            entries = _Entries(r, r_prime, csr=_row_sorted(counts))
+        self._set(m, m_prime, k, k_prime, convention, entries)
+
+    @property
+    def row_labels(self) -> tuple:
+        return _labels(self.entries._r)
+
+    @property
+    def col_labels(self) -> tuple:
+        return _labels(self.entries._r_prime)
 
     @property
     def is_zero(self) -> bool:
-        return self.formula is None
+        return self.entries._r_prime < 0
+
+    @property
+    def formula(self) -> str | None:
+        kind = "first-kind" if is_first_kind(self.k, self.k_prime) else "second-kind"
+        return None if self.is_zero else kind
 
     def entry(self, row: Bipartition, col: Bipartition) -> int:
         return self.entries.get((row, col), 0)
 
     def row(self, label: Bipartition) -> list:
-        i = _label_position(self.entries._label_indices[0], label)
+        i = _label_position(_bipartition_index(self.entries._r), label)
         if i is None:
             raise ValueError(f"{label} is not a row label of this table")
         cols = self.col_labels
@@ -657,33 +660,19 @@ def _sum_entries(r: int, r_prime: int, first_kind: bool, convention: str) -> _En
     second-kind rows Ind(chi x sgn) = sgn Ind(sgn chi x 1) are summed over
     sgn chi in place of chi: each block pairs the trivial lists of one chi,
     and the rows are read through the twist (an involution) of rank r."""
-    rows, cols = _bipartitions_of(r), _bipartitions_of(r_prime)
     if first_kind:
-        return _Entries(rows, cols, _blocks(r, r_prime, convention))
-    return _Entries(rows, cols, _blocks(r, r_prime, None), _twist_permutation(r, convention))
+        return _Entries(r, r_prime, _blocks(r, r_prime, convention))
+    return _Entries(r, r_prime, _blocks(r, r_prime, None), _twist_permutation(r, convention))
 
 
 @lru_cache(maxsize=OMEGA_CACHE_SIZE)
 def _omega_cached(m, parity, m_prime, parity_prime, k, convention):
     r, k_prime, r_prime = _series_ranks(m, parity, m_prime, parity_prime, k)
-    row_labels = _bipartitions_of(r)
     if r_prime < 0:
-        entries = _Entries(row_labels, ())
-        return MultiplicityTable(
-            m, m_prime, k, k_prime, None, convention, row_labels, (), entries
-        )
-    first_kind = is_first_kind(k, k_prime)
-    return MultiplicityTable(
-        m,
-        m_prime,
-        k,
-        k_prime,
-        "first-kind" if first_kind else "second-kind",
-        convention,
-        row_labels,
-        _bipartitions_of(r_prime),
-        _sum_entries(r, r_prime, first_kind, convention),
-    )
+        entries = _Entries(r, r_prime)
+    else:
+        entries = _sum_entries(r, r_prime, is_first_kind(k, k_prime), convention)
+    return MultiplicityTable(m, m_prime, k, k_prime, convention, entries)
 
 
 def omega_unipotent(

@@ -148,9 +148,9 @@ def check_induction(max_rank: int = 5) -> CheckResult:
 
 
 def check_character_tables(max_rank: int = 6) -> CheckResult:
-    """Column orthogonality, whose diagonal |W_n| / |C| certifies each
-    class size read off the bipartitions, and the class-size sum.  Row
-    orthogonality and integrality already run inside build_character_table."""
+    """Column orthogonality, which certifies the centralizer orders read
+    off the bipartitions, and the class-size sum.  Row orthogonality and
+    integrality already run inside build_character_table."""
     name = "character-table certification"
     _check_rank(max_rank)
     for n in range(max_rank + 1):
@@ -159,8 +159,7 @@ def check_character_tables(max_rank: int = 6) -> CheckResult:
         if sum(classes.sizes) != order:
             return _fail(name, f"W_{n}: class sizes do not sum to {order}")
         columns = _IntMatrix(list(zip(*build_character_table(n).rows)))
-        diagonal = [order // size for size in classes.sizes]
-        defect = columns.orthogonality_defect(columns.rows, diagonal)
+        defect = columns.orthogonality_defect(columns.rows, classes.centralizers)
         if defect:
             i, j = defect
             labels = classes.labels
@@ -227,8 +226,8 @@ def _stores(max_b_rank: int, k_max: int, convention: str) -> list:
     """[sweep entry, table, count] per cell store of _table_sweep, in order
     of first appearance, with the first table that holds it.  Every table is
     built through omega_unipotent.  The key is the store, kept alive by its
-    table so that its id is not reused, its labels, and the ranks and kind
-    that the checks read it with."""
+    table so that its id is not reused (its labels are a function of its
+    own ranks), and the ranks and kind that the checks read it with."""
     found = {}
     # each context once (k' <= k_max + 1), where every entry reads two
     context = {
@@ -238,8 +237,7 @@ def _stores(max_b_rank: int, k_max: int, convention: str) -> list:
     for entry in _table_sweep(max_b_rank, k_max):
         k, _, k_prime, r, r_prime = entry
         table = omega_unipotent(context[k, r], context[k_prime, r_prime], k, convention=convention)
-        labels = table.row_labels, table.col_labels
-        key = (id(table.entries), *labels, r, r_prime, is_first_kind(k, k_prime))
+        key = (id(table.entries), r, r_prime, is_first_kind(k, k_prime))
         found.setdefault(key, [entry, table, 0])[2] += 1
     return list(found.values())
 
@@ -377,11 +375,11 @@ def check_extremal(max_b_rank: int = 4, k_max: int = 3) -> CheckResult:
 # randomized semisimple bookkeeping
 
 
-def random_descriptor(rng: random.Random, max_dim: int = 8) -> SemisimpleDescriptor:
+def random_descriptor(rng: random.Random) -> SemisimpleDescriptor:
     q = rng.choice((3, 5))
     degree = rng.choice((1, 2))
     modulus = q ** (2 * degree) - 1
-    remaining = rng.randint(1, max_dim)
+    remaining = rng.randint(1, 8)  # the dimension
     mults = {}  # exponent set -> summed multiplicity, in first-drawn order
     while remaining:
         exponents = _closure(q, modulus, rng.randrange(modulus))
@@ -428,9 +426,10 @@ def check_centralizers(count: int = 200, seed: int = 20260825) -> CheckResult:
 # reduction and transport
 
 
-def _unipotent_pair(k: int, r: int, extra_minus_one: int = 0, q: int = 3):
-    """A cuspidal pair in a tower sized so that the reduced block has
-    b-rank r; optionally with a -1-eigenvalue block of the given size."""
+def _unipotent_pair(k: int, r: int, extra_minus_one: int = 0):
+    """A cuspidal pair over F_3 in a tower sized so that the reduced block
+    has b-rank r; optionally with a -1-eigenvalue block of the given size."""
+    q = 3
     nu1 = 2 * r + triangular(k)
     n = nu1 + extra_minus_one
     modulus = q * q - 1

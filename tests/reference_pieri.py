@@ -123,25 +123,26 @@ def _entries(r, r_prime, second, convention):
 
 
 def omega_table(m, parity, m_prime, parity_prime, k, convention):
-    """The table ``omega_unipotent`` returned for these contexts."""
+    """The table ``omega_unipotent`` returned for these contexts.  The
+    table derives its labels and kind from its ranks and (k, k'), so
+    equality of tables does not compare them; they are stated here and
+    compared with the derived ones."""
     r = _validate_series(m, parity, k)
     k_prime = theta_cuspidal(k, parity_prime)
     r_prime = m_prime - witt_index_of_cuspidal(k_prime)
     row_labels = tuple(bipartitions_of(r))
     if r_prime < 0:
-        return MultiplicityTable(m, m_prime, k, k_prime, None, convention, row_labels, (), {})
-    first_kind = k % 2 == 1 or (k == 0 and k_prime == 0)
-    return MultiplicityTable(
-        m,
-        m_prime,
-        k,
-        k_prime,
-        "first-kind" if first_kind else "second-kind",
-        convention,
-        row_labels,
-        tuple(bipartitions_of(r_prime)),
-        dict(_entries(r, r_prime, "trivial" if first_kind else "sgn", convention)),
-    )
+        formula, col_labels, cells = None, (), {}
+    else:
+        first_kind = k % 2 == 1 or (k == 0 and k_prime == 0)
+        formula = "first-kind" if first_kind else "second-kind"
+        col_labels = tuple(bipartitions_of(r_prime))
+        cells = dict(_entries(r, r_prime, "trivial" if first_kind else "sgn", convention))
+    table = MultiplicityTable(m, m_prime, k, k_prime, convention, cells)
+    derived = (table.formula, table.is_zero, table.row_labels, table.col_labels)
+    if derived != (formula, r_prime < 0, row_labels, col_labels):
+        raise AssertionError(f"derived kind or labels {derived} differ from the stated ones")
+    return table
 
 
 def strip_indices(n, l, second, convention="coxeter_sign"):

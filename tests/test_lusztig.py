@@ -1,5 +1,6 @@
 """Semisimple bookkeeping: orbits, centralizers, transport, full coupling."""
 
+import dataclasses
 from itertools import product
 
 import pytest
@@ -15,6 +16,7 @@ from howecorr.lusztig import (
     EigenvalueOrbit,
     GenericCuspidal,
     GLCuspidal,
+    OmegaFullDecomposition,
     SemisimpleDescriptor,
     UnipotentCuspidal,
     centralizer_decomposition,
@@ -31,6 +33,16 @@ from howecorr.unipotent import (
     triangular,
     witt_index_of_cuspidal,
 )
+
+
+class Index:
+    """An integer type that is not int, as numpy's are."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __index__(self):
+        return self.n
 
 
 def descriptor(*orbits, q=3, modulus=8):
@@ -214,6 +226,49 @@ class TestCuspidalData:
             GenericCuspidal("c", -1)
         # the partner tag is bookkeeping, not identity
         assert GenericCuspidal("c", 1) == GenericCuspidal("c", 1, partner_label="x")
+
+    @pytest.mark.parametrize(
+        "build, read, value, want, inexact",
+        [
+            (lambda v: orbit_closure(v, 8, 1), lambda o: [o.q], Index(3), [3], 3.0),
+            (lambda v: orbit_closure(3, v, 1), lambda o: [o.modulus], Index(8), [8], 8.0),
+            (lambda v: orbit_closure(3, 8, v), lambda o: sorted(o.exponents), True, [1, 5], 1.5),
+            (lambda v: orbit_closure(3, 8, 0, v), lambda o: [o.multiplicity], True, [1], 2.0),
+            (
+                lambda v: EigenvalueOrbit(3, 8, frozenset({v, 5})),
+                lambda o: sorted(o.exponents), Index(1), [1, 5], 1.0,
+            ),
+            (
+                lambda v: EigenvalueOrbit(3, 8, frozenset({0}), v),
+                lambda o: [o.multiplicity], Index(2), [2], 2.0,
+            ),
+            (
+                lambda v: SemisimpleDescriptor(v, Index(8), ()),
+                lambda s: [s.q, s.modulus], Index(3), [3, 8], 3.0,
+            ),
+            (lambda v: GLCuspidal(v, "rho"), lambda g: [g.size], Index(2), [2], 2.0),
+            (lambda v: UnipotentCuspidal(v), lambda u: [u.k], True, [1], 1.5),
+            (lambda v: GenericCuspidal("c", v), lambda g: [g.first_occurrence], True, [1], 1.0),
+            (
+                lambda v: CuspidalPair((), v, identity_class(3, 1)),
+                lambda p: [p.base_k], True, [1], 1.0,
+            ),
+        ],
+        ids=[
+            "orbit q", "orbit modulus", "orbit_closure exponent",
+            "orbit_closure multiplicity", "orbit exponents", "orbit multiplicity",
+            "descriptor field", "GL size", "unipotent k", "generic first occurrence",
+            "pair base k",
+        ],
+    )
+    def test_integers_are_read_exactly(self, build, read, value, want, inexact):
+        """A bool or another integer type is stored as its int, so that
+        none reaches an output, and a float raises ValueError instead of
+        being kept."""
+        got = read(build(value))
+        assert got == want and all(type(x) is int for x in got)
+        with pytest.raises(ValueError, match="must be an integer"):
+            build(inexact)
 
     def test_support_sorted_multiset(self):
         support = CuspidalSupport(
@@ -463,3 +518,10 @@ class TestOmegaFull:
         got = dec.to_json_dict()
         assert set(got) == {"hash_descriptor", "pairing", "l", "l_prime", "unipotent_table"}
         assert got["pairing"] == "diagonal"
+
+    def test_the_pairing_is_a_constant(self):
+        dec = omega_full(unipotent_pair(1, 0), TowerContext(1, 0, 3), TowerContext(1, 1, 3))
+        assert dec.pairing == OmegaFullDecomposition.pairing == "diagonal"
+        assert [f.name for f in dataclasses.fields(dec)] == [
+            "hash_descriptor", "l", "l_prime", "unipotent_table",
+        ]

@@ -258,10 +258,7 @@ class TestRecords:
     # the first-kind table of U_2 x U_2 at k = 0, r = r' = 1
     SMALL = (TowerContext(1, 0), TowerContext(1, 0), 0)
     SMALL_REPR = (
-        "MultiplicityTable(m=1, m_prime=1, k=0, k_prime=0, formula='first-kind', "
-        "convention='coxeter_sign', "
-        "row_labels=(Bipartition(alpha=(1,), beta=()), Bipartition(alpha=(), beta=(1,))), "
-        "col_labels=(Bipartition(alpha=(1,), beta=()), Bipartition(alpha=(), beta=(1,))), "
+        "MultiplicityTable(m=1, m_prime=1, k=0, k_prime=0, convention='coxeter_sign', "
         "entries={(Bipartition(alpha=(1,), beta=()), Bipartition(alpha=(1,), beta=())): 1, "
         "(Bipartition(alpha=(1,), beta=()), Bipartition(alpha=(), beta=(1,))): 1, "
         "(Bipartition(alpha=(), beta=(1,)), Bipartition(alpha=(1,), beta=())): 1})"
@@ -271,9 +268,7 @@ class TestRecords:
     def _fields(table) -> dict:
         return {
             "m": table.m, "m_prime": table.m_prime, "k": table.k, "k_prime": table.k_prime,
-            "formula": table.formula, "convention": table.convention,
-            "row_labels": table.row_labels, "col_labels": table.col_labels,
-            "entries": table.entries,
+            "convention": table.convention, "entries": table.entries,
         }
 
     def test_context_signature(self):
@@ -334,9 +329,8 @@ class TestRecords:
         assert repr(table) == self.SMALL_REPR
         zero = omega_unipotent(TowerContext(2, 1), TowerContext(2, 0), 2)
         assert repr(zero) == (
-            "MultiplicityTable(m=2, m_prime=2, k=2, k_prime=3, formula=None, "
-            "convention='coxeter_sign', row_labels=(Bipartition(alpha=(1,), beta=()), "
-            "Bipartition(alpha=(), beta=(1,))), col_labels=(), entries={})"
+            "MultiplicityTable(m=2, m_prime=2, k=2, k_prime=3, convention='coxeter_sign', "
+            "entries={})"
         )
 
     @pytest.mark.parametrize("name", ["m", "entries", "other"])
@@ -373,6 +367,7 @@ class TestRecords:
         table = omega_unipotent(*self.SMALL)
         names = [f.name for f in dataclasses.fields(table)]
         assert names == list(self._fields(table))
+        assert names == ["m", "m_prime", "k", "k_prime", "convention", "entries"]
         assert dataclasses.replace(table) == table
         with pytest.raises(ValueError, match="is not a label of this table"):
             dataclasses.replace(table, entries={(EMPTY, EMPTY): 1})
@@ -456,13 +451,13 @@ def _record_cases():
         ),
         (
             OmegaFullDecomposition,
-            ((CentralizerFactor("unitary", 1, 1),), "diagonal", 1, 0, table),
+            ((CentralizerFactor("unitary", 1, 1),), 1, 0, table),
             "OmegaFullDecomposition(hash_descriptor=(CentralizerFactor(kind='unitary', "
-            "size=1, field_degree=1),), pairing='diagonal', l=1, l_prime=0, "
+            "size=1, field_degree=1),), l=1, l_prime=0, "
             f"unipotent_table={TestRecords.SMALL_REPR})",
-            "(hash_descriptor: 'tuple', pairing: 'str', l: 'int', l_prime: 'int', "
+            "(hash_descriptor: 'tuple', l: 'int', l_prime: 'int', "
             "unipotent_table: 'MultiplicityTable')",
-            ((), "diagonal", 1, 0, table),
+            ((), 1, 0, table),
         ),
         (
             CheckResult, ("x", True, "y"), "CheckResult(name='x', passed=True, detail='y')",
@@ -1081,8 +1076,7 @@ class TestEntriesView:
     def _replug(table, cells: dict):
         """``table`` with ``cells`` passed in as a plain dict."""
         return MultiplicityTable(
-            table.m, table.m_prime, table.k, table.k_prime, table.formula,
-            table.convention, table.row_labels, table.col_labels, cells,
+            table.m, table.m_prime, table.k, table.k_prime, table.convention, cells
         )
 
     @staticmethod
@@ -1201,6 +1195,49 @@ class TestEntriesView:
         table = self._table(self.TABLES["first-kind"])
         with pytest.raises(ValueError, match="is not a label of this table"):
             self._replug(table, {(TRIV1, TRIV1): 1})
+
+    @pytest.mark.parametrize("kind", TABLES)
+    def test_a_mapping_in_any_order_reads_alike(self, kind):
+        """A table built from a dict reads the same through items(),
+        entry, row, to_text and to_json_dict whatever the insertion order
+        of the dict: each cell is placed by the labels of the table's ranks."""
+        table = self._table(self.TABLES[kind])
+        cells = list(table.entries.items())
+        rng = random.Random(kind)
+        for _ in range(4):
+            rng.shuffle(cells)
+            plain = self._replug(table, dict(cells))
+            assert list(plain.entries.items()) == list(table.entries.items())
+            assert plain.to_json_dict() == table.to_json_dict()
+            assert plain.to_text() == table.to_text()
+            for row in table.row_labels:
+                assert plain.row(row) == table.row(row)
+                for col in table.col_labels:
+                    assert plain.entry(row, col) == table.entry(row, col)
+
+    def test_cells_sit_where_their_labels_say(self):
+        """The labels of a table built from a dict are those of its ranks,
+        so a dict listing a later row first cannot relabel a cell."""
+        table = MultiplicityTable(1, 1, 0, 0, "coxeter_sign", {(SGN1, TRIV1): 2, (TRIV1, TRIV1): 1})
+        assert table.row_labels == table.col_labels == (TRIV1, SGN1)
+        assert list(table.entries.items()) == [((TRIV1, TRIV1), 1), ((SGN1, TRIV1), 2)]
+        assert (table.entry(TRIV1, TRIV1), table.entry(SGN1, TRIV1)) == (1, 2)
+        assert table.row(SGN1) == [(TRIV1, 2)]
+        assert table.to_json_dict()["entries"] == [[0, 0, 1], [1, 0, 2]]
+
+    @pytest.mark.parametrize(
+        "args, cell",
+        [
+            ((1, 1, 0, 0), (bipartition((2,), ()), TRIV1)),
+            ((1, 1, 0, 0), (TRIV1, EMPTY)),
+            ((1, 1, 0, 0), ("x", TRIV1)),
+            ((2, 2, 2, 3), (TRIV1, TRIV1)),
+        ],
+        ids=["row of another size", "column of another size", "no label", "zero table"],
+    )
+    def test_a_label_not_of_the_ranks_is_refused(self, args, cell):
+        with pytest.raises(ValueError, match="is not a label of this table"):
+            MultiplicityTable(*args, "coxeter_sign", {cell: 1})
 
     @pytest.mark.parametrize("kind", TABLES)
     def test_labels_are_attached_only_at_output(self, kind, monkeypatch):

@@ -420,8 +420,7 @@ def _first_kind_cells(real):
             return table
         r, r_prime = table.row_labels[0].size, table.col_labels[0].size
         return MultiplicityTable(
-            table.m, table.m_prime, table.k, table.k_prime, table.formula,
-            table.convention, table.row_labels, table.col_labels,
+            table.m, table.m_prime, table.k, table.k_prime, table.convention,
             unipotent._sum_entries(r, r_prime, True, convention),
         )
 
@@ -773,8 +772,7 @@ def test_extremal_check_certifies_a_store_it_has_not_seen(monkeypatch):
         cells.update({(row, col): 1 for col in antichain})
         planted.append(table)
         return MultiplicityTable(
-            table.m, table.m_prime, table.k, table.k_prime, table.formula,
-            table.convention, table.row_labels, table.col_labels, cells,
+            table.m, table.m_prime, table.k, table.k_prime, table.convention, cells
         )
 
     monkeypatch.setattr(verify, "omega_unipotent", omega_unipotent)
@@ -820,8 +818,7 @@ def test_row_persistence_check_certifies_a_store_it_has_not_seen(monkeypatch):
         cells = {key: mult for key, mult in table.entries.items() if key[0] != row}
         planted.append(table)
         return MultiplicityTable(
-            table.m, table.m_prime, table.k, table.k_prime, table.formula,
-            table.convention, table.row_labels, table.col_labels, cells,
+            table.m, table.m_prime, table.k, table.k_prime, table.convention, cells
         )
 
     monkeypatch.setattr(verify, "omega_unipotent", omega_unipotent)
