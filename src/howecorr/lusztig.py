@@ -16,12 +16,18 @@ part of the centralizer away from eigenvalue 1).  This module never
 instantiates those factors; it tracks kinds, degrees and ranks, and reduces
 every question to the tables of :mod:`howecorr.unipotent`.
 
+A descriptor meets the groups of a pair by one rule (``_check_group``),
+which every function here that takes a descriptor and a group applies
+first: the descriptor has the dimension of its group, and a group given
+with a q, on either side, is over the descriptor's q.
+
 Supports and series cross the pair by one GL_1 law (``_transported_gl``):
 nontrivial GL entries move verbatim, trivial GL_1 entries fill the partner
 torus size t', and a partner exists only when the nontrivial entries fit in t'.
 The records read their integers by `operator.index`, as ``TowerContext``
 does, and keep nothing they can derive: the pairing of an
-:class:`OmegaFullDecomposition` is the class constant "diagonal".
+:class:`OmegaFullDecomposition` is the class constant "diagonal", and the
+kind of a :class:`CentralizerFactor` follows from its field degree.
 """
 
 from __future__ import annotations
@@ -173,15 +179,22 @@ class SemisimpleDescriptor(_Record):
 class CentralizerFactor(_Record):
     """One factor of the centralizer away from eigenvalue 1: a general
     linear or unitary group of degree ``size`` over the extension of degree
-    ``field_degree``.  Odd orbits give unitary factors (the orbits of 1 and
-    -1 in particular), even orbits give linear ones."""
+    ``field_degree``.  The kind follows from the degree: odd orbits give
+    unitary factors (the orbits of 1 and -1 in particular), even orbits
+    give linear ones."""
 
-    __slots__ = ("kind", "size", "field_degree")
+    __slots__ = ("size", "field_degree")
 
-    def __init__(self, kind: str, size: int, field_degree: int):
-        if kind not in ("unitary", "linear"):
-            raise ValueError(f"unknown factor kind {kind!r}")
-        self._set(kind, size, field_degree)
+    def __init__(self, size: int, field_degree: int):
+        size = _integer(size, "factor size")
+        field_degree = _integer(field_degree, "field degree")
+        if size < 1 or field_degree < 1:
+            raise ValueError("factor size and field degree must be positive")
+        self._set(size, field_degree)
+
+    @property
+    def kind(self) -> str:
+        return "unitary" if self.field_degree % 2 == 1 else "linear"
 
     @property
     def rank_contribution(self) -> int:
@@ -201,16 +214,20 @@ class CentralizerDecomposition(NamedTuple):
     l: int
 
 
-def _check_dimension(s: SemisimpleDescriptor, n: int) -> None:
-    if s.dimension != n:
+def _check_group(
+    s: SemisimpleDescriptor, ctx: TowerContext, ctx_prime: TowerContext | None = None
+) -> None:
+    """The one rule where a descriptor meets the groups of a pair: ``s`` is
+    a class of the group of ``ctx``, so it has that group's dimension, and
+    each group given with a q (``ctx``, and ``ctx_prime`` when given) is
+    over the descriptor's q."""
+    if s.dimension != ctx.dimension:
         raise ValueError(
-            f"descriptor has dimension {s.dimension}, ambient group needs {n}"
+            f"descriptor has dimension {s.dimension}, ambient group needs {ctx.dimension}"
         )
-
-
-def _factor_of(orbit: EigenvalueOrbit) -> CentralizerFactor:
-    kind = "unitary" if orbit.size % 2 == 1 else "linear"
-    return CentralizerFactor(kind, orbit.multiplicity, orbit.size)
+    for group in (ctx, ctx_prime):
+        if group is not None and group.q is not None and group.q != s.q:
+            raise ValueError(f"descriptor is over q = {s.q}, the group over q = {group.q}")
 
 
 def centralizer_decomposition(
@@ -219,20 +236,19 @@ def centralizer_decomposition(
     """Split the centralizer of ``s`` inside the group of ``ctx``.
 
     Rank bookkeeping: the orbit degrees times multiplicities must add up to
-    the ambient dimension 2m + parity.  The 1-eigenspace has dimension nu_1
+    the ambient dimension 2m + parity, and a group given with q must be over
+    the descriptor's q (_check_group).  The 1-eigenspace has dimension nu_1
     and Witt index floor(nu_1 / 2); the drop is l = m - floor(nu_1 / 2).
     """
+    _check_group(s, ctx)
     n = ctx.dimension
-    _check_dimension(s, n)
     nu1 = s.unit_multiplicity
-    factors = tuple(_factor_of(o) for o in s.non_unit_orbits)
+    factors = tuple(CentralizerFactor(o.multiplicity, o.size) for o in s.non_unit_orbits)
     conserved = sum(f.rank_contribution for f in factors) + nu1
     if conserved != n:
         raise InternalCheckError(
             f"rank conservation failed: {conserved} != {n}"
         )
-    if ctx.q is not None and ctx.q != s.q:
-        raise ValueError(f"descriptor is over q = {s.q}, the group over q = {ctx.q}")
     block = TowerContext(nu1 // 2, nu1 % 2, ctx.q)
     return CentralizerDecomposition(factors, block, ctx.witt_index - nu1 // 2)
 
@@ -243,8 +259,8 @@ def match_semisimple(
     """The partner class on the other side of the dual pair: identical away
     from eigenvalue 1, with the 1-multiplicity adjusted to fill the partner
     dimension.  Fails if the partner group is too small to hold the
-    non-unit part."""
-    _check_dimension(s, ctx.dimension)
+    non-unit part, and where _check_group fails."""
+    _check_group(s, ctx, ctx_prime)
     n_prime = ctx_prime.dimension
     carried = s.non_unit_dimension
     if carried > n_prime:
@@ -255,7 +271,7 @@ def match_semisimple(
     orbits = list(s.non_unit_orbits)
     nu1 = n_prime - carried
     if nu1:
-        orbits.append(orbit_closure(s.q, s.modulus, 0, nu1))
+        orbits.append(EigenvalueOrbit(s.q, s.modulus, frozenset({0}), nu1))
     return SemisimpleDescriptor(s.q, s.modulus, tuple(orbits))
 
 
@@ -440,11 +456,12 @@ class CuspidalPair(_Record):
         return sum(e.size for e in self.gl_part)
 
 
-def _check_pair(pair: CuspidalPair, ctx: TowerContext) -> int:
-    """Check ``pair`` against the group of ``ctx``; return the non-unit
-    dimensions that belong to the unitary part."""
+def _check_pair(pair: CuspidalPair, ctx: TowerContext, ctx_prime: TowerContext) -> int:
+    """Check ``pair`` against the group of ``ctx`` and its descriptor against
+    both groups (_check_group); return the non-unit dimensions that belong
+    to the unitary part."""
     s = pair.semisimple
-    _check_dimension(s, ctx.dimension)
+    _check_group(s, ctx, ctx_prime)
     nu1 = s.unit_multiplicity
     expected = 2 * pair.torus_rank + triangular(pair.base_k)
     if nu1 != expected:
@@ -474,8 +491,9 @@ def transport_series(
     The nontrivial GL entries and the non-unit eigenvalue data move
     verbatim; the unitary part goes to its first occurrence and the torus
     rank absorbs the difference.  None below the first occurrence; raises
-    when shrinking would need to remove nontrivial entries."""
-    carried_phi = _check_pair(pair, ctx)
+    when shrinking would need to remove nontrivial entries, and where
+    _check_group fails on either group, below the first occurrence too."""
+    carried_phi = _check_pair(pair, ctx, ctx_prime)
     p_prime = ctx_prime.dim_parity
     reduced_parity = (p_prime + pair.semisimple.non_unit_dimension) % 2
     k_prime = theta_cuspidal(pair.base_k, reduced_parity)

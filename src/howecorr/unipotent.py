@@ -458,8 +458,16 @@ class MultiplicityTable(_Record):
         self, m: int, m_prime: int, k: int, k_prime: int, convention: str, entries: Mapping
     ):
         if not isinstance(entries, _Entries):
-            # a mapping passed in is stored in index space once, sorted by row
-            r, r_prime = m - witt_index_of_cuspidal(k), m_prime - witt_index_of_cuspidal(k_prime)
+            # a mapping passed in is checked as omega_unipotent checks its
+            # arguments (the k-series lives in the tower of parity T(k) mod 2,
+            # the k'-series in that of T(k')), then stored in index space
+            # once, sorted by row
+            _check_convention(convention)
+            r, partner, r_prime = _series_ranks(
+                m, triangular(k) % 2, m_prime, triangular(k_prime) % 2, k
+            )
+            if partner != k_prime:
+                raise ValueError(f"k' = {k_prime} is not a partner of k = {k}")
             rows = _bipartition_index(r)
             cols = _bipartition_index(r_prime) if r_prime >= 0 else {}
             counts = [{} for _ in rows]
@@ -776,7 +784,15 @@ def theta_images(
     order.  Empty below the partner's first occurrence, and for a row that
     is empty in a nonzero table (see row_nonempty).  The row is computed in
     closed form; no table is built."""
-    # every check of omega_unipotent, in the same order, then the label size
+    _, k_prime, _, row = _image_row(pi, ctx, ctx_prime, convention)
+    return [(_series_label((k_prime, col)), mult) for col, mult in row]
+
+
+def _image_row(pi, ctx, ctx_prime, convention) -> tuple:
+    """(r, k', r', row) for the label ``pi``: its ranks, its partner index
+    and its row of the coupling table in closed form, () below the
+    partner's first occurrence (r' < 0).  Makes every check of
+    omega_unipotent, in the same order, then checks the label's size."""
     _check_convention(convention)
     k = pi.k if type(pi.k) is int else _integer(pi.k, "k")
     r, k_prime, r_prime = _series_ranks(
@@ -788,9 +804,9 @@ def theta_images(
         )
     alpha, beta = Partition(pi.char_label.alpha), Partition(pi.char_label.beta)
     if r_prime < 0:
-        return []
+        return r, k_prime, r_prime, ()
     row = _coupling_row(alpha, beta, r, r_prime, is_first_kind(k, k_prime), convention)
-    return [(_series_label((k_prime, col)), mult) for col, mult in row]
+    return r, k_prime, r_prime, row
 
 
 def extremal_images(
@@ -808,18 +824,15 @@ def extremal_images(
     and :class:`NonUniqueExtremeError` with the offending antichain if there
     is no unique least or greatest element.
     """
-    images = theta_images(pi, ctx, ctx_prime, convention=convention)
-    if not images:
-        r, k_prime, r_prime = _series_ranks(
-            ctx.witt_index, ctx.dim_parity, ctx_prime.witt_index, ctx_prime.dim_parity, pi.k
-        )
+    r, k_prime, r_prime, row = _image_row(pi, ctx, ctx_prime, convention)
+    if not row:
         if r_prime < 0:
             first = ctx_prime.witt_index - r_prime
             reason = f"below first occurrence: m' < {first} = m({k_prime})"
         else:
             reason = f"its row of the nonzero table at r={r}, r'={r_prime} is empty"
         raise EmptyImageError(f"image of {pi} is empty ({reason})")
-    return _image_extremes(pi, images[0][0].k, [sl.char_label for sl, _ in images])
+    return _image_extremes(pi, k_prime, [col for col, _ in row])
 
 
 def _image_extremes(pi: SeriesLabel, k_prime: int, labels: list) -> tuple:

@@ -58,7 +58,6 @@ from .lusztig import (
     centralizer_decomposition,
     match_semisimple,
     omega_full,
-    orbit_closure,
     transport_series,
     transport_support,
 )
@@ -435,9 +434,9 @@ def _unipotent_pair(k: int, r: int, extra_minus_one: int = 0):
     modulus = q * q - 1
     orbits = []
     if nu1:
-        orbits.append(orbit_closure(q, modulus, 0, nu1))
+        orbits.append(EigenvalueOrbit(q, modulus, frozenset({0}), nu1))
     if extra_minus_one:
-        orbits.append(orbit_closure(q, modulus, modulus // 2, extra_minus_one))
+        orbits.append(EigenvalueOrbit(q, modulus, frozenset({modulus // 2}), extra_minus_one))
     s = SemisimpleDescriptor(q, modulus, tuple(orbits))
     ctx = TowerContext(n // 2, n % 2, q)
     return CuspidalPair((TRIVIAL_GL,) * r, k, s), ctx
@@ -449,9 +448,16 @@ def check_reduction_consistency(max_b_rank: int = 3, k_max: int = 2) -> CheckRes
     name = "reduction consistency"
     _check_sizes(max_b_rank=max_b_rank, k_max=k_max)
     compared = 0
-    for k, parity_prime, k_prime, r, r_prime in _table_sweep(max_b_rank, k_max):
-        pair, ctx = _unipotent_pair(k, r)
-        ctx_p = TowerContext(witt_index_of_cuspidal(k_prime) + r_prime, parity_prime, 3)
+    # each pair and each partner group once, as _stores builds its contexts
+    ranks = range(max_b_rank + 1)
+    pairs = {(k, r): _unipotent_pair(k, r) for k, r in product(range(k_max + 1), ranks)}
+    partners = {
+        (j, r): TowerContext(witt_index_of_cuspidal(j) + r, triangular(j) % 2, 3)
+        for j, r in product(range(k_max + 2), ranks)
+    }
+    for k, _, k_prime, r, r_prime in _table_sweep(max_b_rank, k_max):
+        pair, ctx = pairs[k, r]
+        ctx_p = partners[k_prime, r_prime]
         full = omega_full(pair, ctx, ctx_p)
         direct = omega_unipotent(ctx, ctx_p, k)
         if full.hash_descriptor or full.l or full.l_prime:
@@ -470,13 +476,18 @@ def check_membership(max_b_rank: int = 3) -> CheckResult:
     checked = 0
     hash_labels = {0: [()], 1: [("2",), ("1,1",)]}
     ranks = range(max_b_rank + 1)
+    # each pair at b-rank r and each partner group at partner b-rank r once
+    pairs, partners = {}, {}
+    for extra, k, r in product((0, 2), (0, 1), ranks):
+        pair, ctx = _unipotent_pair(k, r, extra_minus_one=extra)
+        pairs[extra, k, r] = pair, ctx
+        k_prime = theta_cuspidal(k, (ctx.dim_parity + extra) % 2)
+        n_prime = 2 * r + triangular(k_prime) + extra
+        partners[extra, k, r] = TowerContext(n_prime // 2, n_prime % 2, 3)
     for extra, k, r, r_prime in product((0, 2), (0, 1), ranks, ranks):
         l = extra // 2
-        pair, ctx = _unipotent_pair(k, r, extra_minus_one=extra)
-        k_prime = theta_cuspidal(k, (ctx.dim_parity + extra) % 2)
-        n_prime = 2 * r_prime + triangular(k_prime) + extra
-        ctx_p = TowerContext(n_prime // 2, n_prime % 2, 3)
-        full = omega_full(pair, ctx, ctx_p)
+        pair, ctx = pairs[extra, k, r]
+        full = omega_full(pair, ctx, partners[extra, k, r_prime])
         table = full.unipotent_table
         for h, h_p in product(hash_labels[l], repeat=2):
             for u in table.row_labels:

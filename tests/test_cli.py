@@ -316,15 +316,15 @@ class TestExtremal:
 
     @pytest.mark.parametrize("mp, want", (("1", "min  k'=2  -|-"), ("0", "zero")))
     def test_one_image_per_call(self, capsys, monkeypatch, mp, want):
+        # theta_images and extremal_images both read the row by _image_row
         calls = []
-        theta_images = unipotent.theta_images
+        image_row = unipotent._image_row
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return theta_images(*args, **kwargs)
+            return image_row(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "theta_images", counted)
-        monkeypatch.setattr(unipotent, "theta_images", counted)
+        monkeypatch.setattr(unipotent, "_image_row", counted)
         code, out, _ = run(
             capsys, "extremal", "--m", "1", "--mp", mp, "--k", "1",
             "--alpha", "1", "--beta", "-",

@@ -4,7 +4,7 @@ import dataclasses
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from howecorr.errors import InternalCheckError
@@ -159,14 +159,16 @@ class TestCentralizers:
     def test_minus_one_gives_unitary_factor(self):
         s = descriptor(orbit_closure(3, 8, 0), orbit_closure(3, 8, 4, 2))
         dec = centralizer_decomposition(s, TowerContext(1, 1, 3))
-        assert dec.factors == (CentralizerFactor("unitary", 2, 1),)
+        assert dec.factors == (CentralizerFactor(2, 1),)
+        assert dec.factors[0].kind == "unitary"
         assert dec.unipotent_block.dimension == 1
         assert dec.l == 1
 
     def test_even_orbit_gives_linear_factor(self):
         s = descriptor(orbit_closure(3, 8, 0), orbit_closure(3, 8, 1))
         dec = centralizer_decomposition(s, TowerContext(1, 1, 3))
-        assert dec.factors == (CentralizerFactor("linear", 1, 2),)
+        assert dec.factors == (CentralizerFactor(1, 2),)
+        assert dec.factors[0].kind == "linear"
         assert dec.factors[0].rank_contribution == 2
         assert dec.l == 1
 
@@ -179,8 +181,16 @@ class TestCentralizers:
             centralizer_decomposition(identity_class(3, 5), TowerContext(2, 1, 5))
 
     def test_factor_kind_validation(self):
-        with pytest.raises(ValueError):
-            CentralizerFactor("orthogonal", 1, 1)
+        """The kind follows from the field degree, so no factor names
+        another kind; both integers must be positive."""
+        assert [CentralizerFactor(2, d).kind for d in (1, 2, 3, 4)] == [
+            "unitary", "linear", "unitary", "linear",
+        ]
+        for size, degree in ((0, 1), (1, 0), (-1, 2)):
+            with pytest.raises(ValueError, match="must be positive"):
+                CentralizerFactor(size, degree)
+        with pytest.raises(TypeError):
+            CentralizerFactor("linear", 1, 2)
 
 
 class TestMatching:
@@ -253,12 +263,14 @@ class TestCuspidalData:
                 lambda v: CuspidalPair((), v, identity_class(3, 1)),
                 lambda p: [p.base_k], True, [1], 1.0,
             ),
+            (lambda v: CentralizerFactor(v, 1), lambda f: [f.size], Index(2), [2], 2.0),
+            (lambda v: CentralizerFactor(1, v), lambda f: [f.field_degree], True, [1], 1.0),
         ],
         ids=[
             "orbit q", "orbit modulus", "orbit_closure exponent",
             "orbit_closure multiplicity", "orbit exponents", "orbit multiplicity",
             "descriptor field", "GL size", "unipotent k", "generic first occurrence",
-            "pair base k",
+            "pair base k", "factor size", "factor field degree",
         ],
     )
     def test_integers_are_read_exactly(self, build, read, value, want, inexact):
@@ -525,3 +537,64 @@ class TestOmegaFull:
         assert [f.name for f in dataclasses.fields(dec)] == [
             "hash_descriptor", "l", "l_prime", "unipotent_table",
         ]
+
+
+FIELDS = (3, 5, 7, 9)
+# k = 2 opposite the even tower has k' = 3, first occurring at m' = 3: with
+# m' < 3 transport_series returns None when no group has a q
+_BELOW_FIRST_OCCURRENCE = dict(q=3, k=2, torus_rank=0, minus_one=0, parity_prime=0)
+
+
+class TestFieldRule:
+    """A descriptor meets the groups of a pair by one rule: a group given
+    with q, on either side, is over the descriptor's q.  Every function
+    that takes a descriptor and a group raises the same ValueError when it
+    is not, and before it returns anything, None included."""
+
+    @staticmethod
+    def _assert_rule(call, q, groups):
+        wrong = [g for g in groups if g is not None and g != q]
+        if wrong:
+            message = f"^descriptor is over q = {q}, the group over q = {wrong[0]}$"
+            with pytest.raises(ValueError, match=message):
+                call()
+            return
+        try:
+            call()
+        except ValueError as err:  # another rule, such as no image below first occurrence
+            assert "descriptor is over" not in str(err)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        q=st.sampled_from(FIELDS),
+        q_group=st.sampled_from(FIELDS + (None,)),
+        q_partner=st.sampled_from(FIELDS + (None,)),
+        k=st.integers(0, 2),
+        torus_rank=st.integers(0, 2),
+        minus_one=st.sampled_from((0, 2)),
+        m_prime=st.integers(0, 4),
+        parity_prime=st.integers(0, 1),
+    )
+    @example(q_group=5, q_partner=None, m_prime=0, **_BELOW_FIRST_OCCURRENCE)
+    @example(q_group=None, q_partner=7, m_prime=2, **_BELOW_FIRST_OCCURRENCE)
+    def test_every_function_applies_the_field_rule(
+        self, q, q_group, q_partner, k, torus_rank, minus_one, m_prime, parity_prime
+    ):
+        modulus = q * q - 1
+        nu1 = 2 * torus_rank + triangular(k)
+        orbits = [orbit_closure(q, modulus, 0, nu1)] if nu1 else []
+        if minus_one:
+            orbits.append(orbit_closure(q, modulus, modulus // 2, minus_one))
+        s = SemisimpleDescriptor(q, modulus, tuple(orbits))
+        pair = CuspidalPair((TRIVIAL_GL,) * torus_rank, k, s)
+        n = s.dimension
+        bare, bare_p = TowerContext(n // 2, n % 2), TowerContext(m_prime, parity_prime)
+        ctx = TowerContext(n // 2, n % 2, q_group)
+        ctx_p = TowerContext(m_prime, parity_prime, q_partner)
+        self._assert_rule(lambda: centralizer_decomposition(s, ctx), q, [q_group])
+        if s.non_unit_dimension <= ctx_p.dimension:
+            partner = match_semisimple(s, bare, bare_p)
+            self._assert_rule(lambda: centralizer_decomposition(partner, ctx_p), q, [q_partner])
+        for function in (match_semisimple, transport_series, omega_full):
+            arguments = (s if function is match_semisimple else pair, ctx, ctx_p)
+            self._assert_rule(lambda: function(*arguments), q, [q_group, q_partner])

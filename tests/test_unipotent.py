@@ -418,10 +418,10 @@ def _record_cases():
             (3, 8, (unit,)),
         ),
         (
-            CentralizerFactor, ("linear", 2, 2),
-            "CentralizerFactor(kind='linear', size=2, field_degree=2)",
-            "(kind: 'str', size: 'int', field_degree: 'int')",
-            ("unitary", 2, 2),
+            CentralizerFactor, (2, 2),
+            "CentralizerFactor(size=2, field_degree=2)",
+            "(size: 'int', field_degree: 'int')",
+            (2, 1),
         ),
         (
             GLCuspidal, (2, "rho"), rho_repr, "(size: 'int', label: 'str')", (2, "sigma"),
@@ -451,9 +451,9 @@ def _record_cases():
         ),
         (
             OmegaFullDecomposition,
-            ((CentralizerFactor("unitary", 1, 1),), 1, 0, table),
-            "OmegaFullDecomposition(hash_descriptor=(CentralizerFactor(kind='unitary', "
-            "size=1, field_degree=1),), l=1, l_prime=0, "
+            ((CentralizerFactor(1, 1),), 1, 0, table),
+            "OmegaFullDecomposition(hash_descriptor=(CentralizerFactor(size=1, "
+            "field_degree=1),), l=1, l_prime=0, "
             f"unipotent_table={TestRecords.SMALL_REPR})",
             "(hash_descriptor: 'tuple', l: 'int', l_prime: 'int', "
             "unipotent_table: 'MultiplicityTable')",
@@ -1238,6 +1238,24 @@ class TestEntriesView:
     def test_a_label_not_of_the_ranks_is_refused(self, args, cell):
         with pytest.raises(ValueError, match="is not a label of this table"):
             MultiplicityTable(*args, "coxeter_sign", {cell: 1})
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0, 0, 2, 0, "coxeter_sign"), r"Witt index 0 is below the cuspidal support m\(2\)"),
+            ((1, 1, 2, 2, "coxeter_sign"), "k' = 2 is not a partner of k = 2"),
+            ((1, 1, 0, 0, "bogus"), "unknown sgn convention 'bogus'"),
+        ],
+        ids=["r below zero", "no partner", "unknown convention"],
+    )
+    def test_ranks_partner_and_convention_are_checked(self, args, message, monkeypatch):
+        """A table built from a mapping is checked as omega_unipotent checks
+        its arguments, before any rank is looked up (r = -1 would be cached)."""
+        looked_up = []
+        monkeypatch.setattr(unipotent, "_bipartition_index", looked_up.append)
+        with pytest.raises(ValueError, match=message):
+            MultiplicityTable(*args, {})
+        assert looked_up == []
 
     @pytest.mark.parametrize("kind", TABLES)
     def test_labels_are_attached_only_at_output(self, kind, monkeypatch):

@@ -344,6 +344,11 @@ def _with_factors(real, change):
     return decomposition
 
 
+class _LinearFactor(CentralizerFactor):
+    # a factor that calls itself linear whatever its field degree
+    kind = "linear"
+
+
 def _hash_blind(real):
     # membership that ignores the hash labels
     def omega_full(*args):
@@ -550,7 +555,7 @@ PLANTED_FAULTS = [
         # this condition first, so only a replaced one reaches the branch
         "centralizer_decomposition",
         lambda real: _with_factors(
-            real, lambda factors: factors + (CentralizerFactor("linear", 1, 1),)
+            real, lambda factors: factors + (CentralizerFactor(1, 1),)
         ),
         lambda: verify.check_centralizers(5),
         "trial 0: rank sum 4 != 3",
@@ -560,9 +565,7 @@ PLANTED_FAULTS = [
         "centralizer_decomposition",
         lambda real: _with_factors(
             real,
-            lambda factors: tuple(
-                dataclasses.replace(f, kind="linear") for f in factors
-            ),
+            lambda factors: tuple(_LinearFactor(f.size, f.field_degree) for f in factors),
         ),
         lambda: verify.check_centralizers(5),
         "trial 2: -1 orbit not unitary",
