@@ -5,8 +5,11 @@ A semisimple class of a unitary group over F_q is described by its
 eigenvalues in the algebraic closure.  Working with a fixed ambient modulus
 M = q^(2d) - 1, an eigenvalue is an exponent e (the eigenvalue is g^e for a
 generator g of the order-M cyclic group) and rationality groups exponents
-into orbits of e -> -q e mod M.  A :class:`SemisimpleDescriptor` is a list
-of such orbits with multiplicities.
+into orbits of e -> -q e mod M.  A :class:`SemisimpleDescriptor` is the
+field (q, M) and a list of such orbits with multiplicities.  The field is
+stated once, there: an :class:`EigenvalueOrbit` keeps only its exponents
+and multiplicity, and the descriptor checks its field once and then each
+orbit against it (reduced mod M, closed under e -> -q e, pairwise disjoint).
 
 The centralizer of such a class inside U_n splits as a product of one group
 per orbit; the eigenvalue-1 block is again a unitary group and carries the
@@ -68,25 +71,20 @@ def _check_field(q: int, modulus: int) -> tuple:
 class EigenvalueOrbit(_Record):
     """An orbit of eigenvalue exponents under e -> -q e mod M, with a
     multiplicity.  The orbit size is the degree of the eigenvalue over the
-    fixed field; the orbits of 1 and -1 are the singletons {0} and {M/2}."""
+    fixed field; the orbits of 1 and -1 are the singletons {0} and {M/2}.
+    The exponents are kept as a frozenset; the field (q, M) is that of the
+    :class:`SemisimpleDescriptor`, which checks them against it."""
 
-    __slots__ = ("q", "modulus", "exponents", "multiplicity")
+    __slots__ = ("exponents", "multiplicity")
 
-    def __init__(self, q: int, modulus: int, exponents: frozenset, multiplicity: int = 1):
-        q, modulus = _check_field(q, modulus)
+    def __init__(self, exponents: frozenset, multiplicity: int = 1):
         multiplicity = _integer(multiplicity, "orbit multiplicity")
-        if any(type(e) is not int for e in exponents):
-            exponents = frozenset(_integer(e, "exponent") for e in exponents)
+        exponents = frozenset([_integer(e, "exponent") for e in exponents])
         if multiplicity < 1:
             raise ValueError("orbit multiplicity must be positive")
         if not exponents:
             raise ValueError("orbit must contain at least one exponent")
-        for e in exponents:
-            if not 0 <= e < modulus:
-                raise ValueError(f"exponent {e} not reduced mod {modulus}")
-            if (-q * e) % modulus not in exponents:
-                raise ValueError(f"exponent set {set(exponents)} is not closed")
-        self._set(q, modulus, exponents, multiplicity)
+        self._set(exponents, multiplicity)
 
     @property
     def size(self) -> int:
@@ -95,10 +93,6 @@ class EigenvalueOrbit(_Record):
     @property
     def is_one(self) -> bool:
         return self.exponents == frozenset({0})
-
-    @property
-    def is_minus_one(self) -> bool:
-        return self.modulus % 2 == 0 and self.exponents == frozenset({self.modulus // 2})
 
 
 def orbit_closure(q: int, modulus: int, exponent: int, multiplicity: int = 1) -> EigenvalueOrbit:
@@ -111,7 +105,7 @@ def orbit_closure(q: int, modulus: int, exponent: int, multiplicity: int = 1) ->
         raise ValueError("the zero eigenvalue has no exponent")
     q, modulus = _check_field(q, modulus)
     exponent = _integer(exponent, "exponent")
-    return EigenvalueOrbit(q, modulus, _closure(q, modulus, exponent), multiplicity)
+    return EigenvalueOrbit(_closure(q, modulus, exponent), multiplicity)
 
 
 def _closure(q: int, modulus: int, exponent: int) -> frozenset:
@@ -129,17 +123,24 @@ def _orbit_sort_key(orbit: EigenvalueOrbit):
 
 class SemisimpleDescriptor(_Record):
     """A semisimple class given by disjoint eigenvalue orbits with
-    multiplicities.  The ambient dimension it can live in is
-    ``dimension`` = sum of orbit size times multiplicity."""
+    multiplicities, over the field q with modulus M = q^(2d) - 1: the one
+    record that holds the field.  Each orbit's exponents must be reduced
+    mod M and closed under e -> -q e.  The ambient dimension it can live
+    in is ``dimension`` = sum of orbit size times multiplicity."""
 
     __slots__ = ("q", "modulus", "orbits")
 
     def __init__(self, q: int, modulus: int, orbits: tuple):
         q, modulus = _check_field(q, modulus)
+        for orbit in orbits:
+            exponents = orbit.exponents
+            for e in exponents:
+                if not 0 <= e < modulus:
+                    raise ValueError(f"exponent {e} not reduced mod {modulus}")
+                if (-q * e) % modulus not in exponents:
+                    raise ValueError(f"exponent set {set(exponents)} is not closed")
         seen = set()
         for orbit in orbits:
-            if orbit.q != q or orbit.modulus != modulus:
-                raise ValueError("orbit and descriptor disagree on q or modulus")
             if seen & orbit.exponents:
                 raise ValueError("orbits must be pairwise disjoint")
             seen |= orbit.exponents
@@ -271,7 +272,7 @@ def match_semisimple(
     orbits = list(s.non_unit_orbits)
     nu1 = n_prime - carried
     if nu1:
-        orbits.append(EigenvalueOrbit(s.q, s.modulus, frozenset({0}), nu1))
+        orbits.append(EigenvalueOrbit(frozenset({0}), nu1))
     return SemisimpleDescriptor(s.q, s.modulus, tuple(orbits))
 
 

@@ -26,8 +26,10 @@ from typing import Iterable, Iterator, NamedTuple
 
 def _integer(value, what: str) -> int:
     """``value`` read as an int by `operator.index`, as ints, bools and
-    numpy ints are; anything else, such as a float or a string, raises
-    ValueError naming it."""
+    numpy ints are (an exact int is returned at once); anything else, such
+    as a float or a string, raises ValueError naming it."""
+    if type(value) is int:
+        return value
     try:
         return index(value)
     except TypeError:
@@ -330,8 +332,7 @@ def horizontal_strip_additions(p: Iterable[int], size: int) -> list:
     [(4, 1), (3, 2), (3, 1, 1), (2, 2, 1)]
     """
     p = Partition(p)
-    if type(size) is not int:
-        size = _integer(size, "strip size")
+    size = _integer(size, "strip size")
     if size < 0:
         raise ValueError("strip size must be nonnegative")
     return list(_horizontal_strips(p, size))
@@ -349,8 +350,7 @@ def vertical_strip_additions(p: Iterable[int], size: int) -> list:
     [(3, 1), (2, 1, 1)]
     """
     p = Partition(p)
-    if type(size) is not int:
-        size = _integer(size, "strip size")
+    size = _integer(size, "strip size")
     if size < 0:
         raise ValueError("strip size must be nonnegative")
     conjugates = _horizontal_strips(p.conjugate(), size)

@@ -70,7 +70,7 @@ def triangular(k: int) -> int:
 def witt_index_of_cuspidal(k: int) -> int:
     """Witt index of the unitary group carrying the k-th cuspidal unipotent
     representation, which has dimension k(k+1)/2."""
-    k = k if type(k) is int else _integer(k, "k")
+    k = _integer(k, "k")
     if k < 0:
         raise ValueError("k must be nonnegative")
     return triangular(k) // 2
@@ -87,9 +87,8 @@ def theta_cuspidal(k: int, target_dim_parity: int) -> int:
     `operator.index`, so a bool parity gives an int and a float raises
     ValueError.
     """
-    k = k if type(k) is int else _integer(k, "k")
-    if type(target_dim_parity) is not int:
-        target_dim_parity = _integer(target_dim_parity, "parity")
+    k = _integer(k, "k")
+    target_dim_parity = _integer(target_dim_parity, "parity")
     if k < 0:
         raise ValueError("k must be nonnegative")
     if target_dim_parity not in (0, 1):
@@ -217,11 +216,9 @@ class TowerContext(_Record):
     __slots__ = ("witt_index", "dim_parity", "q")
 
     def __init__(self, witt_index: int, dim_parity: int, q: int | None = None):
-        if type(witt_index) is not int:
-            witt_index = _integer(witt_index, "Witt index")
-        if type(dim_parity) is not int:
-            dim_parity = _integer(dim_parity, "dimension parity")
-        if type(q) is not int and q is not None:
+        witt_index = _integer(witt_index, "Witt index")
+        dim_parity = _integer(dim_parity, "dimension parity")
+        if q is not None:
             q = _integer(q, "q")
         if witt_index < 0:
             raise ValueError("Witt index must be nonnegative")
@@ -278,8 +275,7 @@ def pieri_induction(
         _check_convention(convention)
     elif second != "trivial":
         raise ValueError(f"second factor must be 'trivial' or 'sgn', got {second!r}")
-    if type(s) is not int:
-        s = _integer(s, "strip size")
+    s = _integer(s, "strip size")
     if s < 0:
         raise ValueError("strip size must be nonnegative")
     if second == "trivial":
@@ -460,8 +456,8 @@ class MultiplicityTable(_Record):
         if not isinstance(entries, _Entries):
             # a mapping passed in is checked as omega_unipotent checks its
             # arguments (the k-series lives in the tower of parity T(k) mod 2,
-            # the k'-series in that of T(k')), then stored in index space
-            # once, sorted by row
+            # the k'-series in that of T(k')), its multiplicities read as
+            # positive ints, then stored in index space once, sorted by row
             _check_convention(convention)
             r, partner, r_prime = _series_ranks(
                 m, triangular(k) % 2, m_prime, triangular(k_prime) % 2, k
@@ -473,6 +469,9 @@ class MultiplicityTable(_Record):
             counts = [{} for _ in rows]
             try:
                 for (row, col), mult in entries.items():
+                    mult = _integer(mult, "multiplicity")
+                    if mult < 1:
+                        raise ValueError(f"multiplicity must be positive, got {mult}")
                     counts[rows[row]][cols[col]] = mult
             except KeyError as err:
                 raise ValueError(f"{err.args[0]} is not a label of this table") from None
@@ -696,7 +695,7 @@ def omega_unipotent(
     table when m' < m(k').
     """
     _check_convention(convention)
-    k = k if type(k) is int else _integer(k, "k")  # for the key: True == 1 == 1.0
+    k = _integer(k, "k")  # for the key: True == 1 == 1.0
     return _omega_cached(
         ctx.witt_index, ctx.dim_parity, ctx_prime.witt_index, ctx_prime.dim_parity, k, convention
     )
@@ -794,7 +793,7 @@ def _image_row(pi, ctx, ctx_prime, convention) -> tuple:
     partner's first occurrence (r' < 0).  Makes every check of
     omega_unipotent, in the same order, then checks the label's size."""
     _check_convention(convention)
-    k = pi.k if type(pi.k) is int else _integer(pi.k, "k")
+    k = _integer(pi.k, "k")
     r, k_prime, r_prime = _series_ranks(
         ctx.witt_index, ctx.dim_parity, ctx_prime.witt_index, ctx_prime.dim_parity, k
     )

@@ -387,7 +387,7 @@ def random_descriptor(rng: random.Random) -> SemisimpleDescriptor:
         mult = rng.randint(1, remaining // len(exponents))
         mults[exponents] = mults.get(exponents, 0) + mult
         remaining -= len(exponents) * mult
-    orbits = (EigenvalueOrbit(q, modulus, e, m) for e, m in mults.items())
+    orbits = (EigenvalueOrbit(e, m) for e, m in mults.items())
     return SemisimpleDescriptor(q, modulus, tuple(orbits))
 
 
@@ -408,7 +408,7 @@ def check_centralizers(count: int = 200, seed: int = 20260825) -> CheckResult:
         if l != ctx.witt_index - block.witt_index:
             return _fail(name, f"trial {trial}: drop l miscomputed")
         for orbit, factor in zip(s.non_unit_orbits, factors):
-            if orbit.is_minus_one and factor.kind != "unitary":
+            if orbit.exponents == {s.modulus // 2} and factor.kind != "unitary":
                 return _fail(name, f"trial {trial}: -1 orbit not unitary")
         n_prime = s.non_unit_dimension + rng.randint(0, 6)
         ctx_p = TowerContext(n_prime // 2, n_prime % 2, s.q)
@@ -434,9 +434,9 @@ def _unipotent_pair(k: int, r: int, extra_minus_one: int = 0):
     modulus = q * q - 1
     orbits = []
     if nu1:
-        orbits.append(EigenvalueOrbit(q, modulus, frozenset({0}), nu1))
+        orbits.append(EigenvalueOrbit(frozenset({0}), nu1))
     if extra_minus_one:
-        orbits.append(EigenvalueOrbit(q, modulus, frozenset({modulus // 2}), extra_minus_one))
+        orbits.append(EigenvalueOrbit(frozenset({modulus // 2}), extra_minus_one))
     s = SemisimpleDescriptor(q, modulus, tuple(orbits))
     ctx = TowerContext(n // 2, n % 2, q)
     return CuspidalPair((TRIVIAL_GL,) * r, k, s), ctx

@@ -71,7 +71,7 @@ class TestOrbits:
 
     def test_special_eigenvalues(self):
         assert orbit_closure(3, 8, 0).is_one
-        assert orbit_closure(3, 8, 4).is_minus_one
+        assert orbit_closure(3, 8, 4).exponents == {8 // 2}
         assert not orbit_closure(3, 8, 1).is_one
 
     def test_invalid_arguments(self):
@@ -87,24 +87,40 @@ class TestOrbits:
             orbit_closure(3, 8, 1, 0)
 
     def test_direct_construction_checks_closure(self):
-        with pytest.raises(ValueError):
-            EigenvalueOrbit(3, 8, frozenset({1}))
-        with pytest.raises(ValueError):
-            EigenvalueOrbit(3, 8, frozenset({9}))
-        with pytest.raises(ValueError):
-            EigenvalueOrbit(3, 8, frozenset())
+        # the orbit has no field; its descriptor checks it against its own
+        with pytest.raises(ValueError, match=r"exponent set \{1\} is not closed"):
+            descriptor(EigenvalueOrbit(frozenset({1})))
+        with pytest.raises(ValueError, match="exponent 9 not reduced mod 8"):
+            descriptor(EigenvalueOrbit(frozenset({9})))
+        with pytest.raises(ValueError, match="at least one exponent"):
+            EigenvalueOrbit(frozenset())
 
     def test_direct_construction_checks_the_field(self):
+        unit = EigenvalueOrbit(frozenset({0}))
         with pytest.raises(ValueError, match="not an odd prime power"):
-            EigenvalueOrbit(4, 15, frozenset({0}))
+            descriptor(unit, q=4, modulus=15)
         with pytest.raises(ValueError, match="is not q\\^2d - 1"):
-            EigenvalueOrbit(3, 9, frozenset({0}))
+            descriptor(unit, q=3, modulus=9)
+        with pytest.raises(TypeError):
+            EigenvalueOrbit(3, 8, frozenset({0}))  # an orbit takes no field
 
     def test_with_multiplicity(self):
         orbit = orbit_closure(3, 8, 4, 3)
         assert orbit.multiplicity == 3
         assert orbit.exponents == frozenset({4})
-        assert orbit == EigenvalueOrbit(3, 8, frozenset({4}), 3)
+        assert orbit == EigenvalueOrbit(frozenset({4}), 3)
+
+    @pytest.mark.parametrize("container", [list, set])
+    def test_exponents_are_kept_as_a_frozenset(self, container):
+        """The orbit keeps its own frozenset: a caller's list or set can
+        neither leave it unhashable nor change it afterwards."""
+        unit = EigenvalueOrbit(container([0]), 2)
+        assert type(unit.exponents) is frozenset and unit.is_one
+        assert hash(unit) == hash((frozenset({0}), 2))
+        given = container([1, 5])
+        s = descriptor(EigenvalueOrbit(given), unit)
+        (given.append if container is list else given.add)(2)
+        assert s.dimension == 4 and s.non_unit_orbits[0].exponents == {1, 5}
 
 
 class TestDescriptors:
@@ -124,10 +140,53 @@ class TestDescriptors:
             descriptor(orbit_closure(3, 8, 1), orbit_closure(3, 8, 5))
 
     def test_orbit_descriptor_mismatch(self):
-        with pytest.raises(ValueError):
+        # an orbit closed over another field is checked against this one:
+        # {1, 9, 53, 77} is not an orbit mod 8, while {4} is the -1 class
+        with pytest.raises(ValueError, match="is not closed|not reduced mod 8"):
             descriptor(orbit_closure(3, 80, 1))
-        with pytest.raises(ValueError):
-            descriptor(orbit_closure(5, 24, 4), q=3, modulus=8)
+        s = descriptor(orbit_closure(5, 24, 4), q=3, modulus=8)
+        assert s.orbits == (orbit_closure(3, 8, 4),) and s.dimension == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), q=st.sampled_from((3, 5, 7)), d=st.sampled_from((1, 2)))
+    def test_each_orbit_is_checked_against_the_field(self, data, q, d):
+        """Exponent sets drawn as closures, closures with one exponent added
+        or removed, and closures holding a value >= M: the descriptor
+        accepts exactly when every set is reduced, closed and pairwise
+        disjoint, and otherwise names the first fault, orbits in order."""
+        modulus = q ** (2 * d) - 1
+        sets = []
+        for _ in range(data.draw(st.integers(1, 3), label="orbits")):
+            start = data.draw(st.integers(0, modulus - 1), label="exponent")
+            exponents = set(orbit_closure(q, modulus, start).exponents)
+            change = data.draw(st.sampled_from(("none", "add", "remove", "unreduced")))
+            if change == "add":
+                exponents.add(data.draw(st.integers(0, modulus - 1), label="added"))
+            elif change == "remove" and len(exponents) > 1:
+                exponents.remove(data.draw(st.sampled_from(sorted(exponents)), label="removed"))
+            elif change == "unreduced":
+                exponents.add(data.draw(st.integers(modulus, 2 * modulus), label="unreduced"))
+            sets.append(exponents)
+        orbits = tuple(EigenvalueOrbit(x) for x in sets)
+        message = None
+        for x in sets:
+            unreduced = [e for e in x if not 0 <= e < modulus]
+            if unreduced:
+                message = f"^exponent {unreduced[0]} not reduced mod {modulus}$"
+            elif any((-q * e) % modulus not in x for e in x):
+                message = r"^exponent set \{.*\} is not closed$"
+            if message:
+                break
+        else:
+            if sum(map(len, sets)) != len(set().union(*sets)):
+                message = "^orbits must be pairwise disjoint$"
+        if message:
+            with pytest.raises(ValueError, match=message):
+                SemisimpleDescriptor(q, modulus, orbits)
+        else:
+            s = SemisimpleDescriptor(q, modulus, orbits)
+            assert s.dimension == sum(map(len, sets))
+            assert {o.exponents for o in s.orbits} == set(map(frozenset, sets))
 
     def test_empty_descriptor_checks_the_field(self):
         with pytest.raises(ValueError, match="modulus 0 is not q\\^2d - 1"):
@@ -240,16 +299,22 @@ class TestCuspidalData:
     @pytest.mark.parametrize(
         "build, read, value, want, inexact",
         [
-            (lambda v: orbit_closure(v, 8, 1), lambda o: [o.q], Index(3), [3], 3.0),
-            (lambda v: orbit_closure(3, v, 1), lambda o: [o.modulus], Index(8), [8], 8.0),
+            (
+                lambda v: orbit_closure(v, 8, 1),
+                lambda o: sorted(o.exponents), Index(3), [1, 5], 3.0,
+            ),
+            (
+                lambda v: orbit_closure(3, v, 1),
+                lambda o: sorted(o.exponents), Index(8), [1, 5], 8.0,
+            ),
             (lambda v: orbit_closure(3, 8, v), lambda o: sorted(o.exponents), True, [1, 5], 1.5),
             (lambda v: orbit_closure(3, 8, 0, v), lambda o: [o.multiplicity], True, [1], 2.0),
             (
-                lambda v: EigenvalueOrbit(3, 8, frozenset({v, 5})),
+                lambda v: EigenvalueOrbit(frozenset({v, 5})),
                 lambda o: sorted(o.exponents), Index(1), [1, 5], 1.0,
             ),
             (
-                lambda v: EigenvalueOrbit(3, 8, frozenset({0}), v),
+                lambda v: EigenvalueOrbit(frozenset({0}), v),
                 lambda o: [o.multiplicity], Index(2), [2], 2.0,
             ),
             (

@@ -395,8 +395,8 @@ def _record_cases():
     dataclass it replaced printed them, and the arguments of an unequal
     instance."""
     unit, minus_one = orbit_closure(3, 8, 0, 2), orbit_closure(3, 8, 4)
-    unit_repr = "EigenvalueOrbit(q=3, modulus=8, exponents=frozenset({0}), multiplicity=2)"
-    minus_one_repr = "EigenvalueOrbit(q=3, modulus=8, exponents=frozenset({4}), multiplicity=1)"
+    unit_repr = "EigenvalueOrbit(exponents=frozenset({0}), multiplicity=2)"
+    minus_one_repr = "EigenvalueOrbit(exponents=frozenset({4}), multiplicity=1)"
     descriptor_repr = (
         f"SemisimpleDescriptor(q=3, modulus=8, orbits=({unit_repr}, {minus_one_repr}))"
     )
@@ -407,10 +407,10 @@ def _record_cases():
     table = omega_unipotent(*TestRecords.SMALL)
     cases = [
         (
-            EigenvalueOrbit, (3, 8, frozenset({4}), 2),
-            "EigenvalueOrbit(q=3, modulus=8, exponents=frozenset({4}), multiplicity=2)",
-            "(q: 'int', modulus: 'int', exponents: 'frozenset', multiplicity: 'int' = 1)",
-            (3, 8, frozenset({4}), 1),
+            EigenvalueOrbit, (frozenset({4}), 2),
+            "EigenvalueOrbit(exponents=frozenset({4}), multiplicity=2)",
+            "(exponents: 'frozenset', multiplicity: 'int' = 1)",
+            (frozenset({4}), 1),
         ),
         (
             SemisimpleDescriptor, (3, 8, (minus_one, unit)), descriptor_repr,
@@ -1256,6 +1256,26 @@ class TestEntriesView:
         with pytest.raises(ValueError, match=message):
             MultiplicityTable(*args, {})
         assert looked_up == []
+
+    @pytest.mark.parametrize(
+        "mult, message",
+        [
+            (0, "^multiplicity must be positive, got 0$"),
+            (1.5, "^multiplicity must be an integer, got 1.5$"),
+            ("x", "^multiplicity must be an integer, got 'x'$"),
+        ],
+        ids=["zero", "float", "string"],
+    )
+    def test_a_multiplicity_must_be_a_positive_integer(self, mult, message):
+        a = bipartition((2,), ())
+        with pytest.raises(ValueError, match=message):
+            MultiplicityTable(2, 2, 0, 0, "coxeter_sign", {(a, a): mult})
+
+    def test_a_bool_multiplicity_is_stored_as_an_int(self):
+        a = bipartition((2,), ())
+        table = MultiplicityTable(2, 2, 0, 0, "coxeter_sign", {(a, a): True})
+        assert [type(x) for x in (table.entry(a, a), table.row(a)[0][1])] == [int, int]
+        assert [type(x) for x in table.to_json_dict()["entries"][0]] == [int, int, int]
 
     @pytest.mark.parametrize("kind", TABLES)
     def test_labels_are_attached_only_at_output(self, kind, monkeypatch):
